@@ -2,9 +2,14 @@
 
 Let A and B be independent uniform draws from a family F.  The distribution
 of A | B (bitwise union) is computed exactly: counts over all |F|^2 ordered
-pairs, probabilities as Fractions.  On top of it sit four checks, each
-returning a small report rather than a bare bool so that callers and the
-CLI can show their work:
+pairs, probabilities as Fractions.  The counts are the family's cached
+pair-union histogram, :attr:`ucc.setfamily.SetFamily.union_counts`, built
+once per family as an OR convolution (a dense zeta/Mobius transform over
+2^n cells when 2^n <= |F|^2, blocked pairwise ORs otherwise; see
+:func:`ucc.setfamily.pair_union_counts`).  Every check below reads that
+one histogram, so a family's pairs are counted once however many checks
+run.  On top of it sit four checks, each returning a small report rather
+than a bare bool so that callers and the CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
     exactly, and conditioning each union bit on both full prefixes instead
@@ -25,6 +30,7 @@ counts); every report carries the tolerance it was judged against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -110,17 +116,6 @@ def _check_pair_cap(family: SetFamily, cap: int) -> None:
             f"family size {family.size} exceeds pair-enumeration cap {cap}")
 
 
-def _pair_union_counts(family: SetFamily) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    sets = family.sets
-    for i, a in enumerate(sets):
-        counts[a] = counts.get(a, 0) + 1  # diagonal pair (A, A)
-        for b in sets[i + 1:]:
-            u = a | b
-            counts[u] = counts.get(u, 0) + 2  # (A, B) and (B, A)
-    return counts
-
-
 def union_distribution(family: SetFamily, cap: int = DEFAULT_PAIR_CAP) -> UnionDistribution:
     """Exact union distribution; requires 1 <= |F| <= cap."""
     if family.size == 0:
@@ -128,7 +123,7 @@ def union_distribution(family: SetFamily, cap: int = DEFAULT_PAIR_CAP) -> UnionD
     _check_pair_cap(family, cap)
     return UnionDistribution(
         universe_size=family.universe_size,
-        counts=_pair_union_counts(family),
+        counts=dict(family.union_counts),
         pair_count=family.size ** 2,
     )
 
@@ -168,6 +163,24 @@ def shannon_entropy(dist) -> float:
     return -math.fsum(p * math.log2(p) for p in map(float, values) if p > 0.0)
 
 
+def _weighted_fsum(terms: Iterable[tuple[float, int]]) -> float:
+    """Correctly rounded sum of ``weight * term`` over (term, weight) pairs.
+
+    Equal to ``math.fsum`` over every term repeated ``weight`` times, which
+    is what summing cell by cell would give.  Finite floats are dyadic
+    rationals, so the sum is accumulated exactly as an integer over a
+    power-of-two denominator and rounded once by the final division.
+    """
+    num, den = 0, 1
+    for term, weight in terms:
+        n, d = term.as_integer_ratio()
+        if d > den:
+            num *= d // den
+            den = d
+        num += weight * n * (den // d)
+    return num / den
+
+
 def _prefix_mask(i: int) -> int:
     return (1 << i) - 1
 
@@ -189,24 +202,36 @@ def chain_rule_check(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     rhs conditions each coordinate on both source prefixes instead,
     sum_i H(U_i | A below i, B below i), which is never larger, so
     ``margin_bits`` = lhs - rhs >= 0 up to the tolerance.
+
+    A pair of prefix cells contributes a term that depends only on each
+    cell's type (members in the cell, members avoiding element i+1), so
+    rhs is summed over pairs of distinct types weighted by their
+    multiplicities.  That weighted sum is exact until its one rounding,
+    so it equals ``math.fsum`` over all cell pairs.
     """
     if family.size == 0:
         raise ValueError("chain_rule_check requires a nonempty family")
     _check_pair_cap(family, cap)
     n = family.universe_size
     total = family.size ** 2
-    union_counts = _pair_union_counts(family)
+    union_counts = family.union_counts
 
-    chain_sum = 0.0
-    for i in range(n):
-        pmask = _prefix_mask(i)
-        groups: dict[int, list[int]] = {}
-        for mask, c in union_counts.items():
-            cell = groups.setdefault(mask & pmask, [0, 0])
-            cell[mask >> i & 1] += c
-        chain_sum += math.fsum(
+    # coordinate i reads counts keyed by the low i+1 bits of the union;
+    # merging each cell's two halves yields the counts for coordinate i-1
+    chain_terms = [0.0] * n
+    low_counts = union_counts
+    for i in reversed(range(n)):
+        below = (1 << i) - 1
+        cells: dict[int, list[int]] = {}
+        for mask, c in low_counts.items():
+            cells.setdefault(mask & below, [0, 0])[mask >> i & 1] += c
+        chain_terms[i] = math.fsum(
             (c0 + c1) / total * _h_of_counts(c1, c0 + c1)
-            for c0, c1 in groups.values())
+            for c0, c1 in cells.values())
+        low_counts = {prefix: c0 + c1 for prefix, (c0, c1) in cells.items()}
+    chain_sum = 0.0
+    for term in chain_terms:  # ascending i, the order the chain rule reads
+        chain_sum += term
 
     lhs = _entropy_from_counts(union_counts.values(), total)
     identity_margin = chain_sum - lhs
@@ -220,13 +245,11 @@ def chain_rule_check(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
             cell[0] += 1
             if not mask >> i & 1:
                 cell[1] += 1  # members avoiding element i+1
-        cells = list(prefix_groups.values())
-        terms = []
-        for na, za in cells:
-            for nb, zb in cells:
-                w = na * nb
-                terms.append(w / total * _h_of_counts(za * zb, w))
-        dp_sum += math.fsum(terms)
+        types = Counter(map(tuple, prefix_groups.values())).items()
+        dp_sum += _weighted_fsum(
+            ((na * nb) / total * _h_of_counts(za * zb, na * nb), ka * kb)
+            for (na, za), ka in types
+            for (nb, zb), kb in types)
 
     margin = lhs - dp_sum
     satisfied = margin >= -tol and abs(identity_margin) <= tol
@@ -257,8 +280,7 @@ def check_lower_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     if family.size == 0:
         raise ValueError("check_lower_bound requires a nonempty family")
     _check_pair_cap(family, cap)
-    dist = union_distribution(family, cap)
-    lhs = shannon_entropy(dist)
+    lhs = _entropy_from_counts(family.union_counts.values(), family.size ** 2)
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
     rhs = float(p) * HALF_INV_PHI * (h_draw + h_draw)
@@ -295,7 +317,7 @@ def check_upper_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     _check_pair_cap(family, cap)
     members = family.member_set()
     total = family.size ** 2
-    union_counts = _pair_union_counts(family)
+    union_counts = family.union_counts
     lhs = _entropy_from_counts(union_counts.values(), total)
 
     in_counts = [c for m, c in union_counts.items() if m in members]

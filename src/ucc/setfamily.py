@@ -11,6 +11,18 @@ All closure and frequency statistics returned here are exact
 to float at the last moment, so no rounding error is inherited from this
 layer.
 
+Every pair statistic, here and in :mod:`ucc.entropy`, derives from one
+histogram: the exact count of ordered pairs (A, B) in F x F, over all
+|F|^2 of them, whose union is each mask U.  :func:`pair_union_counts`
+builds it as an OR convolution, ``u = mobius(zeta(1_F)^2)`` (Yates 1937;
+Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), choosing its regime
+from the input: a dense int64 transform over all 2^n cells when
+2^n <= |F|^2 (and n <= 26, which bounds its memory), otherwise blocked
+pairwise ORs that never allocate anything of size 2^n.
+:attr:`SetFamily.union_counts` computes it at most once per family, so
+the closure fractions, the theorem check, the union distribution, both
+entropy bounds and the chain rule share one build.
+
 The text format (``.uc``) is a header line ``n=<universe size>`` followed
 by one bit string per set, leftmost character = element 1.  ``#`` starts a
 comment, blank lines are skipped, CRLF is tolerated.
@@ -21,7 +33,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "WORD_CAP",
@@ -39,12 +52,17 @@ __all__ = [
     "closure_fraction_unordered",
     "element_frequencies",
     "union_closure",
+    "pair_union_counts",
     "mask_from_elements",
     "elements_of_mask",
 ]
 
 WORD_CAP = 63
 DEFAULT_CLOSURE_CAP = 1_000_000
+#: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB)
+_PAIR_BLOCK_CELLS = 1 << 20
+#: widest universe the dense regime transforms (2^26 int64 cells, 512 MB)
+_DENSE_MAX_BITS = 26
 
 
 class UCFormatError(ValueError):
@@ -136,6 +154,12 @@ class SetFamily:
     def member_set(self) -> frozenset[int]:
         return self._members
 
+    @cached_property
+    def union_counts(self) -> dict[int, int]:
+        """Pair-union histogram of :func:`pair_union_counts`, built on first
+        use and kept for the life of the family.  Callers must not mutate it."""
+        return pair_union_counts(self.universe_size, self.sets)
+
 
 @dataclass(frozen=True)
 class FrequencyProfile:
@@ -176,7 +200,8 @@ def parse_family(text: str) -> SetFamily:
             if not line.startswith("n="):
                 raise UCFormatError("expected header of the form n=<universe size>", lineno)
             body = line[2:].strip()
-            if not body.isdigit():
+            # str.isdigit alone also accepts non-ASCII digits such as "³"
+            if not (body.isascii() and body.isdigit()):
                 raise UCFormatError(f"bad universe size {body!r}", lineno)
             n = int(body)
             if not 1 <= n <= WORD_CAP:
@@ -220,16 +245,57 @@ def dump_family(family: SetFamily, path: str) -> None:
         fh.write(format_family(family))
 
 
+def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]:
+    """Number of ordered pairs (A, B) of ``sets`` with A | B = U, for every U.
+
+    Exact over all len(sets)^2 ordered pairs (diagonal included); masks
+    with no pair are absent.  ``sets`` must be distinct masks below
+    2^universe_size.  Dense regime (2^n <= |F|^2): zeta transform of the
+    indicator, squared pointwise, then the Mobius transform, all in int64
+    over 2^n cells; n is also held to ``_DENSE_MAX_BITS`` so the transform
+    stays within memory.  Pairwise regime otherwise: ``bitwise_or.outer``
+    over row blocks of at most ``_PAIR_BLOCK_CELLS`` cells, counted with
+    ``np.unique``; it never allocates anything of size 2^n.  int64 cannot
+    overflow: dense cells hold at most |F|^2 <= 4^26.
+    """
+    import numpy as np
+
+    size = len(sets)
+    if size == 0:
+        return {}
+    masks = np.array(sets, dtype=np.int64)
+    if 1 << universe_size <= size * size and universe_size <= _DENSE_MAX_BITS:
+        f = np.zeros(1 << universe_size, dtype=np.int64)
+        f[masks] = 1
+        for i in range(universe_size):  # zeta: f[S] = #members inside S
+            v = f.reshape(-1, 2, 1 << i)
+            v[:, 1, :] += v[:, 0, :]
+        f *= f  # pairs with both members inside S
+        for i in range(universe_size):  # Mobius: pairs whose union is S
+            v = f.reshape(-1, 2, 1 << i)
+            v[:, 1, :] -= v[:, 0, :]
+        support = np.flatnonzero(f)
+        return dict(zip(support.tolist(), f[support].tolist()))
+    counts: dict[int, int] = {}
+    rows = max(1, _PAIR_BLOCK_CELLS // size)
+    for start in range(0, size, rows):
+        unions = np.bitwise_or.outer(masks[start:start + rows], masks)
+        values, hits = np.unique(unions, return_counts=True)
+        for u, c in zip(values.tolist(), hits.tolist()):
+            counts[u] = counts.get(u, 0) + c
+    return counts
+
+
+def _closure_hits(family: SetFamily) -> int:
+    """Ordered pairs (A, B), diagonal included, whose union is a member."""
+    counts = family.union_counts
+    return sum(counts.get(m, 0) for m in family.sets)
+
+
 def is_union_closed(family: SetFamily) -> bool:
     """True iff A | B is a member for every pair of members (A = B included)."""
     _require_nonempty(family, "is_union_closed")
-    members = family.member_set()
-    sets = family.sets
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if a | b not in members:
-                return False
-    return True
+    return _closure_hits(family) == family.size ** 2
 
 
 def closure_fraction(family: SetFamily) -> Fraction:
@@ -240,33 +306,19 @@ def closure_fraction(family: SetFamily) -> Fraction:
     the |F| diagonal pairs contribute their own unions.
     """
     _require_nonempty(family, "closure_fraction")
-    members = family.member_set()
-    sets = family.sets
-    hits = 0
-    for i, a in enumerate(sets):
-        if a in members:  # diagonal pair, always true
-            hits += 1
-        for b in sets[i + 1:]:
-            if a | b in members:
-                hits += 2  # (A,B) and (B,A)
-    return Fraction(hits, family.size ** 2)
+    return Fraction(_closure_hits(family), family.size ** 2)
 
 
 def closure_fraction_unordered(family: SetFamily) -> Fraction:
     """Same statistic over unordered pairs {A, B} with A = B allowed.
 
+    Every off-diagonal unordered pair is two ordered ones and every
+    diagonal pair is a hit, so the hits are (ordered hits + |F|) / 2.
     Secondary diagnostic only; the theorem checks use the ordered version.
     """
     _require_nonempty(family, "closure_fraction_unordered")
-    members = family.member_set()
-    sets = family.sets
-    hits = 0
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if a | b in members:
-                hits += 1
     s = family.size
-    return Fraction(hits, s * (s + 1) // 2)
+    return Fraction((_closure_hits(family) + s) // 2, s * (s + 1) // 2)
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:

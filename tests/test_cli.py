@@ -1,8 +1,11 @@
 """CLI behavior: exit codes, JSON shapes, formats, determinism."""
 
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from tests.conftest import DATA_DIR
 POWERSET3 = str(DATA_DIR / "powerset3.uc")
 TWO_SINGLETONS = str(DATA_DIR / "two_singletons.uc")
 CHAIN4 = str(DATA_DIR / "chain4.uc")
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -252,9 +256,14 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
 
 
-@pytest.mark.skipif(shutil.which("ucc") is None, reason="console script not on PATH")
 def test_console_script_smoke():
-    proc = subprocess.run(["ucc", "check", POWERSET3], capture_output=True,
-                          text=True, timeout=60)
+    # the installed console script when present, else the same entry point
+    # through ``python -m ucc`` on the source tree
+    command = [shutil.which("ucc")] if shutil.which("ucc") else [sys.executable, "-m", "ucc"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([*command, "check", POWERSET3], capture_output=True,
+                          text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["union_closed"] is True

@@ -76,6 +76,15 @@ def test_parse_errors_carry_line_numbers():
     assert ucc.parse_family("n=2\n").size == 0
 
 
+@pytest.mark.parametrize("header", ["n=³", "n=١٢"])
+def test_parse_rejects_non_ascii_header_digits(header):
+    # str.isdigit accepts both; int() raises on the first and reads the
+    # second (Arabic-Indic digits) as 12
+    with pytest.raises(ucc.UCFormatError, match="line 1") as exc:
+        ucc.parse_family(f"{header}\n101\n")
+    assert exc.value.line == 1
+
+
 def test_duplicate_error_names_both_lines():
     with pytest.raises(ucc.UCFormatError, match="line 2"):
         ucc.parse_family("n=1\n1\n1\n")
