@@ -26,13 +26,10 @@ from .intervals import (
     TRANSCENDENTAL_SLACK,
     Interval,
     big_g_enclosure,
-    f_box_enclosure,
-    f_box_refined,
     f_gradient_enclosure,
     f_mean_value,
     f_point_enclosure,
     g_enclosure,
-    h_enclosure,
     product_enclosure,
 )
 from .certify import (
@@ -50,9 +47,8 @@ __all__ = [
     "diagonal_ratio", "f_ratio", "g_family", "g_of", "g_prime_of",
     "grid_margins", "minimize_diagonal",
     "TRANSCENDENTAL_SLACK", "Interval",
-    "big_g_enclosure", "f_box_enclosure", "f_box_refined",
-    "f_gradient_enclosure", "f_mean_value", "f_point_enclosure",
-    "g_enclosure", "h_enclosure", "product_enclosure",
+    "big_g_enclosure", "f_gradient_enclosure", "f_mean_value",
+    "f_point_enclosure", "g_enclosure", "product_enclosure",
     "BoundaryScan", "Box", "Certificate", "ViolationBox",
     "certify_lower_bound",
 ]

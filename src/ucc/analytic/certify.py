@@ -1,10 +1,9 @@
 """Certified lower bounds for f on the eta-interior of the unit square.
 
 ``certify_lower_bound(theta, eta)`` runs an interval branch and bound over
-[eta, 1-eta]^2.  Every box is first evaluated with the h-form interval
-extension of f; if that neither proves f >= theta nor refutes it, the
-tighter g-form and mean-value enclosures are intersected in before the box
-is split along its longer side.
+[eta, 1-eta]^2.  Every box is enclosed once, by the mean-value form of f
+(``intervals.f_mean_value``); if that neither proves f >= theta nor
+refutes it, the box is split along its longer side.
 
 When some box is certified to violate (enclosure entirely below theta),
 the sweep stops and the remaining budget goes to a best-first global
@@ -34,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intervals import Interval, f_box_enclosure, f_box_refined, f_mean_value
+from .intervals import Interval, f_mean_value
 from .scalars import f_ratio
 
 __all__ = [
@@ -125,20 +124,6 @@ class Certificate:
                        "strips are sampled, not certified")
 
 
-def _enclose_refined(x: Interval, y: Interval) -> Interval | None:
-    """Intersection of all available enclosures of f on the box."""
-    enc = f_box_enclosure(x, y)
-    ref = f_box_refined(x, y)
-    if enc is None:
-        enc = ref
-    elif ref is not None:
-        enc = enc.intersect(ref)
-    mv = f_mean_value(x, y)
-    if mv is not None:
-        enc = mv if enc is None else enc.intersect(mv)
-    return enc
-
-
 def _split(box: Box) -> tuple[Box, Box] | None:
     """Bisect along the longer side; None if floats cannot split further."""
     wx = box.x_hi - box.x_lo
@@ -179,7 +164,7 @@ def _locate_minimum(
     """
     lo_edge, hi_edge = eta, 1.0 - eta
     root = Box(lo_edge, hi_edge, lo_edge, hi_edge)
-    root_enc = _enclose_refined(root.x, root.y)
+    root_enc = f_mean_value(root.x, root.y)
     seed_box, seed_enc = seed
     best_box, best_hi = seed_box, seed_enc.hi
     heap: list[tuple[float, int, Box, float, int]] = []
@@ -199,7 +184,7 @@ def _locate_minimum(
         if parts is None:
             continue
         for child in parts:
-            enc = _enclose_refined(child.x, child.y)
+            enc = f_mean_value(child.x, child.y)
             if enc is None:
                 continue
             if enc.hi < best_hi:
@@ -305,13 +290,7 @@ def certify_lower_bound(
         if depth > max_depth_used:
             max_depth_used = depth
 
-        enc = f_box_enclosure(box.x, box.y)
-        if enc is not None and enc.lo >= theta:
-            accepted += 1
-            note_leaf("ok", box, enc.hi)
-            continue
-        if enc is None or enc.hi >= theta:
-            enc = _enclose_refined(box.x, box.y)
+        enc = f_mean_value(box.x, box.y)
         if enc is not None and enc.lo >= theta:
             accepted += 1
             note_leaf("ok", box, enc.hi)
@@ -343,7 +322,7 @@ def certify_lower_bound(
         # pending box with the lowest certified upper bound (the stack is
         # at most 2 * max_depth entries, so this is cheap)
         for box, _ in stack:
-            enc = _enclose_refined(box.x, box.y)
+            enc = f_mean_value(box.x, box.y)
             hi_val = enc.hi if enc is not None else math.inf
             if worst is None or hi_val < worst.f_upper:
                 worst = ViolationBox(box.x_lo, box.x_hi,

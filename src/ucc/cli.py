@@ -59,8 +59,6 @@ EXIT_USAGE = 2
 def _add_common(p: argparse.ArgumentParser, tol_default: float = 1e-9) -> None:
     p.add_argument("--format", choices=("json", "human", "csv"), default="json")
     p.add_argument("--tol", type=float, default=tol_default)
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker parallelism; results never depend on it")
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -352,8 +350,6 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         if args.command == "analytic":
             handler = {"minimize": _cmd_minimize, "grid": _cmd_grid,
                        "certify": _cmd_certify}[args.action]

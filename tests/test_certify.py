@@ -5,7 +5,8 @@ import math
 import pytest
 
 import ucc
-from ucc.analytic.certify import Box, _enclose_refined, _split
+from ucc.analytic import Interval, f_mean_value
+from ucc.analytic.certify import Box, _split
 
 
 def test_box_geometry():
@@ -20,14 +21,19 @@ def test_split_bisects_longer_side():
     assert first.y_hi == 0.1  # y untouched
 
 
-def test_enclose_refined_contains_truth():
-    from ucc.analytic import Interval
-
-    enc = _enclose_refined(Interval(0.6, 0.63), Interval(0.6, 0.63))
-    vals = [ucc.f_ratio(0.6 + i * 0.003, 0.6 + j * 0.003)
-            for i in range(11) for j in range(11)]
-    assert enc is not None
-    assert enc.lo <= min(vals) and max(vals) <= enc.hi
+def test_mean_value_contains_truth():
+    # the box near the minimizer, then boxes touching the eta = 1e-4 edges,
+    # where the gradient enclosure is widest
+    low, high = (1e-4, 2e-4), (1.0 - 2e-4, 1.0 - 1e-4)
+    boxes = [((0.6, 0.63), (0.6, 0.63)),
+             (low, low), (low, (0.6, 0.63)), (low, high),
+             (high, (0.3, 0.31)), (high, high)]
+    for (x0, x1), (y0, y1) in boxes:
+        enc = f_mean_value(Interval(x0, x1), Interval(y0, y1))
+        vals = [ucc.f_ratio(x0 + i * (x1 - x0) / 10, y0 + j * (y1 - y0) / 10)
+                for i in range(11) for j in range(11)]
+        assert enc is not None
+        assert enc.lo <= min(vals) and max(vals) <= enc.hi, (x0, y0)
 
 
 def test_verified_certificate_coarse():
@@ -57,6 +63,16 @@ def test_refuted_certificate_boxes_are_sound_and_localized():
     assert cert.worst_box == cert.violation_boxes[0]
     # the incumbent's certified bound brackets the true minimum from above
     assert ucc.HALF_INV_PHI <= cert.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
+
+
+def test_verdicts_next_to_the_minimum():
+    # thresholds 4e-9 below and 6e-9 above 1/(2 phi): the sweep must
+    # resolve f to within that band around the minimizer
+    below = ucc.certify_lower_bound(theta=0.80901699, eta=1e-2)
+    assert below.status == "verified"
+    above = ucc.certify_lower_bound(theta=0.809017, eta=1e-2)
+    assert above.status == "refuted"
+    assert ucc.HALF_INV_PHI <= above.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
 
 
 def test_violation_cap_limits_report():
