@@ -91,9 +91,6 @@ class Interval:
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_dn(self.lo + other.lo), _up(self.hi + other.hi))
 
@@ -106,9 +103,6 @@ class Interval:
         p3 = self.hi * other.lo
         p4 = self.hi * other.hi
         return Interval(_dn(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-
-    def scale(self, c: float) -> "Interval":
-        return self * Interval.point(c)
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if other.lo > 0.0 or other.hi < 0.0:

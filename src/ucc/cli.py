@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed or were reported inapplicable; 1 a verified
 mathematical violation was found (the offending family is dumped in .uc
-form); 2 usage or I/O error.  Reports go to stdout (JSON by default),
-certificates and CSV dumps to --out when given.
+form); 2 usage or I/O error, or a size cap hit (the message names the cap).
+Reports go to stdout (JSON by default), certificates and CSV dumps to --out
+when given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .analytic import (
     minimize_diagonal,
 )
 from .entropy import (
-    DEFAULT_PAIR_CAP,
     chain_rule_check,
     check_lower_bound,
     check_theorem,
@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="union entropy, chain rule, both bounds")
     p.add_argument("file")
-    p.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP)
     _add_common(p)
 
     p = sub.add_parser("analytic", help="scalar landscape checks and certification")
@@ -176,10 +175,10 @@ def _cmd_entropy(args) -> int:
     rep, theorem, delta, bound = _theorem_section(family, args.tol)
     base = report.family_check_obj(family, profile, eps, eps == 0, theorem,
                                    delta, bound)
-    dist = union_distribution(family, cap=args.pair_cap)
-    lower = check_lower_bound(family, cap=args.pair_cap, tol=args.tol)
-    upper = check_upper_bound(family, cap=args.pair_cap, tol=args.tol)
-    chain = chain_rule_check(family, cap=args.pair_cap, tol=args.tol)
+    dist = union_distribution(family)
+    lower = check_lower_bound(family, tol=args.tol)
+    upper = check_upper_bound(family, tol=args.tol)
+    chain = chain_rule_check(family, tol=args.tol)
     obj = report.entropy_report_obj(base, shannon_entropy(dist), lower, upper, chain)
     _emit(report.render(obj, args.format), args.out)
     bad_bound = any(r.applicable and not r.satisfied for r in (lower, upper, chain))
@@ -292,7 +291,11 @@ def _cmd_fuzz(args) -> int:
             if fam.size < 2:
                 skipped_small += 1
                 continue
-            rep = check_theorem(fam, tol=args.tol)
+            try:  # the first build of this family's pair-union histogram
+                rep = check_theorem(fam, tol=args.tol)
+            except CapExceededError:
+                skipped_cap += 1
+                continue
             checked += 1
             if rep.applicable:
                 applicable += 1
@@ -301,9 +304,6 @@ def _cmd_fuzz(args) -> int:
                 violation = fam
                 break
             if args.entropy_checks:
-                if fam.size > DEFAULT_PAIR_CAP:
-                    skipped_cap += 1
-                    continue
                 for brep in (check_lower_bound(fam, tol=args.tol),
                              check_upper_bound(fam, tol=args.tol),
                              chain_rule_check(fam, tol=args.tol)):

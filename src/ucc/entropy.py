@@ -4,12 +4,12 @@ Let A and B be independent uniform draws from a family F.  The distribution
 of A | B (bitwise union) is computed exactly: counts over all |F|^2 ordered
 pairs, probabilities as Fractions.  The counts are the family's cached
 pair-union histogram, :attr:`ucc.setfamily.SetFamily.union_counts`, built
-once per family as an OR convolution (a dense zeta/Mobius transform over
-2^n cells when 2^n <= |F|^2, blocked pairwise ORs otherwise; see
-:func:`ucc.setfamily.pair_union_counts`).  Every check below reads that
-one histogram, so a family's pairs are counted once however many checks
-run.  On top of it sit four checks, each returning a small report rather
-than a bare bool so that callers and the CLI can show their work:
+once per family as an OR convolution by
+:func:`ucc.setfamily.pair_union_counts`, whose cell cap is the only size
+limit on these checks.  Every check below reads that one histogram, so a
+family's pairs are counted once however many checks run.  On top of it
+sit four checks, each returning a small report rather than a bare bool so
+that callers and the CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
     exactly, and conditioning each union bit on both full prefixes instead
@@ -36,10 +36,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
-from .setfamily import CapExceededError, SetFamily, closure_fraction, element_frequencies
+from .setfamily import SetFamily, closure_fraction, element_frequencies
 
 __all__ = [
-    "DEFAULT_PAIR_CAP",
     "DEFAULT_TOL",
     "UnionDistribution",
     "BoundReport",
@@ -52,8 +51,6 @@ __all__ = [
     "check_theorem",
 ]
 
-#: Largest family size for which |F|^2 pair enumeration is attempted.
-DEFAULT_PAIR_CAP = 4096
 DEFAULT_TOL = 1e-9
 
 _HALF = Fraction(1, 2)
@@ -110,17 +107,11 @@ class TheoremReport:
     tolerance: float
 
 
-def _check_pair_cap(family: SetFamily, cap: int) -> None:
-    if family.size > cap:
-        raise CapExceededError(
-            f"family size {family.size} exceeds pair-enumeration cap {cap}")
-
-
-def union_distribution(family: SetFamily, cap: int = DEFAULT_PAIR_CAP) -> UnionDistribution:
-    """Exact union distribution; requires 1 <= |F| <= cap."""
+def union_distribution(family: SetFamily) -> UnionDistribution:
+    """Exact union distribution; requires |F| >= 1 and a histogram within
+    the kernel's cell cap (:class:`~ucc.setfamily.CapExceededError` otherwise)."""
     if family.size == 0:
         raise ValueError("union_distribution requires a nonempty family")
-    _check_pair_cap(family, cap)
     return UnionDistribution(
         universe_size=family.universe_size,
         counts=dict(family.union_counts),
@@ -192,8 +183,7 @@ def _h_of_counts(part: int, whole: int) -> float:
     return binary_entropy(part / whole)
 
 
-def chain_rule_check(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
-                     tol: float = DEFAULT_TOL) -> BoundReport:
+def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
     """Chain-rule identity and the data-processing step for the union draw.
 
     Write U = A | B for an ordered pair drawn uniformly from the family.
@@ -211,7 +201,6 @@ def chain_rule_check(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     """
     if family.size == 0:
         raise ValueError("chain_rule_check requires a nonempty family")
-    _check_pair_cap(family, cap)
     n = family.universe_size
     total = family.size ** 2
     union_counts = family.union_counts
@@ -270,8 +259,7 @@ def chain_rule_check(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     )
 
 
-def check_lower_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
-                      tol: float = DEFAULT_TOL) -> BoundReport:
+def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
     """H(A union B) >= p/(2 phi) (H(A) + H(B)) for iid uniform draws.
 
     p is the smallest marginal absence probability over elements, 1 minus
@@ -279,7 +267,6 @@ def check_lower_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     """
     if family.size == 0:
         raise ValueError("check_lower_bound requires a nonempty family")
-    _check_pair_cap(family, cap)
     lhs = _entropy_from_counts(family.union_counts.values(), family.size ** 2)
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
@@ -302,8 +289,7 @@ def check_lower_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     )
 
 
-def check_upper_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
-                      tol: float = DEFAULT_TOL) -> BoundReport:
+def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
     """H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2 |F| for eps < 1/2.
 
     Also verifies, as an exact identity, the decomposition of H(A|B)
@@ -314,7 +300,6 @@ def check_upper_bound(family: SetFamily, cap: int = DEFAULT_PAIR_CAP,
     """
     if family.size == 0:
         raise ValueError("check_upper_bound requires a nonempty family")
-    _check_pair_cap(family, cap)
     members = family.member_set()
     total = family.size ** 2
     union_counts = family.union_counts

@@ -26,7 +26,6 @@ from typing import Iterator
 from .analytic.scalars import PSI
 from .rng import SplitMix64, derive_seed
 from .setfamily import (
-    DEFAULT_CLOSURE_CAP,
     WORD_CAP,
     CapExceededError,
     SetFamily,
@@ -332,8 +331,7 @@ def _maximal_flags(masks: tuple[int, ...]) -> list[bool]:
 
 
 def random_families(n: int, size: int, count: int, seed: int, kind: str,
-                    rho: float = 0.25,
-                    closure_cap: int = DEFAULT_CLOSURE_CAP) -> Iterator[SetFamily]:
+                    rho: float = 0.25) -> Iterator[SetFamily]:
     """Seeded stream of ``count`` random families over [n].
 
     Kinds: ``uniform`` (distinct masks, uniform), ``closure-of-random``
@@ -363,7 +361,7 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
         fam = SetFamily.from_masks(n, masks)
         if kind == "uniform":
             return fam
-        fam = union_closure(fam, cap=closure_cap)
+        fam = union_closure(fam)
         if kind == "closure-of-random":
             return fam
         keep = []

@@ -17,8 +17,10 @@ histogram: the exact count of ordered pairs (A, B) in F x F, over all
 builds it as an OR convolution, ``u = mobius(zeta(1_F)^2)`` (Yates 1937;
 Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), choosing its regime
 from the input: a dense int64 transform over all 2^n cells when
-2^n <= |F|^2 (and n <= 26, which bounds its memory), otherwise blocked
-pairwise ORs that never allocate anything of size 2^n.
+2^n <= min(|F|^2, 2^24), otherwise blocked pairwise ORs that never
+allocate anything of size 2^n.  One cell cap bounds its memory in both
+regimes: a histogram of more than 2^24 distinct unions is refused with
+:class:`CapExceededError`.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.
@@ -61,8 +63,8 @@ WORD_CAP = 63
 DEFAULT_CLOSURE_CAP = 1_000_000
 #: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB)
 _PAIR_BLOCK_CELLS = 1 << 20
-#: widest universe the dense regime transforms (2^26 int64 cells, 512 MB)
-_DENSE_MAX_BITS = 26
+#: most cells a pair-union histogram may hold (4096^2; about 1.7 GB as a dict)
+_MAX_CELLS = 1 << 24
 
 
 class UCFormatError(ValueError):
@@ -76,7 +78,7 @@ class UCFormatError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A size guard tripped (closure blow-up, pair count, materialization)."""
+    """A size guard tripped (closure blow-up, histogram cells, materialization)."""
 
 
 def mask_from_elements(elements: Iterable[int]) -> int:
@@ -250,13 +252,14 @@ def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]
 
     Exact over all len(sets)^2 ordered pairs (diagonal included); masks
     with no pair are absent.  ``sets`` must be distinct masks below
-    2^universe_size.  Dense regime (2^n <= |F|^2): zeta transform of the
-    indicator, squared pointwise, then the Mobius transform, all in int64
-    over 2^n cells; n is also held to ``_DENSE_MAX_BITS`` so the transform
-    stays within memory.  Pairwise regime otherwise: ``bitwise_or.outer``
-    over row blocks of at most ``_PAIR_BLOCK_CELLS`` cells, counted with
-    ``np.unique``; it never allocates anything of size 2^n.  int64 cannot
-    overflow: dense cells hold at most |F|^2 <= 4^26.
+    2^universe_size.  Dense regime (2^n <= min(|F|^2, ``_MAX_CELLS``)):
+    zeta transform of the indicator, squared pointwise, then the Mobius
+    transform, all in int64 over 2^n cells.  Pairwise regime otherwise:
+    ``bitwise_or.outer`` over row blocks of at most ``_PAIR_BLOCK_CELLS``
+    cells, counted with ``np.unique``; it never allocates anything of size
+    2^n, and raises :class:`CapExceededError` as soon as the merged
+    histogram holds more than ``_MAX_CELLS`` cells.  int64 cannot
+    overflow: dense cells hold at most |F|^2 <= 4^24.
     """
     import numpy as np
 
@@ -264,7 +267,7 @@ def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]
     if size == 0:
         return {}
     masks = np.array(sets, dtype=np.int64)
-    if 1 << universe_size <= size * size and universe_size <= _DENSE_MAX_BITS:
+    if 1 << universe_size <= min(size * size, _MAX_CELLS):
         f = np.zeros(1 << universe_size, dtype=np.int64)
         f[masks] = 1
         for i in range(universe_size):  # zeta: f[S] = #members inside S
@@ -283,6 +286,9 @@ def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]
         values, hits = np.unique(unions, return_counts=True)
         for u, c in zip(values.tolist(), hits.tolist()):
             counts[u] = counts.get(u, 0) + c
+        if len(counts) > _MAX_CELLS:
+            raise CapExceededError(
+                f"pair-union histogram exceeds cap of {_MAX_CELLS} cells")
     return counts
 
 

@@ -13,7 +13,7 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 MASTER_SEED = 20260816
 
 # (kind, universe, requested size) combinations for the fuzz corpus; the
-# closure kinds stay at n <= 6 so every family fits the default pair cap
+# closure kinds stay at n <= 6, where a closure has at most 64 members
 FUZZ_COMBOS = tuple(
     [("uniform", n, s) for n in (5, 6, 7, 8) for s in (6, 10, 16)]
     + [("closure-of-random", n, s) for n in (4, 5, 6) for s in (5, 8, 12)]

@@ -86,12 +86,6 @@ def test_entropy_report_shape(capsys):
     assert obj["chain_rule"]["margin_bits"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_entropy_pair_cap_exceeded(capsys):
-    code, _, err = run(capsys, "entropy", POWERSET3, "--pair-cap", "7")
-    assert code == 2
-    assert err.startswith("ucc:")
-
-
 def test_entropy_chain_strict_on_chain_family(capsys):
     code, out, _ = run(capsys, "entropy", CHAIN4)
     assert code == 0
@@ -244,6 +238,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate", POWERSET3)[0] == 2       # unknown verb
     assert run(capsys, "check", POWERSET3, "--format", "xml")[0] == 2
     assert run(capsys, "check", POWERSET3, "--threads", "0")[0] == 2  # unknown option
+    assert run(capsys, "entropy", POWERSET3, "--pair-cap", "7")[0] == 2
     assert run(capsys, "analytic")[0] == 2                    # missing action
     assert run(capsys)[0] == 2
 

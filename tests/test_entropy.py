@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucc
-from ucc.entropy import DEFAULT_PAIR_CAP
 
 H_QUARTER = 0.8112781244591328  # h(1/4)
 # delta for {∅,{1},{2}}: eps=2/9, |F|=3
@@ -31,14 +30,6 @@ def test_union_distribution_power_set_two():
     assert dist.probs[0b11] == Fraction(9, 16)
     assert dist.probs[0b00] == Fraction(1, 16)
     assert ucc.shannon_entropy(dist) == pytest.approx(2 * H_QUARTER, abs=1e-13)
-
-
-def test_union_distribution_respects_cap():
-    # the cap bounds the family size whose pairs get enumerated
-    fam = ucc.SetFamily.from_masks(3, range(8))
-    with pytest.raises(ucc.CapExceededError):
-        ucc.union_distribution(fam, cap=7)
-    assert ucc.union_distribution(fam, cap=8).pair_count == 64
 
 
 def test_shannon_entropy_accepts_mappings_and_iterables():
@@ -151,14 +142,6 @@ def test_bound_reports_expose_tolerance():
     fam = ucc.SetFamily.from_masks(2, range(4))
     rep = ucc.check_lower_bound(fam, tol=1e-6)
     assert rep.tolerance == 1e-6
-
-
-def test_pair_cap_applies_to_all_checks():
-    fam = ucc.SetFamily.from_masks(3, range(8))
-    for fn in (ucc.chain_rule_check, ucc.check_lower_bound, ucc.check_upper_bound):
-        with pytest.raises(ucc.CapExceededError):
-            fn(fam, cap=7)
-    assert DEFAULT_PAIR_CAP >= 64
 
 
 @st.composite

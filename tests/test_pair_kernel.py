@@ -3,7 +3,8 @@
 Union counts and closure fractions must be equal exactly; entropies, the
 chain sum and the data-processing sum within 1e-12.  The kernel must give
 the same answers in both regimes, keep the pairwise regime free of 2^n
-allocations, and be built once per family however many checks read it.
+allocations, refuse histograms above its cell cap, and be built once per
+family however many checks read it.
 """
 
 import collections
@@ -75,10 +76,10 @@ def test_kernel_matches_oracle_on_arbitrary_families(fam):
     assert_matches_oracle(fam)
 
 
-# regimes: dense when 2^n <= |F|^2, pairwise otherwise
+# regimes: dense when 2^n <= min(|F|^2, _MAX_CELLS), pairwise otherwise
 
 def _is_dense(fam: ucc.SetFamily) -> bool:
-    return 1 << fam.universe_size <= fam.size ** 2
+    return 1 << fam.universe_size <= min(fam.size ** 2, ucc.setfamily._MAX_CELLS)
 
 
 def assert_same_statistics(a: ucc.SetFamily, b: ucc.SetFamily) -> None:
@@ -151,13 +152,77 @@ def test_dense_regime_capped_by_universe_width(monkeypatch):
     import numpy as np
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense transform above the width cap")
+        raise AssertionError("dense transform above the cell cap")
 
-    monkeypatch.setattr(ucc.setfamily, "_DENSE_MAX_BITS", 3)
-    monkeypatch.setattr(np, "zeros", no_dense)
-    fam = ucc.SetFamily.from_masks(4, range(16))
+    fam = ucc.SetFamily.from_masks(4, range(8))  # 2^4 <= |F|^2, 8 distinct unions
     assert _is_dense(fam)
+    monkeypatch.setattr(ucc.setfamily, "_MAX_CELLS", 8)
+    monkeypatch.setattr(np, "zeros", no_dense)
+    assert not _is_dense(fam)
+    # a histogram of exactly _MAX_CELLS cells is still built
     assert ucc.setfamily.pair_union_counts(4, fam.sets) == oracle.pair_union_counts(fam)
+
+
+# one cell cap refuses oversized histograms, whichever verb asks first
+
+SMALL_CAP = 4
+
+
+@pytest.fixture()
+def small_cap(monkeypatch):
+    monkeypatch.setattr(ucc.setfamily, "_MAX_CELLS", SMALL_CAP)
+
+
+def test_pairwise_regime_stops_at_the_cell_cap(small_cap, monkeypatch):
+    import numpy as np
+
+    blocks: list[int] = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        blocks.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(ucc.setfamily, "_PAIR_BLOCK_CELLS", 8)  # one row per block
+    monkeypatch.setattr(np, "unique", counting)
+    # the first row, 0 | B, already yields 8 distinct unions
+    with pytest.raises(ucc.CapExceededError, match=f"cap of {SMALL_CAP} cells"):
+        ucc.setfamily.pair_union_counts(3, range(8))
+    assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("verb", ["check", "entropy"])
+def test_cli_cap_hit_is_one_usage_line(small_cap, capsys, verb):
+    assert ucc.cli.run_cli([verb, str(DATA_DIR / "powerset3.uc")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ucc: pair-union histogram exceeds cap of {SMALL_CAP} cells\n"
+
+
+def test_fuzz_counts_families_refused_at_the_cap(small_cap, capsys):
+    # from three seed sets, some families fit the cap and some do not
+    argv = ["fuzz", "--n", "5", "--size", "3", "--count", "40", "--seed", "11",
+            "--entropy-checks"]
+    assert ucc.cli.run_cli(argv) == 0
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert captured.err == ""
+    assert rep["skipped_pair_cap"] > 0 and rep["theorem_checked"] > 0
+    assert rep["theorem_checked"] + rep["skipped_small"] + rep["skipped_pair_cap"] == 40
+
+
+def test_entropy_beyond_the_old_family_size_cap(tmp_path, capsys):
+    # 5000^2 ordered pairs exceed _MAX_CELLS = 4096^2; the 2^16 cells do not
+    n, size = 16, 5000
+    fam = ucc.SetFamily.from_masks(n, random.Random(5000).sample(range(1 << n), size))
+    path = tmp_path / "random5000.uc"
+    ucc.dump_family(fam, str(path))
+    assert ucc.cli.run_cli(["entropy", str(path)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["family_size"] == size
+    for key in ("lower_bound", "upper_bound", "chain_rule"):
+        assert obj[key]["satisfied"] is True
+    assert sum(fam.union_counts.values()) == size ** 2
 
 
 # the histogram is built once per family
