@@ -1,9 +1,11 @@
 """Interval branch and bound: certifying a floor under f, or refuting one.
 
 Pointwise grids can miss dips between samples.  The certifier covers
-the whole square with boxes, bounds f on each box with outward-rounded
-interval arithmetic, and splits until every box clears the threshold
-theta by eta, fails it outright, or the depth budget runs out.
+the square [eta, 1-eta]^2 with boxes, bounds f on each box with
+outward-rounded interval arithmetic, and splits the box with the lowest
+bound first: until every box clears the threshold theta, until the
+minimum of f is bracketed below it, or until the box budget or the depth
+limit runs out.
 
 Run:  python3 demos/04_certificate.py
 """

@@ -1,28 +1,34 @@
 """Certified lower bounds for f on the eta-interior of the unit square.
 
 ``certify_lower_bound(theta, eta)`` runs an interval branch and bound over
-[eta, 1-eta]^2.  Every box is enclosed once, by the mean-value form of f
-(``intervals.f_mean_value``); if that neither proves f >= theta nor
-refutes it, the box is split along its longer side.
+[eta, 1-eta]^2 as one best-first search.  Every box is enclosed once, when
+it is created, by the mean-value form of f (``intervals.f_mean_value``).
+A box whose enclosure proves f >= theta is an accepted leaf; every other
+box waits in a heap keyed on its enclosure lower bound, and the box with
+the lowest bound is split next, along its longer side.  A box that can no
+longer be split and does not lie wholly below theta is indeterminate.
 
-When some box is certified to violate (enclosure entirely below theta),
-the sweep stops and the remaining budget goes to a best-first global
-minimization of f over the region, seeded with that box.  The reported
-violation boxes are the minimization's incumbent and its near-optimal
-neighbours, each one independently certified (enclosure hi < theta), so
-refutations point at the bottom of the dip: the sub-level set of f can be
-wide, but the reported boxes hug the global minimizer.
+A box whose enclosure lies entirely below theta is a certified violation.
+The one with the lowest upper bound is the incumbent; once it exists,
+boxes that cannot beat it are dropped, and the search stops as soon as
+the global minimum of f is bracketed.  The reported violation boxes are
+the incumbent and its near-optimal neighbours, each one independently
+certified (enclosure hi < theta), so refutations point at the bottom of
+the dip: the sub-level set of f can be wide, but the reported boxes hug
+the global minimizer.  A box's fate depends only on the box, never on
+the order of the search, so a verified run's cover of accepted leaves
+does not depend on that order either.
 
 The resulting certificate covers ONLY the eta-interior.  The four boundary
 strips of width eta are additionally scanned by dense pointwise sampling,
 which is evidence, not proof; their report is kept separate and the
 limitation is stated on every certificate.
 
-Determinism: the traversal is a fixed-order depth-first walk, the
-localization heap breaks ties by insertion order, all float operations are
-IEEE double, and the trace digest is a multiset hash of the classified
-cover leaves (per-leaf sha256, summed mod 2^256), so repeated runs with
-equal parameters produce byte-identical certificates.
+Determinism: the search is one heap, ties broken by insertion order, all
+float operations are IEEE double, and the trace digest is a multiset hash
+of the accepted and indeterminate leaves (per-leaf sha256, summed mod
+2^256), so repeated runs with equal parameters produce byte-identical
+certificates.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ __all__ = [
 _DIGEST_MOD = 1 << 256
 _LOCATE_GAP = 1e-9   # stop localizing once min f is bracketed this tightly
 _NEAR_BAND = 1e-6    # report boxes whose certified hi is this close to best
+_VIOLATION_CAP = 16  # most violation boxes one certificate reports
 
 
 class Box(NamedTuple):
@@ -64,14 +71,6 @@ class Box(NamedTuple):
     @property
     def y(self) -> Interval:
         return Interval(self.y_lo, self.y_hi)
-
-    @property
-    def longest_side(self) -> float:
-        return max(self.x_hi - self.x_lo, self.y_hi - self.y_lo)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_lo + self.x_hi), 0.5 * (self.y_lo + self.y_hi))
 
 
 class ViolationBox(NamedTuple):
@@ -99,12 +98,14 @@ class Certificate:
     """Outcome of one branch-and-bound run.
 
     ``verified`` is true iff every box of the interior partition was
-    accepted within the budget.  ``violation_boxes`` are certified
-    refutations clustered at the global minimizer (empty when verified).
-    ``worst_box`` is the box with the smallest certified upper bound on f
-    seen when verification failed for any reason, else None.  ``status``
-    is one of ``verified``, ``refuted``, ``indeterminate``,
-    ``budget_exhausted``.
+    accepted within the budget.  ``boxes_processed`` counts every
+    enclosure of the run, localization included, and never exceeds the
+    box budget.  ``violation_boxes`` are certified refutations clustered
+    at the global minimizer (empty when verified).  ``worst_box`` is the
+    box with the smallest certified upper bound on f among the incumbent,
+    the indeterminate leaves and the boxes left pending when verification
+    failed for any reason, else None.  ``status`` is one of ``verified``,
+    ``refuted``, ``indeterminate``, ``budget_exhausted``.
     """
 
     threshold: float
@@ -142,68 +143,6 @@ def _split(box: Box) -> tuple[Box, Box] | None:
     return None
 
 
-def _locate_minimum(
-    theta: float,
-    eta: float,
-    seed: tuple[Box, Interval],
-    budget: int,
-    max_depth: int,
-    cap: int,
-) -> tuple[ViolationBox, ...]:
-    """Best-first localization of the global minimum of f on the region.
-
-    Standard interval minimization: pop the box with the smallest
-    enclosure lower bound, split it, keep children that could still beat
-    the incumbent upper bound.  Terminates when every surviving box has
-    lower bound within _LOCATE_GAP of the incumbent, i.e. the global
-    minimum is bracketed.  Because f has a unique interior minimizer, the
-    incumbent and the surviving near-optimal boxes cluster around it.
-
-    Returns up to ``cap`` boxes, incumbent first, each independently
-    certified to satisfy f < theta on all of it.
-    """
-    lo_edge, hi_edge = eta, 1.0 - eta
-    root = Box(lo_edge, hi_edge, lo_edge, hi_edge)
-    root_enc = f_mean_value(root.x, root.y)
-    seed_box, seed_enc = seed
-    best_box, best_hi = seed_box, seed_enc.hi
-    heap: list[tuple[float, int, Box, float, int]] = []
-    counter = 0
-    for box, enc, depth in ((root, root_enc, 0), (seed_box, seed_enc, 0)):
-        if enc is not None:
-            heapq.heappush(heap, (enc.lo, counter, box, enc.hi, depth))
-            counter += 1
-    processed = 0
-    while heap and processed < budget:
-        lo_b, _, box, hi_b, depth = heap[0]
-        if lo_b >= best_hi - _LOCATE_GAP:
-            break  # minimum bracketed; everything left is near-optimal
-        heapq.heappop(heap)
-        processed += 1
-        parts = _split(box) if depth < max_depth else None
-        if parts is None:
-            continue
-        for child in parts:
-            enc = f_mean_value(child.x, child.y)
-            if enc is None:
-                continue
-            if enc.hi < best_hi:
-                best_hi = enc.hi
-                best_box = child
-            if enc.lo < best_hi - _LOCATE_GAP:
-                heapq.heappush(heap, (enc.lo, counter, child, enc.hi, depth + 1))
-                counter += 1
-    out = [ViolationBox(best_box.x_lo, best_box.x_hi,
-                        best_box.y_lo, best_box.y_hi, best_hi)]
-    band = min(theta, best_hi + _NEAR_BAND)
-    near = sorted(
-        (hi_b, lo_b, box) for lo_b, _, box, hi_b, _ in heap
-        if hi_b < band and box != best_box)
-    for hi_b, _, box in near[:max(0, cap - 1)]:
-        out.append(ViolationBox(box.x_lo, box.x_hi, box.y_lo, box.y_hi, hi_b))
-    return tuple(out)
-
-
 def _leaf_digest(status: str, box: Box) -> int:
     rec = f"{status}:{box.x_lo.hex()},{box.x_hi.hex()},{box.y_lo.hex()},{box.y_hi.hex()}"
     return int.from_bytes(hashlib.sha256(rec.encode("ascii")).digest(), "big")
@@ -239,12 +178,13 @@ def _scan_strips(theta: float, eta: float, strip_points: int) -> BoundaryScan:
                         all_above_threshold=best >= theta)
 
 
+
+
 def certify_lower_bound(
     theta: float = 0.809016,
     eta: float = 1e-4,
     max_depth: int = 60,
     box_budget: int = 10_000_000,
-    violation_cap: int = 16,
     strip_points: int = 10_000,
 ) -> Certificate:
     """Branch-and-bound certificate that f >= theta on [eta, 1-eta]^2.
@@ -262,77 +202,74 @@ def certify_lower_bound(
         raise ValueError("max_depth must be at least 1")
     if box_budget < 1:
         raise ValueError("box_budget must be at least 1")
+    if strip_points < 1:
+        raise ValueError(f"strip_points must be at least 1, got {strip_points}")
 
     lo, hi = eta, 1.0 - eta
-    root = Box(lo, hi, lo, hi)
-    stack: list[tuple[Box, int]] = [(root, 0)]
+    # pending boxes keyed on (enclosure lo, insertion index)
+    heap: list[tuple[float, int, Box, float, int]] = []
     processed = 0
     accepted = 0
     indeterminate = 0
     max_depth_used = 0
     digest_acc = 0
-    found: tuple[Box, Interval] | None = None
+    best_box: Box | None = None  # incumbent: lowest certified hi below theta
+    best_hi = math.inf
     worst: ViolationBox | None = None
+
+    def enclose(box: Box, depth: int) -> None:
+        nonlocal processed, accepted, max_depth_used, digest_acc, best_box, best_hi
+        processed += 1
+        max_depth_used = max(max_depth_used, depth)
+        enc = f_mean_value(box.x, box.y)
+        enc_lo, enc_hi = (enc.lo, enc.hi) if enc is not None else (-math.inf, math.inf)
+        if enc_lo >= theta:
+            accepted += 1
+            digest_acc += _leaf_digest("ok", box)
+            return
+        if enc_hi < best_hi and enc_hi < theta:
+            best_box, best_hi = box, enc_hi
+        if enc_lo < best_hi - _LOCATE_GAP:
+            heapq.heappush(heap, (enc_lo, processed, box, enc_hi, depth))
+
+    enclose(Box(lo, hi, lo, hi), 0)
     exhausted = False
-
-    def note_leaf(status: str, box: Box, enc_hi: float) -> None:
-        nonlocal digest_acc, worst
-        digest_acc = (digest_acc + _leaf_digest(status, box)) % _DIGEST_MOD
-        if status != "ok" and (worst is None or enc_hi < worst.f_upper):
-            worst = ViolationBox(box.x_lo, box.x_hi, box.y_lo, box.y_hi, enc_hi)
-
-    while stack:
-        if processed >= box_budget:
+    while heap:
+        enc_lo, _, box, enc_hi, depth = heap[0]
+        if enc_lo >= best_hi - _LOCATE_GAP:
+            break  # min f is bracketed; every pending box is near-optimal
+        parts = _split(box) if depth < max_depth else None
+        if parts is not None and processed + len(parts) > box_budget:
             exhausted = True
             break
-        box, depth = stack.pop()
-        processed += 1
-        if depth > max_depth_used:
-            max_depth_used = depth
-
-        enc = f_mean_value(box.x, box.y)
-        if enc is not None and enc.lo >= theta:
-            accepted += 1
-            note_leaf("ok", box, enc.hi)
-            continue
-        if enc is not None and enc.hi < theta:
-            # one certified violation settles the question; spend the rest
-            # of the budget pinning down where f is smallest
-            note_leaf("violation", box, enc.hi)
-            found = (box, enc)
-            break
-        parts = _split(box) if depth < max_depth else None
+        heapq.heappop(heap)
         if parts is None:
-            indeterminate += 1
-            note_leaf("indeterminate", box,
-                      enc.hi if enc is not None else math.inf)
+            if enc_hi >= theta:  # unsplittable and wholly below theta: a violation
+                indeterminate += 1
+                digest_acc += _leaf_digest("indeterminate", box)
+                if worst is None or enc_hi < worst.f_upper:
+                    worst = ViolationBox(*box, enc_hi)
             continue
-        first, second = parts
-        stack.append((second, depth + 1))
-        stack.append((first, depth + 1))
+        for child in parts:
+            enclose(child, depth + 1)
 
     violations: tuple[ViolationBox, ...] = ()
-    if found is not None:
-        violations = _locate_minimum(
-            theta, eta, found, max(10_000, box_budget - processed),
-            max_depth, violation_cap)
+    if best_box is not None:
+        band = min(theta, best_hi + _NEAR_BAND)
+        near = sorted((h, lo_b, b) for lo_b, _, b, h, _ in heap
+                      if h < band and b != best_box)
+        violations = (ViolationBox(*best_box, best_hi),) + tuple(
+            ViolationBox(*b, h) for h, _, b in near[:_VIOLATION_CAP - 1])
         worst = violations[0]
-    elif worst is None and stack:
-        # budget ran out with nothing classified as failing; report the
-        # pending box with the lowest certified upper bound (the stack is
-        # at most 2 * max_depth entries, so this is cheap)
-        for box, _ in stack:
-            enc = f_mean_value(box.x, box.y)
-            hi_val = enc.hi if enc is not None else math.inf
-            if worst is None or hi_val < worst.f_upper:
-                worst = ViolationBox(box.x_lo, box.x_hi,
-                                     box.y_lo, box.y_hi, hi_val)
-    verified = (not exhausted) and not violations and indeterminate == 0 and not stack
+    else:
+        for _, _, box, enc_hi, _ in heap:  # budget spent: the pending boxes
+            if worst is None or enc_hi < worst.f_upper:
+                worst = ViolationBox(*box, enc_hi)
     if violations:
         status = "refuted"
     elif indeterminate:
         status = "indeterminate"
-    elif exhausted or stack:
+    elif exhausted:
         status = "budget_exhausted"
     else:
         status = "verified"
@@ -344,12 +281,12 @@ def certify_lower_bound(
         region=((lo, hi), (lo, hi)),
         boxes_processed=processed,
         max_depth_used=max_depth_used,
-        verified=verified,
+        verified=status == "verified",
         status=status,
         accepted_boxes=accepted,
         indeterminate_boxes=indeterminate,
         violation_boxes=violations,
         worst_box=worst,
         boundary=boundary,
-        trace_digest=f"{digest_acc:064x}",
+        trace_digest=f"{digest_acc % _DIGEST_MOD:064x}",
     )

@@ -9,12 +9,6 @@ from ucc.analytic import Interval, f_mean_value
 from ucc.analytic.certify import Box, _split
 
 
-def test_box_geometry():
-    box = Box(0.1, 0.3, 0.4, 0.5)
-    assert box.longest_side == pytest.approx(0.2)
-    assert box.center == (pytest.approx(0.2), pytest.approx(0.45))
-
-
 def test_split_bisects_longer_side():
     first, second = _split(Box(0.0, 0.4, 0.0, 0.1))
     assert first.x_hi == second.x_lo == pytest.approx(0.2)
@@ -47,6 +41,12 @@ def test_verified_certificate_coarse():
     assert cert.accepted_boxes > 0
     assert cert.boxes_processed < 5000
     assert cert.region == ((0.01, 0.99), (0.01, 0.99))
+    # the cover itself: a change of search order must not change it
+    assert cert.boxes_processed == 483
+    assert cert.accepted_boxes == 242
+    assert cert.max_depth_used == 15
+    assert cert.trace_digest == (
+        "17a1412703bf6d37b5443ec1f57cd389ac1f4b7c73af1840b8e10bf0c356162f")
 
 
 def test_refuted_certificate_boxes_are_sound_and_localized():
@@ -73,11 +73,14 @@ def test_verdicts_next_to_the_minimum():
     above = ucc.certify_lower_bound(theta=0.809017, eta=1e-2)
     assert above.status == "refuted"
     assert ucc.HALF_INV_PHI <= above.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
+    # boxes straddling f = theta are never bisected down to max_depth
+    assert above.indeterminate_boxes == 0
 
 
 def test_violation_cap_limits_report():
-    cert = ucc.certify_lower_bound(theta=0.95, eta=0.01, violation_cap=3)
-    assert len(cert.violation_boxes) == 3
+    cert = ucc.certify_lower_bound(theta=0.95, eta=0.01)
+    assert len(cert.violation_boxes) == 16
+    assert all(vb.f_upper < 0.95 for vb in cert.violation_boxes)
 
 
 def test_budget_exhaustion():
@@ -133,6 +136,10 @@ def test_parameter_validation():
         ucc.certify_lower_bound(box_budget=0)
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(max_depth=0)
+    with pytest.raises(ValueError, match="strip_points"):
+        ucc.certify_lower_bound(strip_points=0)
+    with pytest.raises(ValueError, match="strip_points"):
+        ucc.certify_lower_bound(strip_points=-1)
 
 
 def test_threshold_above_minimum_is_not_rejected():

@@ -240,6 +240,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "check", POWERSET3, "--threads", "0")[0] == 2  # unknown option
     assert run(capsys, "entropy", POWERSET3, "--pair-cap", "7")[0] == 2
     assert run(capsys, "analytic")[0] == 2                    # missing action
+    code, out, err = run(capsys, "analytic", "certify", "--strip-points", "-1")
+    assert code == 2 and out == "" and "strip_points" in err
     assert run(capsys)[0] == 2
 
 
