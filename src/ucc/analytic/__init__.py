@@ -19,6 +19,7 @@ from .scalars import (
     g_family,
     g_of,
     g_prime_of,
+    grid_margin_rows,
     grid_margins,
     minimize_diagonal,
 )
@@ -45,7 +46,7 @@ __all__ = [
     "DiagonalMinimum", "GFamily", "GridCheck",
     "big_g_of", "binary_entropy", "corollary_grid_check", "corollary_margin",
     "diagonal_ratio", "f_ratio", "g_family", "g_of", "g_prime_of",
-    "grid_margins", "minimize_diagonal",
+    "grid_margin_rows", "grid_margins", "minimize_diagonal",
     "TRANSCENDENTAL_SLACK", "Interval",
     "big_g_enclosure", "f_gradient_enclosure", "f_mean_value",
     "f_point_enclosure", "g_enclosure", "product_enclosure",

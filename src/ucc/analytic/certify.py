@@ -6,7 +6,8 @@ it is created, by the mean-value form of f (``intervals.f_mean_value``).
 A box whose enclosure proves f >= theta is an accepted leaf; every other
 box waits in a heap keyed on its enclosure lower bound, and the box with
 the lowest bound is split next, along its longer side.  A box that can no
-longer be split and does not lie wholly below theta is indeterminate.
+longer be split is an indeterminate leaf, unless the run ends refuted:
+such a box cannot change a refutation, so it is then not counted.
 
 A box whose enclosure lies entirely below theta is a certified violation.
 The one with the lowest upper bound is the incumbent; once it exists,
@@ -210,12 +211,11 @@ def certify_lower_bound(
     heap: list[tuple[float, int, Box, float, int]] = []
     processed = 0
     accepted = 0
-    indeterminate = 0
+    undecided: list[tuple[Box, float]] = []  # unsplittable boxes, with hi
     max_depth_used = 0
     digest_acc = 0
     best_box: Box | None = None  # incumbent: lowest certified hi below theta
     best_hi = math.inf
-    worst: ViolationBox | None = None
 
     def enclose(box: Box, depth: int) -> None:
         nonlocal processed, accepted, max_depth_used, digest_acc, best_box, best_hi
@@ -244,30 +244,33 @@ def certify_lower_bound(
             break
         heapq.heappop(heap)
         if parts is None:
-            if enc_hi >= theta:  # unsplittable and wholly below theta: a violation
-                indeterminate += 1
-                digest_acc += _leaf_digest("indeterminate", box)
-                if worst is None or enc_hi < worst.f_upper:
-                    worst = ViolationBox(*box, enc_hi)
+            undecided.append((box, enc_hi))
             continue
         for child in parts:
             enclose(child, depth + 1)
 
     violations: tuple[ViolationBox, ...] = ()
+    worst: ViolationBox | None = None
     if best_box is not None:
+        # a refutation stands whatever the unsplittable boxes hold, and a box
+        # wholly below theta always has an incumbent (itself or a lower one),
+        # so none of them is an indeterminate leaf
+        undecided = []
         band = min(theta, best_hi + _NEAR_BAND)
         near = sorted((h, lo_b, b) for lo_b, _, b, h, _ in heap
                       if h < band and b != best_box)
         violations = (ViolationBox(*best_box, best_hi),) + tuple(
             ViolationBox(*b, h) for h, _, b in near[:_VIOLATION_CAP - 1])
         worst = violations[0]
-    else:
-        for _, _, box, enc_hi, _ in heap:  # budget spent: the pending boxes
+    else:  # the indeterminate leaves, then the boxes left pending
+        for box, enc_hi in undecided + [(b, h) for _, _, b, h, _ in heap]:
             if worst is None or enc_hi < worst.f_upper:
                 worst = ViolationBox(*box, enc_hi)
+    for box, _ in undecided:
+        digest_acc += _leaf_digest("indeterminate", box)
     if violations:
         status = "refuted"
-    elif indeterminate:
+    elif undecided:
         status = "indeterminate"
     elif exhausted:
         status = "budget_exhausted"
@@ -284,7 +287,7 @@ def certify_lower_bound(
         verified=status == "verified",
         status=status,
         accepted_boxes=accepted,
-        indeterminate_boxes=indeterminate,
+        indeterminate_boxes=len(undecided),
         violation_boxes=violations,
         worst_box=worst,
         boundary=boundary,

@@ -43,6 +43,7 @@ __all__ = [
     "corollary_margin",
     "GridCheck",
     "corollary_grid_check",
+    "grid_margin_rows",
     "grid_margins",
 ]
 
@@ -235,45 +236,99 @@ def _entropy_grid(values):
     return out
 
 
-def grid_margins(grid_points: int):
-    """Margin matrix on the uniform closed grid, for sweeps and CSV dumps.
+# cells per row block of a grid sweep: a few small temporaries per block,
+# so the sweep's memory does not grow with the grid
+_BLOCK_CELLS = 1 << 16
 
-    Returns ``(grid, f_values, margins)`` where ``margins[i, j]`` is
-    ``corollary_margin(grid[i], grid[j])`` and ``f_values`` is f on the
-    same grid (1 on the boundary).
+
+def _margin_blocks(grid, with_f: bool):
+    """Yield ``(first_row, margin_rows, f_rows)`` over consecutive row
+    blocks of the sweep on ``grid`` (``f_rows`` is None unless ``with_f``).
+
+    Each element is computed exactly as on the full matrix, so the stacked
+    blocks equal a one-shot sweep bit for bit.
+    """
+    import numpy as np
+
+    hv = _entropy_grid(grid)
+    rows = max(1, _BLOCK_CELLS // len(grid))
+    for start in range(0, len(grid), rows):
+        xs = grid[start:start + rows]
+        hp = _entropy_grid(np.outer(xs, grid))
+        x_h_y = np.outer(xs, hv)                        # x_i * h(y_j)
+        y_h_x = np.outer(hv[start:start + rows], grid)  # h(x_i) * y_j
+        margins = hp - HALF_INV_PHI * (x_h_y + y_h_x)
+        f_values = None
+        if with_f:
+            denom = y_h_x + x_h_y
+            f_values = np.ones_like(denom)
+            np.divide(hp, denom, out=f_values, where=denom > 0.0)
+        yield start, margins, f_values
+
+
+def grid_margin_rows(grid_points: int):
+    """The margin sweep on the uniform closed grid, streamed in row blocks.
+
+    Returns ``(grid, blocks)``; ``blocks`` yields ``(f_rows, margin_rows)``
+    for consecutive blocks of grid rows, in row order, where row ``i`` is
+    ``x = grid[i]`` and column ``j`` is ``y = grid[j]``.  Memory stays at one
+    block whatever the grid size.
     """
     import numpy as np
 
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     grid = np.linspace(0.0, 1.0, grid_points)
-    hv = _entropy_grid(grid)
-    prod = np.outer(grid, grid)
-    hp = _entropy_grid(prod)
-    x_h_y = np.outer(grid, hv)      # x_i * h(y_j)
-    y_h_x = np.outer(hv, grid)      # h(x_i) * y_j
-    margins = hp - HALF_INV_PHI * (x_h_y + y_h_x)
-    denom = y_h_x + x_h_y
-    f_values = np.ones_like(denom)
-    np.divide(hp, denom, out=f_values, where=denom > 0.0)
-    return grid, f_values, margins
+    return grid, ((f, m) for _, m, f in _margin_blocks(grid, True))
+
+
+def grid_margins(grid_points: int):
+    """Margin matrix on the uniform closed grid, for small grids and demos.
+
+    Returns ``(grid, f_values, margins)`` where ``margins[i, j]`` is
+    ``corollary_margin(grid[i], grid[j])`` and ``f_values`` is f on the
+    same grid (1 on the boundary).  Every row is materialized, two
+    ``grid_points``-squared float matrices; large sweeps use
+    :func:`corollary_grid_check` or :func:`grid_margin_rows`.
+    """
+    import numpy as np
+
+    grid, blocks = grid_margin_rows(grid_points)
+    f_parts, m_parts = zip(*blocks)
+    return grid, np.concatenate(f_parts), np.concatenate(m_parts)
 
 
 def corollary_grid_check(grid_points: int = 1001) -> GridCheck:
-    """Sweep the product-form margin over a uniform grid on [0, 1]^2."""
+    """Sweep the product-form margin over a uniform grid on [0, 1]^2.
+
+    The sweep runs one row block at a time and never holds the f matrix,
+    so its memory does not grow with ``grid_points``.
+    """
     import numpy as np
 
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
-    grid, _, margins = grid_margins(grid_points)
-    min_margin = float(margins.min())
-    # the margin vanishes identically on the x=0, y=0 edges and at (1, 1),
-    # so the informative argmin lives on the open interior of the grid
-    interior = margins[1:-1, 1:-1]
-    i, j = np.unravel_index(int(interior.argmin()), interior.shape)
+    grid = np.linspace(0.0, 1.0, grid_points)
+    last = grid_points - 1
+    min_margin = math.inf
+    best = math.inf
+    best_at = (0, 0)
+    for start, margins, _ in _margin_blocks(grid, False):
+        min_margin = min(min_margin, float(margins.min()))
+        # the margin vanishes identically on the x=0, y=0 edges and at (1, 1),
+        # so the informative argmin lives on the open interior of the grid
+        lo = max(start, 1)
+        hi = min(start + len(margins), last)
+        if lo >= hi:
+            continue
+        interior = margins[lo - start:hi - start, 1:-1]
+        i, j = np.unravel_index(int(interior.argmin()), interior.shape)
+        value = float(interior[i, j])
+        if value < best:  # strict: the first minimum in row-major order wins
+            best, best_at = value, (lo + int(i), 1 + int(j))
     return GridCheck(
         min_margin=min_margin,
-        argmin=(float(grid[i + 1]), float(grid[j + 1])),
-        argmin_margin=float(interior[i, j]),
+        argmin=(float(grid[best_at[0]]), float(grid[best_at[1]])),
+        argmin_margin=best,
         grid_points=grid_points,
     )

@@ -20,7 +20,7 @@ from .analytic import (
     PSI,
     certify_lower_bound,
     corollary_grid_check,
-    grid_margins,
+    grid_margin_rows,
     minimize_diagonal,
 )
 from .entropy import (
@@ -205,11 +205,11 @@ def _cmd_grid(args) -> int:
     obj = report.grid_check_obj(gc)
     obj["phi"] = PHI
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        import io
-
-        buf = io.StringIO()
-        report.write_grid_csv(buf, *grid_margins(args.grid))
-        _emit(buf.getvalue(), args.out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                report.write_grid_csv(fh, *grid_margin_rows(args.grid))
+        else:
+            report.write_grid_csv(sys.stdout, *grid_margin_rows(args.grid))
     else:
         _emit(report.render(obj, args.format), args.out)
     if gc.min_margin < -args.tol:

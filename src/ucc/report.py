@@ -197,12 +197,18 @@ def render(obj: dict[str, Any], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_grid_csv(fh: TextIO, grid, f_values, margins) -> None:
-    """CSV dump of a margin sweep: columns x,y,f,margin, fixed header."""
+def write_grid_csv(fh: TextIO, grid, blocks) -> None:
+    """CSV dump of a margin sweep: columns x,y,f,margin, fixed header.
+
+    ``blocks`` yields ``(f_rows, margin_rows)`` in row order, as from
+    :func:`ucc.analytic.grid_margin_rows`; each block is written out before
+    the next one is computed.
+    """
     fh.write("x,y,f,margin\n")
-    xs = [float(v) for v in grid]
-    for i, x in enumerate(xs):
-        frow = [float(v) for v in f_values[i]]
-        mrow = [float(v) for v in margins[i]]
-        for j, y in enumerate(xs):
-            fh.write(f"{x!r},{y!r},{frow[j]!r},{mrow[j]!r}\n")
+    labels = [repr(v) for v in grid.tolist()]
+    xs = iter(labels)
+    for f_rows, margin_rows in blocks:
+        for frow, mrow in zip(f_rows.tolist(), margin_rows.tolist()):
+            x = next(xs)
+            fh.write("".join(f"{x},{y},{f!r},{m!r}\n"
+                             for y, f, m in zip(labels, frow, mrow)))

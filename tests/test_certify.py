@@ -6,7 +6,7 @@ import pytest
 
 import ucc
 from ucc.analytic import Interval, f_mean_value
-from ucc.analytic.certify import Box, _split
+from ucc.analytic.certify import Box, ViolationBox, _split
 
 
 def test_split_bisects_longer_side():
@@ -95,6 +95,19 @@ def test_depth_exhaustion_reports_indeterminate():
     assert not cert.verified
     assert cert.status == "indeterminate"
     assert cert.indeterminate_boxes > 0
+
+
+def test_shallow_refutation_counts_no_indeterminate_leaves():
+    # at depth 20 the minimum cannot be bracketed within the locate gap, so
+    # many unsplittable boxes are popped; none can change the refutation
+    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4, max_depth=20)
+    assert cert.status == "refuted"
+    assert cert.indeterminate_boxes == 0
+    assert cert.boxes_processed == 13_125
+    assert cert.violation_boxes == (ViolationBox(
+        0.6171640625000001, 0.6181404296875002,
+        0.6171640625000001, 0.6181404296875002, 0.8090201163440421),)
+    assert cert.worst_box == cert.violation_boxes[0]
 
 
 def test_certificates_are_deterministic():
