@@ -3,7 +3,9 @@
 Draw A and B independently and uniformly from a family F and look at
 U = A | B.  Three facts get checked numerically here:
 
-  * the chain rule bounds H(U) by H(A) + H(B),
+  * the chain rule rebuilds H(U) one coordinate at a time, and
+    conditioning each bit of U on both source prefixes instead of its
+    own can only lower that sum (the data-processing step),
   * H(U) >= p/(2 phi) (H(A) + H(B)) with p the smallest marginal
     absence probability (this holds for any family at all),
   * when F is nearly union closed, H(U) <= log2 |F| plus a defect
@@ -18,7 +20,7 @@ import ucc
 
 fam = ucc.SetFamily.from_masks(3, range(8))  # the full powerset of [3]
 dist = ucc.union_distribution(fam)
-print("union supports", len(dist.counts), "masks over",
+print("union supports", dist.support_size, "masks over",
       dist.pair_count, "ordered pairs")
 
 h_union = ucc.shannon_entropy(dist)
@@ -28,9 +30,10 @@ print("H(U) =", h_union, "bits")
 print("3 h(1/4) =", 3 * ucc.binary_entropy(0.25))
 
 chain = ucc.chain_rule_check(fam)
-print("\nchain rule: H(U) <= H(A) + H(B)")
-print("  lhs", chain.lhs_bits, "rhs", chain.rhs_bits,
-      "margin", chain.margin_bits)
+print("\nchain rule: H(U) = sum_i H(U_i | U below i)")
+print("  H(U)", chain.lhs_bits, "chain sum", chain.inputs["chain_sum_bits"])
+print("data processing: H(U) >= sum_i H(U_i | A below i, B below i)")
+print("  rhs", chain.rhs_bits, "margin", chain.margin_bits)
 
 lower = ucc.check_lower_bound(fam)
 print("lower bound: H(U) >= p/(2 phi) (H(A) + H(B))")

@@ -10,6 +10,7 @@ when given.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -201,20 +202,40 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    gc = corollary_grid_check(grid_points=args.grid)
-    obj = report.grid_check_obj(gc)
-    obj["phi"] = PHI
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                report.write_grid_csv(fh, *grid_margin_rows(args.grid))
-        else:
-            report.write_grid_csv(sys.stdout, *grid_margin_rows(args.grid))
+        min_margin = _write_grid_csv(args.grid, args.out)
     else:
+        gc = corollary_grid_check(grid_points=args.grid)
+        obj = report.grid_check_obj(gc)
+        obj["phi"] = PHI
         _emit(report.render(obj, args.format), args.out)
-    if gc.min_margin < -args.tol:
+        min_margin = gc.min_margin
+    if min_margin < -args.tol:
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _write_grid_csv(grid_points: int, out_path: str | None) -> float:
+    """Stream the margin sweep as CSV and return its minimum margin, folded
+    from the written blocks as ``corollary_grid_check`` folds them, so the
+    grid is swept once."""
+    if grid_points < 100:  # the floor corollary_grid_check puts on the JSON path
+        raise ValueError("grid_points must be at least 100")
+    grid, blocks = grid_margin_rows(grid_points)
+    min_margin = math.inf
+
+    def folded():
+        nonlocal min_margin
+        for f_rows, margin_rows in blocks:
+            min_margin = min(min_margin, float(margin_rows.min()))
+            yield f_rows, margin_rows
+
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            report.write_grid_csv(fh, grid, folded())
+    else:
+        report.write_grid_csv(sys.stdout, grid, folded())
+    return min_margin
 
 
 def _cmd_certify(args) -> int:

@@ -6,10 +6,13 @@ pairs, probabilities as Fractions.  The counts are the family's cached
 pair-union histogram, :attr:`ucc.setfamily.SetFamily.union_counts`, built
 once per family as an OR convolution by
 :func:`ucc.setfamily.pair_union_counts`, whose cell cap is the only size
-limit on these checks.  Every check below reads that one histogram, so a
-family's pairs are counted once however many checks run.  On top of it
-sit four checks, each returning a small report rather than a bare bool so
-that callers and the CLI can show their work:
+limit on these checks.  It is a pair of int64 arrays, the ascending unions
+and their counts, and every check below reads those arrays directly, so a
+family's pairs are counted once however many checks run.  Grouping (member
+unions, prefix cells) happens in numpy; each entropy term is still a
+Python float from exact integer counts.  On top of the histogram sit four
+checks, each returning a small report rather than a bare bool so that
+callers and the CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
     exactly, and conditioning each union bit on both full prefixes instead
@@ -29,14 +32,18 @@ counts); every report carries the tolerance it was judged against.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
-from .setfamily import SetFamily, closure_fraction, element_frequencies
+from .setfamily import SetFamily, _member_cells, closure_fraction, element_frequencies
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
@@ -56,21 +63,27 @@ DEFAULT_TOL = 1e-9
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionDistribution:
-    """Exact distribution of A | B for A, B independent uniform on F."""
+    """Exact distribution of A | B for A, B independent uniform on F.
+
+    ``unions`` (strictly ascending) and ``counts`` (all positive) are the
+    family's cached, read-only histogram arrays, shared rather than copied.
+    """
 
     universe_size: int
-    counts: dict[int, int]
+    unions: np.ndarray
+    counts: np.ndarray
     pair_count: int
 
     @property
     def probs(self) -> dict[int, Fraction]:
-        return {m: Fraction(c, self.pair_count) for m, c in sorted(self.counts.items())}
+        return {m: Fraction(c, self.pair_count)
+                for m, c in zip(self.unions.tolist(), self.counts.tolist())}
 
     @property
     def support_size(self) -> int:
-        return len(self.counts)
+        return len(self.unions)
 
 
 @dataclass(frozen=True)
@@ -112,9 +125,11 @@ def union_distribution(family: SetFamily) -> UnionDistribution:
     the kernel's cell cap (:class:`~ucc.setfamily.CapExceededError` otherwise)."""
     if family.size == 0:
         raise ValueError("union_distribution requires a nonempty family")
+    unions, counts = family.union_counts
     return UnionDistribution(
         universe_size=family.universe_size,
-        counts=dict(family.union_counts),
+        unions=unions,
+        counts=counts,
         pair_count=family.size ** 2,
     )
 
@@ -134,7 +149,7 @@ def shannon_entropy(dist) -> float:
     Fractions, within 1e-9 for floats).
     """
     if isinstance(dist, UnionDistribution):
-        return _entropy_from_counts(dist.counts.values(), dist.pair_count)
+        return _entropy_from_counts(dist.counts.tolist(), dist.pair_count)
     if isinstance(dist, Mapping):
         values = list(dist.values())
     else:
@@ -183,6 +198,82 @@ def _h_of_counts(part: int, whole: int) -> float:
     return binary_entropy(part / whole)
 
 
+@functools.cache
+def _byte_reversal():
+    """Table of the 256 bytes with their bits in reverse order (int64)."""
+    import numpy as np
+
+    table = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _bit_reversed(masks, n: int):
+    """Each mask with its n low bits in reverse order: bit j moves to n-1-j.
+
+    Sorted by this key, the masks sharing their low i bits are contiguous,
+    for every i at once.  Every value stays below 2^n, so int64 holds it,
+    and reversing twice gives the masks back.
+    """
+    import numpy as np
+
+    table = _byte_reversal()
+    key = np.zeros_like(masks)
+    for low in range(0, n, 8):  # bits low..low+7 move to n-8-low..n-1-low
+        rev = table[masks >> low & 0xFF]
+        shift = n - 8 - low
+        key |= rev << shift if shift >= 0 else rev >> -shift
+    return key
+
+
+def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
+    """H(U_i | U below i) for every coordinate i of the union draw.
+
+    Sorted by bit-reversed value, the unions form a binary trie read from
+    bit 0 up.  A prefix cell of coordinate i, the unions agreeing on the
+    bits below i, is a contiguous run, its unions without bit i first.  Two
+    neighbours in that order first differ at some bit i, and that is the
+    one place where a cell of coordinate i switches from U_i = 0 to
+    U_i = 1.  So every cell where U_i takes both values holds exactly one
+    such pair, and the other cells, with U_i fixed, add nothing.  Each
+    pair's cell is found by binary search on the keys and its counts are
+    read off a running sum.  The terms are Python floats from the integer
+    counts, one ``math.fsum`` per coordinate.
+    """
+    import numpy as np
+
+    # Each K-sized temporary is dropped once spent, so the peak is a few of
+    # them.  Only np.sort sorts, the kernel np.unique uses too: an argsort
+    # would page in one more sort kernel, about 0.25 MB of resident code.
+    powers = np.array([1 << i for i in range(n)], dtype=np.int64)
+    key = np.sort(_bit_reversed(unions, n))
+    ordered = _bit_reversed(key, n)  # the unions in key order
+    running = np.zeros(len(key) + 1, dtype=np.int64)  # counts before each position
+    np.cumsum(counts[np.searchsorted(unions, ordered)], out=running[1:])
+    diff = ordered[1:] ^ ordered[:-1]
+    del ordered
+    coord = np.searchsorted(powers, diff & -diff)  # lowest bit where neighbours differ
+    del diff
+    # the key bits that vary inside the pair's cell: bit i and those above it
+    free = (powers[::-1] * 2 - 1)[coord]
+    ends = np.searchsorted(key, key[1:] | free, side="right")
+    starts = np.searchsorted(key, key[1:] & ~free)
+    del key, free
+    after = running[ends]
+    whole = after - running[starts]
+    ones = after - running[1:-1]
+    del running, ends, starts, after
+    # group the pairs by coordinate: sort (coordinate, position) packed in one int64
+    width = len(coord).bit_length()
+    packed = np.sort(coord << width | np.arange(len(coord)))
+    by_coord = packed & ((1 << width) - 1)
+    whole, ones = whole[by_coord], ones[by_coord]
+    bounds = np.searchsorted(packed, np.arange(n + 1) << width).tolist()
+    return [math.fsum(c / total * _h_of_counts(c1, c)
+                      for c, c1 in zip(whole[lo:hi].tolist(), ones[lo:hi].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
     """Chain-rule identity and the data-processing step for the union draw.
 
@@ -192,6 +283,13 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
     rhs conditions each coordinate on both source prefixes instead,
     sum_i H(U_i | A below i, B below i), which is never larger, so
     ``margin_bits`` = lhs - rhs >= 0 up to the tolerance.
+
+    The chain sum sorts the unions once by their bit-reversed value, so
+    every coordinate's prefix cells are contiguous runs of the histogram
+    arrays (:func:`_chain_terms`).  Only cells where U_i takes both values
+    contribute; each term is computed from its integer counts in Python
+    floats and every coordinate is summed with ``math.fsum``, which rounds
+    correctly whatever the order of the cells.
 
     A pair of prefix cells contributes a term that depends only on each
     cell's type (members in the cell, members avoiding element i+1), so
@@ -203,26 +301,14 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
         raise ValueError("chain_rule_check requires a nonempty family")
     n = family.universe_size
     total = family.size ** 2
-    union_counts = family.union_counts
+    unions, counts = family.union_counts
 
-    # coordinate i reads counts keyed by the low i+1 bits of the union;
-    # merging each cell's two halves yields the counts for coordinate i-1
-    chain_terms = [0.0] * n
-    low_counts = union_counts
-    for i in reversed(range(n)):
-        below = (1 << i) - 1
-        cells: dict[int, list[int]] = {}
-        for mask, c in low_counts.items():
-            cells.setdefault(mask & below, [0, 0])[mask >> i & 1] += c
-        chain_terms[i] = math.fsum(
-            (c0 + c1) / total * _h_of_counts(c1, c0 + c1)
-            for c0, c1 in cells.values())
-        low_counts = {prefix: c0 + c1 for prefix, (c0, c1) in cells.items()}
+    chain_terms = _chain_terms(unions, counts, n, total)
     chain_sum = 0.0
     for term in chain_terms:  # ascending i, the order the chain rule reads
         chain_sum += term
 
-    lhs = _entropy_from_counts(union_counts.values(), total)
+    lhs = _entropy_from_counts(counts.tolist(), total)
     identity_margin = chain_sum - lhs
 
     dp_sum = 0.0
@@ -267,7 +353,7 @@ def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     """
     if family.size == 0:
         raise ValueError("check_lower_bound requires a nonempty family")
-    lhs = _entropy_from_counts(family.union_counts.values(), family.size ** 2)
+    lhs = _entropy_from_counts(family.union_counts[1].tolist(), family.size ** 2)
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
     rhs = float(p) * HALF_INV_PHI * (h_draw + h_draw)
@@ -298,15 +384,18 @@ def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     and that the decomposition stays below rhs term by term.  For
     eps >= 1/2 the report is inapplicable and never counts as a failure.
     """
+    import numpy as np
+
     if family.size == 0:
         raise ValueError("check_upper_bound requires a nonempty family")
-    members = family.member_set()
     total = family.size ** 2
-    union_counts = family.union_counts
-    lhs = _entropy_from_counts(union_counts.values(), total)
+    _, counts = family.union_counts
+    lhs = _entropy_from_counts(counts.tolist(), total)
 
-    in_counts = [c for m, c in union_counts.items() if m in members]
-    out_counts = [c for m, c in union_counts.items() if m not in members]
+    inside = np.zeros(len(counts), dtype=bool)
+    inside[_member_cells(family)] = True
+    in_counts = counts[inside].tolist()
+    out_counts = counts[~inside].tolist()
     in_total = sum(in_counts)
     out_total = total - in_total
     eps = Fraction(out_total, total)  # = 1 - closure_fraction, exactly

@@ -18,12 +18,16 @@ builds it as an OR convolution, ``u = mobius(zeta(1_F)^2)`` (Yates 1937;
 Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), choosing its regime
 from the input: a dense int64 transform over all 2^n cells when
 2^n <= min(|F|^2, 2^24), otherwise blocked pairwise ORs that never
-allocate anything of size 2^n.  One cell cap bounds its memory in both
-regimes: a histogram of more than 2^24 distinct unions is refused with
-:class:`CapExceededError`.
+allocate anything of size 2^n.  The histogram is a pair of int64 arrays,
+the unions in ascending order and their positive counts, 16 bytes a cell.
+One cell cap bounds its memory in both regimes: a histogram of more than
+2^24 distinct unions is refused with :class:`CapExceededError`.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
-entropy bounds and the chain rule share one build.
+entropy bounds and the chain rule share one build.  Member lookups are
+binary searches in the sorted unions, never a table over 2^n masks.
+:attr:`SetFamily.frequency_profile` likewise caches the element
+frequencies that the theorem check and the lower bound share.
 
 The text format (``.uc``) is a header line ``n=<universe size>`` followed
 by one bit string per set, leftmost character = element 1.  ``#`` starts a
@@ -36,7 +40,10 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WORD_CAP",
@@ -63,7 +70,8 @@ WORD_CAP = 63
 DEFAULT_CLOSURE_CAP = 1_000_000
 #: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB)
 _PAIR_BLOCK_CELLS = 1 << 20
-#: most cells a pair-union histogram may hold (4096^2; about 1.7 GB as a dict)
+#: most cells a pair-union histogram may hold (4096^2; about 256 MB as two
+#: int64 arrays)
 _MAX_CELLS = 1 << 24
 
 
@@ -157,10 +165,33 @@ class SetFamily:
         return self._members
 
     @cached_property
-    def union_counts(self) -> dict[int, int]:
-        """Pair-union histogram of :func:`pair_union_counts`, built on first
-        use and kept for the life of the family.  Callers must not mutate it."""
-        return pair_union_counts(self.universe_size, self.sets)
+    def union_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pair-union histogram ``(unions, counts)`` of
+        :func:`pair_union_counts`, built on first use and kept for the life
+        of the family.  Both arrays are read-only."""
+        unions, counts = pair_union_counts(self.universe_size, self.sets)
+        unions.flags.writeable = False
+        counts.flags.writeable = False
+        return unions, counts
+
+    @cached_property
+    def frequency_profile(self) -> FrequencyProfile:
+        """Element frequencies of :func:`element_frequencies`, computed on
+        first use and kept for the life of the family."""
+        _require_nonempty(self, "element_frequencies")
+        n = self.universe_size
+        counts = [0] * n
+        for mask in self.sets:
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
+        size = self.size
+        freq = tuple(Fraction(c, size) for c in counts)
+        argmax = max(range(n), key=lambda i: (freq[i], -i))
+        max_freq = freq[argmax]
+        return FrequencyProfile(freq=freq, max_freq=max_freq, argmax=argmax,
+                                p_min_zero=1 - max_freq)
 
 
 @dataclass(frozen=True)
@@ -247,25 +278,29 @@ def dump_family(family: SetFamily, path: str) -> None:
         fh.write(format_family(family))
 
 
-def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]:
+def pair_union_counts(universe_size: int,
+                      sets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Number of ordered pairs (A, B) of ``sets`` with A | B = U, for every U.
 
-    Exact over all len(sets)^2 ordered pairs (diagonal included); masks
-    with no pair are absent.  ``sets`` must be distinct masks below
+    Returns ``(unions, counts)``, two int64 arrays: every U reached by some
+    pair, strictly ascending, and its count, always positive.  Exact over
+    all len(sets)^2 ordered pairs (diagonal included), so every member of
+    ``sets`` is among the unions.  ``sets`` must be distinct masks below
     2^universe_size.  Dense regime (2^n <= min(|F|^2, ``_MAX_CELLS``)):
     zeta transform of the indicator, squared pointwise, then the Mobius
     transform, all in int64 over 2^n cells.  Pairwise regime otherwise:
     ``bitwise_or.outer`` over row blocks of at most ``_PAIR_BLOCK_CELLS``
-    cells, counted with ``np.unique``; it never allocates anything of size
-    2^n, and raises :class:`CapExceededError` as soon as the merged
-    histogram holds more than ``_MAX_CELLS`` cells.  int64 cannot
-    overflow: dense cells hold at most |F|^2 <= 4^24.
+    cells, each counted with ``np.unique`` and merged into the sorted
+    pair; it never allocates anything of size 2^n, and raises
+    :class:`CapExceededError` as soon as the merged histogram holds more
+    than ``_MAX_CELLS`` cells.  int64 cannot overflow: counts are at most
+    |F|^2 <= 4^24 in the dense regime and sum to |F|^2 in the other.
     """
     import numpy as np
 
     size = len(sets)
     if size == 0:
-        return {}
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     masks = np.array(sets, dtype=np.int64)
     if 1 << universe_size <= min(size * size, _MAX_CELLS):
         f = np.zeros(1 << universe_size, dtype=np.int64)
@@ -278,24 +313,45 @@ def pair_union_counts(universe_size: int, sets: Sequence[int]) -> dict[int, int]
             v = f.reshape(-1, 2, 1 << i)
             v[:, 1, :] -= v[:, 0, :]
         support = np.flatnonzero(f)
-        return dict(zip(support.tolist(), f[support].tolist()))
-    counts: dict[int, int] = {}
+        return support.astype(np.int64, copy=False), f[support]
+    unions = counts = None
     rows = max(1, _PAIR_BLOCK_CELLS // size)
     for start in range(0, size, rows):
-        unions = np.bitwise_or.outer(masks[start:start + rows], masks)
-        values, hits = np.unique(unions, return_counts=True)
-        for u, c in zip(values.tolist(), hits.tolist()):
-            counts[u] = counts.get(u, 0) + c
-        if len(counts) > _MAX_CELLS:
+        block = np.bitwise_or.outer(masks[start:start + rows], masks)
+        values, hits = np.unique(block, return_counts=True)
+        hits = hits.astype(np.int64, copy=False)
+        if unions is None:
+            unions, counts = values, hits
+        else:  # add the counts of known unions, insert the new ones in order
+            at = np.searchsorted(unions, values)
+            known = at < len(unions)
+            known[known] = unions[at[known]] == values[known]
+            counts[at[known]] += hits[known]
+            fresh = ~known
+            unions = np.insert(unions, at[fresh], values[fresh])
+            counts = np.insert(counts, at[fresh], hits[fresh])
+        if len(unions) > _MAX_CELLS:
             raise CapExceededError(
                 f"pair-union histogram exceeds cap of {_MAX_CELLS} cells")
-    return counts
+    return unions, counts
+
+
+def _member_cells(family: SetFamily):
+    """Positions of the members among the sorted unions.
+
+    Every member A is a union, of the diagonal pair (A, A), so a binary
+    search finds each one; nothing as wide as the mask range is allocated.
+    """
+    import numpy as np
+
+    unions, _ = family.union_counts
+    return np.searchsorted(unions, np.array(family.sets, dtype=np.int64))
 
 
 def _closure_hits(family: SetFamily) -> int:
     """Ordered pairs (A, B), diagonal included, whose union is a member."""
-    counts = family.union_counts
-    return sum(counts.get(m, 0) for m in family.sets)
+    _, counts = family.union_counts
+    return sum(counts[_member_cells(family)].tolist())
 
 
 def is_union_closed(family: SetFamily) -> bool:
@@ -328,21 +384,8 @@ def closure_fraction_unordered(family: SetFamily) -> Fraction:
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:
-    """Exact membership frequency of every ground element."""
-    _require_nonempty(family, "element_frequencies")
-    n = family.universe_size
-    counts = [0] * n
-    for mask in family.sets:
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    size = family.size
-    freq = tuple(Fraction(c, size) for c in counts)
-    argmax = max(range(n), key=lambda i: (freq[i], -i))
-    max_freq = freq[argmax]
-    return FrequencyProfile(freq=freq, max_freq=max_freq, argmax=argmax,
-                            p_min_zero=1 - max_freq)
+    """Exact membership frequency of every ground element (cached per family)."""
+    return family.frequency_profile
 
 
 def union_closure(family: SetFamily, cap: int = DEFAULT_CLOSURE_CAP) -> SetFamily:

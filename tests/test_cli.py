@@ -120,6 +120,37 @@ def test_grid_json_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 101 * 101
 
 
+def test_grid_csv_sweeps_once(monkeypatch, capsys):
+    from ucc.analytic import scalars
+
+    sweeps: list[int] = []
+    blocks = scalars._margin_blocks
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(scalars, "_margin_blocks", counting)
+    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
+    assert code == 0 and len(sweeps) == 1
+    assert out.count("\n") == 1 + 101 * 101
+    # the exit code is decided from the streamed rows as on the JSON path
+    for tol in ("1e-12", "-1"):
+        csv_code, _, _ = run(capsys, "analytic", "grid", "--grid", "101",
+                             "--format", "csv", f"--tol={tol}")
+        json_code, _, _ = run(capsys, "analytic", "grid", "--grid", "101", f"--tol={tol}")
+        assert csv_code == json_code == (1 if tol == "-1" else 0)
+
+
+def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
+    dest = tmp_path / "coarse.csv"
+    for extra in (("--format", "csv"), ("--out", str(dest)), ()):
+        code, out, err = run(capsys, "analytic", "grid", "--grid", "50", *extra)
+        assert (code, out) == (2, "")
+        assert err == "ucc: grid_points must be at least 100\n"
+    assert not dest.exists()
+
+
 def test_certify_verified_run(capsys):
     code, out, _ = run(capsys, "analytic", "certify", "--theta", "0.80",
                        "--eta", "0.01")

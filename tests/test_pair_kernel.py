@@ -1,10 +1,14 @@
 """The pair-union kernel against the pure-Python pair walks it replaced.
 
-Union counts and closure fractions must be equal exactly; entropies, the
-chain sum and the data-processing sum within 1e-12.  The kernel must give
-the same answers in both regimes, keep the pairwise regime free of 2^n
-allocations, refuse histograms above its cell cap, and be built once per
-family however many checks read it.
+The kernel returns its histogram as two int64 arrays, ascending unions and
+positive counts; :func:`histogram` checks that shape and turns the pair
+into a dict for the oracle comparisons.  Union counts and closure
+fractions must be equal exactly; entropies, the chain sum and the
+data-processing sum within 1e-12, and the two sums exactly on seeded
+families in both regimes.  The kernel must give the same answers in both
+regimes, keep the pairwise regime free of 2^n allocations, refuse
+histograms above its cell cap, and be built once per family however many
+checks read it.
 """
 
 import collections
@@ -17,6 +21,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +36,17 @@ SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 ENTROPY_TOL = 1e-12
 
 
+def histogram(pair) -> dict[int, int]:
+    """The kernel's ``(unions, counts)`` as a dict, after checking its shape."""
+    unions, counts = pair
+    assert unions.dtype == counts.dtype == np.int64
+    assert unions.shape == counts.shape
+    assert (np.diff(unions) > 0).all() and (counts > 0).all()
+    return dict(zip(unions.tolist(), counts.tolist()))
+
+
 def assert_matches_oracle(fam: ucc.SetFamily) -> None:
-    assert fam.union_counts == oracle.pair_union_counts(fam)
+    assert histogram(fam.union_counts) == oracle.pair_union_counts(fam)
     closure = oracle.closure_fraction(fam)
     assert ucc.closure_fraction(fam) == closure
     assert ucc.closure_fraction_unordered(fam) == oracle.closure_fraction_unordered(fam)
@@ -83,7 +97,7 @@ def _is_dense(fam: ucc.SetFamily) -> bool:
 
 
 def assert_same_statistics(a: ucc.SetFamily, b: ucc.SetFamily) -> None:
-    assert a.union_counts == b.union_counts
+    assert histogram(a.union_counts) == histogram(b.union_counts)
     assert ucc.closure_fraction(a) == ucc.closure_fraction(b)
     assert ucc.closure_fraction_unordered(a) == ucc.closure_fraction_unordered(b)
     for check in (ucc.check_lower_bound, ucc.check_upper_bound):
@@ -121,7 +135,7 @@ def test_dense_regime_power_set_of_eleven():
     fam = ucc.SetFamily.from_masks(n, range(1 << n))
     assert _is_dense(fam)
     # A | B = U: each element of U lies in A only, in B only, or in both
-    assert fam.union_counts == {u: 3 ** bin(u).count("1") for u in range(1 << n)}
+    assert histogram(fam.union_counts) == {u: 3 ** bin(u).count("1") for u in range(1 << n)}
     assert ucc.closure_fraction(fam) == 1
     assert ucc.closure_fraction_unordered(fam) == 1
     chain = ucc.chain_rule_check(fam)
@@ -144,13 +158,11 @@ def test_pairwise_regime_never_allocates_the_universe():
     # numpy reports its buffers to tracemalloc; one int64 per cell of the
     # universe would be 8 MiB
     assert peak < (1 << n)
-    assert counts == oracle.pair_union_counts(fam)
+    assert histogram(counts) == oracle.pair_union_counts(fam)
     assert_matches_oracle(fam)
 
 
 def test_dense_regime_capped_by_universe_width(monkeypatch):
-    import numpy as np
-
     def no_dense(*args, **kwargs):
         raise AssertionError("dense transform above the cell cap")
 
@@ -160,7 +172,48 @@ def test_dense_regime_capped_by_universe_width(monkeypatch):
     monkeypatch.setattr(np, "zeros", no_dense)
     assert not _is_dense(fam)
     # a histogram of exactly _MAX_CELLS cells is still built
-    assert ucc.setfamily.pair_union_counts(4, fam.sets) == oracle.pair_union_counts(fam)
+    assert histogram(ucc.setfamily.pair_union_counts(4, fam.sets)) == \
+        oracle.pair_union_counts(fam)
+
+
+# the chain sum groups prefix cells in numpy; both sums round like the oracle
+
+@pytest.mark.parametrize("n, size, dense", [(40, 300, False), (13, 512, True)])
+def test_chain_sums_equal_the_oracle_exactly(n, size, dense):
+    fam = ucc.SetFamily.from_masks(n, random.Random(n * size).sample(range(1 << n), size))
+    assert fam.size == size and _is_dense(fam) == dense
+    chain = ucc.chain_rule_check(fam)
+    # one correctly rounded fsum per coordinate, added in ascending order,
+    # on both sides, so not even the last bit may differ
+    assert chain.inputs["chain_sum_bits"] == oracle.chain_sum(fam)
+    assert chain.rhs_bits == oracle.data_processing_sum(fam)
+    assert chain.lhs_bits == pytest.approx(oracle.union_entropy(fam), abs=ENTROPY_TOL)
+    assert chain.satisfied
+
+
+def test_chain_rule_check_memory():
+    # 2048 masks over [16]: about 42,800 cells.  The peak covers the
+    # histogram build too; a dict of two-element lists per coordinate
+    # needed about 8.4 MB here.
+    fam = ucc.SetFamily.from_masks(16, random.Random(16).sample(range(1 << 16), 2048))
+    tracemalloc.start()
+    try:
+        ucc.chain_rule_check(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fam.union_counts[0]) > 40_000
+    assert peak < 4 * 2 ** 20
+
+
+def test_histogram_is_shared_and_read_only():
+    fam = ucc.SetFamily.from_masks(3, range(8))
+    unions, counts = fam.union_counts
+    dist = ucc.union_distribution(fam)
+    assert np.shares_memory(dist.unions, unions) and np.shares_memory(dist.counts, counts)
+    assert dist.support_size == 8
+    with pytest.raises(ValueError):
+        counts[0] = 2
 
 
 # one cell cap refuses oversized histograms, whichever verb asks first
@@ -173,22 +226,46 @@ def small_cap(monkeypatch):
     monkeypatch.setattr(ucc.setfamily, "_MAX_CELLS", SMALL_CAP)
 
 
-def test_pairwise_regime_stops_at_the_cell_cap(small_cap, monkeypatch):
-    import numpy as np
-
+@pytest.fixture()
+def or_blocks(monkeypatch):
+    """Counts the ``bitwise_or.outer`` row blocks the kernel computes."""
     blocks: list[int] = []
-    unique = np.unique
+    bitwise_or = np.bitwise_or
 
-    def counting(*args, **kwargs):
-        blocks.append(1)
-        return unique(*args, **kwargs)
+    class CountingOr:
+        @staticmethod
+        def outer(*args, **kwargs):
+            blocks.append(1)
+            return bitwise_or.outer(*args, **kwargs)
 
+    monkeypatch.setattr(np, "bitwise_or", CountingOr)
+    return blocks
+
+
+def test_pairwise_regime_stops_at_the_cell_cap(small_cap, monkeypatch, or_blocks):
     monkeypatch.setattr(ucc.setfamily, "_PAIR_BLOCK_CELLS", 8)  # one row per block
-    monkeypatch.setattr(np, "unique", counting)
     # the first row, 0 | B, already yields 8 distinct unions
     with pytest.raises(ucc.CapExceededError, match=f"cap of {SMALL_CAP} cells"):
         ucc.setfamily.pair_union_counts(3, range(8))
-    assert len(blocks) == 1
+    assert len(or_blocks) == 1
+
+
+def test_pairwise_cap_counts_the_merged_histogram(small_cap, monkeypatch, or_blocks):
+    monkeypatch.setattr(ucc.setfamily, "_PAIR_BLOCK_CELLS", 4)  # one row per block
+    # row 0 | B gives {0, 1, 2, 4}, exactly the cap; row 1 | B adds 3 and 5
+    with pytest.raises(ucc.CapExceededError, match=f"cap of {SMALL_CAP} cells"):
+        ucc.setfamily.pair_union_counts(3, [0, 1, 2, 4])
+    assert len(or_blocks) == 2
+
+
+def test_pairwise_blocks_merge_into_one_histogram(monkeypatch, or_blocks):
+    rng = random.Random(31)
+    fam = ucc.SetFamily.from_masks(12, (rng.getrandbits(12) for _ in range(40)))
+    assert not _is_dense(fam)
+    monkeypatch.setattr(ucc.setfamily, "_PAIR_BLOCK_CELLS", 3 * fam.size)
+    counts = ucc.setfamily.pair_union_counts(fam.universe_size, fam.sets)
+    assert len(or_blocks) == math.ceil(fam.size / 3)
+    assert histogram(counts) == oracle.pair_union_counts(fam)
 
 
 @pytest.mark.parametrize("verb", ["check", "entropy"])
@@ -222,7 +299,7 @@ def test_entropy_beyond_the_old_family_size_cap(tmp_path, capsys):
     assert obj["family_size"] == size
     for key in ("lower_bound", "upper_bound", "chain_rule"):
         assert obj[key]["satisfied"] is True
-    assert sum(fam.union_counts.values()) == size ** 2
+    assert sum(histogram(fam.union_counts).values()) == size ** 2
 
 
 # the histogram is built once per family

@@ -1,5 +1,6 @@
 """Bitmask set families, the .uc format, and exact closure statistics."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucc
+import ucc.setfamily
+from tests.conftest import DATA_DIR
+from ucc.cli import run_cli
 from ucc.setfamily import WORD_CAP, union_closure
 
 
@@ -138,6 +142,37 @@ def test_frequency_argmax_prefers_smallest_element():
     prof = ucc.element_frequencies(fam)
     assert prof.max_freq == Fraction(2, 3)
     assert prof.argmax == 0
+
+
+@pytest.fixture()
+def profiles_built(monkeypatch):
+    built: list[int] = []
+    profile = ucc.setfamily.FrequencyProfile
+
+    def counting(**fields):
+        built.append(1)
+        return profile(**fields)
+
+    monkeypatch.setattr(ucc.setfamily, "FrequencyProfile", counting)
+    return built
+
+
+def test_frequencies_computed_once_per_entropy_run(profiles_built, capsys):
+    assert run_cli(["entropy", str(DATA_DIR / "near_closed.uc")]) == 0
+    capsys.readouterr()
+    assert len(profiles_built) == 1
+
+
+def test_frequencies_computed_once_per_fuzz_family(profiles_built, capsys):
+    argv = ["fuzz", "--n", "5", "--count", "40", "--seed", "11", "--entropy-checks"]
+    assert run_cli(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(profiles_built) == rep["theorem_checked"] > 0
+
+
+def test_frequencies_refuse_the_empty_family():
+    with pytest.raises(ValueError, match="nonempty"):
+        ucc.element_frequencies(ucc.SetFamily(3, ()))
 
 
 def test_union_closure_fixed_point():
