@@ -5,8 +5,8 @@ Two random k-sets overlap in about k^2/n elements, so their union has
 around 2k - k^2/n; with k close to psi n and m close to (2 psi -
 psi^2) n that union almost always clears m and lands back in the
 family.  Literal closure fails (a lucky overlap stays below m), but
-the defect vanishes as n grows while every element's frequency slides
-down toward psi.  That squeeze is why no argument driven by the
+the defect, computed exactly, vanishes as n grows while every element's
+frequency slides down toward psi.  That squeeze is why no argument driven by the
 entropy inequalities in this library can certify a constant above psi.
 
 Run:  python3 demos/05_slice_family.py
@@ -15,7 +15,7 @@ Run:  python3 demos/05_slice_family.py
 import ucc
 
 # Small enough to hold in memory and check literally.
-spec = ucc.ExampleSpec(n=12, k=4, m=8, mode="explicit")
+spec = ucc.ExampleSpec(n=12, k=4, m=8)
 fam = ucc.slice_example(spec)
 print("n=12 slice family:", fam.size, "sets")
 print("union closed?", ucc.is_union_closed(fam))
@@ -28,23 +28,27 @@ rep = ucc.check_theorem(fam)
 print("theorem satisfied:", rep.satisfied,
       " margin above psi:", float(rep.max_freq) - ucc.PSI)
 
-# At n = 1000 the family has ~10^299 members, so it stays implicit:
-# membership, sizes, and frequencies come from binomial arithmetic,
-# and the closure fraction is estimated by seeded sampling.
+# At n = 1000 the family has ~10^299 members, so nothing is materialized:
+# sizes, frequencies and the closure deficit come from binomial
+# arithmetic.  Only two k-sets overlapping too little to reach m can
+# miss the family, so the deficit is an exact sum over overlaps.
 spec = ucc.ExampleSpec(n=1000)
 print("\nn=1000 defaults: k =", spec.k, " m =", spec.m)
 
-stats = ucc.example_stats(spec, samples=50_000, seed=42)
+stats = ucc.slice_stats(spec)
 print("log2 |k-slice|    =", stats.log2_f1)
 print("log2 |upper part| =", stats.log2_f2)
 print("size ratio        =", stats.size_ratio)
-print("closure fraction  ~", stats.closure_fraction_estimate,
-      "+/-", stats.ci_halfwidth)
+print("closure deficit   =", float(stats.closure_deficit), "(exact)")
+print("log2(1/deficit)   =", stats.log2_inv_closure_deficit)
 print("max frequency     =", stats.max_freq_exact, "(exact)")
 
-# The squeeze: max frequency along growing n, against the limit.
-print("\nn      max freq        gap above psi")
+# The squeeze: the deficit and the gap above psi shrink together, while
+# the theorem's bound psi - delta stays below the frequency.
+print("\nn      closure deficit  max freq        gap above psi  psi - delta")
 for n in (1000, 4000, 16000):
-    freq = float(ucc.slice_max_frequency(ucc.ExampleSpec(n=n)))
-    print("%-6d %.12f %.2e" % (n, freq, freq - ucc.PSI))
+    st = ucc.slice_stats(ucc.ExampleSpec(n=n))
+    print("%-6d %-16.3e %.12f  %-14.2e %.12f" % (
+        n, float(st.closure_deficit), st.max_freq_exact, st.max_freq_exact - ucc.PSI,
+        st.psi_minus_delta))
 print("psi =", ucc.PSI)

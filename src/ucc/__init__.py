@@ -42,12 +42,11 @@ from .entropy import (
 from .generators import (
     ExampleSpec,
     ExampleStats,
-    ImplicitSliceFamily,
     enumerate_union_closed,
-    example_stats,
     random_families,
     slice_example,
     slice_max_frequency,
+    slice_stats,
 )
 from .rng import SplitMix64, derive_seed
 from .setfamily import (
@@ -81,7 +80,6 @@ __all__ = [
     "ExampleStats",
     "FrequencyProfile",
     "GridCheck",
-    "ImplicitSliceFamily",
     "Interval",
     "SetFamily",
     "SplitMix64",
@@ -103,7 +101,6 @@ __all__ = [
     "dump_family",
     "element_frequencies",
     "enumerate_union_closed",
-    "example_stats",
     "f_ratio",
     "format_family",
     "g_of",
@@ -116,6 +113,7 @@ __all__ = [
     "shannon_entropy",
     "slice_example",
     "slice_max_frequency",
+    "slice_stats",
     "union_closure",
     "union_distribution",
     "__version__",

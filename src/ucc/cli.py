@@ -33,12 +33,11 @@ from .entropy import (
     union_distribution,
 )
 from .generators import (
-    DEFAULT_SHARDS,
     RANDOM_KINDS,
     ExampleSpec,
     enumerate_union_closed,
-    example_stats,
     random_families,
+    slice_stats,
 )
 from .rng import derive_seed
 from .setfamily import (
@@ -57,9 +56,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float = 1e-9) -> None:
+def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-9) -> None:
+    """--format and --out, and --tol unless the verb reads none (None)."""
     p.add_argument("--format", choices=("json", "human", "csv"), default="json")
-    p.add_argument("--tol", type=float, default=tol_default)
+    if tol_default is not None:
+        p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -94,16 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--depth", type=int, default=60)
     q.add_argument("--budget", type=int, default=10_000_000)
     q.add_argument("--strip-points", type=int, default=10_000)
-    _add_common(q)
+    _add_common(q, tol_default=None)
 
-    p = sub.add_parser("example", help="slice example statistics")
+    p = sub.add_parser("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    _add_common(p)
+    _add_common(p, tol_default=None)
 
     p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 4")
     p.add_argument("--n", type=int, required=True)
@@ -250,9 +248,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_example(args) -> int:
     spec = ExampleSpec(n=args.n, k=args.k, m=args.m)
-    stats = example_stats(spec, samples=args.samples, seed=args.seed,
-                          shards=args.shards)
-    _emit(report.render(report.example_stats_obj(stats), args.format), args.out)
+    _emit(report.render(report.example_stats_obj(slice_stats(spec)), args.format),
+          args.out)
     return EXIT_OK
 
 

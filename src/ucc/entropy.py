@@ -8,11 +8,12 @@ once per family as an OR convolution by
 :func:`ucc.setfamily.pair_union_counts`, whose cell cap is the only size
 limit on these checks.  It is a pair of int64 arrays, the ascending unions
 and their counts, and every check below reads those arrays directly, so a
-family's pairs are counted once however many checks run.  Grouping (member
-unions, prefix cells) happens in numpy; each entropy term is still a
-Python float from exact integer counts.  On top of the histogram sit four
-checks, each returning a small report rather than a bare bool so that
-callers and the CLI can show their work:
+family's pairs are counted once however many checks run.  H(A|B) itself is
+the family's cached :attr:`~ucc.setfamily.SetFamily.union_entropy`, also
+evaluated once.  Grouping (member unions, prefix cells) happens in numpy;
+each entropy term is still a Python float from exact integer counts.  On
+top of the histogram sit four checks, each returning a small report rather
+than a bare bool so that callers and the CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
     exactly, and conditioning each union bit on both full prefixes instead
@@ -40,7 +41,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
-from .setfamily import SetFamily, _member_cells, closure_fraction, element_frequencies
+from .setfamily import (
+    SetFamily,
+    _entropy_from_counts,
+    _member_cells,
+    closure_fraction,
+    element_frequencies,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,6 +63,7 @@ __all__ = [
     "check_lower_bound",
     "check_upper_bound",
     "check_theorem",
+    "theorem_delta",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -68,13 +76,16 @@ class UnionDistribution:
     """Exact distribution of A | B for A, B independent uniform on F.
 
     ``unions`` (strictly ascending) and ``counts`` (all positive) are the
-    family's cached, read-only histogram arrays, shared rather than copied.
+    family's cached, read-only histogram arrays, shared rather than copied,
+    and ``entropy_bits`` is the family's cached
+    :attr:`~ucc.setfamily.SetFamily.union_entropy`.
     """
 
     universe_size: int
     unions: np.ndarray
     counts: np.ndarray
     pair_count: int
+    entropy_bits: float
 
     @property
     def probs(self) -> dict[int, Fraction]:
@@ -131,13 +142,8 @@ def union_distribution(family: SetFamily) -> UnionDistribution:
         unions=unions,
         counts=counts,
         pair_count=family.size ** 2,
+        entropy_bits=family.union_entropy,
     )
-
-
-def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
-    # H = log2(T) - (1/T) sum c log2 c, exact integer counts throughout
-    acc = math.fsum(c * math.log2(c) for c in counts if c > 0)
-    return math.log2(total) - acc / total
 
 
 def shannon_entropy(dist) -> float:
@@ -149,7 +155,7 @@ def shannon_entropy(dist) -> float:
     Fractions, within 1e-9 for floats).
     """
     if isinstance(dist, UnionDistribution):
-        return _entropy_from_counts(dist.counts.tolist(), dist.pair_count)
+        return dist.entropy_bits
     if isinstance(dist, Mapping):
         values = list(dist.values())
     else:
@@ -308,7 +314,7 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
     for term in chain_terms:  # ascending i, the order the chain rule reads
         chain_sum += term
 
-    lhs = _entropy_from_counts(counts.tolist(), total)
+    lhs = family.union_entropy
     identity_margin = chain_sum - lhs
 
     dp_sum = 0.0
@@ -353,7 +359,7 @@ def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     """
     if family.size == 0:
         raise ValueError("check_lower_bound requires a nonempty family")
-    lhs = _entropy_from_counts(family.union_counts[1].tolist(), family.size ** 2)
+    lhs = family.union_entropy
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
     rhs = float(p) * HALF_INV_PHI * (h_draw + h_draw)
@@ -390,7 +396,7 @@ def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
         raise ValueError("check_upper_bound requires a nonempty family")
     total = family.size ** 2
     _, counts = family.union_counts
-    lhs = _entropy_from_counts(counts.tolist(), total)
+    lhs = family.union_entropy
 
     inside = np.zeros(len(counts), dtype=bool)
     inside[_member_cells(family)] = True
@@ -402,9 +408,10 @@ def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     eps_f = float(eps)
 
     h_ind = binary_entropy(eps_f)
-    decomposition = h_ind
-    if in_total:
-        decomposition += (in_total / total) * _entropy_from_counts(in_counts, in_total)
+    # in_total >= |F| (A | A = A); with no pair outside, the inside part is
+    # the whole histogram and its entropy is lhs
+    h_in = lhs if not out_total else _entropy_from_counts(in_counts, in_total)
+    decomposition = h_ind + (in_total / total) * h_in
     if out_total:
         decomposition += (out_total / total) * _entropy_from_counts(out_counts, out_total)
 
@@ -437,6 +444,18 @@ def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     )
 
 
+def theorem_delta(epsilon: Fraction, family_size: int) -> float:
+    """delta = 2 eps (1 + log2(1/eps) / log2|F|) of the frequency bound.
+
+    0 when eps = 0 (union-closed input), and also when eps is positive but
+    below the least positive float, where delta rounds to 0 anyway.
+    """
+    eps_f = float(epsilon)
+    if eps_f == 0.0:
+        return 0.0
+    return 2.0 * eps_f * (1.0 + (-math.log2(eps_f)) / math.log2(family_size))
+
+
 def check_theorem(family: SetFamily, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Frequency bound: some element appears in a psi - delta share of F.
 
@@ -449,11 +468,7 @@ def check_theorem(family: SetFamily, tol: float = DEFAULT_TOL) -> TheoremReport:
         raise ValueError("check_theorem requires a family of size >= 2")
     eps = 1 - closure_fraction(family)
     prof = element_frequencies(family)
-    if eps == 0:
-        delta = 0.0
-    else:
-        eps_f = float(eps)
-        delta = 2.0 * eps_f * (1.0 + (-math.log2(eps_f)) / math.log2(family.size))
+    delta = theorem_delta(eps, family.size)
     bound = PSI - delta
     applicable = eps < _HALF and bound > 0.0
     satisfied = (not applicable) or float(prof.max_freq) >= bound - tol

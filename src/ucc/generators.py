@@ -6,9 +6,9 @@ sets of size at least m (default ceil((1 - psi) n)).  Unions of two
 F1-members concentrate around size 2k - k^2/n, and with k/n near psi that
 is (2 psi - psi^2) n = (1 - psi) n, right at the F2 threshold: the family
 is approximately union closed while its densest element frequency stays
-near psi + n^(-1/3).  It exists in two modes: explicit (materialized
-masks, desk scale only) and implicit (a handle with membership and uniform
-sampling, good for n in the thousands).
+near psi + n^(-1/3).  :func:`slice_example` materializes it at desk scale;
+:func:`slice_stats` gives its sizes, exact closure deficit and maximal
+frequency at any n from binomial arithmetic alone.
 
 The corpus side is exhaustive union-closed enumeration at n <= 4 and three
 seeded random family kinds for fuzzing.
@@ -17,13 +17,13 @@ seeded random family kinds for fuzzing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
 from .analytic.scalars import PSI
+from .entropy import theorem_delta
 from .rng import SplitMix64, derive_seed
 from .setfamily import (
     WORD_CAP,
@@ -34,27 +34,21 @@ from .setfamily import (
 
 __all__ = [
     "DEFAULT_MATERIALIZE_CAP",
-    "DEFAULT_SHARDS",
     "RANDOM_KINDS",
     "DegenerateSpecError",
     "ExampleSpec",
     "ExampleStats",
-    "ImplicitSliceFamily",
     "default_slice_level",
     "default_threshold",
     "slice_example",
     "slice_max_frequency",
-    "example_stats",
+    "slice_stats",
     "enumerate_union_closed",
     "random_families",
 ]
 
 DEFAULT_MATERIALIZE_CAP = 5_000_000
-DEFAULT_SHARDS = 16
 RANDOM_KINDS = ("uniform", "closure-of-random", "noisy-uc")
-
-#: 99% two-sided normal quantile for the Monte Carlo confidence halfwidth.
-_Z99 = 2.5758293035489004
 
 
 class DegenerateSpecError(ValueError):
@@ -73,7 +67,8 @@ def default_threshold(n: int) -> int:
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """Parameters of the slice example; k and m default from n.
+    """Parameters of the slice example (all k-sets of [n] plus every set of
+    size at least m); k and m default from n.
 
     Raises :class:`DegenerateSpecError` unless 0 < k < m <= n.  The
     default k overtakes the default m for n below roughly 50, which is a
@@ -84,13 +79,10 @@ class ExampleSpec:
     n: int
     k: int | None = None
     m: int | None = None
-    mode: str = "implicit"
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.mode not in ("explicit", "implicit"):
-            raise ValueError(f"mode must be 'explicit' or 'implicit', got {self.mode!r}")
         if self.k is None:
             object.__setattr__(self, "k", default_slice_level(self.n))
         if self.m is None:
@@ -104,7 +96,13 @@ class ExampleSpec:
 
 @dataclass(frozen=True)
 class ExampleStats:
-    """Measured and exact statistics of one slice example."""
+    """Exact statistics of one slice example.
+
+    ``closure_deficit`` is the exact ordered-pair deficit eps =
+    1 - closure_fraction; ``log2_inv_closure_deficit`` is log2(1/eps) from
+    its integer numerator and denominator, None when eps = 0.  ``delta``
+    and ``psi_minus_delta`` are the theorem's terms for this eps and |F|.
+    """
 
     n: int
     k: int
@@ -112,12 +110,11 @@ class ExampleStats:
     log2_f1: float
     log2_f2: float
     size_ratio: float
-    closure_fraction_estimate: float
-    ci_halfwidth: float
     max_freq_exact: float
-    samples: int
-    seed: int
-    shards: int
+    closure_deficit: Fraction
+    log2_inv_closure_deficit: float | None
+    delta: float
+    psi_minus_delta: float
 
 
 def _tail_weights(n: int, m: int) -> list[int]:
@@ -128,62 +125,17 @@ def _tail_weights(n: int, m: int) -> list[int]:
     return w
 
 
-class ImplicitSliceFamily:
-    """Symbolic handle to a slice example too large to materialize.
+def slice_example(spec: ExampleSpec, cap: int = DEFAULT_MATERIALIZE_CAP) -> SetFamily:
+    """Materialize the slice example as a SetFamily.
 
-    Supports membership by popcount and uniform sampling of literal masks
-    (component chosen by exact big-integer weights, then a uniform set of
-    the drawn size).  No iteration: the family typically has far more
-    members than atoms in reach.
+    Refuses to build more than ``cap`` sets or any universe beyond the
+    word cap; :func:`slice_stats` covers the example at any n.
     """
-
-    def __init__(self, spec: ExampleSpec) -> None:
-        self.spec = spec
-        self.n = spec.n
-        self.k = spec.k
-        self.m = spec.m
-        self.size_f1 = math.comb(self.n, self.k)
-        tail = _tail_weights(self.n, self.m)
-        self.size_f2 = sum(tail)
-        self.size = self.size_f1 + self.size_f2
-        cum = []
-        acc = 0
-        for w in tail:
-            acc += w
-            cum.append(acc)
-        self._tail_cum = cum
-
-    def __contains__(self, mask: int) -> bool:
-        if not 0 <= mask < 1 << self.n:
-            return False
-        size = mask.bit_count()
-        return size == self.k or size >= self.m
-
-    def sample_size(self, rng: SplitMix64) -> int:
-        """Draw the size of a uniform member (sufficient for closure tests)."""
-        r = rng.randbelow(self.size)
-        if r < self.size_f1:
-            return self.k
-        r -= self.size_f1
-        return self.m + bisect_right(self._tail_cum, r)
-
-    def sample(self, rng: SplitMix64) -> int:
-        """Draw a uniform member as a literal mask."""
-        return rng.sample_mask(self.n, self.sample_size(rng))
-
-
-def slice_example(spec: ExampleSpec, cap: int = DEFAULT_MATERIALIZE_CAP):
-    """Build the slice example: a SetFamily (explicit) or a handle (implicit).
-
-    Explicit mode refuses to materialize more than ``cap`` sets or any
-    universe beyond the word cap; implicit mode has no size limits.
-    """
-    if spec.mode == "implicit":
-        return ImplicitSliceFamily(spec)
     n, k, m = spec.n, spec.k, spec.m
     if n > WORD_CAP:
         raise CapExceededError(
-            f"explicit mode needs n <= {WORD_CAP}, got {n}; use implicit mode")
+            f"the slice example is materialized only for n <= {WORD_CAP}, got {n}; "
+            f"slice_stats gives its statistics at any n")
     total = math.comb(n, k) + sum(_tail_weights(n, m))
     if total > cap:
         raise CapExceededError(
@@ -206,90 +158,45 @@ def slice_max_frequency(spec: ExampleSpec) -> Fraction:
     return Fraction(containing, total)
 
 
-def _hyper_cdf(n: int, a: int, b: int) -> tuple[int, list[float]]:
-    """CDF table of the overlap |A & B| for uniform a- and b-subsets of [n].
+def slice_stats(spec: ExampleSpec) -> ExampleStats:
+    """Exact sizes, closure deficit and maximal frequency of a slice example.
 
-    Exact big-integer hypergeometric weights, cumulated, then rounded once
-    through Fraction -> float (correctly rounded, platform independent).
-    Returns (lowest overlap, cumulative probabilities).
+    A union with a member of size >= m has size >= m, so it stays in the
+    family, and two equal k-sets give a k-set back.  The only ordered
+    pairs whose union misses the family are two k-sets overlapping in x
+    elements with k < 2k - x < m.  There are C(n, k) C(k, x) C(n-k, k-x)
+    such pairs for each x, so
+
+        eps = C(n, k) sum_x C(k, x) C(n-k, k-x) / |F|^2.
+
+    The terms come from the ratio recurrence in x, in exact integers.
     """
-    lo = max(0, a + b - n)
-    hi = min(a, b)
-    c1 = math.comb(a, lo)
-    c2 = math.comb(n - a, b - lo)
-    den = math.comb(n, b)
-    acc = 0
-    cdf: list[float] = []
-    for x in range(lo, hi + 1):
-        acc += c1 * c2
-        cdf.append(float(Fraction(acc, den)))
-        if x < hi:
-            c1 = c1 * (a - x) // (x + 1)
-            c2 = c2 * (b - x) // (n - a - b + x + 1)
-    cdf[-1] = 1.0
-    return lo, cdf
-
-
-def example_stats(spec: ExampleSpec, samples: int, seed: int,
-                  shards: int = DEFAULT_SHARDS) -> ExampleStats:
-    """Exact sizes and a Monte Carlo closure estimate for a slice example.
-
-    The closure indicator for a sampled pair depends only on the size of
-    the union (the family is a union of full levels), and the overlap of
-    two uniform fixed-size sets is hypergeometric given their sizes, so
-    the estimator samples (size_A, size_B, overlap) instead of 1000-bit
-    masks.  Same distribution as literal sampling, orders of magnitude
-    faster.  Samples are split across a fixed number of shards with
-    derived per-shard seeds, so the result is independent of any later
-    parallel execution layout.
-    """
-    if samples < 1_000:
-        raise ValueError("samples must be at least 1000")
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    # union-size concentration: two k-slices typically overlap near k^2/n,
-    # putting the union near 2k - k^2/n; with k/n -> psi that approaches
-    # (2 psi - psi^2) n = (1 - psi) n, exactly the F2 threshold rate
-    assert abs((1.0 - PSI) - (2.0 * PSI - PSI * PSI)) < 1e-15
-
-    handle = ImplicitSliceFamily(spec)
     n, k, m = spec.n, spec.k, spec.m
-    log2_f1 = math.log2(handle.size_f1)
-    log2_f2 = math.log2(handle.size_f2)
-    size_ratio = float(Fraction(handle.size_f2, handle.size_f1))
-    max_freq = float(slice_max_frequency(spec))
+    size_f1 = math.comb(n, k)
+    size_f2 = sum(_tail_weights(n, m))
+    size = size_f1 + size_f2
 
-    tables: dict[tuple[int, int], tuple[int, list[float]]] = {}
-    hits = 0
-    base, extra = divmod(samples, shards)
-    for shard in range(shards):
-        rng = SplitMix64(derive_seed(seed, shard))
-        for _ in range(base + (1 if shard < extra else 0)):
-            a = handle.sample_size(rng)
-            b = handle.sample_size(rng)
-            key = (a, b) if a <= b else (b, a)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = _hyper_cdf(n, key[0], key[1])
-            lo, cdf = table
-            overlap = lo + bisect_right(cdf, rng.random())
-            union_size = a + b - overlap
-            if union_size == k or union_size >= m:
-                hits += 1
-
-    p_hat = hits / samples
-    halfwidth = _Z99 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    lo = max(0, 2 * k - m + 1, 2 * k - n)  # unions below m, and overlaps that fit in [n]
+    c1 = math.comb(k, lo)
+    c2 = math.comb(n - k, k - lo)
+    missing = 0
+    for x in range(lo, k):  # x = k is A = B, whose union is a member
+        missing += c1 * c2
+        c1 = c1 * (k - x) // (x + 1)
+        c2 = c2 * (k - x) // (n - 2 * k + x + 1)
+    eps = Fraction(size_f1 * missing, size * size)
+    delta = theorem_delta(eps, size)
     return ExampleStats(
         n=n, k=k, m=m,
-        log2_f1=log2_f1,
-        log2_f2=log2_f2,
-        size_ratio=size_ratio,
-        closure_fraction_estimate=p_hat,
-        ci_halfwidth=halfwidth,
-        max_freq_exact=max_freq,
-        samples=samples,
-        seed=seed,
-        shards=shards,
+        log2_f1=math.log2(size_f1),
+        log2_f2=math.log2(size_f2),
+        size_ratio=float(Fraction(size_f2, size_f1)),
+        max_freq_exact=float(slice_max_frequency(spec)),
+        closure_deficit=eps,
+        log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)
+                                  if eps else None),
+        delta=delta,
+        psi_minus_delta=PSI - delta,
     )
 
 

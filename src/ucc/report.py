@@ -153,13 +153,11 @@ def example_stats_obj(stats: ExampleStats) -> dict[str, Any]:
             "log2_f1": stats.log2_f1,
             "log2_f2": stats.log2_f2,
             "size_ratio": stats.size_ratio,
-            "closure_fraction_estimate": stats.closure_fraction_estimate,
-            "ci_halfwidth": stats.ci_halfwidth,
-            "ci_level": 0.99,
             "max_freq_exact": stats.max_freq_exact,
-            "samples": stats.samples,
-            "seed": stats.seed,
-            "shards": stats.shards,
+            "closure_deficit": float(stats.closure_deficit),
+            "log2_inv_closure_deficit": stats.log2_inv_closure_deficit,
+            "delta": stats.delta,
+            "psi_minus_delta": stats.psi_minus_delta,
         }
     }
 

@@ -1,4 +1,4 @@
-"""Deterministic pseudo-randomness for samplers and fuzzing.
+"""Deterministic pseudo-randomness for the fuzz family streams.
 
 Everything random in this package flows through SplitMix64 (Steele, Lea &
 Flood's 64-bit mix, the seeding generator of the xoshiro family).  It is
@@ -98,10 +98,3 @@ class SplitMix64:
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
         return out
-
-    def sample_mask(self, n: int, k: int) -> int:
-        """Uniform k-subset of an n-element ground set, as a bit mask."""
-        mask = 0
-        for pos in self.shuffle_prefix(n, k):
-            mask |= 1 << pos
-        return mask

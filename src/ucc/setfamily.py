@@ -26,8 +26,10 @@ One cell cap bounds its memory in both regimes: a histogram of more than
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
 binary searches in the sorted unions, never a table over 2^n masks.
-:attr:`SetFamily.frequency_profile` likewise caches the element
-frequencies that the theorem check and the lower bound share.
+:attr:`SetFamily.union_entropy` caches the entropy of that histogram, read
+by the union distribution and all three entropy checks, and
+:attr:`SetFamily.frequency_profile` the element frequencies that the
+theorem check and the lower bound share.
 
 The text format (``.uc``) is a header line ``n=<universe size>`` followed
 by one bit string per set, leftmost character = element 1.  ``#`` starts a
@@ -37,6 +39,7 @@ comment, blank lines are skipped, CRLF is tolerated.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -175,6 +178,13 @@ class SetFamily:
         return unions, counts
 
     @cached_property
+    def union_entropy(self) -> float:
+        """Entropy in bits of A | B for independent uniform draws A, B,
+        from :attr:`union_counts`; computed on first use and kept for the
+        life of the family, so every entropy check reads this one value."""
+        return _entropy_from_counts(self.union_counts[1].tolist(), self.size ** 2)
+
+    @cached_property
     def frequency_profile(self) -> FrequencyProfile:
         """Element frequencies of :func:`element_frequencies`, computed on
         first use and kept for the life of the family."""
@@ -192,6 +202,12 @@ class SetFamily:
         max_freq = freq[argmax]
         return FrequencyProfile(freq=freq, max_freq=max_freq, argmax=argmax,
                                 p_min_zero=1 - max_freq)
+
+
+def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
+    # H = log2(T) - (1/T) sum c log2 c, exact integer counts throughout
+    acc = math.fsum(c * math.log2(c) for c in counts if c > 0)
+    return math.log2(total) - acc / total
 
 
 @dataclass(frozen=True)

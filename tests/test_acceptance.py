@@ -140,21 +140,29 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
 def test_acceptance_5_slice_example():
     failures = []
     t0 = time.perf_counter()
-    stats = ucc.example_stats(ucc.ExampleSpec(n=1000), samples=100_000, seed=42)
+    stats = ucc.slice_stats(ucc.ExampleSpec(n=1000))
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
-        failures.append(f"sampling took {elapsed:.1f}s, budget 30s")
-    if stats.closure_fraction_estimate < 0.995:
-        failures.append(f"closure estimate {stats.closure_fraction_estimate!r}")
+        failures.append(f"exact statistics took {elapsed:.1f}s, budget 30s")
+    if not stats.closure_deficit < Fraction(5, 1000):
+        failures.append(f"closure deficit {float(stats.closure_deficit)!r}")
     if stats.size_ratio > 1e-6:
         failures.append(f"size ratio {stats.size_ratio!r}")
     if abs(stats.max_freq_exact - 0.482) > 0.01:
         failures.append(f"max frequency {stats.max_freq_exact!r}")
 
-    freqs = [float(ucc.slice_max_frequency(ucc.ExampleSpec(n=n)))
-             for n in (1000, 4000, 16000)]
-    if not (freqs[0] > freqs[1] > freqs[2] > ucc.PSI):
-        failures.append(f"frequency sweep not decreasing toward psi: {freqs}")
+    # the squeeze: eps and max_freq - psi fall together, and the theorem's
+    # bound psi - delta stays at or below max_freq
+    sweep = [ucc.slice_stats(ucc.ExampleSpec(n=n)) for n in (1000, 4000, 16000)]
+    deficits = [s.closure_deficit for s in sweep]
+    gaps = [s.max_freq_exact - ucc.PSI for s in sweep]
+    if not deficits[0] > deficits[1] > deficits[2] > 0:
+        failures.append(f"closure deficit not falling: {[float(d) for d in deficits]}")
+    if not gaps[0] > gaps[1] > gaps[2] > 0:
+        failures.append(f"frequency sweep not decreasing toward psi: {gaps}")
+    for n, s in zip((1000, 4000, 16000), sweep):
+        if not s.psi_minus_delta <= s.max_freq_exact:
+            failures.append(f"n={n}: psi - delta {s.psi_minus_delta!r} above max_freq")
     _verdict("5/7 large slice example statistics and frequency sweep", failures)
 
 
@@ -202,7 +210,7 @@ def test_acceptance_7_deterministic_reports(capsys):
         ["analytic", "minimize"],
         ["analytic", "grid", "--grid", "101"],
         ["analytic", "certify", "--theta", "0.80", "--eta", "0.01"],
-        ["example", "--n", "1000", "--samples", "2000"],
+        ["example", "--n", "1000"],
         ["enumerate", "--n", "3"],
         ["fuzz", "--n", "5", "--count", "50", "--seed", "3", "--entropy-checks"],
     ]

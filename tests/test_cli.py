@@ -183,13 +183,28 @@ def test_example_degenerate_spec(capsys):
 
 
 def test_example_n1000(capsys):
-    code, out, _ = run(capsys, "example", "--n", "1000", "--samples", "2000")
+    code, out, _ = run(capsys, "example", "--n", "1000")
     assert code == 0
     obj = json.loads(out)["example"]
     assert (obj["n"], obj["k"], obj["m"]) == (1000, 482, 619)
-    assert obj["closure_fraction_estimate"] >= 0.99
+    assert obj["max_freq_exact"] == 0.4820000000002667
+    assert obj["closure_deficit"] == 1.5150133934948656e-48
+    assert obj["log2_inv_closure_deficit"] == pytest.approx(158.853, abs=1e-3)
+    assert obj["psi_minus_delta"] <= obj["max_freq_exact"]
     assert obj["size_ratio"] < 1e-6
-    assert obj["samples"] == 2000
+
+
+def test_example_null_log2_when_union_closed(capsys):
+    code, out, _ = run(capsys, "example", "--n", "10", "--k", "3", "--m", "4")
+    assert code == 0
+    assert '"log2_inv_closure_deficit":null' in out
+    assert json.loads(out)["example"]["closure_deficit"] == 0.0
+
+
+def test_example_and_certify_take_no_sampling_or_tol_options(capsys):
+    for option in ("--samples", "--seed", "--shards", "--tol"):
+        assert run(capsys, "example", "--n", "1000", option, "1")[0] == 2, option
+    assert run(capsys, "analytic", "certify", "--tol", "1")[0] == 2
 
 
 def test_enumerate_n3(capsys):
@@ -256,7 +271,7 @@ def test_stdout_byte_identical_across_runs(capsys):
         ("entropy", TWO_SINGLETONS),
         ("fuzz", "--n", "5", "--count", "20", "--seed", "3"),
         ("analytic", "certify", "--theta", "0.80", "--eta", "0.01"),
-        ("example", "--n", "1000", "--samples", "1000"),
+        ("example", "--n", "1000"),
     ]
     for argv in goldens:
         _, first, _ = run(capsys, *argv)

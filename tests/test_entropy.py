@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucc
+import ucc.entropy
+import ucc.setfamily
+from ucc.cli import run_cli
+from tests.conftest import DATA_DIR
 
 H_QUARTER = 0.8112781244591328  # h(1/4)
 # delta for {∅,{1},{2}}: eps=2/9, |F|=3
@@ -174,3 +178,23 @@ def test_union_entropy_definition(fam):
     brute = -math.fsum(float(p) * math.log2(float(p))
                        for p in dist.probs.values() if p > 0)
     assert ucc.shannon_entropy(dist) == pytest.approx(brute, abs=1e-10)
+
+
+def test_entropy_run_evaluates_union_entropy_once(monkeypatch, capsys):
+    # every entropy of a whole pair-union histogram (total = |F|^2) goes
+    # through _entropy_from_counts; one `ucc entropy` run may take one
+    totals = []
+    original = ucc.setfamily._entropy_from_counts
+
+    def counted(counts, total):
+        totals.append(total)
+        return original(counts, total)
+
+    monkeypatch.setattr(ucc.setfamily, "_entropy_from_counts", counted)
+    monkeypatch.setattr(ucc.entropy, "_entropy_from_counts", counted)
+    for path in sorted(DATA_DIR.glob("*.uc")):
+        size = ucc.load_family(str(path)).size
+        totals.clear()
+        assert run_cli(["entropy", str(path)]) == 0
+        capsys.readouterr()
+        assert totals.count(size ** 2) == 1, path.name

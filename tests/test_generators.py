@@ -8,17 +8,19 @@ import pytest
 import ucc
 from ucc.generators import (
     DegenerateSpecError,
-    _hyper_cdf,
     default_slice_level,
     default_threshold,
 )
-from ucc.rng import SplitMix64
 
 # independent big-integer oracle values for the n=1000 default example
 LOG2_F1_1000 = 993.7568655454946
 LOG2_F2_1000 = 954.838661794462
 RATIO_1000 = 1.925099998075646e-12
 MAX_FREQ_1000 = 0.4820000000002667
+CLOSURE_DEFICIT_1000 = 1.5150133934948656e-48
+
+# slice specs (n, k, m) small enough to materialize, each with pairs that miss
+EXPLICIT_SPECS = ((4, 1, 3), (10, 3, 7), (12, 4, 8), (16, 5, 10))
 
 # brute-force counts of union-closed families (empty-set members allowed)
 ENUM_COUNTS = {1: 3, 2: 13, 3: 121, 4: 4959}
@@ -50,11 +52,11 @@ def test_manual_spec_validation():
     with pytest.raises(DegenerateSpecError):
         ucc.ExampleSpec(n=10, k=3, m=11)
     with pytest.raises(ValueError):
-        ucc.ExampleSpec(n=10, k=3, m=7, mode="hybrid")
+        ucc.ExampleSpec(n=0)
 
 
 def test_explicit_sizes_pinned():
-    fam = ucc.slice_example(ucc.ExampleSpec(n=10, k=3, m=7, mode="explicit"))
+    fam = ucc.slice_example(ucc.ExampleSpec(n=10, k=3, m=7))
     # C(10,3) + C(10,7)+C(10,8)+C(10,9)+C(10,10) = 120 + 176
     assert fam.size == 296
     sizes = {m.bit_count() for m in fam.sets}
@@ -63,48 +65,16 @@ def test_explicit_sizes_pinned():
 
 def test_explicit_requires_materializable_spec():
     with pytest.raises(ucc.CapExceededError):
-        ucc.slice_example(ucc.ExampleSpec(n=40, k=20, m=30, mode="explicit"))
-    with pytest.raises(ucc.CapExceededError, match="implicit"):
-        ucc.slice_example(ucc.ExampleSpec(n=80, k=20, m=60, mode="explicit"))
-
-
-def test_implicit_explicit_agree_exhaustively():
-    spec_e = ucc.ExampleSpec(n=12, k=4, m=8, mode="explicit")
-    spec_i = ucc.ExampleSpec(n=12, k=4, m=8)
-    fam = ucc.slice_example(spec_e)
-    handle = ucc.slice_example(spec_i)
-    assert isinstance(handle, ucc.ImplicitSliceFamily)
-    assert handle.size == fam.size
-    members = set(fam.sets)
-    for mask in range(1 << 12):
-        assert (mask in handle) == (mask in members)
-
-
-def test_implicit_explicit_agree_spot_n16():
-    fam = ucc.slice_example(ucc.ExampleSpec(n=16, k=5, m=10, mode="explicit"))
-    handle = ucc.ImplicitSliceFamily(ucc.ExampleSpec(n=16, k=5, m=10))
-    assert handle.size == fam.size
-    members = set(fam.sets)
-    rng = SplitMix64(2024)
-    for _ in range(5000):
-        mask = rng.getrandbits(16)
-        assert (mask in handle) == (mask in members)
-
-
-def test_implicit_sampling_stays_inside_family():
-    handle = ucc.ImplicitSliceFamily(ucc.ExampleSpec(n=30, k=9, m=20))
-    rng = SplitMix64(77)
-    for _ in range(300):
-        mask = handle.sample(rng)
-        assert mask in handle
-        assert mask.bit_count() == 9 or mask.bit_count() >= 20
+        ucc.slice_example(ucc.ExampleSpec(n=40, k=20, m=30))
+    with pytest.raises(ucc.CapExceededError, match="slice_stats"):
+        ucc.slice_example(ucc.ExampleSpec(n=80, k=20, m=60))
 
 
 def test_slice_max_frequency_small_exact():
     # n=4, k=1, m=3: 4 singletons + 5 large sets, every element in 5 of 9
     frac = ucc.slice_max_frequency(ucc.ExampleSpec(n=4, k=1, m=3))
     assert frac == Fraction(5, 9)
-    fam = ucc.slice_example(ucc.ExampleSpec(n=4, k=1, m=3, mode="explicit"))
+    fam = ucc.slice_example(ucc.ExampleSpec(n=4, k=1, m=3))
     prof = ucc.element_frequencies(fam)
     assert prof.max_freq == frac
 
@@ -115,62 +85,41 @@ def test_slice_max_frequency_n1000():
 
 
 def test_example_stats_n1000_oracles():
-    stats = ucc.example_stats(ucc.ExampleSpec(n=1000), samples=20_000, seed=42)
+    stats = ucc.slice_stats(ucc.ExampleSpec(n=1000))
     assert stats.log2_f1 == pytest.approx(LOG2_F1_1000, abs=1e-9)
     assert stats.log2_f2 == pytest.approx(LOG2_F2_1000, abs=1e-9)
     assert stats.size_ratio == pytest.approx(RATIO_1000, rel=1e-9)
     assert stats.max_freq_exact == pytest.approx(MAX_FREQ_1000, abs=1e-15)
-    # F2 is 12 orders of magnitude lighter than F1: unions of two slice
-    # sets land in the family essentially always
-    assert stats.closure_fraction_estimate >= 0.995
-    assert stats.samples == 20_000
-    assert stats.seed == 42
+    # F2 is 12 orders of magnitude lighter than F1, and two k-sets almost
+    # never overlap enough to keep their union below m
+    assert float(stats.closure_deficit) == CLOSURE_DEFICIT_1000
+    assert stats.log2_inv_closure_deficit == pytest.approx(158.853, abs=1e-3)
+    assert 0.0 < stats.delta < 1e-47  # psi - delta rounds back to psi
+    assert stats.psi_minus_delta == ucc.PSI < stats.max_freq_exact
 
 
-def test_example_stats_deterministic():
-    spec = ucc.ExampleSpec(n=100, k=30, m=75)
-    a = ucc.example_stats(spec, samples=5000, seed=9)
-    b = ucc.example_stats(spec, samples=5000, seed=9)
-    assert a == b
-    c = ucc.example_stats(spec, samples=5000, seed=10)
-    assert c.closure_fraction_estimate != a.closure_fraction_estimate
+@pytest.mark.parametrize("n,k,m", EXPLICIT_SPECS)
+def test_closure_deficit_matches_explicit_family(n, k, m):
+    spec = ucc.ExampleSpec(n=n, k=k, m=m)
+    fam = ucc.slice_example(spec)
+    eps = 1 - ucc.closure_fraction(fam)
+    stats = ucc.slice_stats(spec)
+    assert eps > 0
+    assert stats.closure_deficit == eps  # exact Fraction equality
+    assert stats.log2_inv_closure_deficit == pytest.approx(-math.log2(eps), abs=1e-12)
+    theorem = ucc.check_theorem(fam)
+    assert (stats.delta, stats.psi_minus_delta) == (theorem.delta, theorem.psi_minus_delta)
+    assert stats.max_freq_exact == float(theorem.max_freq)
 
 
-def test_example_stats_halfwidth_scales_with_samples():
-    spec = ucc.ExampleSpec(n=100, k=30, m=75)
-    small = ucc.example_stats(spec, samples=20_000, seed=5)
-    large = ucc.example_stats(spec, samples=80_000, seed=5)
-    assert 0.0 < small.ci_halfwidth < 1.0
-    ratio = large.ci_halfwidth / small.ci_halfwidth
-    assert 0.42 <= ratio <= 0.58  # 1/sqrt(4) up to estimator noise
-
-
-def test_example_stats_matches_literal_brute_force():
-    # exact ordered-pair closure fraction of the materialized family
-    spec = ucc.ExampleSpec(n=12, k=4, m=8)
-    fam = ucc.slice_example(ucc.ExampleSpec(n=12, k=4, m=8, mode="explicit"))
-    members = set(fam.sets)
-    good = sum((a | b) in members for a in fam.sets for b in fam.sets)
-    exact = good / fam.size ** 2
-    stats = ucc.example_stats(spec, samples=40_000, seed=31)
-    assert abs(stats.closure_fraction_estimate - exact) <= 5 * stats.ci_halfwidth
-
-
-def test_hypergeometric_cdf_against_brute_force():
-    n, a, b = 10, 4, 6
-    lo, cdf = _hyper_cdf(n, a, b)
-    # overlap t ranges over [max(0, a+b-n), min(a, b)]
-    assert lo == max(0, a + b - n)
-    total = math.comb(n, b)
-    acc = Fraction(0)
-    exact = []
-    for t in range(lo, min(a, b) + 1):
-        acc += Fraction(math.comb(a, t) * math.comb(n - a, b - t), total)
-        exact.append(float(acc))
-    assert len(cdf) == len(exact)
-    for got, want in zip(cdf, exact):
-        assert got == pytest.approx(want, abs=1e-15)
-    assert cdf[-1] == 1.0
+def test_closure_deficit_zero_on_union_closed_spec():
+    # 2k - 1 >= m: two distinct 3-sets always reach size 4
+    spec = ucc.ExampleSpec(n=10, k=3, m=4)
+    assert ucc.is_union_closed(ucc.slice_example(spec))
+    stats = ucc.slice_stats(spec)
+    assert stats.closure_deficit == 0
+    assert stats.log2_inv_closure_deficit is None
+    assert (stats.delta, stats.psi_minus_delta) == (0.0, ucc.PSI)
 
 
 def test_enumerate_counts_pinned():

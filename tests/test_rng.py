@@ -68,14 +68,6 @@ def test_getrandbits_width(k):
         assert 0 <= rng.getrandbits(k) < (1 << k)
 
 
-def test_sample_mask_popcount():
-    rng = SplitMix64(5)
-    for n, k in ((10, 3), (63, 63), (1, 0), (40, 1), (17, 9)):
-        mask = rng.sample_mask(n, k)
-        assert mask.bit_count() == k
-        assert mask < (1 << n)
-
-
 def test_shuffle_prefix_is_a_partial_permutation():
     rng = SplitMix64(8)
     n, k = 1000, 50
@@ -104,7 +96,7 @@ def test_derive_seed_output_is_64_bit():
         assert 0 <= s < (1 << 64)
 
 
-def test_sample_mask_rejects_bad_counts():
+def test_shuffle_prefix_rejects_bad_counts():
     rng = SplitMix64(1)
     with pytest.raises(ValueError):
-        rng.sample_mask(4, 5)
+        rng.shuffle_prefix(4, 5)
