@@ -1,7 +1,8 @@
 """Interval branch and bound: certifying a floor under f, or refuting one.
 
-Pointwise grids can miss dips between samples.  The certifier covers
-the square [eta, 1-eta]^2 with boxes, bounds f on each box with
+Pointwise grids can miss dips between samples.  The certifier covers the
+square [eta, 1-eta]^2 with boxes (only its half x <= y: f is symmetric,
+so boxes wholly in x > y are dropped), bounds f on each box with
 outward-rounded interval arithmetic, and splits the box with the lowest
 bound first: until every box clears the threshold theta, until the
 minimum of f is bracketed below it, or until the box budget or the depth

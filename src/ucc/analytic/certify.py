@@ -20,7 +20,15 @@ the global minimizer.  A box's fate depends only on the box, never on
 the order of the search, so a verified run's cover of accepted leaves
 does not depend on that order either.
 
-The resulting certificate covers ONLY the eta-interior.  The four boundary
+Mirrored boxes are dropped.  f(x, y) = f(y, x) and the root box is
+symmetric, so a box with x_lo > y_hi lies wholly in the region x > y,
+whose mirror image the kept boxes cover.  Such a box is discarded when it
+is created, before it is counted or enclosed: ``boxes_processed``, the
+accepted and indeterminate leaves and the trace digest cover only boxes
+that meet {x <= y}, about half the work of the full square.  A checker
+that replays a certificate's cover must apply the same cut.
+
+The resulting certificate covers ONLY the eta-interior.  The boundary
 strips of width eta are additionally scanned by dense pointwise sampling,
 which is evidence, not proof; their report is kept separate and the
 limitation is stated on every certificate.
@@ -98,15 +106,18 @@ class BoundaryScan:
 class Certificate:
     """Outcome of one branch-and-bound run.
 
-    ``verified`` is true iff every box of the interior partition was
-    accepted within the budget.  ``boxes_processed`` counts every
-    enclosure of the run, localization included, and never exceeds the
-    box budget.  ``violation_boxes`` are certified refutations clustered
-    at the global minimizer (empty when verified).  ``worst_box`` is the
-    box with the smallest certified upper bound on f among the incumbent,
-    the indeterminate leaves and the boxes left pending when verification
-    failed for any reason, else None.  ``status`` is one of ``verified``,
-    ``refuted``, ``indeterminate``, ``budget_exhausted``.
+    ``verified`` is true iff every box of the interior partition that
+    meets {x <= y} was accepted within the budget; mirrored boxes (x_lo >
+    y_hi) are dropped, since f is symmetric, and a checker replaying the
+    cover must drop them too.  ``boxes_processed`` counts every enclosure
+    of the run, localization included, so only boxes that meet {x <= y},
+    and never exceeds the box budget.  ``violation_boxes`` are certified
+    refutations clustered at the global minimizer (empty when verified).
+    ``worst_box`` is the box with the smallest certified upper bound on f
+    among the incumbent, the indeterminate leaves and the boxes left
+    pending when verification failed for any reason, else None.  ``status``
+    is one of ``verified``, ``refuted``, ``indeterminate``,
+    ``budget_exhausted``.
     """
 
     threshold: float
@@ -150,7 +161,14 @@ def _leaf_digest(status: str, box: Box) -> int:
 
 
 def _scan_strips(theta: float, eta: float, strip_points: int) -> BoundaryScan:
-    """Sample f on the four width-eta boundary strips of [0, 1]^2."""
+    """Sample f on the four width-eta boundary strips of [0, 1]^2.
+
+    Only the strips x <= eta and x >= 1-eta are evaluated.  The strips
+    y <= eta and y >= 1-eta are their exact mirror images on the same
+    points, f(x, y) == f(y, x) bit for bit and the minimum moves only on a
+    strict ``<``, so scanning them could change neither the minimum nor
+    its location.
+    """
     thin = max(2, math.isqrt(strip_points))
     long_ = max(2, strip_points // thin)
 
@@ -166,8 +184,7 @@ def _scan_strips(theta: float, eta: float, strip_points: int) -> BoundaryScan:
 
     best = math.inf
     best_at = (0.0, 0.0)
-    for xs, ys in ((thin_lo, full), (thin_hi, full),
-                   (full, thin_lo), (full, thin_hi)):
+    for xs, ys in ((thin_lo, full), (thin_hi, full)):
         for x in xs:
             for y in ys:
                 v = f_ratio(x, y)
@@ -177,8 +194,6 @@ def _scan_strips(theta: float, eta: float, strip_points: int) -> BoundaryScan:
     return BoundaryScan(points_per_strip=thin * long_, min_value=best,
                         min_location=best_at,
                         all_above_threshold=best >= theta)
-
-
 
 
 def certify_lower_bound(
@@ -219,6 +234,8 @@ def certify_lower_bound(
 
     def enclose(box: Box, depth: int) -> None:
         nonlocal processed, accepted, max_depth_used, digest_acc, best_box, best_hi
+        if box.x_lo > box.y_hi:
+            return  # wholly in x > y: its mirror image is covered, f is symmetric
         processed += 1
         max_depth_used = max(max_depth_used, depth)
         enc = f_mean_value(box.x, box.y)

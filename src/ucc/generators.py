@@ -152,10 +152,14 @@ def slice_max_frequency(spec: ExampleSpec) -> Fraction:
     By symmetry every element has the same frequency:
     [C(n-1, k-1) + sum_{j >= m} C(n-1, j-1)] / [C(n, k) + sum_{j >= m} C(n, j)].
     """
+    size = math.comb(spec.n, spec.k) + sum(_tail_weights(spec.n, spec.m))
+    return _max_frequency(spec, size)
+
+
+def _max_frequency(spec: ExampleSpec, size: int) -> Fraction:
+    """The frequency of every element, given the family size |F|."""
     n, k, m = spec.n, spec.k, spec.m
-    containing = math.comb(n - 1, k - 1) + sum(_tail_weights(n - 1, m - 1))
-    total = math.comb(n, k) + sum(_tail_weights(n, m))
-    return Fraction(containing, total)
+    return Fraction(math.comb(n - 1, k - 1) + sum(_tail_weights(n - 1, m - 1)), size)
 
 
 def slice_stats(spec: ExampleSpec) -> ExampleStats:
@@ -191,7 +195,7 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
         log2_f1=math.log2(size_f1),
         log2_f2=math.log2(size_f2),
         size_ratio=float(Fraction(size_f2, size_f1)),
-        max_freq_exact=float(slice_max_frequency(spec)),
+        max_freq_exact=float(_max_frequency(spec, size)),
         closure_deficit=eps,
         log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)
                                   if eps else None),

@@ -1,12 +1,14 @@
 """Branch-and-bound certificates: soundness, statuses, determinism."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 import ucc
 from ucc.analytic import Interval, f_mean_value
-from ucc.analytic.certify import Box, ViolationBox, _split
+from ucc.analytic import certify
+from ucc.analytic.certify import Box, BoundaryScan, ViolationBox, _scan_strips, _split
 
 
 def test_split_bisects_longer_side():
@@ -42,11 +44,40 @@ def test_verified_certificate_coarse():
     assert cert.boxes_processed < 5000
     assert cert.region == ((0.01, 0.99), (0.01, 0.99))
     # the cover itself: a change of search order must not change it
-    assert cert.boxes_processed == 483
-    assert cert.accepted_boxes == 242
+    assert cert.boxes_processed == 310
+    assert cert.accepted_boxes == 146
     assert cert.max_depth_used == 15
     assert cert.trace_digest == (
-        "17a1412703bf6d37b5443ec1f57cd389ac1f4b7c73af1840b8e10bf0c356162f")
+        "8de403b8dede3983d9bf4962afc719f0ae1259f9dd4ead89d5f51aa4994e32ac")
+
+
+def _area_where_x_le_y(a, b, c, d):
+    """Exact area of {x <= y} inside the box [a, b] x [c, d] (Fractions)."""
+    area = max(Fraction(0), min(b, c) - a) * (d - c)  # columns x < c: all of [c, d]
+    x0, x1 = max(a, c), min(b, d)  # columns c <= x <= d: y in [x, d]
+    if x0 < x1:
+        area += ((d - x0) ** 2 - (d - x1) ** 2) / 2
+    return area
+
+
+def test_verified_cover_tiles_the_half_square(monkeypatch):
+    # mirrored boxes are dropped, so the accepted leaves must tile exactly
+    # the part of [eta, 1-eta]^2 where x <= y, and nothing wholly beyond it
+    leaves = []
+
+    def record(status, box):
+        leaves.append((status, box))
+        return digest(status, box)
+
+    digest = certify._leaf_digest
+    monkeypatch.setattr(certify, "_leaf_digest", record)
+    cert = ucc.certify_lower_bound(theta=0.7, eta=0.01)
+    assert cert.status == "verified"
+    assert len(leaves) == cert.accepted_boxes == 146
+    assert all(status == "ok" and box.x_lo <= box.y_hi for status, box in leaves)
+    area = sum(_area_where_x_le_y(*map(Fraction, box)) for _, box in leaves)
+    (lo, hi), _ = cert.region
+    assert area == (Fraction(hi) - Fraction(lo)) ** 2 / 2
 
 
 def test_refuted_certificate_boxes_are_sound_and_localized():
@@ -103,7 +134,7 @@ def test_shallow_refutation_counts_no_indeterminate_leaves():
     cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4, max_depth=20)
     assert cert.status == "refuted"
     assert cert.indeterminate_boxes == 0
-    assert cert.boxes_processed == 13_125
+    assert cert.boxes_processed == 7_044
     assert cert.violation_boxes == (ViolationBox(
         0.6171640625000001, 0.6181404296875002,
         0.6171640625000001, 0.6181404296875002, 0.8090201163440421),)
@@ -160,3 +191,39 @@ def test_threshold_above_minimum_is_not_rejected():
     # run must degrade to a refutation, not an exception
     cert = ucc.certify_lower_bound(theta=0.8091, eta=0.01)
     assert cert.status == "refuted"
+
+
+def _scan_four_strips(theta, eta, strip_points):
+    """The scan over all four strips, mirrored pairs included."""
+    thin = max(2, math.isqrt(strip_points))
+    long_ = max(2, strip_points // thin)
+
+    def linspace(a, b, m):
+        step = (b - a) / (m - 1)
+        pts = [a + i * step for i in range(m)]
+        pts[-1] = b
+        return pts
+
+    thin_lo = linspace(0.0, eta, thin)
+    thin_hi = linspace(1.0 - eta, 1.0, thin)
+    full = linspace(0.0, 1.0, long_)
+    best, best_at = math.inf, (0.0, 0.0)
+    for xs, ys in ((thin_lo, full), (thin_hi, full),
+                   (full, thin_lo), (full, thin_hi)):
+        for x in xs:
+            for y in ys:
+                v = ucc.f_ratio(x, y)
+                if v < best:
+                    best, best_at = v, (x, y)
+    return BoundaryScan(points_per_strip=thin * long_, min_value=best,
+                        min_location=best_at, all_above_threshold=best >= theta)
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-3, 0.01, 0.05, 0.0999])
+def test_strip_scan_skips_only_mirror_images(eta):
+    # the mirrored strips hold the same values, so they can never move the
+    # strict minimum: two strips report exactly what four did
+    for strip_points in (1, 2, 3, 10, 400, 1000, 2500):
+        for theta in (0.7, 0.809016, 0.95, 1.0):
+            assert (repr(_scan_strips(theta, eta, strip_points))
+                    == repr(_scan_four_strips(theta, eta, strip_points)))

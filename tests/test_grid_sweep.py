@@ -19,11 +19,18 @@ from ucc.analytic import grid_margin_rows, scalars
 
 
 def test_block_edges_straddled():
-    # one block up to 256 points; 257 needs a second block of two rows
-    rows = [scalars._BLOCK_CELLS // n for n in (255, 256, 257, 1001)]
-    assert rows == [257, 256, 255, 65]
+    # one block up to 90 points; 91 needs a second block of one row
+    rows = [scalars._BLOCK_CELLS // n for n in (90, 91, 1001)]
+    assert rows == [91, 90, 8]
+    shapes = [[m.shape for _, m in grid_margin_rows(n)[1]] for n in (90, 91)]
+    assert shapes == [[(90, 90)], [(90, 91), (1, 91)]]
+    for n in (90, 91):  # below the grid check's floor of 100 points
+        for a, b in zip(ucc.grid_margins(n), oracle.grid_margins(n)):
+            np.testing.assert_array_equal(a, b)
 
 
+# 256 points fill eight blocks of 32 rows exactly; 255 leave the last block
+# one row short, and 257 need a ninth block
 @pytest.mark.parametrize(
     "grid_points", [100, 101, 255, 256, 257, 1000, 1001, 2001])
 def test_grid_check_equals_full_matrix(grid_points):
@@ -91,13 +98,14 @@ def test_csv_dump_equals_full_matrix_rows(monkeypatch):
 
 
 def test_grid_check_memory_does_not_grow_with_the_grid():
-    # the full-matrix sweep holds about 500 MB at 3001 points
+    # the full-matrix sweep holds about 500 MB at 3001 points, and 2^16-cell
+    # blocks about 5.4 MiB; 2^13-cell blocks stay near 0.6 MiB
     tracemalloc.start()
     try:
         gc = ucc.corollary_grid_check(3001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * (1 << 20)
+    assert peak < 1 << 20
     assert gc.grid_points == 3001
     assert gc.min_margin >= -1e-12
