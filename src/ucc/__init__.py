@@ -10,7 +10,6 @@ families, and `cli` wires everything into the `ucc` command.
 """
 
 from .analytic import (
-    CONSTANTS,
     HALF_INV_PHI,
     PHI,
     PSI,
@@ -68,7 +67,6 @@ from .setfamily import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "HALF_INV_PHI",
     "PHI",
     "PSI",

@@ -2,13 +2,10 @@
 the branch-and-bound certificate for the minimum of f."""
 
 from .scalars import (
-    CONSTANTS,
     HALF_INV_PHI,
     PHI,
     PSI,
-    Constants,
     DiagonalMinimum,
-    GFamily,
     GridCheck,
     big_g_of,
     binary_entropy,
@@ -16,7 +13,6 @@ from .scalars import (
     corollary_margin,
     diagonal_ratio,
     f_ratio,
-    g_family,
     g_of,
     g_prime_of,
     grid_margin_rows,
@@ -42,10 +38,10 @@ from .certify import (
 )
 
 __all__ = [
-    "CONSTANTS", "HALF_INV_PHI", "PHI", "PSI", "Constants",
-    "DiagonalMinimum", "GFamily", "GridCheck",
+    "HALF_INV_PHI", "PHI", "PSI",
+    "DiagonalMinimum", "GridCheck",
     "big_g_of", "binary_entropy", "corollary_grid_check", "corollary_margin",
-    "diagonal_ratio", "f_ratio", "g_family", "g_of", "g_prime_of",
+    "diagonal_ratio", "f_ratio", "g_of", "g_prime_of",
     "grid_margin_rows", "grid_margins", "minimize_diagonal",
     "TRANSCENDENTAL_SLACK", "Interval",
     "big_g_enclosure", "f_gradient_enclosure", "f_mean_value",

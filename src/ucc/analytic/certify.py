@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .intervals import Interval, f_mean_value
@@ -92,8 +91,7 @@ class ViolationBox(NamedTuple):
     f_upper: float  # certified upper bound of f on the box
 
 
-@dataclass(frozen=True)
-class BoundaryScan:
+class BoundaryScan(NamedTuple):
     """Dense pointwise sampling of the four boundary strips (not certified)."""
 
     points_per_strip: int
@@ -102,8 +100,7 @@ class BoundaryScan:
     all_above_threshold: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of one branch-and-bound run.
 
     ``verified`` is true iff every box of the interior partition that

@@ -22,20 +22,16 @@ to the identities the rest of the package leans on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "PHI",
     "PSI",
     "HALF_INV_PHI",
-    "Constants",
-    "CONSTANTS",
     "binary_entropy",
     "g_of",
     "g_prime_of",
     "big_g_of",
-    "GFamily",
-    "g_family",
     "f_ratio",
     "diagonal_ratio",
     "DiagonalMinimum",
@@ -56,18 +52,6 @@ PHI = (_SQRT5 - 1.0) / 2.0
 PSI = (3.0 - _SQRT5) / 2.0
 #: Value of f at its minimizer (PHI, PHI); equals 1/(2 PHI).
 HALF_INV_PHI = (1.0 + _SQRT5) / 4.0
-
-
-@dataclass(frozen=True)
-class Constants:
-    """The three named constants, bundled for reports."""
-
-    psi: float
-    phi: float
-    half_inv_phi: float
-
-
-CONSTANTS = Constants(psi=PSI, phi=PHI, half_inv_phi=HALF_INV_PHI)
 
 
 def _log2_1m(x: float) -> float:
@@ -107,20 +91,6 @@ def big_g_of(x: float) -> float:
     return _log2_1m(x) / x
 
 
-@dataclass(frozen=True)
-class GFamily:
-    """Point diagnostics of the g family: g, g', and G = x g'."""
-
-    g: float
-    g_prime: float
-    big_g: float
-
-
-def g_family(x: float) -> GFamily:
-    """All three g-family values at one interior point."""
-    return GFamily(g=g_of(x), g_prime=g_prime_of(x), big_g=big_g_of(x))
-
-
 def f_ratio(x: float, y: float) -> float:
     """f(x, y) = h(xy) / (h(x) y + h(y) x) on [0, 1]^2.
 
@@ -149,8 +119,7 @@ def diagonal_ratio(x: float) -> float:
     return g_of(x * x) / g_of(x)
 
 
-@dataclass(frozen=True)
-class DiagonalMinimum:
+class DiagonalMinimum(NamedTuple):
     """Located minimizer of the diagonal ratio."""
 
     x_star: float
@@ -210,8 +179,7 @@ def corollary_margin(x: float, y: float) -> float:
         x * binary_entropy(y) + y * binary_entropy(x))
 
 
-@dataclass(frozen=True)
-class GridCheck:
+class GridCheck(NamedTuple):
     """Result of a full-grid margin sweep.
 
     ``min_margin`` is the global minimum over the whole grid, the two

@@ -36,9 +36,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
 from .setfamily import (
@@ -71,8 +70,7 @@ DEFAULT_TOL = 1e-9
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class UnionDistribution:
+class UnionDistribution(NamedTuple):
     """Exact distribution of A | B for A, B independent uniform on F.
 
     ``unions`` (strictly ascending) and ``counts`` (all positive) are the
@@ -87,6 +85,12 @@ class UnionDistribution:
     pair_count: int
     entropy_bits: float
 
+    # compared and hashed by identity: tuple equality would compare the
+    # arrays elementwise and raise on the ambiguous truth value
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
     @property
     def probs(self) -> dict[int, Fraction]:
         return {m: Fraction(c, self.pair_count)
@@ -97,8 +101,7 @@ class UnionDistribution:
         return len(self.unions)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One verified inequality: lhs <= rhs or lhs >= rhs, as named.
 
     ``margin_bits`` is oriented so that nonnegative means satisfied;
@@ -114,11 +117,10 @@ class BoundReport:
     satisfied: bool
     applicable: bool
     tolerance: float
-    inputs: dict[str, float] = field(default_factory=dict)
+    inputs: dict[str, float]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Frequency bound max_freq >= psi - delta for one family."""
 
     family_size: int

@@ -17,10 +17,9 @@ seeded random family kinds for fuzzing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .analytic.scalars import PSI
 from .entropy import theorem_delta
@@ -65,8 +64,13 @@ def default_threshold(n: int) -> int:
     return math.ceil((1.0 - PSI) * n)
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class _ExampleSpecFields(NamedTuple):
+    n: int
+    k: int
+    m: int
+
+
+class ExampleSpec(_ExampleSpecFields):
     """Parameters of the slice example (all k-sets of [n] plus every set of
     size at least m); k and m default from n.
 
@@ -76,26 +80,25 @@ class ExampleSpec:
     failure is loud instead of clamped.
     """
 
-    n: int
-    k: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, k: int | None = None,
+                m: int | None = None) -> ExampleSpec:
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.k is None:
-            object.__setattr__(self, "k", default_slice_level(self.n))
-        if self.m is None:
-            object.__setattr__(self, "m", default_threshold(self.n))
-        if not 0 < self.k < self.m <= self.n:
+        if k is None:
+            k = default_slice_level(n)
+        if m is None:
+            m = default_threshold(n)
+        if not 0 < k < m <= n:
             raise DegenerateSpecError(
                 f"degenerate slice example: need 0 < k < m <= n, got "
-                f"k={self.k}, m={self.m}, n={self.n} "
+                f"k={k}, m={m}, n={n} "
                 f"(the default spec only separates for larger n)")
+        return super().__new__(cls, n, k, m)
 
 
-@dataclass(frozen=True)
-class ExampleStats:
+class ExampleStats(NamedTuple):
     """Exact statistics of one slice example.
 
     ``closure_deficit`` is the exact ordered-pair deficit eps =

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, TextIO
+from typing import TYPE_CHECKING, Any, TextIO
 
-from .analytic.certify import BoundaryScan, Certificate, ViolationBox
-from .analytic.scalars import PSI, DiagonalMinimum, GridCheck
-from .entropy import BoundReport, TheoremReport
-from .generators import ExampleStats
-from .setfamily import FrequencyProfile, SetFamily
+from .analytic.scalars import PSI
+
+if TYPE_CHECKING:
+    from .analytic.certify import BoundaryScan, Certificate, ViolationBox
+    from .analytic.scalars import DiagonalMinimum, GridCheck
+    from .entropy import BoundReport, TheoremReport
+    from .generators import ExampleStats
+    from .setfamily import FrequencyProfile, SetFamily
 
 __all__ = [
     "frac_obj",

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -210,8 +210,7 @@ def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
     return math.log2(total) - acc / total
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(NamedTuple):
     """Per-element membership frequencies of a family.
 
     ``freq[i]`` is the fraction of member sets containing ground element

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 import ucc
 from ucc.analytic import (
-    CONSTANTS,
-    GFamily,
     TRANSCENDENTAL_SLACK,
     Interval,
     big_g_of,
     f_gradient_enclosure,
     f_mean_value,
     f_point_enclosure,
-    g_family,
     g_of,
     g_prime_of,
 )
@@ -41,7 +38,6 @@ def test_constants_identities():
     assert ucc.PSI == 1.0 - ucc.PHI
     assert abs(ucc.PHI ** 2 + ucc.PHI - 1.0) < 1e-15
     assert ucc.HALF_INV_PHI == pytest.approx(1 / (2 * ucc.PHI), abs=5e-16)
-    assert CONSTANTS.phi == ucc.PHI
     # 1 - psi = 2 psi - psi^2 is exact in the reals; floats agree closely
     assert abs((1 - ucc.PSI) - (2 * ucc.PSI - ucc.PSI ** 2)) < 1e-15
 
@@ -97,9 +93,7 @@ def test_big_g_strictly_decreasing():
 
 
 def test_g_family_bundle():
-    fam = g_family(0.5)
-    assert isinstance(fam, GFamily)
-    assert (fam.g, fam.g_prime, fam.big_g) == (2.0, -4.0, -2.0)
+    assert (g_of(0.5), g_prime_of(0.5), big_g_of(0.5)) == (2.0, -4.0, -2.0)
 
 
 def test_f_pinned_values():

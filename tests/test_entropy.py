@@ -36,6 +36,16 @@ def test_union_distribution_power_set_two():
     assert ucc.shannon_entropy(dist) == pytest.approx(2 * H_QUARTER, abs=1e-13)
 
 
+def test_union_distribution_compares_by_identity():
+    # equal but distinct families: tuple equality would compare the numpy
+    # fields elementwise and raise on the ambiguous truth value
+    a = ucc.union_distribution(ucc.SetFamily.from_masks(2, range(4)))
+    b = ucc.union_distribution(ucc.SetFamily.from_masks(2, range(4)))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b}) == 2
+
+
 def test_shannon_entropy_accepts_mappings_and_iterables():
     assert ucc.shannon_entropy({0: Fraction(1, 2), 1: Fraction(1, 2)}) == 1.0
     assert ucc.shannon_entropy([0.25, 0.75]) == pytest.approx(H_QUARTER, abs=1e-14)
