@@ -42,7 +42,6 @@ certificates.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from typing import NamedTuple
@@ -153,6 +152,8 @@ def _split(box: Box) -> tuple[Box, Box] | None:
 
 
 def _leaf_digest(status: str, box: Box) -> int:
+    import hashlib  # loads OpenSSL; only this verb's digest needs it
+
     rec = f"{status}:{box.x_lo.hex()},{box.x_hi.hex()},{box.y_lo.hex()},{box.y_hi.hex()}"
     return int.from_bytes(hashlib.sha256(rec.encode("ascii")).digest(), "big")
 

@@ -1,16 +1,21 @@
 """Command-line front end.  One verb per library operation.
 
-Exit codes: 0 all checks passed or were reported inapplicable; 1 a verified
-mathematical violation was found (the offending family is dumped in .uc
-form); 2 usage or I/O error, or a size cap hit (the message names the cap).
-Reports go to stdout (JSON by default), certificates and CSV dumps to --out
-when given.
+No option decides a verdict.  Each one is exact or read off enclosures
+with proved error radii (:mod:`ucc.entropy`), and is reported as
+``"satisfied"``: true, false, or null when the enclosures cannot settle
+it (undecided).  Exit codes: 0 no certified violation (every verdict
+true, null or inapplicable); 1 a certified violation: a false verdict (the
+family is dumped in .uc form) or a certificate refuting a threshold below
+1/(2 phi); 2 usage or I/O error, or a size cap hit (the message names the
+cap).  ``analytic grid`` and ``analytic minimize`` only sample, so they
+never exit 1; certified refutations come from ``analytic certify``.
+Reports go to stdout (JSON by default), certificates and CSV dumps to
+--out when given.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -56,11 +61,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float | None = 1e-9) -> None:
-    """--format and --out, and --tol unless the verb reads none (None)."""
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "human", "csv"), default="json")
-    if tol_default is not None:
-        p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -83,11 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = asub.add_parser("minimize", help="locate the diagonal ratio minimum")
     q.add_argument("--grid", type=int, default=4096)
-    _add_common(q, tol_default=1e-12)
+    _add_common(q)
 
     q = asub.add_parser("grid", help="sweep the product-form margin on a grid")
     q.add_argument("--grid", type=int, default=1001)
-    _add_common(q, tol_default=1e-12)
+    _add_common(q)
 
     q = asub.add_parser("certify", help="branch-and-bound lower bound for f")
     q.add_argument("--theta", type=float, default=0.809016)
@@ -95,13 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--depth", type=int, default=60)
     q.add_argument("--budget", type=int, default=10_000_000)
     q.add_argument("--strip-points", type=int, default=10_000)
-    _add_common(q, tol_default=None)
+    _add_common(q)
 
     p = sub.add_parser("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    _add_common(p, tol_default=None)
+    _add_common(p)
 
     p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 4")
     p.add_argument("--n", type=int, required=True)
@@ -135,10 +137,10 @@ def _dump_family(family: SetFamily) -> None:
     sys.stderr.write(format_family(family))
 
 
-def _theorem_section(family: SetFamily, tol: float):
+def _theorem_section(family: SetFamily):
     """Theorem report fields for any family size; size < 2 is inapplicable."""
     if family.size >= 2:
-        rep = check_theorem(family, tol=tol)
+        rep = check_theorem(family)
         return rep, report.theorem_obj(rep), rep.delta, rep.psi_minus_delta
     return None, report.inapplicable_theorem_obj("family size < 2"), 0.0, PSI
 
@@ -151,13 +153,13 @@ def _cmd_check(args) -> int:
     profile = element_frequencies(family)
     cf = closure_fraction(family)
     eps = 1 - cf
-    rep, theorem, delta, bound = _theorem_section(family, args.tol)
+    rep, theorem, delta, bound = _theorem_section(family)
     obj = report.family_check_obj(family, profile, eps, eps == 0, theorem,
                                   delta, bound)
     obj["closure_fraction_unordered"] = report.frac_obj(
         closure_fraction_unordered(family))
     _emit(report.render(obj, args.format), args.out)
-    if rep is not None and rep.applicable and not rep.satisfied:
+    if rep is not None and rep.satisfied is False:
         _dump_family(family)
         return EXIT_VIOLATION
     return EXIT_OK
@@ -171,69 +173,51 @@ def _cmd_entropy(args) -> int:
     profile = element_frequencies(family)
     cf = closure_fraction(family)
     eps = 1 - cf
-    rep, theorem, delta, bound = _theorem_section(family, args.tol)
+    rep, theorem, delta, bound = _theorem_section(family)
     base = report.family_check_obj(family, profile, eps, eps == 0, theorem,
                                    delta, bound)
     dist = union_distribution(family)
-    lower = check_lower_bound(family, tol=args.tol)
-    upper = check_upper_bound(family, tol=args.tol)
-    chain = chain_rule_check(family, tol=args.tol)
+    lower = check_lower_bound(family)
+    upper = check_upper_bound(family)
+    chain = chain_rule_check(family)
     obj = report.entropy_report_obj(base, shannon_entropy(dist), lower, upper, chain)
     _emit(report.render(obj, args.format), args.out)
-    bad_bound = any(r.applicable and not r.satisfied for r in (lower, upper, chain))
-    if bad_bound or (rep is not None and rep.applicable and not rep.satisfied):
+    if any(r is not None and r.satisfied is False for r in (rep, lower, upper, chain)):
         _dump_family(family)
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def _cmd_minimize(args) -> int:
-    dm = minimize_diagonal(grid_points=args.grid, refine_tol=args.tol)
+    dm = minimize_diagonal(grid_points=args.grid)
     obj = report.minimize_obj(dm)
     obj["deviation_from_phi"] = abs(dm.x_star - PHI)
     obj["value_minus_min"] = dm.value - (PHI + 1.0)
     _emit(report.render(obj, args.format), args.out)
-    # a located value strictly below the claimed minimum would refute it
-    if dm.value < PHI + 1.0 - 1e-9:
-        return EXIT_VIOLATION
     return EXIT_OK
 
 
 def _cmd_grid(args) -> int:
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        min_margin = _write_grid_csv(args.grid, args.out)
+        _write_grid_csv(args.grid, args.out)
     else:
         gc = corollary_grid_check(grid_points=args.grid)
         obj = report.grid_check_obj(gc)
         obj["phi"] = PHI
         _emit(report.render(obj, args.format), args.out)
-        min_margin = gc.min_margin
-    if min_margin < -args.tol:
-        return EXIT_VIOLATION
     return EXIT_OK
 
 
-def _write_grid_csv(grid_points: int, out_path: str | None) -> float:
-    """Stream the margin sweep as CSV and return its minimum margin, folded
-    from the written blocks as ``corollary_grid_check`` folds them, so the
-    grid is swept once."""
+def _write_grid_csv(grid_points: int, out_path: str | None) -> None:
+    """Stream the margin sweep as CSV, one row block at a time."""
     if grid_points < 100:  # the floor corollary_grid_check puts on the JSON path
         raise ValueError("grid_points must be at least 100")
     grid, blocks = grid_margin_rows(grid_points)
-    min_margin = math.inf
-
-    def folded():
-        nonlocal min_margin
-        for f_rows, margin_rows in blocks:
-            min_margin = min(min_margin, float(margin_rows.min()))
-            yield f_rows, margin_rows
-
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            report.write_grid_csv(fh, grid, folded())
+            report.write_grid_csv(fh, grid, blocks)
     else:
-        report.write_grid_csv(sys.stdout, grid, folded())
-    return min_margin
+        report.write_grid_csv(sys.stdout, grid, blocks)
 
 
 def _cmd_certify(args) -> int:
@@ -257,33 +241,34 @@ def _cmd_enumerate(args) -> int:
     count = 0
     checked = 0
     skipped_small = 0
+    undecided = 0
     min_max_freq: Fraction | None = None
     worst: SetFamily | None = None
-    satisfied = True
     for fam in enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty):
         count += 1
         if fam.size < 2:
             skipped_small += 1
             continue
-        rep = check_theorem(fam, tol=args.tol)
+        rep = check_theorem(fam)
         checked += 1
         if min_max_freq is None or rep.max_freq < min_max_freq:
             min_max_freq = rep.max_freq
-        if rep.applicable and not rep.satisfied:
-            satisfied = False
+        if rep.satisfied is False:
             worst = fam
             break
+        undecided += rep.satisfied is None
     obj = {
         "n": args.n,
         "families": count,
         "theorem_checked": checked,
         "skipped_small": skipped_small,
+        "undecided": undecided,
         "min_max_freq": report.frac_obj(min_max_freq) if min_max_freq is not None else None,
-        "all_satisfied": satisfied,
+        "all_satisfied": worst is None,
         "psi": PSI,
     }
     _emit(report.render(obj, args.format), args.out)
-    if not satisfied and worst is not None:
+    if worst is not None:
         _dump_family(worst)
         return EXIT_VIOLATION
     return EXIT_OK
@@ -297,6 +282,7 @@ def _cmd_fuzz(args) -> int:
     skipped_small = 0
     skipped_cap = 0
     applicable = 0
+    undecided = 0
     max_eps = 0.0
     violation: SetFamily | None = None
     for pos, kind in enumerate(kinds):
@@ -310,7 +296,7 @@ def _cmd_fuzz(args) -> int:
                 skipped_small += 1
                 continue
             try:  # the first build of this family's pair-union histogram
-                rep = check_theorem(fam, tol=args.tol)
+                rep = check_theorem(fam)
             except CapExceededError:
                 skipped_cap += 1
                 continue
@@ -318,16 +304,15 @@ def _cmd_fuzz(args) -> int:
             if rep.applicable:
                 applicable += 1
             max_eps = max(max_eps, float(rep.epsilon))
-            if rep.applicable and not rep.satisfied:
+            verdicts = [rep.satisfied]
+            if rep.satisfied is not False and args.entropy_checks:
+                verdicts += [check_lower_bound(fam).satisfied,
+                             check_upper_bound(fam).satisfied,
+                             chain_rule_check(fam).satisfied]
+            if False in verdicts:
                 violation = fam
                 break
-            if args.entropy_checks:
-                for brep in (check_lower_bound(fam, tol=args.tol),
-                             check_upper_bound(fam, tol=args.tol),
-                             chain_rule_check(fam, tol=args.tol)):
-                    if brep.applicable and not brep.satisfied:
-                        violation = fam
-                        break
+            undecided += None in verdicts
         if violation is not None:
             break
     obj = {
@@ -341,6 +326,7 @@ def _cmd_fuzz(args) -> int:
         "theorem_applicable": applicable,
         "skipped_small": skipped_small,
         "skipped_pair_cap": skipped_cap,
+        "undecided": undecided,
         "max_epsilon_seen": max_eps,
         "violation_found": violation is not None,
     }

@@ -17,7 +17,9 @@ than a bare bool so that callers and the CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
     exactly, and conditioning each union bit on both full prefixes instead
-    of its own can only lower the sum (a data-processing step).
+    of its own can only lower the sum (a data-processing step).  Both hold
+    for every family, so this check tests the float code and fails only on
+    a certified contradiction.
 *   ``check_lower_bound``: H(A|B) >= p/(2 phi) (H(A) + H(B)) with
     p = min_i Pr[element i missing from a draw] = 1 - max frequency.
 *   ``check_upper_bound``: H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2|F|
@@ -28,7 +30,20 @@ than a bare bool so that callers and the CLI can show their work:
     delta = 2 eps (1 + log(1/eps) / log|F|); vacuous when psi - delta <= 0.
 
 Entropies are floats in bits (compensated summation over exact integer
-counts); every report carries the tolerance it was judged against.
+counts), but no verdict compares those floats with a threshold.  On a
+union-closed family the theorem is decided in integers.  Every other
+verdict encloses both sides of its inequality in outward-rounded
+:class:`~ucc.analytic.intervals.Interval` values built from the exact
+counts: psi and 1/(2 phi) from an enclosure of sqrt 5, each ``log2`` of a
+count widened by ``TRANSCENDENTAL_SLACK``, and each computed entropy
+widened by the error radius proved where it is defined
+(:func:`_entropy_enclosure`, :data:`_H_RADIUS`, :func:`_chain_radius`).
+``satisfied`` is then ``True`` when the inequality holds on the whole
+enclosures, ``False`` when it fails on the whole of them, and ``None``
+(undecided) when they overlap; only ``False`` is a violation.  The radii
+assume that ``math.log2`` and :func:`~ucc.analytic.scalars.binary_entropy`
+stay within ``TRANSCENDENTAL_SLACK`` of the exact values, which the tests
+check against mpmath.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
 from .setfamily import (
     SetFamily,
@@ -52,7 +68,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "UnionDistribution",
     "BoundReport",
     "TheoremReport",
@@ -65,9 +80,27 @@ __all__ = [
     "theorem_delta",
 ]
 
-DEFAULT_TOL = 1e-9
-
 _HALF = Fraction(1, 2)
+
+_ZERO = Interval.point(0.0)
+_ONE = Interval.point(1.0)
+_TWO = Interval.point(2.0)
+# sqrt is correctly rounded, so sqrt 5 lies within half an ulp of this
+# float.  psi and 1/(2 phi) are enclosed from it rather than by nudging
+# PSI and HALF_INV_PHI: PSI lies 0.98 ulp below (3 - sqrt 5)/2, farther
+# than one correct rounding would put it.
+_SQRT5 = math.sqrt(5.0)
+_SQRT5_ENCLOSURE = Interval(math.nextafter(_SQRT5, 0.0), math.nextafter(_SQRT5, 3.0))
+_PSI_ENCLOSURE = (Interval.point(3.0) - _SQRT5_ENCLOSURE) / _TWO
+_HALF_INV_PHI_ENCLOSURE = (_ONE + _SQRT5_ENCLOSURE) / Interval.point(4.0)
+
+#: Error bound of ``binary_entropy(a / b)`` against h(a/b) for integers
+#: 0 < a < b <= 2^48.  The quotient is correctly rounded, so it moves by at
+#: most u a/b <= u, with u = 2^-53.  a/b and 1 - a/b are both at least
+#: 2^-48, so along that step |h'(t)| = |log2((1 - t)/t)| <= 49, and h moves
+#: by at most 49u < 2^-47.  binary_entropy itself stays within
+#: TRANSCENDENTAL_SLACK of h.
+_H_RADIUS = TRANSCENDENTAL_SLACK + 2.0 ** -47
 
 
 class UnionDistribution(NamedTuple):
@@ -104,19 +137,21 @@ class UnionDistribution(NamedTuple):
 class BoundReport(NamedTuple):
     """One verified inequality: lhs <= rhs or lhs >= rhs, as named.
 
-    ``margin_bits`` is oriented so that nonnegative means satisfied;
-    ``satisfied`` allows the stated tolerance.  ``inputs`` carries the
-    named scalars the bound was assembled from.  ``applicable`` is false
-    when the hypothesis of the bound fails (never counted as a violation).
+    ``margin_bits`` is oriented so that nonnegative means satisfied.
+    ``satisfied`` is decided from enclosures of both sides, not from the
+    margin: True or False when the enclosures settle the inequality, None
+    when they overlap (undecided, never a violation).  ``inputs`` carries
+    the named scalars the bound was assembled from.  ``applicable`` is
+    false when the hypothesis of the bound fails (never counted as a
+    violation).
     """
 
     check: str
     lhs_bits: float
     rhs_bits: float
     margin_bits: float
-    satisfied: bool
+    satisfied: bool | None
     applicable: bool
-    tolerance: float
     inputs: dict[str, float]
 
 
@@ -129,8 +164,7 @@ class TheoremReport(NamedTuple):
     psi_minus_delta: float
     max_freq: Fraction
     applicable: bool
-    satisfied: bool
-    tolerance: float
+    satisfied: bool | None
 
 
 def union_distribution(family: SetFamily) -> UnionDistribution:
@@ -204,6 +238,88 @@ def _h_of_counts(part: int, whole: int) -> float:
     if part == 0 or part == whole:
         return 0.0
     return binary_entropy(part / whole)
+
+
+def _at_least(lhs: Interval, rhs: Interval) -> bool | None:
+    """Decide lhs >= rhs from enclosures of its two sides: True when it holds
+    for every pair of points, False when it fails for every pair, None
+    (undecided) when the enclosures overlap without settling it."""
+    if lhs.lo >= rhs.hi:
+        return True
+    if lhs.hi < rhs.lo:
+        return False
+    return None
+
+
+def _disjoint(a: Interval, b: Interval) -> bool:
+    return a.hi < b.lo or b.hi < a.lo
+
+
+def _widen(value: float, radius: float) -> Interval:
+    return Interval.point(value) + Interval(-radius, radius)
+
+
+def _fraction_enclosure(q: Fraction) -> Interval:
+    """The float nearest q (``float`` rounds a Fraction correctly), widened
+    by one ulp each way."""
+    v = float(q)
+    return Interval(math.nextafter(v, -math.inf), math.nextafter(v, math.inf))
+
+
+def _log2_enclosure(m: int) -> Interval:
+    """log2 of an integer 1 <= m <= 2^48: exact at a power of two, else
+    libm's value widened by TRANSCENDENTAL_SLACK (m converts to float
+    exactly, so libm's error is the only one)."""
+    if m & (m - 1) == 0:
+        return Interval.point(float(m.bit_length() - 1))
+    return _widen(math.log2(m), TRANSCENDENTAL_SLACK)
+
+
+def _entropy_enclosure(value: float, total: int, cells: int) -> Interval:
+    """Enclosure of the entropy that ``_entropy_from_counts`` returned as
+    ``value`` for ``cells`` positive integer counts summing to total <= 2^48.
+
+    One cell is entropy 0 exactly.  Otherwise the radius is
+    2 s + 2^-51 (fl(log2 T) + 2), where s = TRANSCENDENTAL_SLACK, T the
+    total, L = log2 T and u = 2^-53.  The float code evaluates
+    H = log2 T - (1/T) sum c log2 c, and every count c <= T converts to
+    float exactly.  The term fl(c fl(log2 c)) is within c s + u c (L + s)
+    of c log2 c, so the exact sum S of the terms is within T s + u T (L + s)
+    of sum c log2 c <= T L, and |S| <= T (L + s)(1 + u).  fsum rounds S once
+    (u |S|), the division by T adds u (L + s)(1 + u)^2, log2 T errs by s and
+    the final subtraction by u (L + 1).  Dividing the sum's errors by T and
+    adding up gives at most 2 s + u (4 L + 1 + 3 s + 3u (L + s)), which is
+    below 2 s + 4u (L + 1).  As L <= fl(log2 T) + s, the radius's
+    4u (fl(log2 T) + 2) covers that term and the rounding of the radius.
+    """
+    if cells == 1:
+        return _ZERO
+    return _widen(value, 2.0 * TRANSCENDENTAL_SLACK
+                  + 2.0 ** -51 * (math.log2(total) + 2.0))
+
+
+def _union_entropy_enclosure(family: SetFamily) -> Interval:
+    """Enclosure of H(A|B) around the family's cached float."""
+    return _entropy_enclosure(family.union_entropy, family.size ** 2,
+                              len(family.union_counts[1]))
+
+
+def _chain_radius(n: int) -> float:
+    """Error bound of the chain sum and of the data-processing sum of
+    :func:`chain_rule_check` over n coordinates.
+
+    A coordinate's term is a sum of fl(fl(w) binary_entropy(fl(x))) over
+    prefix cells or pairs of them, with exact weights w summing to at most
+    1 (pairs counted with their multiplicities) and x a ratio of counts
+    <= 2^48.  fl(w) and the product each round by u = 2^-53 and
+    binary_entropy is at most 1, so a summand errs by at most
+    w (_H_RADIUS + 3u).  fsum, or the exact weighted sum, rounds once more
+    by u times a value below 2, so the coordinate errs by at most
+    _H_RADIUS + 5u < s + 2^-46, with s = TRANSCENDENTAL_SLACK.  Adding the n
+    coordinate terms, each below 1 + 2^-40, in floats costs at most
+    (n - 1) u n (1 + 2^-39) < 2u n^2 more.
+    """
+    return n * (TRANSCENDENTAL_SLACK + 2.0 ** -46) + n * n * 2.0 ** -52
 
 
 @functools.cache
@@ -282,7 +398,7 @@ def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
+def chain_rule_check(family: SetFamily) -> BoundReport:
     """Chain-rule identity and the data-processing step for the union draw.
 
     Write U = A | B for an ordered pair drawn uniformly from the family.
@@ -290,7 +406,12 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
     equal lhs up to rounding; its residue is ``identity_margin_bits``.
     rhs conditions each coordinate on both source prefixes instead,
     sum_i H(U_i | A below i, B below i), which is never larger, so
-    ``margin_bits`` = lhs - rhs >= 0 up to the tolerance.
+    ``margin_bits`` = lhs - rhs >= 0 up to rounding.  Both facts hold for
+    every family, and the step is tight for product families, so the check
+    tests the float code: it is unsatisfied only on a certified
+    contradiction, when the chain sum's enclosure misses lhs's or the
+    rhs enclosure lies wholly above lhs's (radii of :func:`_chain_radius`
+    and :func:`_entropy_enclosure`), and never undecided.
 
     The chain sum sorts the unions once by their bit-reversed value, so
     every coordinate's prefix cells are contiguous runs of the histogram
@@ -334,16 +455,17 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
             for (na, za), ka in types
             for (nb, zb), kb in types)
 
-    margin = lhs - dp_sum
-    satisfied = margin >= -tol and abs(identity_margin) <= tol
+    lhs_enc = _union_entropy_enclosure(family)
+    radius = _chain_radius(n)
+    satisfied = (not _disjoint(_widen(chain_sum, radius), lhs_enc)
+                 and _at_least(lhs_enc, _widen(dp_sum, radius)) is not False)
     return BoundReport(
         check="chain_rule",
         lhs_bits=lhs,
         rhs_bits=dp_sum,
-        margin_bits=margin,
+        margin_bits=lhs - dp_sum,
         satisfied=satisfied,
         applicable=True,
-        tolerance=tol,
         inputs={
             "chain_sum_bits": chain_sum,
             "identity_margin_bits": identity_margin,
@@ -353,11 +475,12 @@ def chain_rule_check(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport
     )
 
 
-def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
+def check_lower_bound(family: SetFamily) -> BoundReport:
     """H(A union B) >= p/(2 phi) (H(A) + H(B)) for iid uniform draws.
 
     p is the smallest marginal absence probability over elements, 1 minus
-    the maximum element frequency.
+    the maximum element frequency.  The rhs is enclosed from p, sqrt 5 and
+    log2|F|; it is exactly 0 when p = 0 or |F| = 1.
     """
     if family.size == 0:
         raise ValueError("check_lower_bound requires a nonempty family")
@@ -365,15 +488,19 @@ def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
     rhs = float(p) * HALF_INV_PHI * (h_draw + h_draw)
-    margin = lhs - rhs
+    if p == 0 or family.size == 1:
+        rhs_enc = _ZERO
+    else:
+        log_size = _log2_enclosure(family.size)
+        rhs_enc = (_fraction_enclosure(p) * _HALF_INV_PHI_ENCLOSURE
+                   * (log_size + log_size))
     return BoundReport(
         check="pairwise_union_lower",
         lhs_bits=lhs,
         rhs_bits=rhs,
-        margin_bits=margin,
-        satisfied=margin >= -tol,
+        margin_bits=lhs - rhs,
+        satisfied=_at_least(_union_entropy_enclosure(family), rhs_enc),
         applicable=True,
-        tolerance=tol,
         inputs={
             "p_min_zero": float(p),
             "half_inv_phi": HALF_INV_PHI,
@@ -383,13 +510,15 @@ def check_lower_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     )
 
 
-def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundReport:
+def check_upper_bound(family: SetFamily) -> BoundReport:
     """H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2 |F| for eps < 1/2.
 
     Also verifies, as an exact identity, the decomposition of H(A|B)
     through the indicator I = [A|B is a member]:
-    H(A|B) = H(I) + Pr[I=1] H(A|B given I=1) + Pr[I=0] H(A|B given I=0),
-    and that the decomposition stays below rhs term by term.  For
+    H(A|B) = H(I) + Pr[I=1] H(A|B given I=1) + Pr[I=0] H(A|B given I=0).
+    The identity fails (unsatisfied) only when the decomposition's
+    enclosure misses H(A|B)'s; the bound itself is decided on enclosures
+    of both sides, and with eps = 0 its rhs is log2 |F| exactly.  For
     eps >= 1/2 the report is inapplicable and never counts as a failure.
     """
     import numpy as np
@@ -415,27 +544,40 @@ def check_upper_bound(family: SetFamily, tol: float = DEFAULT_TOL) -> BoundRepor
     h_in = lhs if not out_total else _entropy_from_counts(in_counts, in_total)
     decomposition = h_ind + (in_total / total) * h_in
     if out_total:
-        decomposition += (out_total / total) * _entropy_from_counts(out_counts, out_total)
+        h_out = _entropy_from_counts(out_counts, out_total)
+        decomposition += (out_total / total) * h_out
 
     log_size = math.log2(family.size)
     surprise = -math.log2(eps_f) if eps_f > 0.0 else 0.0
     rhs = 2.0 * eps_f * surprise + (1.0 + 2.0 * eps_f) * log_size
 
     applicable = eps < _HALF
-    margin = rhs - lhs
-    identity_ok = abs(decomposition - lhs) <= tol
+    satisfied: bool | None = True
     if applicable:
-        satisfied = identity_ok and margin >= -tol and rhs - decomposition >= -tol
-    else:
-        satisfied = True
+        lhs_enc = _union_entropy_enclosure(family)
+        log_size_enc = _log2_enclosure(family.size)
+        if out_total:
+            two_eps = _TWO * _fraction_enclosure(eps)
+            surprise_enc = _log2_enclosure(eps.denominator) - _log2_enclosure(eps.numerator)
+            rhs_enc = two_eps * surprise_enc + (_ONE + two_eps) * log_size_enc
+            decomposition_enc = (
+                _widen(h_ind, _H_RADIUS)
+                + _fraction_enclosure(1 - eps)
+                * _entropy_enclosure(h_in, in_total, len(in_counts))
+                + _fraction_enclosure(eps)
+                * _entropy_enclosure(h_out, out_total, len(out_counts)))
+            identity_ok = not _disjoint(decomposition_enc, lhs_enc)
+        else:  # the decomposition is lhs itself
+            rhs_enc = log_size_enc
+            identity_ok = True
+        satisfied = _at_least(rhs_enc, lhs_enc) if identity_ok else False
     return BoundReport(
         check="union_upper",
         lhs_bits=lhs,
         rhs_bits=rhs,
-        margin_bits=margin,
+        margin_bits=rhs - lhs,
         satisfied=satisfied,
         applicable=applicable,
-        tolerance=tol,
         inputs={
             "epsilon": eps_f,
             "h_epsilon_bits": h_ind,
@@ -458,13 +600,30 @@ def theorem_delta(epsilon: Fraction, family_size: int) -> float:
     return 2.0 * eps_f * (1.0 + (-math.log2(eps_f)) / math.log2(family_size))
 
 
-def check_theorem(family: SetFamily, tol: float = DEFAULT_TOL) -> TheoremReport:
+def _at_least_psi(q: Fraction) -> bool:
+    """q >= psi = (3 - sqrt 5)/2 for a rational 0 <= q <= 1, in integers.
+
+    With q = a/b, q >= psi iff sqrt 5 b >= 3b - 2a, and 3b - 2a >= b > 0
+    as a <= b, so squaring keeps the order: (3b - 2a)^2 <= 5 b^2.
+    """
+    a, b = q.numerator, q.denominator
+    return (3 * b - 2 * a) ** 2 <= 5 * b * b
+
+
+def check_theorem(family: SetFamily) -> TheoremReport:
     """Frequency bound: some element appears in a psi - delta share of F.
 
     delta = 2 eps (1 + log(1/eps) / log |F|) with eps the ordered-pair
     closure deficit (delta = 0 when eps = 0, i.e. union-closed input).
     Needs |F| >= 2.  Inapplicable when eps >= 1/2 or when psi - delta <= 0
-    (vacuously true either way; satisfied is reported as true).
+    (vacuously true either way; satisfied is reported as true).  The last
+    test reads the float bound; where that float is within rounding of 0
+    the verdict cannot turn on it, as max_freq >= 1/|F| >= 2^-24.
+
+    At eps = 0 the verdict is exact (:func:`_at_least_psi`).  Otherwise
+    max_freq and psi - delta are enclosed, delta from eps = a/b as
+    2 eps (1 + (log2 b - log2 a) / log2 |F|), and the verdict is None when
+    the two enclosures overlap.
     """
     if family.size < 2:
         raise ValueError("check_theorem requires a family of size >= 2")
@@ -473,7 +632,15 @@ def check_theorem(family: SetFamily, tol: float = DEFAULT_TOL) -> TheoremReport:
     delta = theorem_delta(eps, family.size)
     bound = PSI - delta
     applicable = eps < _HALF and bound > 0.0
-    satisfied = (not applicable) or float(prof.max_freq) >= bound - tol
+    satisfied: bool | None = True
+    if applicable and not eps:
+        satisfied = _at_least_psi(prof.max_freq)
+    elif applicable:
+        log2_inv_eps = _log2_enclosure(eps.denominator) - _log2_enclosure(eps.numerator)
+        delta_enc = _TWO * _fraction_enclosure(eps) * (
+            _ONE + log2_inv_eps / _log2_enclosure(family.size))
+        satisfied = _at_least(_fraction_enclosure(prof.max_freq),
+                              _PSI_ENCLOSURE - delta_enc)
     return TheoremReport(
         family_size=family.size,
         epsilon=eps,
@@ -482,5 +649,4 @@ def check_theorem(family: SetFamily, tol: float = DEFAULT_TOL) -> TheoremReport:
         max_freq=prof.max_freq,
         applicable=applicable,
         satisfied=satisfied,
-        tolerance=tol,
     )

@@ -49,7 +49,6 @@ def bound_report_obj(rep: BoundReport) -> dict[str, Any]:
         "margin_bits": rep.margin_bits,
         "satisfied": rep.satisfied,
         "applicable": rep.applicable,
-        "tolerance": rep.tolerance,
         "inputs": dict(sorted(rep.inputs.items())),
     }
 
@@ -58,7 +57,6 @@ def theorem_obj(rep: TheoremReport) -> dict[str, Any]:
     return {
         "applicable": rep.applicable,
         "satisfied": rep.satisfied,
-        "tolerance": rep.tolerance,
     }
 
 

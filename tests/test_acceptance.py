@@ -118,21 +118,26 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
     for fams in enumerated.values():
         corpora.extend(fams)
     for fam in corpora:
-        lower = ucc.check_lower_bound(fam, tol=1e-9)
+        lower = ucc.check_lower_bound(fam)
         if lower.margin_bits < -1e-9:
             failures.append(f"lower margin {lower.margin_bits!r}: "
                             f"{ucc.format_family(fam)!r}")
             break
-        upper = ucc.check_upper_bound(fam, tol=1e-9)
+        upper = ucc.check_upper_bound(fam)
         if upper.applicable and upper.margin_bits < -1e-9:
             failures.append(f"upper margin {upper.margin_bits!r}: "
                             f"{ucc.format_family(fam)!r}")
             break
-        chain = ucc.chain_rule_check(fam, tol=1e-9)
+        chain = ucc.chain_rule_check(fam)
         identity = abs(chain.inputs["identity_margin_bits"])
         if chain.margin_bits < -1e-9 or identity > 1e-9:
             failures.append(f"chain margin {chain.margin_bits!r} "
                             f"identity {identity!r}: {ucc.format_family(fam)!r}")
+            break
+        # every verdict decided and true: none undecided (None), none false
+        verdicts = {r.check: r.satisfied for r in (lower, upper, chain)}
+        if set(verdicts.values()) != {True}:
+            failures.append(f"verdicts {verdicts}: {ucc.format_family(fam)!r}")
             break
     _verdict("4/7 entropy inequalities on every corpus family", failures)
 

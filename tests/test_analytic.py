@@ -294,3 +294,22 @@ def test_transcendental_slack_covers_g_and_big_g():
             ref_g = -mpmath.log(mx, 2) - (1 - mx) * ref_big_g
             assert abs(g_of(x) - ref_g) <= TRANSCENDENTAL_SLACK, x
             assert abs(big_g_of(x) - ref_big_g) <= TRANSCENDENTAL_SLACK, x
+
+
+def test_transcendental_slack_covers_log2_and_binary_entropy():
+    # the entropy verdicts widen math.log2 of pair counts, at most 2^48,
+    # and binary_entropy of their ratios by the same slack
+    mpmath = pytest.importorskip("mpmath")
+    ints = {int(v) for v in np.logspace(0, 48 * math.log10(2), 2000)}
+    ints |= {(1 << k) + d for k in range(2, 49) for d in (-1, 1)}
+    ints |= {int(v) for v in np.random.default_rng(48).integers(1, 1 << 48, 2000)}
+    tails = np.logspace(-15, math.log10(0.5), 2500)
+    xs = sorted({float(t) for t in tails} | {1.0 - float(t) for t in tails})
+    with mpmath.workdps(50):
+        for m in sorted(ints):
+            assert abs(math.log2(m) - mpmath.log(m, 2)) <= TRANSCENDENTAL_SLACK, m
+        for x in xs:
+            mx = mpmath.mpf(x)
+            ref_h = -(mx * mpmath.log(mx, 2) + (1 - mx) * mpmath.log(1 - mx, 2))
+            assert abs(math.log2(x) - mpmath.log(mx, 2)) <= TRANSCENDENTAL_SLACK, x
+            assert abs(ucc.binary_entropy(x) - ref_h) <= TRANSCENDENTAL_SLACK, x

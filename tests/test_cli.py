@@ -10,12 +10,14 @@ import sys
 import pytest
 
 import ucc
-from ucc.cli import run_cli
+import ucc.entropy
+from ucc.cli import _DISPATCH, run_cli
 from tests.conftest import DATA_DIR
 
 POWERSET3 = str(DATA_DIR / "powerset3.uc")
 TWO_SINGLETONS = str(DATA_DIR / "two_singletons.uc")
 CHAIN4 = str(DATA_DIR / "chain4.uc")
+NEAR_CLOSED = str(DATA_DIR / "near_closed.uc")
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -134,12 +136,6 @@ def test_grid_csv_sweeps_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
     assert code == 0 and len(sweeps) == 1
     assert out.count("\n") == 1 + 101 * 101
-    # the exit code is decided from the streamed rows as on the JSON path
-    for tol in ("1e-12", "-1"):
-        csv_code, _, _ = run(capsys, "analytic", "grid", "--grid", "101",
-                             "--format", "csv", f"--tol={tol}")
-        json_code, _, _ = run(capsys, "analytic", "grid", "--grid", "101", f"--tol={tol}")
-        assert csv_code == json_code == (1 if tol == "-1" else 0)
 
 
 def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
@@ -201,10 +197,67 @@ def test_example_null_log2_when_union_closed(capsys):
     assert json.loads(out)["example"]["closure_deficit"] == 0.0
 
 
-def test_example_and_certify_take_no_sampling_or_tol_options(capsys):
-    for option in ("--samples", "--seed", "--shards", "--tol"):
+def test_every_verb_rejects_tol_and_example_sampling_options(capsys):
+    # every verdict is exact or certified, so no verb reads a tolerance
+    verbs = [
+        ("check", POWERSET3), ("entropy", POWERSET3),
+        ("analytic", "minimize"), ("analytic", "grid"), ("analytic", "certify"),
+        ("example", "--n", "1000"), ("enumerate", "--n", "3"),
+        ("fuzz", "--n", "5", "--count", "10", "--seed", "7"),
+    ]
+    assert {argv[0] for argv in verbs} == set(_DISPATCH) | {"analytic"}
+    for argv in verbs:
+        assert run(capsys, *argv, "--tol=-0.2")[:2] == (2, ""), argv
+    for option in ("--samples", "--seed", "--shards"):
         assert run(capsys, "example", "--n", "1000", option, "1")[0] == 2, option
-    assert run(capsys, "analytic", "certify", "--tol", "1")[0] == 2
+
+
+@pytest.mark.parametrize("verb", ["check", "entropy"])
+def test_every_data_file_is_decided(verb, capsys):
+    for path in sorted(DATA_DIR.glob("*.uc")):
+        code, out, err = run(capsys, verb, str(path))
+        assert (code, err) == (0, ""), path.name
+        obj = json.loads(out)
+        sections = ("theorem", "lower_bound", "upper_bound", "chain_rule")
+        verdicts = [obj[key]["satisfied"] for key in sections if key in obj]
+        assert verdicts == [True] * (4 if verb == "entropy" else 1), path.name
+        assert "null" not in out, path.name
+
+
+def test_undecided_verdict_is_null_and_exits_0(monkeypatch, capsys):
+    # so wide a slack leaves every verdict read off enclosures open
+    monkeypatch.setattr(ucc.entropy, "TRANSCENDENTAL_SLACK", 1.0)
+    code, out, err = run(capsys, "entropy", POWERSET3)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["lower_bound"]["satisfied"] is None
+    assert obj["upper_bound"]["satisfied"] is None
+    assert obj["chain_rule"]["satisfied"] is True  # false only on a contradiction
+    assert obj["theorem"]["satisfied"] is True  # eps = 0: decided in integers
+    code, out, _ = run(capsys, "fuzz", "--n", "5", "--count", "30",
+                       "--seed", "7", "--entropy-checks")
+    obj = json.loads(out)
+    assert code == 0 and obj["violation_found"] is False
+    assert obj["undecided"] == obj["theorem_checked"] > 0
+    # psi enclosed this loosely leaves the theorem open at eps = 3/50
+    monkeypatch.setattr(ucc.entropy, "_PSI_ENCLOSURE", ucc.Interval(0.0, 2.0))
+    code, out, err = run(capsys, "check", NEAR_CLOSED)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theorem"]["satisfied"] is None
+    monkeypatch.setattr(ucc.entropy, "_at_least_psi", lambda q: None)
+    code, out, _ = run(capsys, "enumerate", "--n", "2")
+    obj = json.loads(out)
+    assert code == 0 and obj["all_satisfied"] is True
+    assert obj["undecided"] == obj["theorem_checked"] > 0
+
+
+def test_certified_violation_exits_1(monkeypatch, capsys):
+    # with psi moved to 1 the bound 1 - delta = 0.733 exceeds max freq 7/10
+    monkeypatch.setattr(ucc.entropy, "_PSI_ENCLOSURE", ucc.Interval.point(1.0))
+    code, out, err = run(capsys, "check", NEAR_CLOSED)
+    assert code == 1
+    assert json.loads(out)["theorem"]["satisfied"] is False
+    assert err.startswith("violating family in .uc format:\n")
 
 
 def test_enumerate_n3(capsys):
@@ -216,6 +269,7 @@ def test_enumerate_n3(capsys):
     assert obj["skipped_small"] == 8
     assert obj["min_max_freq"] == {"num": 1, "den": 2}
     assert obj["all_satisfied"] is True
+    assert obj["undecided"] == 0
 
 
 def test_enumerate_exclude_empty(capsys):
@@ -231,6 +285,7 @@ def test_fuzz_clean_run(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["violation_found"] is False
+    assert obj["undecided"] == 0
     assert obj["theorem_checked"] + obj["skipped_small"] == 30
     assert obj["kinds"] == ["uniform", "closure-of-random", "noisy-uc"]
     assert 0.0 <= obj["max_epsilon_seen"] < 0.5

@@ -152,10 +152,59 @@ def test_theorem_delta_zero_iff_union_closed(powerset3, near_closed):
     assert ucc.check_theorem(near_closed).delta > 0.0
 
 
-def test_bound_reports_expose_tolerance():
-    fam = ucc.SetFamily.from_masks(2, range(4))
-    rep = ucc.check_lower_bound(fam, tol=1e-6)
-    assert rep.tolerance == 1e-6
+def test_faulty_float_code_is_a_certified_contradiction(monkeypatch, near_closed):
+    # the identities hold for every family, so a broken kernel must fail them
+    monkeypatch.setattr(ucc.entropy, "_chain_terms", lambda *args: [0.0])
+    assert ucc.chain_rule_check(near_closed).satisfied is False
+    monkeypatch.setattr(ucc.entropy, "_entropy_from_counts", lambda counts, total: 0.0)
+    assert ucc.check_upper_bound(near_closed).satisfied is False
+
+
+def test_constant_enclosures_contain_psi_and_half_inv_phi():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        sqrt5 = mpmath.sqrt(5)
+        for enc, exact in ((ucc.entropy._PSI_ENCLOSURE, (3 - sqrt5) / 2),
+                           (ucc.entropy._HALF_INV_PHI_ENCLOSURE, (1 + sqrt5) / 4)):
+            assert enc.lo < exact < enc.hi
+            assert enc.width < 1e-15
+
+
+def _fibonacci(count):
+    out, a, b = [], 0, 1
+    for _ in range(count):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
+def test_at_least_psi_on_fibonacci_ratios():
+    # F_k / F_{k+2} tends to psi = 1/phi^2 from alternate sides, within
+    # about phi^(-2k) of it: past k = 40 no float can separate them
+    mpmath = pytest.importorskip("mpmath")
+    fib = _fibonacci(93)
+    verdicts = []
+    with mpmath.workdps(60):
+        psi = (3 - mpmath.sqrt(5)) / 2
+        for k in range(2, 91):
+            expected = mpmath.mpf(fib[k]) / fib[k + 2] >= psi
+            assert ucc.entropy._at_least_psi(Fraction(fib[k], fib[k + 2])) == expected, k
+            verdicts.append(expected)
+    assert all(a != b for a, b in zip(verdicts, verdicts[1:]))
+    assert float(Fraction(fib[90], fib[92])) == float(Fraction(fib[89], fib[91]))
+
+
+@given(st.integers(1, 1 << 64).flatmap(
+    lambda b: st.tuples(st.integers(0, b), st.just(b))))
+@settings(max_examples=300, deadline=None)
+def test_at_least_psi_matches_mpmath(ab):
+    # a^2 - 3ab + b^2 = b^2 (a/b - psi)(a/b - 1/psi) is a nonzero integer,
+    # so |a/b - psi| > 1/(3 b^2) > 1e-39, well within 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    a, b = ab
+    with mpmath.workdps(60):
+        expected = mpmath.mpf(a) / b >= (3 - mpmath.sqrt(5)) / 2
+    assert ucc.entropy._at_least_psi(Fraction(a, b)) == expected
 
 
 @st.composite

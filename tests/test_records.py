@@ -3,7 +3,8 @@
 Building a frozen dataclass generates and execs six methods, about 1 ms a
 class at import; a NamedTuple costs a fraction of that.  The guard below
 keeps the records from drifting back, and the field pins keep a reordered
-field from silently changing positional construction.
+field from silently changing positional construction.  A second import
+probe keeps ``hashlib``, which loads OpenSSL, out of every verb's start-up.
 """
 
 import json
@@ -52,9 +53,9 @@ RECORD_FIELDS = {
     ucc.UnionDistribution: ("universe_size", "unions", "counts",
                             "pair_count", "entropy_bits"),
     ucc.BoundReport: ("check", "lhs_bits", "rhs_bits", "margin_bits",
-                      "satisfied", "applicable", "tolerance", "inputs"),
+                      "satisfied", "applicable", "inputs"),
     ucc.TheoremReport: ("family_size", "epsilon", "delta", "psi_minus_delta",
-                        "max_freq", "applicable", "satisfied", "tolerance"),
+                        "max_freq", "applicable", "satisfied"),
     ucc.ExampleSpec: ("n", "k", "m"),
     ucc.ExampleStats: ("n", "k", "m", "log2_f1", "log2_f2", "size_ratio",
                        "max_freq_exact", "closure_deficit",
@@ -63,14 +64,25 @@ RECORD_FIELDS = {
 }
 
 
-def test_import_decorates_only_the_behaviour_classes():
+def _probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on the source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == {"SetFamily", "Interval"}
+    return proc.stdout
+
+
+def test_import_decorates_only_the_behaviour_classes():
+    assert set(json.loads(_probe(_PROBE))) == {"SetFamily", "Interval"}
+
+
+def test_import_leaves_hashlib_unloaded():
+    # only `analytic certify` hashes, and imports hashlib when it does
+    out = _probe("import sys, ucc.cli; print('hashlib' in sys.modules)")
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("record", list(RECORD_FIELDS),
