@@ -5,9 +5,11 @@
 it is created, by the mean-value form of f (``intervals.f_mean_value``).
 A box whose enclosure proves f >= theta is an accepted leaf; every other
 box waits in a heap keyed on its enclosure lower bound, and the box with
-the lowest bound is split next, along its longer side.  A box that can no
-longer be split is an indeterminate leaf, unless the run ends refuted:
-such a box cannot change a refutation, so it is then not counted.
+the lowest bound is split next: at the geometric mean of its distances
+from the nearer edge when it spans decades of them, else along its longer
+side (``_split``).  A box that can no longer be split is an indeterminate
+leaf, unless the run ends refuted: such a box cannot change a refutation,
+so it is then not counted.
 
 A box whose enclosure lies entirely below theta is a certified violation.
 The one with the lowest upper bound is the incumbent; once it exists,
@@ -133,8 +135,38 @@ class Certificate(NamedTuple):
                        "strips are sampled, not certified")
 
 
+def _edge_cut(lo: float, hi: float) -> float | None:
+    """Log-scale cut of [lo, hi] toward the nearer edge of [0, 1], or None.
+
+    With [a, b] the distance range of the side from that edge, a side that
+    spans more than a factor of 4 in distance, within half the square, is
+    cut at the geometric mean sqrt(ab) (mirrored on the 1-side).
+    """
+    near_one = 1.0 - hi < lo
+    a, b = (1.0 - hi, 1.0 - lo) if near_one else (lo, hi)
+    if not (0.0 < a and 4.0 * a < b < 0.5):
+        return None
+    cut = 1.0 - math.sqrt(a * b) if near_one else math.sqrt(a * b)
+    return cut if lo < cut < hi else None
+
+
 def _split(box: Box) -> tuple[Box, Box] | None:
-    """Bisect along the longer side; None if floats cannot split further."""
+    """Split an edge box in log scale, x first, else bisect along the longer
+    side; None if floats cannot split further.
+
+    A box that touches the eta edge spans decades of distance from it, and
+    the enclosure of f cannot decide it until each child spans few; bisection
+    takes one step per halving of that span, a log-scale cut one per halving
+    of its number of decades.
+    """
+    cut = _edge_cut(box.x_lo, box.x_hi)
+    if cut is not None:
+        return (Box(box.x_lo, cut, box.y_lo, box.y_hi),
+                Box(cut, box.x_hi, box.y_lo, box.y_hi))
+    cut = _edge_cut(box.y_lo, box.y_hi)
+    if cut is not None:
+        return (Box(box.x_lo, box.x_hi, box.y_lo, cut),
+                Box(box.x_lo, box.x_hi, cut, box.y_hi))
     wx = box.x_hi - box.x_lo
     wy = box.y_hi - box.y_lo
     for split_x in ((True, False) if wx >= wy else (False, True)):

@@ -137,25 +137,28 @@ def _dump_family(family: SetFamily) -> None:
     sys.stderr.write(format_family(family))
 
 
-def _theorem_section(family: SetFamily):
-    """Theorem report fields for any family size; size < 2 is inapplicable."""
+def _family_report(path: str):
+    """Load a nonempty family and build the report fields check and entropy
+    share; returns the family, its theorem report (None below size 2) and
+    the report object."""
+    family = load_family(path)
+    if family.size == 0:
+        raise ValueError("empty family; nothing to check")
+    profile = element_frequencies(family)
+    eps = 1 - closure_fraction(family)
     if family.size >= 2:
         rep = check_theorem(family)
-        return rep, report.theorem_obj(rep), rep.delta, rep.psi_minus_delta
-    return None, report.inapplicable_theorem_obj("family size < 2"), 0.0, PSI
+        theorem, delta, bound = report.theorem_obj(rep), rep.delta, rep.psi_minus_delta
+    else:
+        rep, delta, bound = None, 0.0, PSI
+        theorem = report.inapplicable_theorem_obj("family size < 2")
+    obj = report.family_check_obj(family, profile, eps, eps == 0, theorem,
+                                  delta, bound)
+    return family, rep, obj
 
 
 def _cmd_check(args) -> int:
-    family = load_family(args.file)
-    if family.size == 0:
-        sys.stderr.write("ucc: empty family; nothing to check\n")
-        return EXIT_USAGE
-    profile = element_frequencies(family)
-    cf = closure_fraction(family)
-    eps = 1 - cf
-    rep, theorem, delta, bound = _theorem_section(family)
-    obj = report.family_check_obj(family, profile, eps, eps == 0, theorem,
-                                  delta, bound)
+    family, rep, obj = _family_report(args.file)
     obj["closure_fraction_unordered"] = report.frac_obj(
         closure_fraction_unordered(family))
     _emit(report.render(obj, args.format), args.out)
@@ -166,21 +169,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    family = load_family(args.file)
-    if family.size == 0:
-        sys.stderr.write("ucc: empty family; nothing to check\n")
-        return EXIT_USAGE
-    profile = element_frequencies(family)
-    cf = closure_fraction(family)
-    eps = 1 - cf
-    rep, theorem, delta, bound = _theorem_section(family)
-    base = report.family_check_obj(family, profile, eps, eps == 0, theorem,
-                                   delta, bound)
+    family, rep, obj = _family_report(args.file)
     dist = union_distribution(family)
     lower = check_lower_bound(family)
     upper = check_upper_bound(family)
     chain = chain_rule_check(family)
-    obj = report.entropy_report_obj(base, shannon_entropy(dist), lower, upper, chain)
+    obj.update(entropy_union_bits=shannon_entropy(dist),
+               lower_bound=report.record_obj(lower),
+               upper_bound=report.record_obj(upper),
+               chain_rule=report.record_obj(chain))
     _emit(report.render(obj, args.format), args.out)
     if any(r is not None and r.satisfied is False for r in (rep, lower, upper, chain)):
         _dump_family(family)
@@ -190,7 +187,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_minimize(args) -> int:
     dm = minimize_diagonal(grid_points=args.grid)
-    obj = report.minimize_obj(dm)
+    obj = report.record_obj(dm)
     obj["deviation_from_phi"] = abs(dm.x_star - PHI)
     obj["value_minus_min"] = dm.value - (PHI + 1.0)
     _emit(report.render(obj, args.format), args.out)
@@ -202,7 +199,7 @@ def _cmd_grid(args) -> int:
         _write_grid_csv(args.grid, args.out)
     else:
         gc = corollary_grid_check(grid_points=args.grid)
-        obj = report.grid_check_obj(gc)
+        obj = report.record_obj(gc)
         obj["phi"] = PHI
         _emit(report.render(obj, args.format), args.out)
     return EXIT_OK
@@ -224,16 +221,17 @@ def _cmd_certify(args) -> int:
     cert = certify_lower_bound(
         theta=args.theta, eta=args.eta, max_depth=args.depth,
         box_budget=args.budget, strip_points=args.strip_points)
-    _emit(report.render(report.certificate_obj(cert), args.format), args.out)
+    _emit(report.render(report.record_obj(cert), args.format), args.out)
     if cert.violation_boxes and args.theta < HALF_INV_PHI:
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def _cmd_example(args) -> int:
-    spec = ExampleSpec(n=args.n, k=args.k, m=args.m)
-    _emit(report.render(report.example_stats_obj(slice_stats(spec)), args.format),
-          args.out)
+    stats = slice_stats(ExampleSpec(n=args.n, k=args.k, m=args.m))
+    obj = report.record_obj(stats)
+    obj["closure_deficit"] = float(stats.closure_deficit)
+    _emit(report.render({"example": obj}, args.format), args.out)
     return EXIT_OK
 
 
@@ -263,7 +261,7 @@ def _cmd_enumerate(args) -> int:
         "theorem_checked": checked,
         "skipped_small": skipped_small,
         "undecided": undecided,
-        "min_max_freq": report.frac_obj(min_max_freq) if min_max_freq is not None else None,
+        "min_max_freq": report.record_obj(min_max_freq),
         "all_satisfied": worst is None,
         "psi": PSI,
     }

@@ -16,23 +16,15 @@ from typing import TYPE_CHECKING, Any, TextIO
 from .analytic.scalars import PSI
 
 if TYPE_CHECKING:
-    from .analytic.certify import BoundaryScan, Certificate, ViolationBox
-    from .analytic.scalars import DiagonalMinimum, GridCheck
-    from .entropy import BoundReport, TheoremReport
-    from .generators import ExampleStats
+    from .entropy import TheoremReport
     from .setfamily import FrequencyProfile, SetFamily
 
 __all__ = [
     "frac_obj",
-    "bound_report_obj",
+    "record_obj",
     "theorem_obj",
     "inapplicable_theorem_obj",
     "family_check_obj",
-    "entropy_report_obj",
-    "certificate_obj",
-    "grid_check_obj",
-    "minimize_obj",
-    "example_stats_obj",
     "render",
 ]
 
@@ -41,16 +33,23 @@ def frac_obj(fr: Fraction) -> dict[str, int]:
     return {"num": fr.numerator, "den": fr.denominator}
 
 
-def bound_report_obj(rep: BoundReport) -> dict[str, Any]:
-    return {
-        "check": rep.check,
-        "lhs_bits": rep.lhs_bits,
-        "rhs_bits": rep.rhs_bits,
-        "margin_bits": rep.margin_bits,
-        "satisfied": rep.satisfied,
-        "applicable": rep.applicable,
-        "inputs": dict(sorted(rep.inputs.items())),
-    }
+def record_obj(rec: Any) -> Any:
+    """JSON-ready form of a result record: its report keys are its fields.
+
+    A NamedTuple becomes a dict of its fields in field order, tuples and
+    lists become lists, a dict is sorted by key, a Fraction becomes
+    :func:`frac_obj`, and anything else passes through unchanged; nested
+    values are converted the same way.
+    """
+    if isinstance(rec, tuple) and hasattr(rec, "_fields"):
+        return {name: record_obj(value) for name, value in zip(rec._fields, rec)}
+    if isinstance(rec, (tuple, list)):
+        return [record_obj(value) for value in rec]
+    if isinstance(rec, dict):
+        return {key: record_obj(rec[key]) for key in sorted(rec)}
+    if isinstance(rec, Fraction):
+        return frac_obj(rec)
+    return rec
 
 
 def theorem_obj(rep: TheoremReport) -> dict[str, Any]:
@@ -80,86 +79,6 @@ def family_check_obj(family: SetFamily, profile: FrequencyProfile,
         "max_freq": frac_obj(profile.max_freq),
         "max_freq_element": profile.argmax + 1,
         "theorem": theorem,
-    }
-
-
-def entropy_report_obj(base: dict[str, Any], entropy_union_bits: float,
-                       lower: BoundReport, upper: BoundReport,
-                       chain: BoundReport) -> dict[str, Any]:
-    out = dict(base)
-    out["entropy_union_bits"] = entropy_union_bits
-    out["lower_bound"] = bound_report_obj(lower)
-    out["upper_bound"] = bound_report_obj(upper)
-    out["chain_rule"] = bound_report_obj(chain)
-    return out
-
-
-def _violation_obj(v: ViolationBox) -> dict[str, float]:
-    return {"x_lo": v.x_lo, "x_hi": v.x_hi, "y_lo": v.y_lo, "y_hi": v.y_hi,
-            "f_upper": v.f_upper}
-
-
-def _boundary_obj(b: BoundaryScan) -> dict[str, Any]:
-    return {
-        "points_per_strip": b.points_per_strip,
-        "min_value": b.min_value,
-        "min_location": list(b.min_location),
-        "all_above_threshold": b.all_above_threshold,
-    }
-
-
-def certificate_obj(cert: Certificate) -> dict[str, Any]:
-    return {
-        "threshold": cert.threshold,
-        "eta": cert.eta,
-        "region": [list(cert.region[0]), list(cert.region[1])],
-        "boxes_processed": cert.boxes_processed,
-        "max_depth_used": cert.max_depth_used,
-        "verified": cert.verified,
-        "status": cert.status,
-        "accepted_boxes": cert.accepted_boxes,
-        "indeterminate_boxes": cert.indeterminate_boxes,
-        "violation_boxes": [_violation_obj(v) for v in cert.violation_boxes],
-        "worst_box": _violation_obj(cert.worst_box) if cert.worst_box else None,
-        "boundary": _boundary_obj(cert.boundary),
-        "trace_digest": cert.trace_digest,
-        "limitation": cert.limitation,
-    }
-
-
-def grid_check_obj(gc: GridCheck) -> dict[str, Any]:
-    return {
-        "grid_points": gc.grid_points,
-        "min_margin": gc.min_margin,
-        "argmin": list(gc.argmin),
-        "argmin_margin": gc.argmin_margin,
-    }
-
-
-def minimize_obj(dm: DiagonalMinimum) -> dict[str, Any]:
-    return {
-        "x_star": dm.x_star,
-        "value": dm.value,
-        "grid_points": dm.grid_points,
-        "refine_tol": dm.refine_tol,
-    }
-
-
-def example_stats_obj(stats: ExampleStats) -> dict[str, Any]:
-    return {
-        "example": {
-            "n": stats.n,
-            "k": stats.k,
-            "m": stats.m,
-            "log2_f1": stats.log2_f1,
-            "log2_f2": stats.log2_f2,
-            "size_ratio": stats.size_ratio,
-            "max_freq_exact": stats.max_freq_exact,
-            "closure_deficit": float(stats.closure_deficit),
-            "log2_inv_closure_deficit": stats.log2_inv_closure_deficit,
-            "delta": stats.delta,
-            "psi_minus_delta": stats.psi_minus_delta,
-        }
     }
 
 

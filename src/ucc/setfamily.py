@@ -66,7 +66,6 @@ __all__ = [
     "union_closure",
     "pair_union_counts",
     "mask_from_elements",
-    "elements_of_mask",
 ]
 
 WORD_CAP = 63
@@ -100,18 +99,6 @@ def mask_from_elements(elements: Iterable[int]) -> int:
             raise ValueError(f"ground elements are 1-based, got {e}")
         mask |= 1 << (e - 1)
     return mask
-
-
-def elements_of_mask(mask: int) -> tuple[int, ...]:
-    """1-based ground elements of a mask, ascending."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)

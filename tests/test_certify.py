@@ -17,6 +17,23 @@ def test_split_bisects_longer_side():
     assert first.y_hi == 0.1  # y untouched
 
 
+def test_split_cuts_edge_boxes_in_log_scale():
+    # x spans [1e-4, 1e-2] from the 0-edge: cut at sqrt(1e-4 * 1e-2) = 1e-3
+    first, second = _split(Box(1e-4, 1e-2, 0.3, 0.31))
+    assert first.x_hi == second.x_lo == math.sqrt(1e-4 * 1e-2)
+    assert (first.y_lo, first.y_hi) == (second.y_lo, second.y_hi) == (0.3, 0.31)
+    # y spans the same distances from the 1-edge: cut at 1 - 1e-3
+    lo, hi = 1.0 - 1e-2, 1.0 - 1e-4
+    first, second = _split(Box(0.3, 0.31, lo, hi))
+    assert first.y_hi == second.y_lo == 1.0 - math.sqrt((1.0 - hi) * (1.0 - lo))
+    assert first.y_hi == pytest.approx(1.0 - 1e-3)
+    assert (first.x_lo, first.x_hi) == (0.3, 0.31)
+    # a box near (phi, phi) spans no decades: bisected along x (sides tie)
+    first, second = _split(Box(0.6, 0.63, 0.6, 0.63))
+    assert first.x_hi == second.x_lo == 0.5 * (0.6 + 0.63)
+    assert (first.y_lo, first.y_hi) == (0.6, 0.63)
+
+
 def test_mean_value_contains_truth():
     # the box near the minimizer, then boxes touching the eta = 1e-4 edges,
     # where the gradient enclosure is widest
@@ -44,11 +61,11 @@ def test_verified_certificate_coarse():
     assert cert.boxes_processed < 5000
     assert cert.region == ((0.01, 0.99), (0.01, 0.99))
     # the cover itself: a change of search order must not change it
-    assert cert.boxes_processed == 310
-    assert cert.accepted_boxes == 146
-    assert cert.max_depth_used == 15
+    assert cert.boxes_processed == 239
+    assert cert.accepted_boxes == 109
+    assert cert.max_depth_used == 11
     assert cert.trace_digest == (
-        "8de403b8dede3983d9bf4962afc719f0ae1259f9dd4ead89d5f51aa4994e32ac")
+        "f177d2d89fb660a2e11d3452665f0bc571ed9d5996193b94d2146b4db61de6a4")
 
 
 def _area_where_x_le_y(a, b, c, d):
@@ -73,7 +90,7 @@ def test_verified_cover_tiles_the_half_square(monkeypatch):
     monkeypatch.setattr(certify, "_leaf_digest", record)
     cert = ucc.certify_lower_bound(theta=0.7, eta=0.01)
     assert cert.status == "verified"
-    assert len(leaves) == cert.accepted_boxes == 146
+    assert len(leaves) == cert.accepted_boxes == 109
     assert all(status == "ok" and box.x_lo <= box.y_hi for status, box in leaves)
     area = sum(_area_where_x_le_y(*map(Fraction, box)) for _, box in leaves)
     (lo, hi), _ = cert.region
@@ -134,7 +151,7 @@ def test_shallow_refutation_counts_no_indeterminate_leaves():
     cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4, max_depth=20)
     assert cert.status == "refuted"
     assert cert.indeterminate_boxes == 0
-    assert cert.boxes_processed == 7_044
+    assert cert.boxes_processed == 2_433
     assert cert.violation_boxes == (ViolationBox(
         0.6171640625000001, 0.6181404296875002,
         0.6171640625000001, 0.6181404296875002, 0.8090201163440421),)

@@ -334,6 +334,85 @@ def test_stdout_byte_identical_across_runs(capsys):
         assert first == second, argv
 
 
+def _key_paths(obj, prefix=""):
+    """Leaf key paths of a JSON report; list items share one ``[]`` step."""
+    if isinstance(obj, dict):
+        return {p for key, value in obj.items()
+                for p in _key_paths(value, f"{prefix}.{key}" if prefix else key)}
+    if isinstance(obj, list):
+        return {p for item in obj for p in _key_paths(item, prefix + "[]")} or {prefix + "[]"}
+    return {prefix}
+
+
+# every verb's report keys, sorted: a record change shows up here as a
+# schema diff
+REPORT_SCHEMAS = {
+    "check": (("check", NEAR_CLOSED), [
+        "closure_fraction_unordered.den", "closure_fraction_unordered.num",
+        "delta", "epsilon.den", "epsilon.num", "family_size", "max_freq.den",
+        "max_freq.num", "max_freq_element", "psi", "psi_minus_delta",
+        "theorem.applicable", "theorem.satisfied", "union_closed", "universe"]),
+    "entropy": (("entropy", NEAR_CLOSED), [
+        "chain_rule.applicable", "chain_rule.check",
+        "chain_rule.inputs.chain_sum_bits", "chain_rule.inputs.family_size",
+        "chain_rule.inputs.identity_margin_bits",
+        "chain_rule.inputs.universe_size", "chain_rule.lhs_bits",
+        "chain_rule.margin_bits", "chain_rule.rhs_bits",
+        "chain_rule.satisfied", "delta", "entropy_union_bits", "epsilon.den",
+        "epsilon.num", "family_size", "lower_bound.applicable",
+        "lower_bound.check", "lower_bound.inputs.entropy_per_draw_bits",
+        "lower_bound.inputs.family_size", "lower_bound.inputs.half_inv_phi",
+        "lower_bound.inputs.p_min_zero", "lower_bound.lhs_bits",
+        "lower_bound.margin_bits", "lower_bound.rhs_bits",
+        "lower_bound.satisfied", "max_freq.den", "max_freq.num",
+        "max_freq_element", "psi", "psi_minus_delta", "theorem.applicable",
+        "theorem.satisfied", "union_closed", "universe",
+        "upper_bound.applicable", "upper_bound.check",
+        "upper_bound.inputs.decomposition_bits", "upper_bound.inputs.epsilon",
+        "upper_bound.inputs.family_size", "upper_bound.inputs.h_epsilon_bits",
+        "upper_bound.inputs.log2_family_size", "upper_bound.lhs_bits",
+        "upper_bound.margin_bits", "upper_bound.rhs_bits",
+        "upper_bound.satisfied"]),
+    "minimize": (("analytic", "minimize", "--grid", "200"), [
+        "deviation_from_phi", "grid_points", "refine_tol", "value",
+        "value_minus_min", "x_star"]),
+    "grid": (("analytic", "grid", "--grid", "101"), [
+        "argmin[]", "argmin_margin", "grid_points", "min_margin", "phi"]),
+    "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01",
+                 "--strip-points", "4"), [
+        "accepted_boxes", "boundary.all_above_threshold",
+        "boundary.min_location[]", "boundary.min_value",
+        "boundary.points_per_strip", "boxes_processed", "eta",
+        "indeterminate_boxes", "limitation", "max_depth_used", "region[][]",
+        "status", "threshold", "trace_digest", "verified",
+        "violation_boxes[].f_upper", "violation_boxes[].x_hi",
+        "violation_boxes[].x_lo", "violation_boxes[].y_hi",
+        "violation_boxes[].y_lo", "worst_box.f_upper", "worst_box.x_hi",
+        "worst_box.x_lo", "worst_box.y_hi", "worst_box.y_lo"]),
+    "example": (("example", "--n", "10", "--k", "3", "--m", "4"), [
+        "example.closure_deficit", "example.delta", "example.k",
+        "example.log2_f1", "example.log2_f2",
+        "example.log2_inv_closure_deficit", "example.m",
+        "example.max_freq_exact", "example.n", "example.psi_minus_delta",
+        "example.size_ratio"]),
+    "enumerate": (("enumerate", "--n", "2"), [
+        "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
+        "n", "psi", "skipped_small", "theorem_checked", "undecided"]),
+    "fuzz": (("fuzz", "--n", "4", "--count", "6", "--seed", "1"), [
+        "count", "kinds[]", "max_epsilon_seen", "n", "rho", "seed", "size",
+        "skipped_pair_cap", "skipped_small", "theorem_applicable",
+        "theorem_checked", "undecided", "violation_found"]),
+}
+
+
+@pytest.mark.parametrize("verb", REPORT_SCHEMAS)
+def test_report_schema_pinned(verb, capsys):
+    argv, schema = REPORT_SCHEMAS[verb]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(_key_paths(json.loads(out))) == sorted(schema)
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "check")[0] == 2                       # missing operand
     assert run(capsys, "frobnicate", POWERSET3)[0] == 2       # unknown verb

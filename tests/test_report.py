@@ -1,0 +1,55 @@
+"""record_obj: a result record's report keys are its fields, in field order."""
+
+import json
+from fractions import Fraction
+
+from ucc import report
+from ucc.analytic.certify import BoundaryScan, Certificate, ViolationBox
+from ucc.entropy import BoundReport
+
+
+def test_refuted_certificate_nests_boxes_and_scan():
+    near = ViolationBox(0.6171875, 0.6181640625, 0.6171875, 0.6181640625,
+                        0.8090170)
+    best = ViolationBox(0.6176, 0.6182, 0.6176, 0.6182, 0.8090169)
+    cert = Certificate(
+        threshold=0.95, eta=0.01, region=((0.01, 0.99), (0.01, 0.99)),
+        boxes_processed=2958, max_depth_used=33, verified=False,
+        status="refuted", accepted_boxes=0, indeterminate_boxes=0,
+        violation_boxes=(best, near), worst_box=best,
+        boundary=BoundaryScan(400, 0.88, (0.99, 0.5), False),
+        trace_digest="ab" * 32)
+    obj = report.record_obj(cert)
+    assert list(obj) == list(Certificate._fields)
+    box = {"x_lo": 0.6176, "x_hi": 0.6182, "y_lo": 0.6176, "y_hi": 0.6182,
+           "f_upper": 0.8090169}
+    assert obj["region"] == [[0.01, 0.99], [0.01, 0.99]]
+    assert obj["violation_boxes"] == [box, report.record_obj(near)]
+    assert list(obj["violation_boxes"][1]) == list(ViolationBox._fields)
+    assert obj["worst_box"] == box
+    assert obj["boundary"] == {"points_per_strip": 400, "min_value": 0.88,
+                               "min_location": [0.99, 0.5],
+                               "all_above_threshold": False}
+    assert obj["trace_digest"] == "ab" * 32
+    assert obj["limitation"] == cert.limitation
+    # every nested value is plain JSON: lists and dicts, never tuples
+    assert json.loads(json.dumps(obj)) == obj
+
+
+def test_bound_report_inputs_sorted_by_key():
+    rep = BoundReport(check="lower", lhs_bits=3.0, rhs_bits=2.5,
+                      margin_bits=0.5, satisfied=True, applicable=True,
+                      inputs={"p_min_zero": 0.25, "family_size": 8.0,
+                              "half_inv_phi": 0.809})
+    obj = report.record_obj(rep)
+    assert list(obj) == list(BoundReport._fields)
+    assert list(obj["inputs"]) == ["family_size", "half_inv_phi", "p_min_zero"]
+    assert obj["inputs"]["p_min_zero"] == 0.25
+    assert obj["satisfied"] is True
+
+
+def test_fraction_and_none():
+    assert report.record_obj(Fraction(3, 8)) == {"num": 3, "den": 8}
+    assert report.record_obj(Fraction(0)) == {"num": 0, "den": 1}
+    assert report.record_obj(None) is None
+    assert report.render({"v": report.record_obj(None)}, "json") == '{"v":null}\n'
