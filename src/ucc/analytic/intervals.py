@@ -31,7 +31,6 @@ form is sharpest exactly where f is closest to its minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scalars import big_g_of, g_of
 
@@ -59,18 +58,33 @@ def _up(v: float) -> float:
     return math.nextafter(v, _INF)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with outward-rounded arithmetic."""
+    """Closed interval [lo, hi] with outward-rounded arithmetic.
 
-    lo: float
-    hi: float
+    Treated as immutable: equal intervals hash alike, and every operation
+    returns a new one.
+    """
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        if not lo <= hi:  # also false when either endpoint is NaN
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("interval endpoints must not be NaN")
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        self.lo = lo
+        self.hi = hi
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, v: float) -> "Interval":

@@ -16,45 +16,54 @@ Reports go to stdout (JSON by default), certificates and CSV dumps to
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import report
-from .analytic import (
-    HALF_INV_PHI,
-    PHI,
-    PSI,
-    certify_lower_bound,
-    corollary_grid_check,
-    grid_margin_rows,
-    minimize_diagonal,
-)
-from .entropy import (
-    chain_rule_check,
-    check_lower_bound,
-    check_theorem,
-    check_upper_bound,
-    shannon_entropy,
-    union_distribution,
-)
-from .generators import (
-    RANDOM_KINDS,
-    ExampleSpec,
-    enumerate_union_closed,
-    random_families,
-    slice_stats,
-)
-from .rng import derive_seed
-from .setfamily import (
-    SetFamily,
-    UCFormatError,
-    CapExceededError,
-    closure_fraction,
-    closure_fraction_unordered,
-    element_frequencies,
-    format_family,
-    load_family,
-)
+
+if TYPE_CHECKING:
+    from .setfamily import SetFamily
+
+# home module -> the library names the handlers below call from it.  They
+# become module globals only when run_cli binds the homes of the chosen
+# verb (_VERB_HOMES), or when one is read as `ucc.cli.<name>`: so `ucc
+# check` never compiles the certifier and `ucc analytic certify` never loads
+# setfamily, and a replacement set through `ucc.cli.<name>` beforehand is
+# what the verb calls.
+_IMPORTS = {
+    "analytic.scalars": ("HALF_INV_PHI", "PHI", "PSI", "corollary_grid_check",
+                         "grid_margin_rows", "minimize_diagonal"),
+    "analytic.certify": ("certify_lower_bound",),
+    "entropy": ("chain_rule_check", "check_lower_bound", "check_theorem",
+                "check_upper_bound", "shannon_entropy", "union_distribution"),
+    "generators": ("RANDOM_KINDS", "ExampleSpec", "enumerate_union_closed",
+                   "random_families", "slice_stats"),
+    "rng": ("derive_seed",),
+    "setfamily": ("CapExceededError", "closure_fraction",
+                  "closure_fraction_unordered", "element_frequencies",
+                  "format_family", "load_family"),
+}
+_HOME = {name: home for home, names in _IMPORTS.items() for name in names}
+
+
+def _bind(home: str) -> None:
+    """Bind the names of ``home`` in _IMPORTS as globals of this module,
+    keeping any that is already bound (a caller's replacement wins)."""
+    module = importlib.import_module(f"{__package__}.{home}")
+    scope = globals()
+    for name in _IMPORTS[home]:
+        scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(home)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -64,6 +73,17 @@ EXIT_USAGE = 2
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "human", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _kind(value: str) -> str:
+    """The --kind type: a name in generators.RANDOM_KINDS, or "all"."""
+    _bind("generators")
+    kinds = RANDOM_KINDS + ("all",)
+    if value not in kinds:
+        choices = ", ".join(map(repr, kinds))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=8)
-    p.add_argument("--kind", choices=RANDOM_KINDS + ("all",), default="all")
+    p.add_argument("--kind", type=_kind, default="all",
+                   help="one kind of random family, or all of them (default)")
     p.add_argument("--rho", type=float, default=0.25)
     p.add_argument("--entropy-checks", action="store_true",
                    help="also run chain-rule and both entropy bounds per family")
@@ -342,6 +363,33 @@ _DISPATCH = {
     "enumerate": _cmd_enumerate,
     "fuzz": _cmd_fuzz,
 }
+_ANALYTIC = {
+    "minimize": _cmd_minimize,
+    "grid": _cmd_grid,
+    "certify": _cmd_certify,
+}
+
+_FAMILY_HOMES = ("setfamily", "entropy", "analytic.scalars")
+# verb (the analytic action for `ucc analytic ...`) -> the homes its handler reads
+_VERB_HOMES = {
+    "check": _FAMILY_HOMES,
+    "entropy": _FAMILY_HOMES,
+    "example": ("generators",),
+    "enumerate": ("generators", *_FAMILY_HOMES),
+    "fuzz": ("generators", "rng", *_FAMILY_HOMES),
+    "minimize": ("analytic.scalars",),
+    "grid": ("analytic.scalars",),
+    "certify": ("analytic.certify", "analytic.scalars"),
+}
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The errors run_cli reports as one line and exit 2.  UCFormatError is
+    a ValueError; CapExceededError is only raised by code that imports
+    setfamily, so it is named only once setfamily is loaded."""
+    setfamily = sys.modules.get(f"{__package__}.setfamily")
+    caps = () if setfamily is None else (setfamily.CapExceededError,)
+    return (ValueError, OSError, *caps)
 
 
 def run_cli(argv: list[str]) -> int:
@@ -351,14 +399,15 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    if args.command == "analytic":
+        verb, handler = args.action, _ANALYTIC[args.action]
+    else:
+        verb, handler = args.command, _DISPATCH[args.command]
+    for home in _VERB_HOMES[verb]:
+        _bind(home)
     try:
-        if args.command == "analytic":
-            handler = {"minimize": _cmd_minimize, "grid": _cmd_grid,
-                       "certify": _cmd_certify}[args.action]
-        else:
-            handler = _DISPATCH[args.command]
         return handler(args)
-    except (UCFormatError, CapExceededError, ValueError, OSError) as exc:
+    except _usage_errors() as exc:
         sys.stderr.write(f"ucc: {exc}\n")
         return EXIT_USAGE
 

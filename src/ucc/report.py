@@ -13,8 +13,6 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, TextIO
 
-from .analytic.scalars import PSI
-
 if TYPE_CHECKING:
     from .entropy import TheoremReport
     from .setfamily import FrequencyProfile, SetFamily
@@ -68,6 +66,7 @@ def family_check_obj(family: SetFamily, profile: FrequencyProfile,
                      theorem: dict[str, Any], delta: float,
                      psi_minus_delta: float) -> dict[str, Any]:
     """Envelope shared by the check and entropy commands."""
+    from .analytic.scalars import PSI  # loaded by then: entropy imports it
     return {
         "family_size": family.size,
         "universe": family.universe_size,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -101,32 +100,42 @@ def mask_from_elements(elements: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """Canonical, deduplicated family of subsets of {1, ..., universe_size}.
 
     ``sets`` is strictly increasing as integers, which fixes one canonical
     order for iteration, serialization, and hashing.  The family may be
-    empty; most statistics below then refuse to run.
+    empty; most statistics below then refuse to run.  A family is treated
+    as immutable: equality and hashing read ``(universe_size, sets)``, and
+    the statistics cached on it are computed once.
     """
 
-    universe_size: int
-    sets: tuple[int, ...]
-    _members: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = self.universe_size
+    def __init__(self, universe_size: int, sets: tuple[int, ...]) -> None:
+        n = universe_size
         if not 1 <= n <= WORD_CAP:
             raise ValueError(f"universe size must be in 1..{WORD_CAP}, got {n}")
         limit = 1 << n
         prev = -1
-        for m in self.sets:
+        for m in sets:
             if not 0 <= m < limit:
                 raise ValueError(f"mask {m} out of range for universe of size {n}")
             if m <= prev:
                 raise ValueError("sets must be strictly increasing (canonical order)")
             prev = m
-        object.__setattr__(self, "_members", frozenset(self.sets))
+        self.universe_size = universe_size
+        self.sets = sets
+        self._members = frozenset(sets)
+
+    def __repr__(self) -> str:
+        return f"SetFamily(universe_size={self.universe_size!r}, sets={self.sets!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe_size, self.sets) == (other.universe_size, other.sets)
+
+    def __hash__(self) -> int:
+        return hash((self.universe_size, self.sets))
 
     @classmethod
     def from_masks(cls, universe_size: int, masks: Iterable[int]) -> "SetFamily":

@@ -172,6 +172,27 @@ def test_certify_refuted_run(capsys):
     assert obj["limitation"]
 
 
+def test_certify_usage_error_is_one_line(capsys):
+    code, out, err = run(capsys, "analytic", "certify", "--eta", "0.6")
+    assert (code, out, err) == (2, "", "ucc: eta must be in (0, 0.1), got 0.6\n")
+
+
+def test_certify_usage_error_before_setfamily_is_loaded():
+    # a fresh interpreter: certify never loads setfamily, whose error
+    # classes run_cli also reports, and a ValueError must still exit 2
+    code = ("import sys\nfrom ucc.cli import run_cli\n"
+            "bad = run_cli(['analytic', 'certify', '--eta', '0.6'])\n"
+            "good = run_cli(['analytic', 'certify', '--theta', '0.7', '--eta', '0.01'])\n"
+            "print(bad, good, 'ucc.setfamily' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.stderr == "ucc: eta must be in (0, 0.1), got 0.6\n2 0 False\n"
+    assert json.loads(proc.stdout)["status"] == "verified"
+
+
 def test_example_degenerate_spec(capsys):
     code, _, err = run(capsys, "example", "--n", "20")
     assert code == 2
@@ -297,6 +318,14 @@ def test_fuzz_single_kind(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kinds"] == ["uniform"]
+
+
+def test_fuzz_unknown_kind_names_the_kinds(capsys):
+    code, out, err = run(capsys, "fuzz", "--n", "5", "--count", "10",
+                         "--seed", "7", "--kind", "bogus")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --kind: invalid choice: 'bogus' (choose from "
+                        "'uniform', 'closure-of-random', 'noisy-uc', 'all')\n")
 
 
 def test_human_and_csv_formats(capsys):

@@ -1,43 +1,38 @@
-"""Result records are NamedTuples; only SetFamily and Interval are dataclasses.
+"""Start-up cost: what importing ucc and running one verb loads.
 
-Building a frozen dataclass generates and execs six methods, about 1 ms a
-class at import; a NamedTuple costs a fraction of that.  The guard below
-keeps the records from drifting back, and the field pins keep a reordered
-field from silently changing positional construction.  A second import
-probe keeps ``hashlib``, which loads OpenSSL, out of every verb's start-up.
+Result records are NamedTuples and no class is a dataclass: building a
+frozen dataclass generates and execs six methods, about 1 ms a class at
+import, and a NamedTuple costs a fraction of that.  The field pins keep a
+reordered field from silently changing positional construction.
+
+Every verb runs in a process of its own, so start-up is paid per verdict.
+``import ucc.cli`` loads only the parser and the report writer; each verb
+loads the modules it runs (``ucc.cli._VERB_HOMES``), and the package
+re-exports resolve on first use.  The probes below run in fresh
+interpreters and pin that closure, and keep ``hashlib`` (which loads
+OpenSSL) and ``dataclasses`` out of it.
 """
 
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import ucc
+import ucc.analytic
+import ucc.cli
 from ucc.analytic.certify import BoundaryScan
+from tests.conftest import DATA_DIR
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-# wraps dataclasses.dataclass before ucc is imported and lists the ucc
-# classes it decorates
-_PROBE = """
-import dataclasses, json
-decorated = []
-_dataclass = dataclasses.dataclass
-
-def counting(cls=None, /, **kwargs):
-    def wrap(c):
-        if c.__module__.startswith("ucc"):
-            decorated.append(c.__name__)
-        return _dataclass(c, **kwargs)
-    return wrap if cls is None else wrap(cls)
-
-dataclasses.dataclass = counting
-import ucc.cli
-print(json.dumps(sorted(decorated)))
-"""
+MODULES = sorted(
+    ".".join(path.relative_to(SRC_DIR).with_suffix("").parts).removesuffix(".__init__")
+    for path in (SRC_DIR / "ucc").rglob("*.py") if path.stem != "__main__")
 
 RECORD_FIELDS = {
     ucc.DiagonalMinimum: ("x_star", "value", "grid_points", "refine_tol"),
@@ -75,14 +70,112 @@ def _probe(code: str) -> str:
     return proc.stdout
 
 
-def test_import_decorates_only_the_behaviour_classes():
-    assert set(json.loads(_probe(_PROBE))) == {"SetFamily", "Interval"}
+def _loaded_after(code: str) -> set[str]:
+    """The ``ucc`` modules a fresh interpreter holds after running ``code``."""
+    out = _probe(code + "\nimport json, sys\n"
+                 "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'ucc']))")
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_no_module_imports_dataclasses():
+    assert "ucc.analytic.certify" in MODULES and "ucc.cli" in MODULES
+    code = "".join(f"import {name}\n" for name in MODULES)
+    out = _probe(code + "import sys; print('dataclasses' in sys.modules)")
+    assert out == "False\n"
 
 
 def test_import_leaves_hashlib_unloaded():
     # only `analytic certify` hashes, and imports hashlib when it does
     out = _probe("import sys, ucc.cli; print('hashlib' in sys.modules)")
     assert out == "False\n"
+
+
+def test_import_cli_loads_only_the_parser_and_report():
+    assert _loaded_after("import ucc.cli") == {"ucc", "ucc.cli", "ucc.report"}
+
+
+# a verb's run, in a fresh interpreter, and modules it must never load
+_RUN = "import contextlib, io\nfrom ucc.cli import run_cli\n" \
+       "with contextlib.redirect_stdout(io.StringIO()):\n    assert run_cli({argv!r}) == 0\n"
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["analytic", "certify", "--theta", "0.7", "--eta", "0.01"],
+     {"ucc.setfamily", "ucc.entropy", "ucc.generators", "ucc.rng"}),
+    (["check", str(DATA_DIR / "powerset3.uc")],
+     {"ucc.analytic.certify", "ucc.generators", "ucc.rng"}),
+], ids=["certify", "check"])
+def test_verb_loads_only_its_own_modules(argv, never):
+    loaded = _loaded_after(_RUN.format(argv=argv))
+    assert "ucc.cli" in loaded and not loaded & never
+
+
+@pytest.mark.parametrize("package", [ucc, ucc.analytic], ids=lambda p: p.__name__)
+def test_lazy_exports_match_their_home_modules(package):
+    names = [name for name in package.__all__ if name != "__version__"]
+    assert sorted(names) == sorted(package._HOME)
+    for name in names:
+        home = importlib.import_module(f"{package.__name__}.{package._HOME[name]}")
+        assert getattr(package, name) is getattr(home, name), name
+    assert set(package.__all__) <= set(dir(package))
+    star: dict = {}
+    exec(f"from {package.__name__} import *", star)
+    assert set(package.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+
+
+def test_cli_names_exist_in_their_homes():
+    for home, names in ucc.cli._IMPORTS.items():
+        module = importlib.import_module(f"ucc.{home}")
+        assert all(hasattr(module, name) for name in names), home
+    assert set(ucc.cli._VERB_HOMES) == set(ucc.cli._DISPATCH) | set(ucc.cli._ANALYTIC)
+    assert not hasattr(ucc.cli, "example_stats")
+
+
+def _names_read(fn) -> set[str]:
+    """Global and attribute names in ``fn``'s code and in the code of every
+    ucc.cli function it names, nested code objects included."""
+    names: set[str] = set()
+    codes, seen = [fn.__code__], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            helper = vars(ucc.cli).get(name)
+            if (isinstance(helper, types.FunctionType) and helper not in seen
+                    and helper.__module__ == ucc.cli.__name__):
+                seen.add(helper)
+                codes.append(helper.__code__)
+    return names
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(DATA_DIR / "powerset3.uc")],
+    ["entropy", str(DATA_DIR / "powerset3.uc")],
+    ["example", "--n", "1000"],
+    ["enumerate", "--n", "2"],
+    ["fuzz", "--n", "4", "--count", "6", "--seed", "1", "--entropy-checks"],
+    ["analytic", "minimize", "--grid", "128"],
+    ["analytic", "grid", "--grid", "101"],
+    ["analytic", "certify", "--theta", "0.81", "--eta", "0.01", "--strip-points", "100"],
+], ids=lambda argv: argv[1] if argv[0] == "analytic" else argv[0])
+def test_verb_homes_cover_what_the_handler_reads(argv, monkeypatch, capsys):
+    verb = argv[1] if argv[0] == "analytic" else argv[0]
+    declared = {name for home in ucc.cli._VERB_HOMES[verb]
+                for name in ucc.cli._IMPORTS[home]}
+    # every table name the handler or a cli helper it calls mentions, on any
+    # branch (names read only on an error or violation path included)
+    handler = {**ucc.cli._DISPATCH, **ucc.cli._ANALYTIC}[verb]
+    assert _names_read(handler) & set(ucc.cli._HOME) <= declared
+    # and one run with every library name unbound, so a name read from a home
+    # the verb does not declare raises NameError instead of finding an
+    # earlier binding
+    for name in ucc.cli._HOME:
+        monkeypatch.delitem(vars(ucc.cli), name, raising=False)
+    assert ucc.cli.run_cli(argv) == 0
+    assert set(ucc.cli._HOME) & set(vars(ucc.cli)) == declared
 
 
 @pytest.mark.parametrize("record", list(RECORD_FIELDS),
