@@ -10,7 +10,8 @@ families, and `cli` wires everything into the `ucc` command.
 
 The names below are resolved on first use (PEP 562): ``import ucc`` loads
 no submodule, and ``ucc.SetFamily`` imports ``ucc.setfamily`` when it is
-first read.
+first read.  ``_EXPORTS`` is the one table of where each public name
+lives; ``ucc.cli`` binds a verb's names from it too.
 """
 
 import importlib
@@ -22,8 +23,8 @@ _EXPORTS = {
     "analytic.scalars": (
         "HALF_INV_PHI", "PHI", "PSI", "DiagonalMinimum", "GridCheck",
         "binary_entropy", "corollary_grid_check", "corollary_margin",
-        "diagonal_ratio", "f_ratio", "g_of", "grid_margins",
-        "minimize_diagonal"),
+        "diagonal_ratio", "f_ratio", "g_of", "grid_margin_rows",
+        "grid_margins", "minimize_diagonal"),
     "analytic.intervals": ("Interval",),
     "analytic.certify": ("Certificate", "certify_lower_bound"),
     "entropy": (
@@ -31,19 +32,26 @@ _EXPORTS = {
         "chain_rule_check", "check_lower_bound", "check_theorem",
         "check_upper_bound", "shannon_entropy", "union_distribution"),
     "generators": (
-        "ExampleSpec", "ExampleStats", "enumerate_union_closed",
-        "random_families", "slice_example", "slice_max_frequency",
-        "slice_stats"),
+        "RANDOM_KINDS", "ExampleSpec", "ExampleStats",
+        "enumerate_union_closed", "random_families", "slice_example",
+        "slice_max_frequency", "slice_stats"),
     "rng": ("SplitMix64", "derive_seed"),
     "setfamily": (
-        "FrequencyProfile", "SetFamily", "UCFormatError", "CapExceededError",
-        "closure_fraction", "closure_fraction_unordered", "dump_family",
-        "element_frequencies", "format_family", "is_union_closed",
-        "load_family", "parse_family", "union_closure"),
+        "FrequencyProfile", "SetFamily", "UCFormatError", "closure_fraction",
+        "closure_fraction_unordered", "dump_family", "element_frequencies",
+        "format_family", "is_union_closed", "load_family", "parse_family",
+        "union_closure"),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_HOME, "__version__"]
+__all__ = [*_HOME, "CapExceededError", "__version__"]
+
+
+class CapExceededError(RuntimeError):
+    """A size guard tripped (closure blow-up, histogram cells, materialization).
+
+    Defined here rather than in its raisers so that ``ucc.cli`` can catch it
+    without loading them."""
 
 
 def __getattr__(name: str):

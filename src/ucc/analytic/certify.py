@@ -242,6 +242,8 @@ def certify_lower_bound(
     """
     if not 0.0 < eta < 0.1:
         raise ValueError(f"eta must be in (0, 0.1), got {eta}")
+    if 1.0 - eta == 1.0:  # the enclosures need a square inside (0, 1)^2
+        raise ValueError(f"eta must exceed 2**-54 so that 1 - eta < 1, got {eta}")
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta}")
     if max_depth < 1:

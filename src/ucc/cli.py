@@ -21,39 +21,25 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import report
+from . import _EXPORTS, _HOME, CapExceededError, report
 
 if TYPE_CHECKING:
     from .setfamily import SetFamily
 
-# home module -> the library names the handlers below call from it.  They
-# become module globals only when run_cli binds the homes of the chosen
-# verb (_VERB_HOMES), or when one is read as `ucc.cli.<name>`: so `ucc
-# check` never compiles the certifier and `ucc analytic certify` never loads
+# The library names the handlers below call become module globals only
+# when run_cli binds the homes (keys of ucc._EXPORTS) that the chosen verb's
+# subparser lists, or when one is read as `ucc.cli.<name>`.  So `ucc check`
+# never compiles the certifier, `ucc analytic certify` never loads
 # setfamily, and a replacement set through `ucc.cli.<name>` beforehand is
 # what the verb calls.
-_IMPORTS = {
-    "analytic.scalars": ("HALF_INV_PHI", "PHI", "PSI", "corollary_grid_check",
-                         "grid_margin_rows", "minimize_diagonal"),
-    "analytic.certify": ("certify_lower_bound",),
-    "entropy": ("chain_rule_check", "check_lower_bound", "check_theorem",
-                "check_upper_bound", "shannon_entropy", "union_distribution"),
-    "generators": ("RANDOM_KINDS", "ExampleSpec", "enumerate_union_closed",
-                   "random_families", "slice_stats"),
-    "rng": ("derive_seed",),
-    "setfamily": ("CapExceededError", "closure_fraction",
-                  "closure_fraction_unordered", "element_frequencies",
-                  "format_family", "load_family"),
-}
-_HOME = {name: home for home, names in _IMPORTS.items() for name in names}
 
 
 def _bind(home: str) -> None:
-    """Bind the names of ``home`` in _IMPORTS as globals of this module,
-    keeping any that is already bound (a caller's replacement wins)."""
+    """Bind the names ``ucc._EXPORTS`` lists for ``home`` as globals of this
+    module, keeping any that is already bound (a caller's replacement wins)."""
     module = importlib.import_module(f"{__package__}.{home}")
     scope = globals()
-    for name in _IMPORTS[home]:
+    for name in _EXPORTS[home]:
         scope.setdefault(name, getattr(module, name))
 
 
@@ -86,7 +72,14 @@ def _kind(value: str) -> str:
     return value
 
 
+# what _family_report reads: the homes of every verb that checks a family
+_FAMILY_HOMES = ("setfamily", "entropy", "analytic.scalars")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``ucc`` parser.  Each verb's subparser is the one place that
+    declares it: its options, its handler (``run``) and the homes of the
+    library names that handler reads (``homes``)."""
     ap = argparse.ArgumentParser(
         prog="ucc",
         description="Checks for union-closed set systems and the entropy bound behind them.")
@@ -95,10 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="closure fraction, frequencies, theorem report")
     p.add_argument("file")
     _add_common(p)
+    p.set_defaults(run=_cmd_check, homes=_FAMILY_HOMES)
 
     p = sub.add_parser("entropy", help="union entropy, chain rule, both bounds")
     p.add_argument("file")
     _add_common(p)
+    p.set_defaults(run=_cmd_entropy, homes=_FAMILY_HOMES)
 
     p = sub.add_parser("analytic", help="scalar landscape checks and certification")
     asub = p.add_subparsers(dest="action", required=True)
@@ -106,10 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q = asub.add_parser("minimize", help="locate the diagonal ratio minimum")
     q.add_argument("--grid", type=int, default=4096)
     _add_common(q)
+    q.set_defaults(run=_cmd_minimize, homes=("analytic.scalars",))
 
     q = asub.add_parser("grid", help="sweep the product-form margin on a grid")
     q.add_argument("--grid", type=int, default=1001)
     _add_common(q)
+    q.set_defaults(run=_cmd_grid, homes=("analytic.scalars",))
 
     q = asub.add_parser("certify", help="branch-and-bound lower bound for f")
     q.add_argument("--theta", type=float, default=0.809016)
@@ -118,18 +115,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget", type=int, default=10_000_000)
     q.add_argument("--strip-points", type=int, default=10_000)
     _add_common(q)
+    q.set_defaults(run=_cmd_certify, homes=("analytic.certify", "analytic.scalars"))
 
     p = sub.add_parser("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     _add_common(p)
+    p.set_defaults(run=_cmd_example, homes=("generators",))
 
     p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 4")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exclude-empty", action="store_true",
                    help="skip families containing the empty set as a member")
     _add_common(p)
+    p.set_defaults(run=_cmd_enumerate, homes=("generators", *_FAMILY_HOMES))
 
     p = sub.add_parser("fuzz", help="random families through the theorem checker")
     p.add_argument("--n", type=int, required=True)
@@ -142,6 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entropy-checks", action="store_true",
                    help="also run chain-rule and both entropy bounds per family")
     _add_common(p)
+    p.set_defaults(run=_cmd_fuzz, homes=("generators", "rng", *_FAMILY_HOMES))
     return ap
 
 
@@ -294,6 +295,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    # split among the kinds, a count below 1 reaches no random_families call
+    # to refuse it
+    if args.count < 1:
+        raise ValueError("size and count must be positive")
     kinds = RANDOM_KINDS if args.kind == "all" else (args.kind,)
     per = args.count // len(kinds)
     remainder = args.count - per * (len(kinds) - 1)
@@ -356,42 +361,6 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "entropy": _cmd_entropy,
-    "example": _cmd_example,
-    "enumerate": _cmd_enumerate,
-    "fuzz": _cmd_fuzz,
-}
-_ANALYTIC = {
-    "minimize": _cmd_minimize,
-    "grid": _cmd_grid,
-    "certify": _cmd_certify,
-}
-
-_FAMILY_HOMES = ("setfamily", "entropy", "analytic.scalars")
-# verb (the analytic action for `ucc analytic ...`) -> the homes its handler reads
-_VERB_HOMES = {
-    "check": _FAMILY_HOMES,
-    "entropy": _FAMILY_HOMES,
-    "example": ("generators",),
-    "enumerate": ("generators", *_FAMILY_HOMES),
-    "fuzz": ("generators", "rng", *_FAMILY_HOMES),
-    "minimize": ("analytic.scalars",),
-    "grid": ("analytic.scalars",),
-    "certify": ("analytic.certify", "analytic.scalars"),
-}
-
-
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """The errors run_cli reports as one line and exit 2.  UCFormatError is
-    a ValueError; CapExceededError is only raised by code that imports
-    setfamily, so it is named only once setfamily is loaded."""
-    setfamily = sys.modules.get(f"{__package__}.setfamily")
-    caps = () if setfamily is None else (setfamily.CapExceededError,)
-    return (ValueError, OSError, *caps)
-
-
 def run_cli(argv: list[str]) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     parser = _build_parser()
@@ -399,15 +368,11 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "analytic":
-        verb, handler = args.action, _ANALYTIC[args.action]
-    else:
-        verb, handler = args.command, _DISPATCH[args.command]
-    for home in _VERB_HOMES[verb]:
+    for home in args.homes:
         _bind(home)
     try:
-        return handler(args)
-    except _usage_errors() as exc:
+        return args.run(args)
+    except (ValueError, OSError, CapExceededError) as exc:
         sys.stderr.write(f"ucc: {exc}\n")
         return EXIT_USAGE
 

@@ -169,7 +169,7 @@ class TheoremReport(NamedTuple):
 
 def union_distribution(family: SetFamily) -> UnionDistribution:
     """Exact union distribution; requires |F| >= 1 and a histogram within
-    the kernel's cell cap (:class:`~ucc.setfamily.CapExceededError` otherwise)."""
+    the kernel's cell cap (:class:`~ucc.CapExceededError` otherwise)."""
     if family.size == 0:
         raise ValueError("union_distribution requires a nonempty family")
     unions, counts = family.union_counts
@@ -187,8 +187,8 @@ def shannon_entropy(dist) -> float:
 
     Accepts a :class:`UnionDistribution`, a mapping from outcomes to
     probabilities, or a bare iterable of probabilities (Fractions or
-    floats).  Probabilities must be nonnegative and sum to 1 (exactly for
-    Fractions, within 1e-9 for floats).
+    floats).  Probabilities must be finite, nonnegative and sum to 1
+    (exactly for Fractions, within 1e-9 for floats).
     """
     if isinstance(dist, UnionDistribution):
         return dist.entropy_bits
@@ -200,6 +200,8 @@ def shannon_entropy(dist) -> float:
         raise ValueError("empty distribution")
     exact = all(isinstance(v, (Fraction, int)) for v in values)
     for v in values:
+        if not (exact or math.isfinite(v)):
+            raise ValueError(f"non-finite probability {v}")
         if v < 0:
             raise ValueError(f"negative probability {v}")
     total = sum(values) if exact else math.fsum(values)
@@ -208,7 +210,8 @@ def shannon_entropy(dist) -> float:
             raise ValueError(f"probabilities sum to {total}, not 1")
     elif abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return -math.fsum(p * math.log2(p) for p in map(float, values) if p > 0.0)
+    # 0.0 - s rather than -s: a point mass has entropy 0.0, not -0.0
+    return 0.0 - math.fsum(p * math.log2(p) for p in map(float, values) if p > 0.0)
 
 
 def _weighted_fsum(terms: Iterable[tuple[float, int]]) -> float:

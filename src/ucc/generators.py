@@ -21,12 +21,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from . import CapExceededError
 from .analytic.scalars import PSI
 from .entropy import theorem_delta
 from .rng import SplitMix64, derive_seed
 from .setfamily import (
     WORD_CAP,
-    CapExceededError,
     SetFamily,
     union_closure,
 )

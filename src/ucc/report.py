@@ -118,7 +118,7 @@ def write_grid_csv(fh: TextIO, grid, blocks) -> None:
     """CSV dump of a margin sweep: columns x,y,f,margin, fixed header.
 
     ``blocks`` yields ``(f_rows, margin_rows)`` in row order, as from
-    :func:`ucc.analytic.grid_margin_rows`; each block is written out before
+    :func:`ucc.analytic.scalars.grid_margin_rows`; each block is written out before
     the next one is computed.
     """
     fh.write("x,y,f,margin\n")

@@ -44,6 +44,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
+from . import CapExceededError
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -84,10 +86,6 @@ class UCFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class CapExceededError(RuntimeError):
-    """A size guard tripped (closure blow-up, histogram cells, materialization)."""
 
 
 def mask_from_elements(elements: Iterable[int]) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import ucc
-from ucc.analytic import big_g_of, g_prime_of
+from ucc.analytic.scalars import big_g_of, g_prime_of
 from ucc.cli import run_cli
 from ucc.rng import SplitMix64
 from tests.conftest import DATA_DIR

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucc
-from ucc.analytic import (
+from ucc.analytic.intervals import (
     TRANSCENDENTAL_SLACK,
     Interval,
-    big_g_of,
     f_gradient_enclosure,
     f_mean_value,
     f_point_enclosure,
-    g_of,
-    g_prime_of,
 )
+from ucc.analytic.scalars import big_g_of, g_of, g_prime_of
 
 # independently frozen values (big-int/mpmath-free: evaluated from the
 # closed forms with 53-bit floats, cross-checked at higher precision)

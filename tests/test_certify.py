@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ucc
-from ucc.analytic import Interval, f_mean_value
+from ucc.analytic.intervals import Interval, f_mean_value
 from ucc.analytic import certify
 from ucc.analytic.certify import Box, BoundaryScan, ViolationBox, _scan_strips, _split
 

@@ -11,7 +11,8 @@ import pytest
 
 import ucc
 import ucc.entropy
-from ucc.cli import _DISPATCH, run_cli
+import ucc.cli
+from ucc.cli import _build_parser, run_cli
 from tests.conftest import DATA_DIR
 
 POWERSET3 = str(DATA_DIR / "powerset3.uc")
@@ -175,6 +176,10 @@ def test_certify_refuted_run(capsys):
 def test_certify_usage_error_is_one_line(capsys):
     code, out, err = run(capsys, "analytic", "certify", "--eta", "0.6")
     assert (code, out, err) == (2, "", "ucc: eta must be in (0, 0.1), got 0.6\n")
+    # 1 - eta rounds to 1.0: refused up front, not inside an enclosure
+    code, out, err = run(capsys, "analytic", "certify", "--eta", "5e-17")
+    assert (code, out, err) == (
+        2, "", "ucc: eta must exceed 2**-54 so that 1 - eta < 1, got 5e-17\n")
 
 
 def test_certify_usage_error_before_setfamily_is_loaded():
@@ -226,7 +231,8 @@ def test_every_verb_rejects_tol_and_example_sampling_options(capsys):
         ("example", "--n", "1000"), ("enumerate", "--n", "3"),
         ("fuzz", "--n", "5", "--count", "10", "--seed", "7"),
     ]
-    assert {argv[0] for argv in verbs} == set(_DISPATCH) | {"analytic"}
+    handlers = {fn for name, fn in vars(ucc.cli).items() if name.startswith("_cmd_")}
+    assert {_build_parser().parse_args(argv).run for argv in verbs} == handlers
     for argv in verbs:
         assert run(capsys, *argv, "--tol=-0.2")[:2] == (2, ""), argv
     for option in ("--samples", "--seed", "--shards"):
@@ -451,6 +457,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "analytic")[0] == 2                    # missing action
     code, out, err = run(capsys, "analytic", "certify", "--strip-points", "-1")
     assert code == 2 and out == "" and "strip_points" in err
+    for count in ("0", "-5"):
+        assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
+            2, "", "ucc: size and count must be positive\n")
     assert run(capsys)[0] == 2
 
 

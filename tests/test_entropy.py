@@ -49,7 +49,9 @@ def test_union_distribution_compares_by_identity():
 def test_shannon_entropy_accepts_mappings_and_iterables():
     assert ucc.shannon_entropy({0: Fraction(1, 2), 1: Fraction(1, 2)}) == 1.0
     assert ucc.shannon_entropy([0.25, 0.75]) == pytest.approx(H_QUARTER, abs=1e-14)
-    assert ucc.shannon_entropy([1.0]) == 0.0
+    for point_mass in ([1.0], {0: Fraction(1)}):
+        h = ucc.shannon_entropy(point_mass)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # 0.0, not -0.0
 
 
 def test_shannon_entropy_rejects_bad_distributions():
@@ -57,6 +59,9 @@ def test_shannon_entropy_rejects_bad_distributions():
         ucc.shannon_entropy({0: Fraction(1, 2)})  # does not sum to 1
     with pytest.raises(ValueError):
         ucc.shannon_entropy([0.5, 0.6])
+    for bad in ([float("nan"), 1.0], {0: float("nan")}, [float("inf"), 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ucc.shannon_entropy(bad)
 
 
 def test_chain_rule_on_power_set(powerset3):

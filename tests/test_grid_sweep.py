@@ -15,7 +15,8 @@ import pytest
 import ucc
 from tests import grid_oracle as oracle
 from ucc import report
-from ucc.analytic import grid_margin_rows, scalars
+from ucc.analytic import scalars
+from ucc.analytic.scalars import grid_margin_rows
 
 
 def test_block_edges_straddled():

@@ -7,8 +7,9 @@ reordered field from silently changing positional construction.
 
 Every verb runs in a process of its own, so start-up is paid per verdict.
 ``import ucc.cli`` loads only the parser and the report writer; each verb
-loads the modules it runs (``ucc.cli._VERB_HOMES``), and the package
-re-exports resolve on first use.  The probes below run in fresh
+loads the modules it runs (the ``homes`` its subparser lists), and the
+package re-exports resolve on first use.  ``ucc._EXPORTS`` is the one
+table of where each name lives.  The probes below run in fresh
 interpreters and pin that closure, and keep ``hashlib`` (which loads
 OpenSSL) and ``dataclasses`` out of it.
 """
@@ -24,7 +25,6 @@ import types
 import pytest
 
 import ucc
-import ucc.analytic
 import ucc.cli
 from ucc.analytic.certify import BoundaryScan
 from tests.conftest import DATA_DIR
@@ -94,6 +94,10 @@ def test_import_cli_loads_only_the_parser_and_report():
     assert _loaded_after("import ucc.cli") == {"ucc", "ucc.cli", "ucc.report"}
 
 
+def test_import_analytic_loads_no_submodule():
+    assert _loaded_after("import ucc.analytic") == {"ucc", "ucc.analytic"}
+
+
 # a verb's run, in a fresh interpreter, and modules it must never load
 _RUN = "import contextlib, io\nfrom ucc.cli import run_cli\n" \
        "with contextlib.redirect_stdout(io.StringIO()):\n    assert run_cli({argv!r}) == 0\n"
@@ -110,26 +114,37 @@ def test_verb_loads_only_its_own_modules(argv, never):
     assert "ucc.cli" in loaded and not loaded & never
 
 
-@pytest.mark.parametrize("package", [ucc, ucc.analytic], ids=lambda p: p.__name__)
-def test_lazy_exports_match_their_home_modules(package):
-    names = [name for name in package.__all__ if name != "__version__"]
-    assert sorted(names) == sorted(package._HOME)
+def test_lazy_exports_match_their_home_modules():
+    names = [name for name in ucc.__all__
+             if name not in ("__version__", "CapExceededError")]
+    assert sorted(names) == sorted(ucc._HOME)
     for name in names:
-        home = importlib.import_module(f"{package.__name__}.{package._HOME[name]}")
-        assert getattr(package, name) is getattr(home, name), name
-    assert set(package.__all__) <= set(dir(package))
+        home = importlib.import_module(f"ucc.{ucc._HOME[name]}")
+        assert getattr(ucc, name) is getattr(home, name), name
+    assert set(ucc.__all__) <= set(dir(ucc))
     star: dict = {}
-    exec(f"from {package.__name__} import *", star)
-    assert set(package.__all__) <= set(star)
+    exec("from ucc import *", star)
+    assert set(ucc.__all__) <= set(star)
     with pytest.raises(AttributeError, match="no_such_name"):
-        package.no_such_name
+        ucc.no_such_name
+    # defined in the package, so ucc.cli catches it without loading setfamily
+    setfamily = importlib.import_module("ucc.setfamily")
+    assert ucc.CapExceededError is setfamily.CapExceededError
 
 
-def test_cli_names_exist_in_their_homes():
-    for home, names in ucc.cli._IMPORTS.items():
-        module = importlib.import_module(f"ucc.{home}")
-        assert all(hasattr(module, name) for name in names), home
-    assert set(ucc.cli._VERB_HOMES) == set(ucc.cli._DISPATCH) | set(ucc.cli._ANALYTIC)
+def test_only_the_package_maps_homes_to_names():
+    modules = {name: importlib.import_module(name) for name in MODULES}
+    assert sorted(name for name, module in modules.items()
+                  if "__getattr__" in vars(module)) == ["ucc", "ucc.cli"]
+    # ucc.cli resolves and binds through the package's table
+    assert ucc.cli._EXPORTS is ucc._EXPORTS and ucc.cli._HOME is ucc._HOME
+
+
+def test_cli_names_exist_in_their_homes(monkeypatch):
+    # reading a package name through ucc.cli binds the package's object
+    for name in ucc._HOME:
+        monkeypatch.delitem(vars(ucc.cli), name, raising=False)
+        assert getattr(ucc.cli, name) is getattr(ucc, name), name
     assert not hasattr(ucc.cli, "example_stats")
 
 
@@ -162,20 +177,18 @@ def _names_read(fn) -> set[str]:
     ["analytic", "certify", "--theta", "0.81", "--eta", "0.01", "--strip-points", "100"],
 ], ids=lambda argv: argv[1] if argv[0] == "analytic" else argv[0])
 def test_verb_homes_cover_what_the_handler_reads(argv, monkeypatch, capsys):
-    verb = argv[1] if argv[0] == "analytic" else argv[0]
-    declared = {name for home in ucc.cli._VERB_HOMES[verb]
-                for name in ucc.cli._IMPORTS[home]}
+    args = ucc.cli._build_parser().parse_args(argv)
+    declared = {name for home in args.homes for name in ucc._EXPORTS[home]}
     # every table name the handler or a cli helper it calls mentions, on any
     # branch (names read only on an error or violation path included)
-    handler = {**ucc.cli._DISPATCH, **ucc.cli._ANALYTIC}[verb]
-    assert _names_read(handler) & set(ucc.cli._HOME) <= declared
+    assert _names_read(args.run) & set(ucc._HOME) <= declared
     # and one run with every library name unbound, so a name read from a home
     # the verb does not declare raises NameError instead of finding an
     # earlier binding
-    for name in ucc.cli._HOME:
+    for name in ucc._HOME:
         monkeypatch.delitem(vars(ucc.cli), name, raising=False)
     assert ucc.cli.run_cli(argv) == 0
-    assert set(ucc.cli._HOME) & set(vars(ucc.cli)) == declared
+    assert set(ucc._HOME) & set(vars(ucc.cli)) == declared
 
 
 @pytest.mark.parametrize("record", list(RECORD_FIELDS),
