@@ -24,7 +24,7 @@ _EXPORTS = {
         "HALF_INV_PHI", "PHI", "PSI", "DiagonalMinimum", "GridCheck",
         "binary_entropy", "corollary_grid_check", "corollary_margin",
         "diagonal_ratio", "f_ratio", "g_of", "grid_margin_rows",
-        "grid_margins", "minimize_diagonal"),
+        "grid_margins", "minimize_diagonal", "write_grid_csv"),
     "analytic.intervals": ("Interval",),
     "analytic.certify": ("Certificate", "certify_lower_bound"),
     "entropy": (

@@ -41,6 +41,7 @@ __all__ = [
     "corollary_grid_check",
     "grid_margin_rows",
     "grid_margins",
+    "write_grid_csv",
 ]
 
 _LN2 = math.log(2.0)
@@ -254,6 +255,31 @@ def grid_margin_rows(grid_points: int):
         raise ValueError("grid_points must be at least 2")
     grid = np.linspace(0.0, 1.0, grid_points)
     return grid, ((f, m) for _, m, f in _margin_blocks(grid, True))
+
+
+def write_grid_csv(out, grid_points: int) -> None:
+    """Stream the margin sweep as CSV: columns x,y,f,margin, fixed header.
+
+    ``out`` is a text stream or a path.  Each row block of
+    :func:`grid_margin_rows` is written before the next one is computed.
+    Grids below 100 points are refused, the floor of
+    :func:`corollary_grid_check`, and before a path is opened, so a refused
+    grid leaves no file behind.
+    """
+    if grid_points < 100:
+        raise ValueError("grid_points must be at least 100")
+    if isinstance(out, str):
+        with open(out, "w", encoding="utf-8") as fh:
+            return write_grid_csv(fh, grid_points)
+    grid, blocks = grid_margin_rows(grid_points)
+    out.write("x,y,f,margin\n")
+    labels = [repr(v) for v in grid.tolist()]
+    xs = iter(labels)
+    for f_rows, margin_rows in blocks:
+        for frow, mrow in zip(f_rows.tolist(), margin_rows.tolist()):
+            x = next(xs)
+            out.write("".join(f"{x},{y},{f!r},{m!r}\n"
+                              for y, f, m in zip(labels, frow, mrow)))
 
 
 def grid_margins(grid_points: int):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS, _HOME, CapExceededError, report
@@ -146,23 +145,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(args, obj: dict) -> int:
+    """Write the report to --out or stdout; returns EXIT_OK."""
+    text = report.render(obj, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
-def _dump_family(family: SetFamily) -> None:
+def _finish(args, obj: dict, violation: SetFamily | None) -> int:
+    """Write a family verb's report; a violating family is then dumped to
+    stderr in .uc form and exits 1."""
+    _emit(args, obj)
+    if violation is None:
+        return EXIT_OK
     sys.stderr.write("violating family in .uc format:\n")
-    sys.stderr.write(format_family(family))
+    sys.stderr.write(format_family(violation))
+    return EXIT_VIOLATION
 
 
 def _family_report(path: str):
     """Load a nonempty family and build the report fields check and entropy
-    share; returns the family, its theorem report (None below size 2) and
-    the report object."""
+    share; returns the family, its theorem verdict (true below size 2,
+    where the theorem does not apply) and the report object."""
     family = load_family(path)
     if family.size == 0:
         raise ValueError("empty family; nothing to check")
@@ -170,28 +178,35 @@ def _family_report(path: str):
     eps = 1 - closure_fraction(family)
     if family.size >= 2:
         rep = check_theorem(family)
-        theorem, delta, bound = report.theorem_obj(rep), rep.delta, rep.psi_minus_delta
+        delta, bound = rep.delta, rep.psi_minus_delta
+        theorem = {"applicable": rep.applicable, "satisfied": rep.satisfied}
     else:
-        rep, delta, bound = None, 0.0, PSI
-        theorem = report.inapplicable_theorem_obj("family size < 2")
-    obj = report.family_check_obj(family, profile, eps, eps == 0, theorem,
-                                  delta, bound)
-    return family, rep, obj
+        delta, bound = 0.0, PSI
+        theorem = {"applicable": False, "satisfied": True, "note": "family size < 2"}
+    obj = {
+        "family_size": family.size,
+        "universe": family.universe_size,
+        "union_closed": eps == 0,
+        "epsilon": report.frac_obj(eps),
+        "delta": delta,
+        "psi_minus_delta": bound,
+        "psi": PSI,
+        "max_freq": report.frac_obj(profile.max_freq),
+        "max_freq_element": profile.argmax + 1,
+        "theorem": theorem,
+    }
+    return family, theorem["satisfied"], obj
 
 
 def _cmd_check(args) -> int:
-    family, rep, obj = _family_report(args.file)
+    family, verdict, obj = _family_report(args.file)
     obj["closure_fraction_unordered"] = report.frac_obj(
         closure_fraction_unordered(family))
-    _emit(report.render(obj, args.format), args.out)
-    if rep is not None and rep.satisfied is False:
-        _dump_family(family)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _finish(args, obj, family if verdict is False else None)
 
 
 def _cmd_entropy(args) -> int:
-    family, rep, obj = _family_report(args.file)
+    family, verdict, obj = _family_report(args.file)
     dist = union_distribution(family)
     lower = check_lower_bound(family)
     upper = check_upper_bound(family)
@@ -200,11 +215,8 @@ def _cmd_entropy(args) -> int:
                lower_bound=report.record_obj(lower),
                upper_bound=report.record_obj(upper),
                chain_rule=report.record_obj(chain))
-    _emit(report.render(obj, args.format), args.out)
-    if any(r is not None and r.satisfied is False for r in (rep, lower, upper, chain)):
-        _dump_family(family)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    verdicts = (verdict, lower.satisfied, upper.satisfied, chain.satisfied)
+    return _finish(args, obj, family if False in verdicts else None)
 
 
 def _cmd_minimize(args) -> int:
@@ -212,38 +224,23 @@ def _cmd_minimize(args) -> int:
     obj = report.record_obj(dm)
     obj["deviation_from_phi"] = abs(dm.x_star - PHI)
     obj["value_minus_min"] = dm.value - (PHI + 1.0)
-    _emit(report.render(obj, args.format), args.out)
-    return EXIT_OK
+    return _emit(args, obj)
 
 
 def _cmd_grid(args) -> int:
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        _write_grid_csv(args.grid, args.out)
-    else:
-        gc = corollary_grid_check(grid_points=args.grid)
-        obj = report.record_obj(gc)
-        obj["phi"] = PHI
-        _emit(report.render(obj, args.format), args.out)
-    return EXIT_OK
-
-
-def _write_grid_csv(grid_points: int, out_path: str | None) -> None:
-    """Stream the margin sweep as CSV, one row block at a time."""
-    if grid_points < 100:  # the floor corollary_grid_check puts on the JSON path
-        raise ValueError("grid_points must be at least 100")
-    grid, blocks = grid_margin_rows(grid_points)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            report.write_grid_csv(fh, grid, blocks)
-    else:
-        report.write_grid_csv(sys.stdout, grid, blocks)
+        write_grid_csv(args.out or sys.stdout, args.grid)
+        return EXIT_OK
+    obj = report.record_obj(corollary_grid_check(grid_points=args.grid))
+    obj["phi"] = PHI
+    return _emit(args, obj)
 
 
 def _cmd_certify(args) -> int:
     cert = certify_lower_bound(
         theta=args.theta, eta=args.eta, max_depth=args.depth,
         box_budget=args.budget, strip_points=args.strip_points)
-    _emit(report.render(report.record_obj(cert), args.format), args.out)
+    _emit(args, report.record_obj(cert))
     if cert.violation_boxes and args.theta < HALF_INV_PHI:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -253,112 +250,87 @@ def _cmd_example(args) -> int:
     stats = slice_stats(ExampleSpec(n=args.n, k=args.k, m=args.m))
     obj = report.record_obj(stats)
     obj["closure_deficit"] = float(stats.closure_deficit)
-    _emit(report.render({"example": obj}, args.format), args.out)
-    return EXIT_OK
+    return _emit(args, {"example": obj})
 
 
-def _cmd_enumerate(args) -> int:
-    count = 0
-    checked = 0
-    skipped_small = 0
-    undecided = 0
-    min_max_freq: Fraction | None = None
-    worst: SetFamily | None = None
-    for fam in enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty):
-        count += 1
+def _check_families(families, entropy_checks: bool = False):
+    """The loop enumerate and fuzz share.  Families of fewer than two sets
+    are skipped, and so is one over the pair-union histogram's cap; the rest
+    go through the theorem check and, with ``entropy_checks``, the three
+    entropy checks, up to the first certified violation.  Returns the
+    tallies by report key and the violating family (None if there is none)."""
+    seen = checked = applicable = skipped_small = skipped_cap = undecided = 0
+    max_eps = 0.0
+    min_max_freq = violation = None
+    for fam in families:
+        seen += 1
         if fam.size < 2:
             skipped_small += 1
             continue
-        rep = check_theorem(fam)
+        try:  # the first build of this family's pair-union histogram
+            rep = check_theorem(fam)
+        except CapExceededError:
+            skipped_cap += 1
+            continue
         checked += 1
+        applicable += rep.applicable
+        max_eps = max(max_eps, float(rep.epsilon))
         if min_max_freq is None or rep.max_freq < min_max_freq:
             min_max_freq = rep.max_freq
-        if rep.satisfied is False:
-            worst = fam
+        verdicts = [rep.satisfied]
+        if rep.satisfied is not False and entropy_checks:
+            verdicts += [check_lower_bound(fam).satisfied,
+                         check_upper_bound(fam).satisfied,
+                         chain_rule_check(fam).satisfied]
+        if False in verdicts:
+            violation = fam
             break
-        undecided += rep.satisfied is None
-    obj = {
-        "n": args.n,
-        "families": count,
-        "theorem_checked": checked,
-        "skipped_small": skipped_small,
-        "undecided": undecided,
-        "min_max_freq": report.record_obj(min_max_freq),
-        "all_satisfied": worst is None,
-        "psi": PSI,
-    }
-    _emit(report.render(obj, args.format), args.out)
-    if worst is not None:
-        _dump_family(worst)
-        return EXIT_VIOLATION
-    return EXIT_OK
-
-
-def _cmd_fuzz(args) -> int:
-    # split among the kinds, a count below 1 reaches no random_families call
-    # to refuse it
-    if args.count < 1:
-        raise ValueError("size and count must be positive")
-    kinds = RANDOM_KINDS if args.kind == "all" else (args.kind,)
-    per = args.count // len(kinds)
-    remainder = args.count - per * (len(kinds) - 1)
-    checked = 0
-    skipped_small = 0
-    skipped_cap = 0
-    applicable = 0
-    undecided = 0
-    max_eps = 0.0
-    violation: SetFamily | None = None
-    for pos, kind in enumerate(kinds):
-        want = remainder if pos == len(kinds) - 1 else per
-        if want <= 0:
-            continue
-        stream = random_families(args.n, args.size, want,
-                                 derive_seed(args.seed, pos), kind, rho=args.rho)
-        for fam in stream:
-            if fam.size < 2:
-                skipped_small += 1
-                continue
-            try:  # the first build of this family's pair-union histogram
-                rep = check_theorem(fam)
-            except CapExceededError:
-                skipped_cap += 1
-                continue
-            checked += 1
-            if rep.applicable:
-                applicable += 1
-            max_eps = max(max_eps, float(rep.epsilon))
-            verdicts = [rep.satisfied]
-            if rep.satisfied is not False and args.entropy_checks:
-                verdicts += [check_lower_bound(fam).satisfied,
-                             check_upper_bound(fam).satisfied,
-                             chain_rule_check(fam).satisfied]
-            if False in verdicts:
-                violation = fam
-                break
-            undecided += None in verdicts
-        if violation is not None:
-            break
-    obj = {
-        "n": args.n,
-        "count": args.count,
-        "kinds": list(kinds),
-        "size": args.size,
-        "seed": args.seed,
-        "rho": args.rho,
+        undecided += None in verdicts
+    return {
+        "families": seen,
         "theorem_checked": checked,
         "theorem_applicable": applicable,
         "skipped_small": skipped_small,
         "skipped_pair_cap": skipped_cap,
         "undecided": undecided,
         "max_epsilon_seen": max_eps,
+        "min_max_freq": report.record_obj(min_max_freq),
+    }, violation
+
+
+def _cmd_enumerate(args) -> int:
+    tally, violation = _check_families(
+        enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty))
+    obj = {
+        "n": args.n,
+        **{key: tally[key] for key in ("families", "theorem_checked",
+                                       "skipped_small", "undecided", "min_max_freq")},
+        "all_satisfied": violation is None,
+        "psi": PSI,
+    }
+    return _finish(args, obj, violation)
+
+
+def _cmd_fuzz(args) -> int:
+    # one --kind draws as the first kind of a split does: derive_seed(seed, 0)
+    seed = args.seed if args.kind == "all" else derive_seed(args.seed, 0)
+    tally, violation = _check_families(
+        random_families(args.n, args.size, args.count, seed, args.kind,
+                        rho=args.rho),
+        args.entropy_checks)
+    obj = {
+        "n": args.n,
+        "count": args.count,
+        "kinds": list(RANDOM_KINDS if args.kind == "all" else (args.kind,)),
+        "size": args.size,
+        "seed": args.seed,
+        "rho": args.rho,
+        **{key: tally[key] for key in ("theorem_checked", "theorem_applicable",
+                                       "skipped_small", "skipped_pair_cap",
+                                       "undecided", "max_epsilon_seen")},
         "violation_found": violation is not None,
     }
-    _emit(report.render(obj, args.format), args.out)
-    if violation is not None:
-        _dump_family(violation)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _finish(args, obj, violation)
 
 
 def run_cli(argv: list[str]) -> int:

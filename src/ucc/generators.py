@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from . import CapExceededError
@@ -257,6 +257,13 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
     Each family draws from a substream derived from (seed, index), so the
     stream is deterministic and prefix-stable: consuming only the first
     few families yields exactly what a full run would have yielded.
+
+    ``all`` chains one stream per kind, in ``RANDOM_KINDS`` order: each
+    kind gets ``count // 3`` families and the last one the remainder too,
+    the kind at position ``pos`` draws with seed ``derive_seed(seed, pos)``,
+    and a kind that gets no family is skipped (so a count below 3 draws
+    only ``noisy-uc``).  The split moves with ``count``, so this stream is
+    not prefix-stable across counts.
     """
     if not 1 <= n <= WORD_CAP:
         raise ValueError(f"n must be in 1..{WORD_CAP}")
@@ -264,10 +271,16 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
         raise ValueError("size and count must be positive")
     if size > 1 << n:
         raise ValueError(f"size {size} exceeds the 2^{n} distinct masks")
-    if kind not in RANDOM_KINDS:
-        raise ValueError(f"kind must be one of {RANDOM_KINDS}, got {kind!r}")
+    if kind not in RANDOM_KINDS and kind != "all":
+        raise ValueError(f"kind must be one of {RANDOM_KINDS} or 'all', got {kind!r}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
+    if kind == "all":
+        wants = [count // len(RANDOM_KINDS)] * len(RANDOM_KINDS)
+        wants[-1] += count % len(RANDOM_KINDS)
+        return chain.from_iterable(
+            random_families(n, size, want, derive_seed(seed, pos), each, rho)
+            for pos, (each, want) in enumerate(zip(RANDOM_KINDS, wants)) if want)
 
     def build(index: int) -> SetFamily:
         rng = SplitMix64(derive_seed(seed, index))

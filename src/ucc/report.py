@@ -1,30 +1,25 @@
-"""Report serialization: stable JSON, human-readable text, and CSV.
+"""Report serialization, the part every verb runs.
+
+:func:`record_obj` turns a result record into its report object (its
+fields are the keys) and :func:`render` writes a report object as stable
+JSON, human-readable ``key  value`` lines, or ``key,value`` CSV.  Each
+verb builds its own report object in :mod:`ucc.cli`; the grid sweep's CSV
+dump is :func:`ucc.analytic.scalars.write_grid_csv`.
 
 JSON is rendered with sorted keys and fixed separators, floats through
 Python's shortest-roundtrip repr, exact rationals as {"num", "den"}
-objects.  Byte-identical output for identical inputs is a contract, so
-nothing here may embed wall-clock times, paths, hostnames, or dict
-iteration order.
+objects; the human and CSV forms keep the report's key order.
+Byte-identical output for identical inputs is a contract, so nothing
+here may embed wall-clock times, paths or hostnames.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import Any
 
-if TYPE_CHECKING:
-    from .entropy import TheoremReport
-    from .setfamily import FrequencyProfile, SetFamily
-
-__all__ = [
-    "frac_obj",
-    "record_obj",
-    "theorem_obj",
-    "inapplicable_theorem_obj",
-    "family_check_obj",
-    "render",
-]
+__all__ = ["frac_obj", "record_obj", "render"]
 
 
 def frac_obj(fr: Fraction) -> dict[str, int]:
@@ -48,37 +43,6 @@ def record_obj(rec: Any) -> Any:
     if isinstance(rec, Fraction):
         return frac_obj(rec)
     return rec
-
-
-def theorem_obj(rep: TheoremReport) -> dict[str, Any]:
-    return {
-        "applicable": rep.applicable,
-        "satisfied": rep.satisfied,
-    }
-
-
-def inapplicable_theorem_obj(note: str) -> dict[str, Any]:
-    return {"applicable": False, "satisfied": True, "note": note}
-
-
-def family_check_obj(family: SetFamily, profile: FrequencyProfile,
-                     epsilon: Fraction, union_closed: bool,
-                     theorem: dict[str, Any], delta: float,
-                     psi_minus_delta: float) -> dict[str, Any]:
-    """Envelope shared by the check and entropy commands."""
-    from .analytic.scalars import PSI  # loaded by then: entropy imports it
-    return {
-        "family_size": family.size,
-        "universe": family.universe_size,
-        "union_closed": union_closed,
-        "epsilon": frac_obj(epsilon),
-        "delta": delta,
-        "psi_minus_delta": psi_minus_delta,
-        "psi": PSI,
-        "max_freq": frac_obj(profile.max_freq),
-        "max_freq_element": profile.argmax + 1,
-        "theorem": theorem,
-    }
 
 
 def _flatten(obj: Any, prefix: str, rows: list[tuple[str, str]]) -> None:
@@ -112,20 +76,3 @@ def render(obj: dict[str, Any], fmt: str) -> str:
         width = max((len(k) for k, _ in rows), default=0)
         return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def write_grid_csv(fh: TextIO, grid, blocks) -> None:
-    """CSV dump of a margin sweep: columns x,y,f,margin, fixed header.
-
-    ``blocks`` yields ``(f_rows, margin_rows)`` in row order, as from
-    :func:`ucc.analytic.scalars.grid_margin_rows`; each block is written out before
-    the next one is computed.
-    """
-    fh.write("x,y,f,margin\n")
-    labels = [repr(v) for v in grid.tolist()]
-    xs = iter(labels)
-    for f_rows, margin_rows in blocks:
-        for frow, mrow in zip(f_rows.tolist(), margin_rows.tolist()):
-            x = next(xs)
-            fh.write("".join(f"{x},{y},{f!r},{m!r}\n"
-                             for y, f, m in zip(labels, frow, mrow)))

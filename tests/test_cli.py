@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shapes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -367,6 +368,88 @@ def test_stdout_byte_identical_across_runs(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
+
+
+def _pinned_data_runs():
+    digests = {
+        "chain4.uc": (
+            "2082cf6b1ea877cca0af48b1317f95c2276104170e9123a480927ba9dc5edb84",
+            "de788f7f53dd84e941b7edb29574f34c9c1d47ee80bfbc699612d14c43d44d04",
+            "23e6e8513a6cc157770c80b174f0893c7c73cb72c702b75718095160fdb7f360",
+            "826a0c85292c17676c27ea782b5d327c89f5976e7bad70d0d2be8833367bb401"),
+        "near_closed.uc": (
+            "6b74a15b4bb41982172382fe6364da807cff9071b0d895546ba2b51c03f500f4",
+            "26891449e9bb715ea8ed55095c9d8e00ccee71f6da4b53b1fd49f4c936ff8e66",
+            "242ec38b8eabc1fd135d98c9a23f88dc6b5260268958f7ec5ed45801130b45a1",
+            "4c6ec372e0e947178ba8d8594a59dd518b4c767a27407529a78794168972fa06"),
+        "powerset3.uc": (
+            "c98be6d2618986c72801f3a100da5d93b0727c9ae4d0166f6a25b37236f4bf72",
+            "8fe69d879d7f10dde4a74f6c169d9b6a266db8790754bcf7fdb88e7cb69f1f3a",
+            "67c3871ab735fe5f73d1f33d7a13d9bf8da870c7bfee1b1bce333edc45266925",
+            "c920b33169180145cb12a04ef42d7d05fadac2ceb939ec484c4be2c29b3bceab"),
+        "powerset3_noempty.uc": (
+            "89d58a97ea82f3030f3e0ca4a7dae397769665a58b6826877b93801b4967bfa4",
+            "38405d0c4a3c145975d66bef27e1e813985fa4c90e77c938a4a7bcab61da9d55",
+            "5b187437ff84276c23b25a82f961d38faa4a17412219f68b202bb6d346e921f7",
+            "482baf1881e72b96a31cbd966e5a15c720142215e3c6067c1d7bd044a649fb3c"),
+        "singleton.uc": (
+            "05a5840a41c2a9ee98433274e8753ba37dafb0e8a512e153575c42f2eb98f996",
+            "a4860a743899d47d91c893041a28794e1b3c90f98fa8637fc27333730b61c516",
+            "98c2c2082a46390f1d58d0e3a9420b237ebeaa3fb9735c93c7c5df42d5519f36",
+            "b67745408ee747488bb3068ae7a2527ccf6e9d6507f63405e5c7735079e4b618"),
+        "two_singletons.uc": (
+            "ad89141ff8cee19d500b12b15174d2863305f0aec25d95195d10375e937a3da0",
+            "ff1fb81d55354038a0b7a143442fa9a2128649e505095cb7845777311c5c1eed",
+            "9fd2cbb221a18b24b5517c358a9390d0ac98e1f06db8c47fb7e785673310940d",
+            "d170bf07c519213da46687bf46c1664690dd325e3e9e24348ed0b4b7b21148f9"),
+    }
+    assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
+    for name, sums in digests.items():
+        argvs = [(verb, name, "--format", fmt)
+                 for verb in ("check", "entropy") for fmt in ("json", "human")]
+        yield from ((argv, 0, digest) for argv, digest in zip(argvs, sums))
+
+
+# sha256 of stdout and the exit code, pinned across commits: a refactor must
+# not move a byte.  The certify digest covers the certificate's trace digest,
+# so it is re-pinned only when the certifier's box split (_split) changes.
+PINNED_RUNS = [
+    *_pinned_data_runs(),
+    (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
+     "4a1c130bfe88771cb0476a8ed9361b9280075693a77d5e1ccf19238f682da106"),
+    (("analytic", "grid", "--grid", "101", "--format", "csv"), 0,
+     "b1fd9e0e6f0d7a8485e818c10dac284bc759521c83b7e8f09a1b0791406f38ee"),
+    (("analytic", "grid", "--grid", "101", "--format", "human"), 0,
+     "50273ed76e36791a48c28abe5ce6204de48f6d8df3d5e3a4f655237b77c77f72"),
+    (("analytic", "minimize"), 0,
+     "4dbe5bb16867fc98c8bfba8ac192fb17eb1a87bc5889a38d85d96638675bb5d8"),
+    (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
+     "ecccba07a78ff09d865574154f86a8dda185e007341f974fb7bf9ec1fa6c6590"),
+    (("example", "--n", "1000"), 0,
+     "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
+    (("enumerate", "--n", "3"), 0,
+     "e749f224c195772ec8be5b713ce30039af4acff35ff59869e8ccc07f64c2231b"),
+    (("enumerate", "--n", "3", "--exclude-empty"), 0,
+     "a648b57173d4824871974a82f62f791bef399825a5c517514de11502dee5e5ea"),
+    (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
+     "42d7733d06572eebb2e1aa67b404cb14402036a1a286b2d2badbe18ebf70b4a4"),
+    (("fuzz", "--n", "5", "--count", "40", "--seed", "9", "--kind", "noisy-uc",
+      "--entropy-checks"), 0,
+     "f1b9203977baf209b90a7b1bf7dd24ff410b8b8fa06fc49ded8044f3d8d8db2c"),
+    # fewer families than kinds: only the last kind draws
+    (("fuzz", "--n", "4", "--seed", "1", "--count", "1"), 0,
+     "75ade6a971bfee06036ba04903f12d5096490ba9b9e62947d844205b557e3631"),
+    (("fuzz", "--n", "4", "--seed", "1", "--count", "2"), 0,
+     "78a6acfed2578542b065f5361e4eac17d926b360c88f572d3bc20320944107d7"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_RUNS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_RUNS])
+def test_stdout_pinned_across_commits(argv, code, digest, capsys):
+    argv = [str(DATA_DIR / a) if a.endswith(".uc") else a for a in argv]
+    got_code, out, _ = run(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 
 
 def _key_paths(obj, prefix=""):

@@ -215,3 +215,33 @@ def test_seeds_shift_streams():
     a = list(ucc.random_families(5, 6, 10, seed=1, kind="uniform"))
     b = list(ucc.random_families(5, 6, 10, seed=2, kind="uniform"))
     assert a != b
+
+
+def _split_by_kind(n, size, count, seed, rho):
+    """The per-kind split fuzz ran before random_families took "all": the
+    oracle for that kind."""
+    kinds = ucc.RANDOM_KINDS
+    per = count // len(kinds)
+    remainder = count - per * (len(kinds) - 1)
+    out = []
+    for pos, kind in enumerate(kinds):
+        want = remainder if pos == len(kinds) - 1 else per
+        if want <= 0:
+            continue
+        out.extend(ucc.random_families(n, size, want, ucc.derive_seed(seed, pos),
+                                       kind, rho=rho))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 20260816])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 300])
+def test_random_families_all_splits_the_count_across_kinds(count, seed):
+    fams = list(ucc.random_families(5, 6, count, seed, "all", rho=0.3))
+    assert len(fams) == count
+    assert fams == _split_by_kind(5, 6, count, seed, rho=0.3)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_random_families_all_refuses_a_count_below_one(count):
+    with pytest.raises(ValueError, match="size and count must be positive"):
+        ucc.random_families(4, 4, count, seed=1, kind="all")

@@ -14,7 +14,6 @@ import pytest
 
 import ucc
 from tests import grid_oracle as oracle
-from ucc import report
 from ucc.analytic import scalars
 from ucc.analytic.scalars import grid_margin_rows
 
@@ -86,16 +85,25 @@ def test_interior_tie_across_blocks_keeps_first_in_row_major_order(monkeypatch):
 
 
 def test_csv_dump_equals_full_matrix_rows(monkeypatch):
-    monkeypatch.setattr(scalars, "_BLOCK_CELLS", 4 * 23)
-    grid, f_values, margins = oracle.grid_margins(23)
+    # 101 points, the first grid above the floor, in blocks of 4 rows
+    monkeypatch.setattr(scalars, "_BLOCK_CELLS", 4 * 101)
+    grid, f_values, margins = oracle.grid_margins(101)
     expected = ["x,y,f,margin\n"]
     for i, x in enumerate(grid.tolist()):
         for j, y in enumerate(grid.tolist()):
             expected.append(f"{x!r},{y!r},{float(f_values[i, j])!r},"
                             f"{float(margins[i, j])!r}\n")
     buf = io.StringIO()
-    report.write_grid_csv(buf, *grid_margin_rows(23))
+    scalars.write_grid_csv(buf, 101)
     assert buf.getvalue() == "".join(expected)
+
+
+def test_csv_dump_refuses_a_grid_below_the_floor(tmp_path):
+    dest = tmp_path / "coarse.csv"
+    for out in (io.StringIO(), str(dest)):
+        with pytest.raises(ValueError, match="grid_points must be at least 100"):
+            scalars.write_grid_csv(out, 99)
+    assert not dest.exists()
 
 
 def test_grid_check_memory_does_not_grow_with_the_grid():
