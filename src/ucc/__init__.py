@@ -11,7 +11,8 @@ families, and `cli` wires everything into the `ucc` command.
 The names below are resolved on first use (PEP 562): ``import ucc`` loads
 no submodule, and ``ucc.SetFamily`` imports ``ucc.setfamily`` when it is
 first read.  ``_EXPORTS`` is the one table of where each public name
-lives; ``ucc.cli`` binds a verb's names from it too.
+lives.  ``ucc.cli`` reads its library names through the same table, each
+the first time a handler reads it.
 """
 
 import importlib

@@ -16,38 +16,29 @@ Reports go to stdout (JSON by default), certificates and CSV dumps to
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import TYPE_CHECKING
 
-from . import _EXPORTS, _HOME, CapExceededError, report
+from . import _HOME, CapExceededError, report
 
 if TYPE_CHECKING:
     from .setfamily import SetFamily
 
-# The library names the handlers below call become module globals only
-# when run_cli binds the homes (keys of ucc._EXPORTS) that the chosen verb's
-# subparser lists, or when one is read as `ucc.cli.<name>`.  So `ucc check`
-# never compiles the certifier, `ucc analytic certify` never loads
-# setfamily, and a replacement set through `ucc.cli.<name>` beforehand is
-# what the verb calls.
-
-
-def _bind(home: str) -> None:
-    """Bind the names ``ucc._EXPORTS`` lists for ``home`` as globals of this
-    module, keeping any that is already bound (a caller's replacement wins)."""
-    module = importlib.import_module(f"{__package__}.{home}")
-    scope = globals()
-    for name in _EXPORTS[home]:
-        scope.setdefault(name, getattr(module, name))
+# The handlers below read every library name as an attribute of this module
+# (``_lib.check_theorem``).  The first read of a name in ``ucc._HOME`` goes
+# through __getattr__, which resolves it through the package and keeps it as
+# a global.  So a verb loads only the modules it names: `ucc check` never
+# compiles the certifier, `ucc analytic certify` never loads setfamily.  A
+# replacement set as `ucc.cli.<name>` beforehand is what the verb calls.
+_lib = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    home = _HOME.get(name)
-    if home is None:
+    # table names only: passing dunders on would copy ucc.__path__ here
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(home)
-    return globals()[name]
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 EXIT_OK = 0
@@ -62,8 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _kind(value: str) -> str:
     """The --kind type: a name in generators.RANDOM_KINDS, or "all"."""
-    _bind("generators")
-    kinds = RANDOM_KINDS + ("all",)
+    kinds = _lib.RANDOM_KINDS + ("all",)
     if value not in kinds:
         choices = ", ".join(map(repr, kinds))
         raise argparse.ArgumentTypeError(
@@ -71,14 +61,9 @@ def _kind(value: str) -> str:
     return value
 
 
-# what _family_report reads: the homes of every verb that checks a family
-_FAMILY_HOMES = ("setfamily", "entropy", "analytic.scalars")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The ``ucc`` parser.  Each verb's subparser is the one place that
-    declares it: its options, its handler (``run``) and the homes of the
-    library names that handler reads (``homes``)."""
+    declares it: its options and its handler (``run``)."""
     ap = argparse.ArgumentParser(
         prog="ucc",
         description="Checks for union-closed set systems and the entropy bound behind them.")
@@ -87,12 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="closure fraction, frequencies, theorem report")
     p.add_argument("file")
     _add_common(p)
-    p.set_defaults(run=_cmd_check, homes=_FAMILY_HOMES)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("entropy", help="union entropy, chain rule, both bounds")
     p.add_argument("file")
     _add_common(p)
-    p.set_defaults(run=_cmd_entropy, homes=_FAMILY_HOMES)
+    p.set_defaults(run=_cmd_entropy)
 
     p = sub.add_parser("analytic", help="scalar landscape checks and certification")
     asub = p.add_subparsers(dest="action", required=True)
@@ -100,12 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q = asub.add_parser("minimize", help="locate the diagonal ratio minimum")
     q.add_argument("--grid", type=int, default=4096)
     _add_common(q)
-    q.set_defaults(run=_cmd_minimize, homes=("analytic.scalars",))
+    q.set_defaults(run=_cmd_minimize)
 
     q = asub.add_parser("grid", help="sweep the product-form margin on a grid")
     q.add_argument("--grid", type=int, default=1001)
     _add_common(q)
-    q.set_defaults(run=_cmd_grid, homes=("analytic.scalars",))
+    q.set_defaults(run=_cmd_grid)
 
     q = asub.add_parser("certify", help="branch-and-bound lower bound for f")
     q.add_argument("--theta", type=float, default=0.809016)
@@ -114,21 +99,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget", type=int, default=10_000_000)
     q.add_argument("--strip-points", type=int, default=10_000)
     _add_common(q)
-    q.set_defaults(run=_cmd_certify, homes=("analytic.certify", "analytic.scalars"))
+    q.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     _add_common(p)
-    p.set_defaults(run=_cmd_example, homes=("generators",))
+    p.set_defaults(run=_cmd_example)
 
     p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 4")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exclude-empty", action="store_true",
                    help="skip families containing the empty set as a member")
     _add_common(p)
-    p.set_defaults(run=_cmd_enumerate, homes=("generators", *_FAMILY_HOMES))
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("fuzz", help="random families through the theorem checker")
     p.add_argument("--n", type=int, required=True)
@@ -141,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entropy-checks", action="store_true",
                    help="also run chain-rule and both entropy bounds per family")
     _add_common(p)
-    p.set_defaults(run=_cmd_fuzz, homes=("generators", "rng", *_FAMILY_HOMES))
+    p.set_defaults(run=_cmd_fuzz)
     return ap
 
 
@@ -163,7 +148,7 @@ def _finish(args, obj: dict, violation: SetFamily | None) -> int:
     if violation is None:
         return EXIT_OK
     sys.stderr.write("violating family in .uc format:\n")
-    sys.stderr.write(format_family(violation))
+    sys.stderr.write(_lib.format_family(violation))
     return EXIT_VIOLATION
 
 
@@ -171,17 +156,17 @@ def _family_report(path: str):
     """Load a nonempty family and build the report fields check and entropy
     share; returns the family, its theorem verdict (true below size 2,
     where the theorem does not apply) and the report object."""
-    family = load_family(path)
+    family = _lib.load_family(path)
     if family.size == 0:
         raise ValueError("empty family; nothing to check")
-    profile = element_frequencies(family)
-    eps = 1 - closure_fraction(family)
+    profile = _lib.element_frequencies(family)
+    eps = 1 - _lib.closure_fraction(family)
     if family.size >= 2:
-        rep = check_theorem(family)
+        rep = _lib.check_theorem(family)
         delta, bound = rep.delta, rep.psi_minus_delta
         theorem = {"applicable": rep.applicable, "satisfied": rep.satisfied}
     else:
-        delta, bound = 0.0, PSI
+        delta, bound = 0.0, _lib.PSI
         theorem = {"applicable": False, "satisfied": True, "note": "family size < 2"}
     obj = {
         "family_size": family.size,
@@ -190,7 +175,7 @@ def _family_report(path: str):
         "epsilon": report.frac_obj(eps),
         "delta": delta,
         "psi_minus_delta": bound,
-        "psi": PSI,
+        "psi": _lib.PSI,
         "max_freq": report.frac_obj(profile.max_freq),
         "max_freq_element": profile.argmax + 1,
         "theorem": theorem,
@@ -201,17 +186,17 @@ def _family_report(path: str):
 def _cmd_check(args) -> int:
     family, verdict, obj = _family_report(args.file)
     obj["closure_fraction_unordered"] = report.frac_obj(
-        closure_fraction_unordered(family))
+        _lib.closure_fraction_unordered(family))
     return _finish(args, obj, family if verdict is False else None)
 
 
 def _cmd_entropy(args) -> int:
     family, verdict, obj = _family_report(args.file)
-    dist = union_distribution(family)
-    lower = check_lower_bound(family)
-    upper = check_upper_bound(family)
-    chain = chain_rule_check(family)
-    obj.update(entropy_union_bits=shannon_entropy(dist),
+    dist = _lib.union_distribution(family)
+    lower = _lib.check_lower_bound(family)
+    upper = _lib.check_upper_bound(family)
+    chain = _lib.chain_rule_check(family)
+    obj.update(entropy_union_bits=_lib.shannon_entropy(dist),
                lower_bound=report.record_obj(lower),
                upper_bound=report.record_obj(upper),
                chain_rule=report.record_obj(chain))
@@ -220,34 +205,34 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    dm = minimize_diagonal(grid_points=args.grid)
+    dm = _lib.minimize_diagonal(grid_points=args.grid)
     obj = report.record_obj(dm)
-    obj["deviation_from_phi"] = abs(dm.x_star - PHI)
-    obj["value_minus_min"] = dm.value - (PHI + 1.0)
+    obj["deviation_from_phi"] = abs(dm.x_star - _lib.PHI)
+    obj["value_minus_min"] = dm.value - (_lib.PHI + 1.0)
     return _emit(args, obj)
 
 
 def _cmd_grid(args) -> int:
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        write_grid_csv(args.out or sys.stdout, args.grid)
+        _lib.write_grid_csv(args.out or sys.stdout, args.grid)
         return EXIT_OK
-    obj = report.record_obj(corollary_grid_check(grid_points=args.grid))
-    obj["phi"] = PHI
+    obj = report.record_obj(_lib.corollary_grid_check(grid_points=args.grid))
+    obj["phi"] = _lib.PHI
     return _emit(args, obj)
 
 
 def _cmd_certify(args) -> int:
-    cert = certify_lower_bound(
+    cert = _lib.certify_lower_bound(
         theta=args.theta, eta=args.eta, max_depth=args.depth,
         box_budget=args.budget, strip_points=args.strip_points)
     _emit(args, report.record_obj(cert))
-    if cert.violation_boxes and args.theta < HALF_INV_PHI:
+    if cert.violation_boxes and args.theta < _lib.HALF_INV_PHI:
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def _cmd_example(args) -> int:
-    stats = slice_stats(ExampleSpec(n=args.n, k=args.k, m=args.m))
+    stats = _lib.slice_stats(_lib.ExampleSpec(n=args.n, k=args.k, m=args.m))
     obj = report.record_obj(stats)
     obj["closure_deficit"] = float(stats.closure_deficit)
     return _emit(args, {"example": obj})
@@ -268,7 +253,7 @@ def _check_families(families, entropy_checks: bool = False):
             skipped_small += 1
             continue
         try:  # the first build of this family's pair-union histogram
-            rep = check_theorem(fam)
+            rep = _lib.check_theorem(fam)
         except CapExceededError:
             skipped_cap += 1
             continue
@@ -279,9 +264,9 @@ def _check_families(families, entropy_checks: bool = False):
             min_max_freq = rep.max_freq
         verdicts = [rep.satisfied]
         if rep.satisfied is not False and entropy_checks:
-            verdicts += [check_lower_bound(fam).satisfied,
-                         check_upper_bound(fam).satisfied,
-                         chain_rule_check(fam).satisfied]
+            verdicts += [_lib.check_lower_bound(fam).satisfied,
+                         _lib.check_upper_bound(fam).satisfied,
+                         _lib.chain_rule_check(fam).satisfied]
         if False in verdicts:
             violation = fam
             break
@@ -300,28 +285,28 @@ def _check_families(families, entropy_checks: bool = False):
 
 def _cmd_enumerate(args) -> int:
     tally, violation = _check_families(
-        enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty))
+        _lib.enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty))
     obj = {
         "n": args.n,
         **{key: tally[key] for key in ("families", "theorem_checked",
                                        "skipped_small", "undecided", "min_max_freq")},
         "all_satisfied": violation is None,
-        "psi": PSI,
+        "psi": _lib.PSI,
     }
     return _finish(args, obj, violation)
 
 
 def _cmd_fuzz(args) -> int:
     # one --kind draws as the first kind of a split does: derive_seed(seed, 0)
-    seed = args.seed if args.kind == "all" else derive_seed(args.seed, 0)
+    seed = args.seed if args.kind == "all" else _lib.derive_seed(args.seed, 0)
     tally, violation = _check_families(
-        random_families(args.n, args.size, args.count, seed, args.kind,
-                        rho=args.rho),
+        _lib.random_families(args.n, args.size, args.count, seed, args.kind,
+                             rho=args.rho),
         args.entropy_checks)
     obj = {
         "n": args.n,
         "count": args.count,
-        "kinds": list(RANDOM_KINDS if args.kind == "all" else (args.kind,)),
+        "kinds": list(_lib.RANDOM_KINDS if args.kind == "all" else (args.kind,)),
         "size": args.size,
         "seed": args.seed,
         "rho": args.rho,
@@ -340,8 +325,6 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    for home in args.homes:
-        _bind(home)
     try:
         return args.run(args)
     except (ValueError, OSError, CapExceededError) as exc:

@@ -86,6 +86,9 @@ class ExampleSpec(_ExampleSpecFields):
                 m: int | None = None) -> ExampleSpec:
         if n < 1:
             raise ValueError("n must be positive")
+        # the hint is about the defaults, so it goes only with the default spec
+        hint = (" (the default spec only separates for larger n)"
+                if k is None and m is None else "")
         if k is None:
             k = default_slice_level(n)
         if m is None:
@@ -93,8 +96,7 @@ class ExampleSpec(_ExampleSpecFields):
         if not 0 < k < m <= n:
             raise DegenerateSpecError(
                 f"degenerate slice example: need 0 < k < m <= n, got "
-                f"k={k}, m={m}, n={n} "
-                f"(the default spec only separates for larger n)")
+                f"k={k}, m={m}, n={n}{hint}")
         return super().__new__(cls, n, k, m)
 
 

@@ -1,7 +1,7 @@
 """Finite set families over a ground set {1, ..., n}, stored as bit masks.
 
 Element j of the ground set is bit j-1 of a Python int, so set union is
-``|`` and membership tests are O(1) against a frozenset of masks.  The
+``|`` and a membership test bisects the sorted masks.  The
 universe is capped at 63 elements: families we materialize must fit in a
 machine word per set, and everything larger is handled symbolically by the
 generator module.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -122,7 +123,6 @@ class SetFamily:
             prev = m
         self.universe_size = universe_size
         self.sets = sets
-        self._members = frozenset(sets)
 
     def __repr__(self) -> str:
         return f"SetFamily(universe_size={self.universe_size!r}, sets={self.sets!r})"
@@ -156,10 +156,13 @@ class SetFamily:
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._members
+        sets = self.sets
+        i = bisect_left(sets, mask)
+        return i < len(sets) and sets[i] == mask
 
     def member_set(self) -> frozenset[int]:
-        return self._members
+        """The masks as a frozenset, built on each call."""
+        return frozenset(self.sets)
 
     @cached_property
     def union_counts(self) -> tuple[np.ndarray, np.ndarray]:

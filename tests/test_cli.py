@@ -202,7 +202,13 @@ def test_certify_usage_error_before_setfamily_is_loaded():
 def test_example_degenerate_spec(capsys):
     code, _, err = run(capsys, "example", "--n", "20")
     assert code == 2
-    assert "ucc:" in err
+    assert err == ("ucc: degenerate slice example: need 0 < k < m <= n, got "
+                   "k=15, m=13, n=20 (the default spec only separates for larger n)\n")
+    # with k given, the hint about the default spec does not apply
+    code, _, err = run(capsys, "example", "--n", "100", "--k", "0")
+    assert code == 2
+    assert err == ("ucc: degenerate slice example: need 0 < k < m <= n, got "
+                   "k=0, m=62, n=100\n")
 
 
 def test_example_n1000(capsys):

@@ -6,12 +6,12 @@ import, and a NamedTuple costs a fraction of that.  The field pins keep a
 reordered field from silently changing positional construction.
 
 Every verb runs in a process of its own, so start-up is paid per verdict.
-``import ucc.cli`` loads only the parser and the report writer; each verb
-loads the modules it runs (the ``homes`` its subparser lists), and the
-package re-exports resolve on first use.  ``ucc._EXPORTS`` is the one
-table of where each name lives.  The probes below run in fresh
-interpreters and pin that closure, and keep ``hashlib`` (which loads
-OpenSSL) and ``dataclasses`` out of it.
+``import ucc.cli`` loads only the parser and the report writer.  A handler
+reads each library name as an attribute of ``ucc.cli``, which resolves it
+through the package's table on first read, so each verb loads only the
+modules it names.  ``ucc._EXPORTS`` is the one table of where each name
+lives.  The probes below run in fresh interpreters and pin that closure,
+and keep ``hashlib`` (which loads OpenSSL) and ``dataclasses`` out of it.
 """
 
 import importlib
@@ -20,7 +20,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 
 import pytest
 
@@ -136,8 +135,8 @@ def test_only_the_package_maps_homes_to_names():
     modules = {name: importlib.import_module(name) for name in MODULES}
     assert sorted(name for name, module in modules.items()
                   if "__getattr__" in vars(module)) == ["ucc", "ucc.cli"]
-    # ucc.cli resolves and binds through the package's table
-    assert ucc.cli._EXPORTS is ucc._EXPORTS and ucc.cli._HOME is ucc._HOME
+    # ucc.cli resolves through the package's table
+    assert ucc.cli._HOME is ucc._HOME
 
 
 def test_cli_names_exist_in_their_homes(monkeypatch):
@@ -148,22 +147,12 @@ def test_cli_names_exist_in_their_homes(monkeypatch):
     assert not hasattr(ucc.cli, "example_stats")
 
 
-def _names_read(fn) -> set[str]:
-    """Global and attribute names in ``fn``'s code and in the code of every
-    ucc.cli function it names, nested code objects included."""
-    names: set[str] = set()
-    codes, seen = [fn.__code__], set()
-    while codes:
-        code = codes.pop()
-        names.update(code.co_names)
-        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        for name in code.co_names:
-            helper = vars(ucc.cli).get(name)
-            if (isinstance(helper, types.FunctionType) and helper not in seen
-                    and helper.__module__ == ucc.cli.__name__):
-                seen.add(helper)
-                codes.append(helper.__code__)
-    return names
+def test_cli_resolves_only_table_names():
+    # a dunder passed on to the package would make ucc.cli look like one
+    for name in ("__path__", "__wrapped__", "_EXPORTS", "example_stats"):
+        assert getattr(ucc.cli, name, None) is None, name
+    out = _probe("import ucc.cli; print(hasattr(ucc.cli, '__path__'))")
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,18 +166,12 @@ def _names_read(fn) -> set[str]:
     ["analytic", "certify", "--theta", "0.81", "--eta", "0.01", "--strip-points", "100"],
 ], ids=lambda argv: argv[1] if argv[0] == "analytic" else argv[0])
 def test_verb_homes_cover_what_the_handler_reads(argv, monkeypatch, capsys):
-    args = ucc.cli._build_parser().parse_args(argv)
-    declared = {name for home in args.homes for name in ucc._EXPORTS[home]}
-    # every table name the handler or a cli helper it calls mentions, on any
-    # branch (names read only on an error or violation path included)
-    assert _names_read(args.run) & set(ucc._HOME) <= declared
-    # and one run with every library name unbound, so a name read from a home
-    # the verb does not declare raises NameError instead of finding an
-    # earlier binding
+    # one run with every library name unbound: a handler that reads a bare
+    # global instead of resolving it through ucc.cli raises NameError, and
+    # one that reads a name outside ucc._HOME raises AttributeError
     for name in ucc._HOME:
         monkeypatch.delitem(vars(ucc.cli), name, raising=False)
     assert ucc.cli.run_cli(argv) == 0
-    assert set(ucc._HOME) & set(vars(ucc.cli)) == declared
 
 
 @pytest.mark.parametrize("record", list(RECORD_FIELDS),

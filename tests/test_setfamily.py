@@ -44,6 +44,10 @@ def test_universe_size_bounds():
 def test_membership_lookup(powerset3):
     assert 0b101 in powerset3
     assert powerset3.size == 8
+    fam = ucc.SetFamily.from_masks(3, [0b001, 0b011, 0b110])
+    assert [m for m in range(-2, 10) if m in fam] == [0b001, 0b011, 0b110]
+    assert 0b010 not in fam and -1 not in fam and 1 << 3 not in fam
+    assert fam.member_set() == frozenset({0b001, 0b011, 0b110})
 
 
 # .uc round trips
