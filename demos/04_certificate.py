@@ -6,7 +6,9 @@ so boxes wholly in x > y are dropped), bounds f on each box with
 outward-rounded interval arithmetic, and splits the box with the lowest
 bound first: until every box clears the threshold theta, until the
 minimum of f is bracketed below it, or until the box budget or the depth
-limit runs out.
+limit runs out.  Three proved closed-form bounds cover the strips of
+width eta around that square, so a verified certificate holds on all of
+[0, 1]^2.
 
 Run:  python3 demos/04_certificate.py
 """
@@ -19,7 +21,6 @@ print("theta = 0.80")
 print("  status      ", cert.status)
 print("  boxes       ", cert.boxes_processed,
       "accepted", cert.accepted_boxes, "depth", cert.max_depth_used)
-print("  boundary min", cert.boundary.min_value)
 print("  digest      ", cert.trace_digest[:16], "(stable across runs)")
 assert cert.verified
 
@@ -40,8 +41,19 @@ print("  box center  (%.6f, %.6f)" % ((worst.x_lo + worst.x_hi) / 2,
 print("  true minimizer (%.6f, %.6f)" % (ucc.PHI, ucc.PHI))
 assert not refuted.verified
 
-# The certificate never claims more than it checked: the interior
-# region and boundary strips are reported explicitly, with the strip
-# treatment spelled out in the limitation note.
-print("\nregion", cert.region)
-print(cert.limitation)
+# The strips outside the searched region carry proved lower bounds of f.
+# At eta = 1e-4 all three clear 0.9; the corner is [1-eta, 1] x [1-delta, 1].
+edges = tight.boundary
+print("\nregion", tight.region)
+print("  delta      ", edges.delta)
+print("  low strip   f >=", edges.low_strip)
+print("  high strip  f >=", edges.high_strip)
+print("  corner      f >=", edges.corner)
+assert min(edges.low_strip, edges.high_strip, edges.corner) >= 0.9
+
+# At eta = 0.05 the edge bounds stay near 0.69: the interior verifies at
+# theta = 0.809016, the square does not, and the run says indeterminate.
+wide = ucc.certify_lower_bound(theta=0.809016, eta=0.05)
+print("\neta = 0.05")
+print("  status", wide.status, "indeterminate boxes", wide.indeterminate_boxes)
+assert wide.status == "indeterminate"

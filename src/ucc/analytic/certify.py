@@ -1,4 +1,4 @@
-"""Certified lower bounds for f on the eta-interior of the unit square.
+"""Certified lower bounds for f on the closed unit square.
 
 ``certify_lower_bound(theta, eta)`` runs an interval branch and bound over
 [eta, 1-eta]^2 as one best-first search.  Every box is enclosed once, when
@@ -30,10 +30,11 @@ accepted and indeterminate leaves and the trace digest cover only boxes
 that meet {x <= y}, about half the work of the full square.  A checker
 that replays a certificate's cover must apply the same cut.
 
-The resulting certificate covers ONLY the eta-interior.  The boundary
-strips of width eta are additionally scanned by dense pointwise sampling,
-which is evidence, not proof; their report is kept separate and the
-limitation is stated on every certificate.
+The strips of width eta around the search square are not searched.  Three
+closed-form lower bounds of f cover them (``_edge_bounds``, proved in its
+docstring), each evaluated once with outward-rounded intervals; f is 1 on
+the boundary lines themselves.  So a ``verified`` certificate proves
+f >= theta on all of [0, 1]^2.
 
 Determinism: the search is one heap, ties broken by insertion order, all
 float operations are IEEE double, and the trace digest is a multiset hash
@@ -45,16 +46,16 @@ certificates.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import NamedTuple
 
-from .intervals import Interval, f_mean_value
-from .scalars import f_ratio
+from .intervals import LOG2E, TRANSCENDENTAL_SLACK, Interval, f_mean_value, g_enclosure
 
 __all__ = [
     "Box",
     "ViolationBox",
-    "BoundaryScan",
+    "EdgeBounds",
     "Certificate",
     "certify_lower_bound",
 ]
@@ -92,30 +93,34 @@ class ViolationBox(NamedTuple):
     f_upper: float  # certified upper bound of f on the box
 
 
-class BoundaryScan(NamedTuple):
-    """Dense pointwise sampling of the four boundary strips (not certified)."""
+class EdgeBounds(NamedTuple):
+    """Certified lower bounds of f outside the search square [eta, hi]^2,
+    hi = 1 - eta in floats; the mirrored regions follow by symmetry."""
 
-    points_per_strip: int
-    min_value: float
-    min_location: tuple[float, float]
-    all_above_threshold: bool
+    delta: float       # the corner is [hi, 1] x [1-delta, 1]; 1-delta is a float
+    low_strip: float   # f >= low_strip on {x <= eta}
+    high_strip: float  # f >= high_strip on {x >= hi, y <= 1-delta}
+    corner: float      # f >= corner on {x >= hi, y >= 1-delta}
 
 
 class Certificate(NamedTuple):
     """Outcome of one branch-and-bound run.
 
-    ``verified`` is true iff every box of the interior partition that
-    meets {x <= y} was accepted within the budget; mirrored boxes (x_lo >
-    y_hi) are dropped, since f is symmetric, and a checker replaying the
-    cover must drop them too.  ``boxes_processed`` counts every enclosure
-    of the run, localization included, so only boxes that meet {x <= y},
-    and never exceeds the box budget.  ``violation_boxes`` are certified
-    refutations clustered at the global minimizer (empty when verified).
-    ``worst_box`` is the box with the smallest certified upper bound on f
-    among the incumbent, the indeterminate leaves and the boxes left
-    pending when verification failed for any reason, else None.  ``status``
-    is one of ``verified``, ``refuted``, ``indeterminate``,
-    ``budget_exhausted``.
+    ``verified`` is true iff f >= theta is proved on all of [0, 1]^2: every
+    box of the interior partition that meets {x <= y} was accepted within
+    the budget, and every bound in ``boundary`` (an :class:`EdgeBounds`) is
+    at least theta.  Mirrored boxes (x_lo > y_hi) are dropped, since f is
+    symmetric, and a checker replaying the cover must drop them too.
+    ``boxes_processed`` counts every enclosure of the run, localization
+    included, so only boxes that meet {x <= y}, and never exceeds the box
+    budget.  ``violation_boxes`` are certified refutations clustered at the
+    global minimizer (empty when verified).  ``worst_box`` is the box with
+    the smallest certified upper bound on f among the incumbent, the
+    indeterminate leaves and the boxes left pending when verification
+    failed for any reason, else None.  ``status`` is one of ``verified``,
+    ``refuted``, ``indeterminate``, ``budget_exhausted``; it is
+    ``indeterminate`` with no indeterminate boxes when the interior
+    verified but an edge bound is below theta.
     """
 
     threshold: float
@@ -129,10 +134,8 @@ class Certificate(NamedTuple):
     indeterminate_boxes: int
     violation_boxes: tuple[ViolationBox, ...]
     worst_box: ViolationBox | None
-    boundary: BoundaryScan
+    boundary: EdgeBounds
     trace_digest: str
-    limitation: str = ("certificate covers only the eta-interior; boundary "
-                       "strips are sampled, not certified")
 
 
 def _edge_cut(lo: float, hi: float) -> float | None:
@@ -190,40 +193,65 @@ def _leaf_digest(status: str, box: Box) -> int:
     return int.from_bytes(hashlib.sha256(rec.encode("ascii")).digest(), "big")
 
 
-def _scan_strips(theta: float, eta: float, strip_points: int) -> BoundaryScan:
-    """Sample f on the four width-eta boundary strips of [0, 1]^2.
+def _edge_bounds(eta: float) -> EdgeBounds:
+    """Lower bounds of f on the strips outside [eta, hi]^2, hi = fl(1-eta).
 
-    Only the strips x <= eta and x >= 1-eta are evaluated.  The strips
-    y <= eta and y >= 1-eta are their exact mirror images on the same
-    points, f(x, y) == f(y, x) bit for bit and the minimum moves only on a
-    strict ``<``, so scanning them could change neither the minimum nor
-    its location.
+    One series carries the proof: (1-t)(-ln(1-t)) = t - sum_{k>=2}
+    t^k / (k(k-1)) on [0, 1), so (1-t)(-ln(1-t)) <= t, -ln(1-t) >= t, and
+    r(t) = -(1-t) log2(1-t) / t = log2 e (1 - sum_{k>=2} t^(k-1) / (k(k-1)))
+    falls from log2 e (t -> 0) to 0 (t -> 1), as sum 1/(k(k-1)) = 1.
+    g(t) = log2(1/t) + r(t) is positive and decreasing, and
+    f(x, y) = g(xy) / (g(x) + g(y)) on the open square.  Let a = 1 - hi,
+    which is exact.
+
+    *   Low strip, x <= eta.  r(xy) >= r(x) and r(y) <= log2 e, so with
+        u = log2(1/y) >= 0, f >= (g(x) + u) / (g(x) + u + log2 e), which
+        rises in u and in g(x) >= g(eta): f >= g(eta) / (g(eta) + log2 e).
+    *   High strip, x >= hi, y <= 1-delta.  g(xy) >= g(y) and
+        g(x) <= g(hi), so f >= g(y) / (g(hi) + g(y)), which rises in
+        g(y) >= g(1-delta): f >= g(1-delta) / (g(hi) + g(1-delta)).
+    *   Corner, x >= hi, y >= 1-delta.  Let a' = 1-x <= a, b = 1-y <= delta,
+        s' = a' + b <= s = a + delta <= 1/2 and L' = log2(1/s').  The
+        denominator h(x) y + h(y) x <= h(a') + h(b) <= 2 h(s'/2), as h is
+        concave and rises on [0, 1/2], and 2 h(s'/2) <= s'(L' + 1 + log2 e)
+        by (1-t)(-ln(1-t)) <= t at t = s'/2.  The numerator is h(w) with
+        w = 1 - xy = s' - a'b, and s'(1-a) <= w <= s' since a'b/s' <= a.
+        So w log2(1/w) >= s'(1-a) L', and -ln(1-w) >= w gives
+        (1-w) log2(1/(1-w)) >= (1-s') s'(1-a) log2 e.  Hence
+        f >= (1-a)(L' + (1-s') log2 e) / (L' + 1 + log2 e)
+           = (1-a)(1 - (1 + s' log2 e) / (L' + 1 + log2 e)),
+        which decreases in s', so its value at s, L = log2(1/s), bounds
+        the whole corner.
+
+    The mirrored strips follow from f(x, y) = f(y, x), and f is 1 on the
+    boundary lines.  delta is picked from the rungs a 2^(k/4) with
+    s <= 1/2 (rounded so that 1-delta is a float): the first rung whose
+    smaller delta-dependent bound is largest, among those where the
+    enclosure of g(1-delta) is positive.  Each bound is the lower end of
+    one outward-rounded interval evaluation.
     """
-    thin = max(2, math.isqrt(strip_points))
-    long_ = max(2, strip_points // thin)
-
-    def linspace(a: float, b: float, m: int) -> list[float]:
-        step = (b - a) / (m - 1)
-        pts = [a + i * step for i in range(m)]
-        pts[-1] = b
-        return pts
-
-    thin_lo = linspace(0.0, eta, thin)
-    thin_hi = linspace(1.0 - eta, 1.0, thin)
-    full = linspace(0.0, 1.0, long_)
-
-    best = math.inf
-    best_at = (0.0, 0.0)
-    for xs, ys in ((thin_lo, full), (thin_hi, full)):
-        for x in xs:
-            for y in ys:
-                v = f_ratio(x, y)
-                if v < best:
-                    best = v
-                    best_at = (x, y)
-    return BoundaryScan(points_per_strip=thin * long_, min_value=best,
-                        min_location=best_at,
-                        all_above_threshold=best >= theta)
+    hi = 1.0 - eta
+    a = 1.0 - hi
+    one, x_hi = Interval.point(1.0), Interval.point(hi)  # 1 - a == hi
+    g_eta = g_enclosure(Interval.point(eta))
+    low = (g_eta / (g_eta + LOG2E)).lo
+    g_hi = g_enclosure(x_hi)
+    rungs = []
+    for k in itertools.count():
+        edge = 1.0 - a * 2.0 ** (k / 4)
+        delta = 1.0 - edge  # exact when edge >= 1/2, as s <= 1/2 ensures
+        s = Interval.point(a) + Interval.point(delta)
+        if s.hi > 0.5:
+            break
+        g_edge = g_enclosure(Interval.point(edge))
+        if g_edge.lo <= 0.0:
+            continue  # g(1-delta) is within the slack of 0
+        big_l = Interval(-math.log2(s.hi) - TRANSCENDENTAL_SLACK,
+                         -math.log2(s.lo) + TRANSCENDENTAL_SLACK)
+        high = (g_edge / (g_hi + g_edge)).lo
+        corner = (x_hi * (big_l + (one - s) * LOG2E) / (big_l + one + LOG2E)).lo
+        rungs.append(EdgeBounds(delta, low, high, corner))
+    return max(rungs, key=lambda b: min(b.high_strip, b.corner))
 
 
 def certify_lower_bound(
@@ -231,9 +259,9 @@ def certify_lower_bound(
     eta: float = 1e-4,
     max_depth: int = 60,
     box_budget: int = 10_000_000,
-    strip_points: int = 10_000,
 ) -> Certificate:
-    """Branch-and-bound certificate that f >= theta on [eta, 1-eta]^2.
+    """Certificate that f >= theta on [0, 1]^2: a branch and bound over
+    [eta, 1-eta]^2 and three closed-form bounds on the strips around it.
 
     Thresholds at or above the true minimum 1/(2 phi) are not rejected:
     the run then terminates with verified=false and refutation boxes
@@ -250,8 +278,6 @@ def certify_lower_bound(
         raise ValueError("max_depth must be at least 1")
     if box_budget < 1:
         raise ValueError("box_budget must be at least 1")
-    if strip_points < 1:
-        raise ValueError(f"strip_points must be at least 1, got {strip_points}")
 
     lo, hi = eta, 1.0 - eta
     # pending boxes keyed on (enclosure lo, insertion index)
@@ -317,16 +343,17 @@ def certify_lower_bound(
                 worst = ViolationBox(*box, enc_hi)
     for box, _ in undecided:
         digest_acc += _leaf_digest("indeterminate", box)
+    boundary = _edge_bounds(eta)
     if violations:
         status = "refuted"
     elif undecided:
         status = "indeterminate"
     elif exhausted:
         status = "budget_exhausted"
+    elif min(boundary.low_strip, boundary.high_strip, boundary.corner) < theta:
+        status = "indeterminate"
     else:
         status = "verified"
-
-    boundary = _scan_strips(theta, eta, strip_points)
     return Certificate(
         threshold=theta,
         eta=eta,

@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eta", type=float, default=1e-4)
     q.add_argument("--depth", type=int, default=60)
     q.add_argument("--budget", type=int, default=10_000_000)
-    q.add_argument("--strip-points", type=int, default=10_000)
     _add_common(q)
     q.set_defaults(run=_cmd_certify)
 
@@ -224,7 +223,7 @@ def _cmd_grid(args) -> int:
 def _cmd_certify(args) -> int:
     cert = _lib.certify_lower_bound(
         theta=args.theta, eta=args.eta, max_depth=args.depth,
-        box_budget=args.budget, strip_points=args.strip_points)
+        box_budget=args.budget)
     _emit(args, report.record_obj(cert))
     if cert.violation_boxes and args.theta < _lib.HALF_INV_PHI:
         return EXIT_VIOLATION

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ucc
 from ucc.analytic.intervals import (
+    LOG2E,
     TRANSCENDENTAL_SLACK,
     Interval,
     f_gradient_enclosure,
@@ -279,12 +280,18 @@ def test_transcendental_slack_is_small_but_positive():
 
 
 def test_transcendental_slack_covers_g_and_big_g():
-    # g and G are the only transcendental calls inside the enclosures, so
-    # the slack is sound if it covers their error against a 50-digit
-    # reference; the points crowd toward both ends, where they are steepest
+    # g, G, log2 and log2 e are the only transcendental values inside the
+    # enclosures and the certifier's edge bounds, so the slack is sound if it
+    # covers their error against a 50-digit reference.  g and G are sampled
+    # at every argument they can meet, from just above 2^-54 (the smallest
+    # eta) to 1 - 2^-53 (the largest float below 1), crowding toward both
+    # ends, where they are steepest; log2 on (0, 1/2] gives the corner's L.
     mpmath = pytest.importorskip("mpmath")
-    tails = np.logspace(-12, math.log10(0.5), 2500)
-    xs = sorted({float(t) for t in tails} | {1.0 - float(t) for t in tails})
+    floor = math.nextafter(2.0 ** -54, 1.0)
+    tails = [float(t) for t in np.logspace(math.log10(floor), math.log10(0.5), 3000)]
+    tails += [floor, 2.0 ** -53, 0.5]
+    xs = sorted({t for t in tails} | {1.0 - t for t in tails if 1.0 - t < 1.0})
+    assert xs[0] == floor and xs[-1] == 1.0 - 2.0 ** -53
     with mpmath.workdps(50):
         for x in xs:
             mx = mpmath.mpf(x)
@@ -292,6 +299,10 @@ def test_transcendental_slack_covers_g_and_big_g():
             ref_g = -mpmath.log(mx, 2) - (1 - mx) * ref_big_g
             assert abs(g_of(x) - ref_g) <= TRANSCENDENTAL_SLACK, x
             assert abs(big_g_of(x) - ref_big_g) <= TRANSCENDENTAL_SLACK, x
+        for x in [float(t) for t in np.logspace(-300, math.log10(0.5), 2000)] + [0.5]:
+            assert abs(math.log2(x) - mpmath.log(x, 2)) <= TRANSCENDENTAL_SLACK, x
+        assert LOG2E.lo < 1 / mpmath.log(2) < LOG2E.hi
+        assert LOG2E.width <= 3 * TRANSCENDENTAL_SLACK
 
 
 def test_transcendental_slack_covers_log2_and_binary_entropy():

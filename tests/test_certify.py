@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import ucc
-from ucc.analytic.intervals import Interval, f_mean_value
+from ucc.analytic.intervals import TRANSCENDENTAL_SLACK, Interval, f_mean_value
 from ucc.analytic import certify
-from ucc.analytic.certify import Box, BoundaryScan, ViolationBox, _scan_strips, _split
+from ucc.analytic.certify import Box, ViolationBox, _edge_bounds, _split
 
 
 def test_split_bisects_longer_side():
@@ -167,23 +167,6 @@ def test_certificates_are_deterministic():
     assert c.trace_digest != a.trace_digest  # leaves genuinely differ
 
 
-def test_boundary_scan_report():
-    cert = ucc.certify_lower_bound(theta=0.7, eta=0.01, strip_points=400)
-    scan = cert.boundary
-    assert scan.all_above_threshold
-    assert 0.7 <= scan.min_value <= 1.0
-    sx, sy = scan.min_location
-    near_edge = min(sx, 1 - sx) <= 0.01 or min(sy, 1 - sy) <= 0.01
-    assert near_edge
-    assert scan.points_per_strip >= 400
-
-
-def test_limitation_always_stated():
-    cert = ucc.certify_lower_bound(theta=0.7, eta=0.01)
-    assert "boundary" in cert.limitation
-    assert "eta" in cert.limitation
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(eta=0.0)
@@ -197,10 +180,6 @@ def test_parameter_validation():
         ucc.certify_lower_bound(box_budget=0)
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(max_depth=0)
-    with pytest.raises(ValueError, match="strip_points"):
-        ucc.certify_lower_bound(strip_points=0)
-    with pytest.raises(ValueError, match="strip_points"):
-        ucc.certify_lower_bound(strip_points=-1)
 
 
 def test_threshold_above_minimum_is_not_rejected():
@@ -210,37 +189,96 @@ def test_threshold_above_minimum_is_not_rejected():
     assert cert.status == "refuted"
 
 
-def _scan_four_strips(theta, eta, strip_points):
-    """The scan over all four strips, mirrored pairs included."""
-    thin = max(2, math.isqrt(strip_points))
-    long_ = max(2, strip_points // thin)
-
-    def linspace(a, b, m):
-        step = (b - a) / (m - 1)
-        pts = [a + i * step for i in range(m)]
-        pts[-1] = b
-        return pts
-
-    thin_lo = linspace(0.0, eta, thin)
-    thin_hi = linspace(1.0 - eta, 1.0, thin)
-    full = linspace(0.0, 1.0, long_)
-    best, best_at = math.inf, (0.0, 0.0)
-    for xs, ys in ((thin_lo, full), (thin_hi, full),
-                   (full, thin_lo), (full, thin_hi)):
-        for x in xs:
-            for y in ys:
-                v = ucc.f_ratio(x, y)
-                if v < best:
-                    best, best_at = v, (x, y)
-    return BoundaryScan(points_per_strip=thin * long_, min_value=best,
-                        min_location=best_at, all_above_threshold=best >= theta)
+def _samples(a, b, m):
+    """m evenly spaced points of [a, b], and m more crowding toward each end."""
+    steps = [i / (m - 1) for i in range(m)] + [2.0 ** -j for j in range(1, m)]
+    return sorted({min(b, a + (b - a) * t) for t in steps}
+                  | {max(a, b - (b - a) * t) for t in steps})
 
 
-@pytest.mark.parametrize("eta", [1e-4, 1e-3, 0.01, 0.05, 0.0999])
-def test_strip_scan_skips_only_mirror_images(eta):
-    # the mirrored strips hold the same values, so they can never move the
-    # strict minimum: two strips report exactly what four did
-    for strip_points in (1, 2, 3, 10, 400, 1000, 2500):
-        for theta in (0.7, 0.809016, 0.95, 1.0):
-            assert (repr(_scan_strips(theta, eta, strip_points))
-                    == repr(_scan_four_strips(theta, eta, strip_points)))
+def _scan_four_strips(eta, delta, m=30):
+    """Sampled minimum of f on each region an edge bound covers, the
+    mirrored strips included: the oracle that the proved bounds undercut."""
+    hi, edge = 1.0 - eta, 1.0 - delta
+    regions = {"low_strip": (_samples(0.0, eta, m), _samples(0.0, 1.0, m)),
+               "high_strip": (_samples(hi, 1.0, m), _samples(0.0, edge, m)),
+               "corner": (_samples(hi, 1.0, m), _samples(edge, 1.0, m))}
+    return {name: min(min(ucc.f_ratio(x, y), ucc.f_ratio(y, x))
+                      for x in xs for y in ys)
+            for name, (xs, ys) in regions.items()}
+
+
+EDGE_ETAS = [1e-2, 1e-4, 1e-6, 1e-12]
+
+
+@pytest.mark.parametrize("eta", EDGE_ETAS)
+def test_edge_bounds_undercut_the_sampled_minima(eta):
+    bounds = _edge_bounds(eta)
+    sampled = _scan_four_strips(eta, bounds.delta)
+    for name, value in sampled.items():
+        assert getattr(bounds, name) <= value, name
+
+
+def _edge_closed_forms(eta, delta, mpmath):
+    """The three bounds at 50 digits, with the g values they are built from."""
+    hi = mpmath.mpf(1.0 - eta)
+    a, log2e = 1 - hi, 1 / mpmath.log(2)
+
+    def g(t):
+        return -mpmath.log(t, 2) - (1 - t) * mpmath.log(1 - t, 2) / t
+
+    g_eta, g_hi, g_edge = g(mpmath.mpf(eta)), g(hi), g(1 - mpmath.mpf(delta))
+    s = a + mpmath.mpf(delta)
+    big_l = -mpmath.log(s, 2)
+    return {"low_strip": g_eta / (g_eta + log2e),
+            "high_strip": g_edge / (g_hi + g_edge),
+            "corner": (1 - a) * (big_l + (1 - s) * log2e) / (big_l + 1 + log2e),
+            "g_hi": g_hi, "g_edge": g_edge}
+
+
+@pytest.mark.parametrize("eta", EDGE_ETAS + [0.05, 0.0999, 2.0 ** -53])
+def test_edge_bounds_match_their_closed_forms(eta):
+    mpmath = pytest.importorskip("mpmath")
+    bounds = _edge_bounds(eta)
+    edge = 1.0 - bounds.delta
+    assert bounds.delta == 1.0 - edge and edge >= 0.5  # 1-delta is a float
+    with mpmath.workdps(50):
+        exact = _edge_closed_forms(eta, bounds.delta, mpmath)
+        for name in ("low_strip", "high_strip", "corner"):
+            assert getattr(bounds, name) <= exact[name], name
+        for name in ("low_strip", "corner"):
+            assert exact[name] - getattr(bounds, name) <= 1e-12, name
+        # g(hi) and g(1-delta) are small and carry an absolute slack, so the
+        # high strip may lose what that slack costs, and nothing more
+        slack = TRANSCENDENTAL_SLACK
+        g_hi, g_edge = exact["g_hi"], exact["g_edge"]
+        floor = (g_edge - slack) / (g_hi + g_edge + 2 * slack)
+        assert bounds.high_strip >= floor - 1e-12
+
+
+def test_edge_bounds_at_pinned_etas():
+    tight = _edge_bounds(1e-4)
+    assert min(tight[1:]) >= 0.9
+    assert tight.delta == pytest.approx(1.6e-3, rel=1e-6)
+    coarse = _edge_bounds(1e-2)
+    assert min(coarse[1:]) == coarse.corner >= 0.8091
+    assert coarse.delta == pytest.approx(0.0673, rel=1e-3)
+
+
+def test_low_edge_bound_leaves_the_interior_verified_but_indeterminate():
+    # theta 1/(2 phi) - 1e-6 holds on the whole square, but at eta = 0.05
+    # the edge bounds (about 0.69) cannot show it
+    cert = ucc.certify_lower_bound(theta=0.809016, eta=0.05)
+    assert cert.status == "indeterminate" and not cert.verified
+    assert cert.indeterminate_boxes == 0 and cert.violation_boxes == ()
+    assert cert.worst_box is None
+    assert 0.69 <= min(cert.boundary[1:]) < 0.7
+
+
+def test_eta_at_its_floor_returns_a_certificate():
+    # the smallest eta with 1 - eta < 1: g(1-delta) at the first rungs is
+    # within the slack of 0, and those rungs must be skipped, not divided by
+    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=100)
+    assert cert.status == "budget_exhausted"
+    assert cert.region == ((2.0 ** -53, 1.0 - 2.0 ** -53),) * 2
+    assert min(cert.boundary[1:]) >= 0.97

@@ -158,7 +158,9 @@ def test_certify_verified_run(capsys):
     assert obj["status"] == "verified"
     assert obj["violation_boxes"] == []
     assert obj["worst_box"] is None
-    assert obj["boundary"]["all_above_threshold"] is True
+    edges = obj["boundary"]
+    assert min(edges["low_strip"], edges["high_strip"], edges["corner"]) >= 0.80
+    assert 0.0 < edges["delta"] < 0.5
     assert len(obj["trace_digest"]) == 64
 
 
@@ -171,7 +173,28 @@ def test_certify_refuted_run(capsys):
     assert obj["verified"] is False
     assert obj["status"] == "refuted"
     assert obj["worst_box"]["f_upper"] < 0.81
-    assert obj["limitation"]
+    assert sorted(obj["boundary"]) == ["corner", "delta", "high_strip", "low_strip"]
+    assert "limitation" not in obj
+
+
+def test_certify_low_edge_bound_is_indeterminate(capsys):
+    # the interior verifies, but the edge bounds at eta = 0.05 stay near 0.69
+    code, out, err = run(capsys, "analytic", "certify", "--theta", "0.809016",
+                         "--eta", "0.05")
+    obj = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (obj["status"], obj["indeterminate_boxes"]) == ("indeterminate", 0)
+    assert obj["violation_boxes"] == [] and obj["worst_box"] is None
+
+
+def test_certify_at_the_eta_floor(capsys):
+    # the first rungs of the edge ladder have g(1-delta) within the slack of
+    # 0; they are skipped, so the run ends in one report, not a traceback
+    code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
+                         "--eta", "1.2e-16", "--budget", "100")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+    assert json.loads(out)["status"] == "budget_exhausted"
 
 
 def test_certify_usage_error_is_one_line(capsys):
@@ -417,8 +440,9 @@ def _pinned_data_runs():
 
 
 # sha256 of stdout and the exit code, pinned across commits: a refactor must
-# not move a byte.  The certify digest covers the certificate's trace digest,
-# so it is re-pinned only when the certifier's box split (_split) changes.
+# not move a byte.  The certify digest covers the certificate's trace digest
+# and its edge bounds, so it is re-pinned only when the certifier's box split
+# (_split), the edge bounds or the certificate's fields change.
 PINNED_RUNS = [
     *_pinned_data_runs(),
     (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
@@ -430,7 +454,7 @@ PINNED_RUNS = [
     (("analytic", "minimize"), 0,
      "4dbe5bb16867fc98c8bfba8ac192fb17eb1a87bc5889a38d85d96638675bb5d8"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
-     "ecccba07a78ff09d865574154f86a8dda185e007341f974fb7bf9ec1fa6c6590"),
+     "6ad67856059f81214d2598f8802789e9296c77d8de11b1afff86edd9028e18c1"),
     (("example", "--n", "1000"), 0,
      "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
     (("enumerate", "--n", "3"), 0,
@@ -502,12 +526,10 @@ REPORT_SCHEMAS = {
         "value_minus_min", "x_star"]),
     "grid": (("analytic", "grid", "--grid", "101"), [
         "argmin[]", "argmin_margin", "grid_points", "min_margin", "phi"]),
-    "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01",
-                 "--strip-points", "4"), [
-        "accepted_boxes", "boundary.all_above_threshold",
-        "boundary.min_location[]", "boundary.min_value",
-        "boundary.points_per_strip", "boxes_processed", "eta",
-        "indeterminate_boxes", "limitation", "max_depth_used", "region[][]",
+    "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01"), [
+        "accepted_boxes", "boundary.corner", "boundary.delta",
+        "boundary.high_strip", "boundary.low_strip", "boxes_processed", "eta",
+        "indeterminate_boxes", "max_depth_used", "region[][]",
         "status", "threshold", "trace_digest", "verified",
         "violation_boxes[].f_upper", "violation_boxes[].x_hi",
         "violation_boxes[].x_lo", "violation_boxes[].y_hi",
@@ -545,7 +567,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "entropy", POWERSET3, "--pair-cap", "7")[0] == 2
     assert run(capsys, "analytic")[0] == 2                    # missing action
     code, out, err = run(capsys, "analytic", "certify", "--strip-points", "-1")
-    assert code == 2 and out == "" and "strip_points" in err
+    assert code == 2 and out == "" and "unrecognized arguments: --strip-points" in err
     for count in ("0", "-5"):
         assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
             2, "", "ucc: size and count must be positive\n")

@@ -25,7 +25,7 @@ import pytest
 
 import ucc
 import ucc.cli
-from ucc.analytic.certify import BoundaryScan
+from ucc.analytic.certify import EdgeBounds
 from tests.conftest import DATA_DIR
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -36,13 +36,12 @@ MODULES = sorted(
 RECORD_FIELDS = {
     ucc.DiagonalMinimum: ("x_star", "value", "grid_points", "refine_tol"),
     ucc.GridCheck: ("min_margin", "argmin", "argmin_margin", "grid_points"),
-    BoundaryScan: ("points_per_strip", "min_value", "min_location",
-                   "all_above_threshold"),
+    EdgeBounds: ("delta", "low_strip", "high_strip", "corner"),
     ucc.Certificate: ("threshold", "eta", "region", "boxes_processed",
                       "max_depth_used", "verified", "status",
                       "accepted_boxes", "indeterminate_boxes",
                       "violation_boxes", "worst_box", "boundary",
-                      "trace_digest", "limitation"),
+                      "trace_digest"),
     ucc.FrequencyProfile: ("freq", "max_freq", "argmax", "p_min_zero"),
     ucc.UnionDistribution: ("universe_size", "unions", "counts",
                             "pair_count", "entropy_bits"),
@@ -163,7 +162,7 @@ def test_cli_resolves_only_table_names():
     ["fuzz", "--n", "4", "--count", "6", "--seed", "1", "--entropy-checks"],
     ["analytic", "minimize", "--grid", "128"],
     ["analytic", "grid", "--grid", "101"],
-    ["analytic", "certify", "--theta", "0.81", "--eta", "0.01", "--strip-points", "100"],
+    ["analytic", "certify", "--theta", "0.81", "--eta", "0.01"],
 ], ids=lambda argv: argv[1] if argv[0] == "analytic" else argv[0])
 def test_verb_homes_cover_what_the_handler_reads(argv, monkeypatch, capsys):
     # one run with every library name unbound: a handler that reads a bare
@@ -182,9 +181,7 @@ def test_record_fields_pinned(record):
 
 
 def test_record_defaults():
-    assert ucc.Certificate._field_defaults == {
-        "limitation": "certificate covers only the eta-interior; boundary "
-                      "strips are sampled, not certified"}
+    assert ucc.Certificate._field_defaults == {}
     assert ucc.BoundReport._field_defaults == {}
     # __new__ fills the default k and m into the tuple itself
     assert ucc.ExampleSpec(1000) == (1000, 482, 619)

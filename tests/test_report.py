@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 from ucc import report
-from ucc.analytic.certify import BoundaryScan, Certificate, ViolationBox
+from ucc.analytic.certify import Certificate, EdgeBounds, ViolationBox
 from ucc.entropy import BoundReport
 
 
@@ -17,7 +17,7 @@ def test_refuted_certificate_nests_boxes_and_scan():
         boxes_processed=2958, max_depth_used=33, verified=False,
         status="refuted", accepted_boxes=0, indeterminate_boxes=0,
         violation_boxes=(best, near), worst_box=best,
-        boundary=BoundaryScan(400, 0.88, (0.99, 0.5), False),
+        boundary=EdgeBounds(0.0625, 0.85, 0.82, 0.81),
         trace_digest="ab" * 32)
     obj = report.record_obj(cert)
     assert list(obj) == list(Certificate._fields)
@@ -27,11 +27,10 @@ def test_refuted_certificate_nests_boxes_and_scan():
     assert obj["violation_boxes"] == [box, report.record_obj(near)]
     assert list(obj["violation_boxes"][1]) == list(ViolationBox._fields)
     assert obj["worst_box"] == box
-    assert obj["boundary"] == {"points_per_strip": 400, "min_value": 0.88,
-                               "min_location": [0.99, 0.5],
-                               "all_above_threshold": False}
+    assert obj["boundary"] == {"delta": 0.0625, "low_strip": 0.85,
+                               "high_strip": 0.82, "corner": 0.81}
+    assert list(obj["boundary"]) == list(EdgeBounds._fields)
     assert obj["trace_digest"] == "ab" * 32
-    assert obj["limitation"] == cert.limitation
     # every nested value is plain JSON: lists and dicts, never tuples
     assert json.loads(json.dumps(obj)) == obj
 
