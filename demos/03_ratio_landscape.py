@@ -7,7 +7,7 @@ open unit square, with equality exactly at x = y = phi.
 Run:  python3 demos/03_ratio_landscape.py
 """
 
-import numpy as np
+import math
 
 import ucc
 
@@ -28,14 +28,16 @@ for x in (1e-4, 1 - 1e-6):
     print("  r(%g) = %.6f" % (x, ucc.diagonal_ratio(x)))
 
 # Now the full square on a coarse grid, rendered as a terrain map of
-# the margin f - 1/(2 phi).  Deeper valley, darker glyph.
-grid, f_vals, margins = ucc.grid_margins(33)
+# the margin h(xy) - (x h(y) + y h(x))/(2 phi), one point at a time.
+# Deeper valley, darker glyph.
+n = 33
+grid = [i / (n - 1) for i in range(n)]
+margins = [[ucc.corollary_margin(x, y) for y in grid] for x in grid]
 glyphs = " .:-=+*#"
 print("\nmargin terrain (33 x 33, x down, y right):")
-for i in range(0, 33, 2):
-    row = margins[i][::2]
-    scaled = np.clip(np.log10(np.maximum(row, 1e-9)) + 9, 0, 7.99)
-    print("  " + "".join(glyphs[int(v)] for v in scaled))
+for row in margins[::2]:
+    levels = (min(max(math.log10(max(m, 1e-9)) + 9, 0), 7.99) for m in row[::2])
+    print("  " + "".join(glyphs[int(v)] for v in levels))
 
 gc = ucc.corollary_grid_check(grid_points=201)
 print("\nfine sweep: min margin", gc.min_margin, "at", gc.argmin)

@@ -24,8 +24,7 @@ _EXPORTS = {
     "analytic.scalars": (
         "HALF_INV_PHI", "PHI", "PSI", "DiagonalMinimum", "GridCheck",
         "binary_entropy", "corollary_grid_check", "corollary_margin",
-        "diagonal_ratio", "f_ratio", "g_of", "grid_margin_rows",
-        "grid_margins", "minimize_diagonal", "write_grid_csv"),
+        "diagonal_ratio", "f_ratio", "g_of", "minimize_diagonal"),
     "analytic.intervals": ("Interval",),
     "analytic.certify": ("Certificate", "certify_lower_bound"),
     "entropy": (

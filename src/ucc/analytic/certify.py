@@ -337,9 +337,10 @@ def certify_lower_bound(
         violations = (ViolationBox(*best_box, best_hi),) + tuple(
             ViolationBox(*b, h) for h, _, b in near[:_VIOLATION_CAP - 1])
         worst = violations[0]
-    else:  # the indeterminate leaves, then the boxes left pending
+    else:  # the indeterminate leaves, then the boxes left pending; a box
+        # without an enclosure (upper bound +inf) certifies no bound
         for box, enc_hi in undecided + [(b, h) for _, _, b, h, _ in heap]:
-            if worst is None or enc_hi < worst.f_upper:
+            if enc_hi < (math.inf if worst is None else worst.f_upper):
                 worst = ViolationBox(*box, enc_hi)
     for box, _ in undecided:
         digest_acc += _leaf_digest("indeterminate", box)

@@ -39,9 +39,6 @@ __all__ = [
     "corollary_margin",
     "GridCheck",
     "corollary_grid_check",
-    "grid_margin_rows",
-    "grid_margins",
-    "write_grid_csv",
 ]
 
 _LN2 = math.log(2.0)
@@ -216,9 +213,9 @@ def _entropy_grid(values):
 _BLOCK_CELLS = 1 << 13
 
 
-def _margin_blocks(grid, with_f: bool):
-    """Yield ``(first_row, margin_rows, f_rows)`` over consecutive row
-    blocks of the sweep on ``grid`` (``f_rows`` is None unless ``with_f``).
+def _margin_blocks(grid):
+    """Yield ``(first_row, margin_rows)`` over consecutive row blocks of the
+    sweep on ``grid``.
 
     Each element is computed exactly as on the full matrix, so the stacked
     blocks equal a one-shot sweep bit for bit.
@@ -232,77 +229,14 @@ def _margin_blocks(grid, with_f: bool):
         hp = _entropy_grid(np.outer(xs, grid))
         x_h_y = np.outer(xs, hv)                        # x_i * h(y_j)
         y_h_x = np.outer(hv[start:start + rows], grid)  # h(x_i) * y_j
-        margins = hp - HALF_INV_PHI * (x_h_y + y_h_x)
-        f_values = None
-        if with_f:
-            denom = y_h_x + x_h_y
-            f_values = np.ones_like(denom)
-            np.divide(hp, denom, out=f_values, where=denom > 0.0)
-        yield start, margins, f_values
-
-
-def grid_margin_rows(grid_points: int):
-    """The margin sweep on the uniform closed grid, streamed in row blocks.
-
-    Returns ``(grid, blocks)``; ``blocks`` yields ``(f_rows, margin_rows)``
-    for consecutive blocks of grid rows, in row order, where row ``i`` is
-    ``x = grid[i]`` and column ``j`` is ``y = grid[j]``.  Memory stays at one
-    block whatever the grid size.
-    """
-    import numpy as np
-
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    grid = np.linspace(0.0, 1.0, grid_points)
-    return grid, ((f, m) for _, m, f in _margin_blocks(grid, True))
-
-
-def write_grid_csv(out, grid_points: int) -> None:
-    """Stream the margin sweep as CSV: columns x,y,f,margin, fixed header.
-
-    ``out`` is a text stream or a path.  Each row block of
-    :func:`grid_margin_rows` is written before the next one is computed.
-    Grids below 100 points are refused, the floor of
-    :func:`corollary_grid_check`, and before a path is opened, so a refused
-    grid leaves no file behind.
-    """
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            return write_grid_csv(fh, grid_points)
-    grid, blocks = grid_margin_rows(grid_points)
-    out.write("x,y,f,margin\n")
-    labels = [repr(v) for v in grid.tolist()]
-    xs = iter(labels)
-    for f_rows, margin_rows in blocks:
-        for frow, mrow in zip(f_rows.tolist(), margin_rows.tolist()):
-            x = next(xs)
-            out.write("".join(f"{x},{y},{f!r},{m!r}\n"
-                              for y, f, m in zip(labels, frow, mrow)))
-
-
-def grid_margins(grid_points: int):
-    """Margin matrix on the uniform closed grid, for small grids and demos.
-
-    Returns ``(grid, f_values, margins)`` where ``margins[i, j]`` is
-    ``corollary_margin(grid[i], grid[j])`` and ``f_values`` is f on the
-    same grid (1 on the boundary).  Every row is materialized, two
-    ``grid_points``-squared float matrices; large sweeps use
-    :func:`corollary_grid_check` or :func:`grid_margin_rows`.
-    """
-    import numpy as np
-
-    grid, blocks = grid_margin_rows(grid_points)
-    f_parts, m_parts = zip(*blocks)
-    return grid, np.concatenate(f_parts), np.concatenate(m_parts)
+        yield start, hp - HALF_INV_PHI * (x_h_y + y_h_x)
 
 
 def corollary_grid_check(grid_points: int = 1001) -> GridCheck:
     """Sweep the product-form margin over a uniform grid on [0, 1]^2.
 
-    The sweep runs one row block at a time and never holds the f matrix,
-    so its memory does not grow with ``grid_points``.
+    The sweep runs one row block at a time and never holds the margin
+    matrix, so its memory does not grow with ``grid_points``.
     """
     import numpy as np
 
@@ -313,7 +247,7 @@ def corollary_grid_check(grid_points: int = 1001) -> GridCheck:
     min_margin = math.inf
     best = math.inf
     best_at = (0, 0)
-    for start, margins, _ in _margin_blocks(grid, False):
+    for start, margins in _margin_blocks(grid):
         min_margin = min(min_margin, float(margins.min()))
         # the margin vanishes identically on the x=0, y=0 edges and at (1, 1),
         # so the informative argmin lives on the open interior of the grid

@@ -9,8 +9,8 @@ family is dumped in .uc form) or a certificate refuting a threshold below
 1/(2 phi); 2 usage or I/O error, or a size cap hit (the message names the
 cap).  ``analytic grid`` and ``analytic minimize`` only sample, so they
 never exit 1; certified refutations come from ``analytic certify``.
-Reports go to stdout (JSON by default), certificates and CSV dumps to
---out when given.
+Every verb writes one report, JSON by default or ``--format human|csv``,
+to stdout, or the same bytes to ``--out PATH`` when given.
 """
 
 from __future__ import annotations
@@ -212,9 +212,6 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        _lib.write_grid_csv(args.out or sys.stdout, args.grid)
-        return EXIT_OK
     obj = report.record_obj(_lib.corollary_grid_check(grid_points=args.grid))
     obj["phi"] = _lib.PHI
     return _emit(args, obj)

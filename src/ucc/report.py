@@ -3,8 +3,8 @@
 :func:`record_obj` turns a result record into its report object (its
 fields are the keys) and :func:`render` writes a report object as stable
 JSON, human-readable ``key  value`` lines, or ``key,value`` CSV.  Each
-verb builds its own report object in :mod:`ucc.cli`; the grid sweep's CSV
-dump is :func:`ucc.analytic.scalars.write_grid_csv`.
+verb builds its own report object in :mod:`ucc.cli` and renders it here,
+in whichever of the three forms ``--format`` names.
 
 JSON is rendered with sorted keys and fixed separators, floats through
 Python's shortest-roundtrip repr, exact rationals as {"num", "den"}
@@ -65,7 +65,10 @@ def _flatten(obj: Any, prefix: str, rows: list[tuple[str, str]]) -> None:
 def render(obj: dict[str, Any], fmt: str) -> str:
     """Render a report object as 'json', 'human', or 'csv' text."""
     if fmt == "json":
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        # allow_nan=False: a non-finite float raises ValueError rather than
+        # printing Infinity or NaN, which are not JSON
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten(obj, "", rows)
     if fmt == "csv":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -21,6 +22,16 @@ FUZZ_COMBOS = tuple(
 )
 
 FUZZ_TOTAL = 10_000
+
+
+def strict_json(text: str):
+    """Parse a report as RFC 8259 JSON: the Infinity, -Infinity and NaN that
+    Python's json module reads by default raise ValueError instead."""
+
+    def reject(name: str):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def build_fuzz_corpus() -> list[ucc.SetFamily]:

@@ -16,7 +16,7 @@ import ucc
 from ucc.analytic.scalars import big_g_of, g_prime_of
 from ucc.cli import run_cli
 from ucc.rng import SplitMix64
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, strict_json
 
 GOLDEN_X = 0.6180339887
 GOLDEN_VALUE = 1.6180339887
@@ -230,5 +230,5 @@ def test_acceptance_7_deterministic_reports(capsys):
         if runs[0] != runs[1]:
             failures.append(f"{argv}: output drifts between runs")
         if runs[0][1]:
-            json.loads(runs[0][1])  # stdout must stay machine-readable
+            strict_json(runs[0][1])  # stdout must stay machine-readable
     _verdict("7/7 byte-identical reports across runs", failures)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucc
+from ucc.analytic import scalars
 from ucc.analytic.intervals import (
     LOG2E,
     TRANSCENDENTAL_SLACK,
@@ -178,13 +179,13 @@ def test_corollary_grid_check():
 
 
 def test_grid_margins_matrices():
-    grid, f_values, margins = ucc.grid_margins(101)
-    assert grid.shape == f_values.shape[:1] == (101,)
+    # the grid sweep's cells are corollary_margin at the grid points
+    grid = np.linspace(0.0, 1.0, 101)
+    margins = np.concatenate([m for _, m in scalars._margin_blocks(grid)])
     assert margins.shape == (101, 101)
     i = j = 50  # grid[50] = 0.5
     assert margins[i, j] == pytest.approx(ucc.corollary_margin(0.5, 0.5), abs=1e-15)
-    assert f_values[i, j] == pytest.approx(ucc.f_ratio(0.5, 0.5), abs=1e-15)
-    assert f_values[0, 17] == 1.0  # boundary convention
+    assert margins[0, 17] == margins[17, 0] == 0.0  # the x = 0 and y = 0 edges
 
 
 def test_stationarity_sign_change_at_minimizer():

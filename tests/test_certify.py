@@ -282,3 +282,14 @@ def test_eta_at_its_floor_returns_a_certificate():
     assert cert.status == "budget_exhausted"
     assert cert.region == ((2.0 ** -53, 1.0 - 2.0 ** -53),) * 2
     assert min(cert.boundary[1:]) >= 0.97
+
+
+def test_worst_box_needs_a_finite_upper_bound():
+    # at eta = 2^-53 the root box has no enclosure (g near 1 is within the
+    # slack of 0), so a budget that cannot split it certifies no upper bound
+    for budget in (1, 2):
+        cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=budget)
+        assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 1)
+        assert cert.worst_box is None
+    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=3)
+    assert math.isfinite(cert.worst_box.f_upper)

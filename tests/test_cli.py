@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -14,7 +15,7 @@ import ucc
 import ucc.entropy
 import ucc.cli
 from ucc.cli import _build_parser, run_cli
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, strict_json
 
 POWERSET3 = str(DATA_DIR / "powerset3.uc")
 TWO_SINGLETONS = str(DATA_DIR / "two_singletons.uc")
@@ -114,14 +115,19 @@ def test_grid_json_and_csv(tmp_path, capsys):
     assert obj["min_margin"] >= -1e-12
     assert obj["phi"] == pytest.approx(ucc.PHI)
 
+    # a .csv path gets the report as --format asks, JSON by default
     dest = tmp_path / "sweep.csv"
-    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101",
-                       "--out", str(dest))
+    assert run(capsys, "analytic", "grid", "--grid", "101",
+               "--out", str(dest)) == (0, "", "")
+    assert dest.read_text() == out
+
+    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
     assert code == 0
-    assert out == ""  # --out diverts the report
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "x,y,f,margin"
-    assert len(lines) == 1 + 101 * 101
+    assert out.splitlines() == [
+        "key,value", f"min_margin,{obj['min_margin']!r}",
+        f"argmin[0],{obj['argmin'][0]!r}", f"argmin[1],{obj['argmin'][1]!r}",
+        f"argmin_margin,{obj['argmin_margin']!r}", "grid_points,101",
+        f"phi,{ucc.PHI!r}"]
 
 
 def test_grid_csv_sweeps_once(monkeypatch, capsys):
@@ -137,7 +143,7 @@ def test_grid_csv_sweeps_once(monkeypatch, capsys):
     monkeypatch.setattr(scalars, "_margin_blocks", counting)
     code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
     assert code == 0 and len(sweeps) == 1
-    assert out.count("\n") == 1 + 101 * 101
+    assert out.startswith("key,value\n") and out.count("\n") == 7
 
 
 def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
@@ -189,12 +195,17 @@ def test_certify_low_edge_bound_is_indeterminate(capsys):
 
 def test_certify_at_the_eta_floor(capsys):
     # the first rungs of the edge ladder have g(1-delta) within the slack of
-    # 0; they are skipped, so the run ends in one report, not a traceback
-    code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
-                         "--eta", "1.2e-16", "--budget", "100")
-    assert (code, err) == (0, "")
-    assert out.count("\n") == 1
-    assert json.loads(out)["status"] == "budget_exhausted"
+    # 0; they are skipped, so the run ends in one report, not a traceback.
+    # At budgets 1 and 2 no pending box has an enclosure, so there is no
+    # finite upper bound to report: worst_box is null, not Infinity.
+    for budget, has_worst in (("1", False), ("2", False), ("100", True)):
+        code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
+                             "--eta", "1.2e-16", "--budget", budget)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        obj = strict_json(out)
+        assert obj["status"] == "budget_exhausted"
+        assert (obj["worst_box"] is not None) == has_worst
 
 
 def test_certify_usage_error_is_one_line(capsys):
@@ -448,7 +459,7 @@ PINNED_RUNS = [
     (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
      "4a1c130bfe88771cb0476a8ed9361b9280075693a77d5e1ccf19238f682da106"),
     (("analytic", "grid", "--grid", "101", "--format", "csv"), 0,
-     "b1fd9e0e6f0d7a8485e818c10dac284bc759521c83b7e8f09a1b0791406f38ee"),
+     "0cfb945132425a4b1486d75bd571881a50f83d52961aae42924f050452aa32c6"),
     (("analytic", "grid", "--grid", "101", "--format", "human"), 0,
      "50273ed76e36791a48c28abe5ce6204de48f6d8df3d5e3a4f655237b77c77f72"),
     (("analytic", "minimize"), 0,
@@ -480,6 +491,8 @@ def test_stdout_pinned_across_commits(argv, code, digest, capsys):
     argv = [str(DATA_DIR / a) if a.endswith(".uc") else a for a in argv]
     got_code, out, _ = run(capsys, *argv)
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        strict_json(out)
 
 
 def _key_paths(obj, prefix=""):
@@ -557,6 +570,35 @@ def test_report_schema_pinned(verb, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert sorted(_key_paths(json.loads(out))) == sorted(schema)
+
+
+@pytest.mark.parametrize("verb", REPORT_SCHEMAS)
+def test_format_and_out_mean_the_same_on_every_verb(verb, tmp_path, capsys):
+    # --format csv prints the report's key,value rows, and --out gets exactly
+    # the bytes stdout would, whatever the path's suffix
+    argv, _ = REPORT_SCHEMAS[verb]
+    dest = tmp_path / "r.csv"
+    for fmt in ("json", "human", "csv"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out.startswith("key,value\n") == (fmt == "csv")
+        assert run(capsys, *argv, "--format", fmt, "--out", str(dest)) == (0, "", "")
+        assert dest.read_bytes() == out.encode("utf-8")
+
+
+def test_non_finite_report_value_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # JSON has no Infinity or NaN: such a value fails the run before --out
+    # is opened, instead of printing a report strict parsers reject
+    monkeypatch.setattr(
+        ucc.cli, "corollary_grid_check", raising=False,
+        value=lambda grid_points: ucc.GridCheck(
+            -math.inf, (0.5, 0.5), math.nan, grid_points))
+    dest = tmp_path / "r.json"
+    for extra in ((), ("--out", str(dest))):
+        code, out, err = run(capsys, "analytic", "grid", *extra)
+        assert (code, out) == (2, "")
+        assert err == "ucc: Out of range float values are not JSON compliant\n"
+    assert not dest.exists()
 
 
 def test_usage_errors(capsys):
