@@ -23,7 +23,7 @@ dist = ucc.union_distribution(fam)
 print("union supports", dist.support_size, "masks over",
       dist.pair_count, "ordered pairs")
 
-h_union = ucc.shannon_entropy(dist)
+h_union = dist.entropy_bits
 print("H(U) =", h_union, "bits")
 # Each bit of U is independently present with probability 3/4 here,
 # so H(U) is exactly 3 h(1/4).

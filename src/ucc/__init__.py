@@ -30,7 +30,7 @@ _EXPORTS = {
     "entropy": (
         "BoundReport", "TheoremReport", "UnionDistribution",
         "chain_rule_check", "check_lower_bound", "check_theorem",
-        "check_upper_bound", "shannon_entropy", "union_distribution"),
+        "check_upper_bound", "union_distribution"),
     "generators": (
         "RANDOM_KINDS", "ExampleSpec", "ExampleStats",
         "enumerate_union_closed", "random_families", "slice_example",

@@ -64,6 +64,7 @@ _DIGEST_MOD = 1 << 256
 _LOCATE_GAP = 1e-9   # stop localizing once min f is bracketed this tightly
 _NEAR_BAND = 1e-6    # report boxes whose certified hi is this close to best
 _VIOLATION_CAP = 16  # most violation boxes one certificate reports
+_MAX_DEPTH = 60      # a box this many splits below the root is not split again
 
 
 class Box(NamedTuple):
@@ -257,11 +258,14 @@ def _edge_bounds(eta: float) -> EdgeBounds:
 def certify_lower_bound(
     theta: float = 0.809016,
     eta: float = 1e-4,
-    max_depth: int = 60,
     box_budget: int = 10_000_000,
 ) -> Certificate:
     """Certificate that f >= theta on [0, 1]^2: a branch and bound over
     [eta, 1-eta]^2 and three closed-form bounds on the strips around it.
+
+    A box ``_MAX_DEPTH`` splits below the root is not split again, so a
+    run that stays within ``box_budget`` is a function of theta and eta
+    alone; the budget can only cut a run short.
 
     Thresholds at or above the true minimum 1/(2 phi) are not rejected:
     the run then terminates with verified=false and refutation boxes
@@ -274,8 +278,6 @@ def certify_lower_bound(
         raise ValueError(f"eta must exceed 2**-54 so that 1 - eta < 1, got {eta}")
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
     if box_budget < 1:
         raise ValueError("box_budget must be at least 1")
 
@@ -313,7 +315,7 @@ def certify_lower_bound(
         enc_lo, _, box, enc_hi, depth = heap[0]
         if enc_lo >= best_hi - _LOCATE_GAP:
             break  # min f is bracketed; every pending box is near-optimal
-        parts = _split(box) if depth < max_depth else None
+        parts = _split(box) if depth < _MAX_DEPTH else None
         if parts is not None and processed + len(parts) > box_budget:
             exhausted = True
             break

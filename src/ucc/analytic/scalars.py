@@ -30,7 +30,6 @@ __all__ = [
     "HALF_INV_PHI",
     "binary_entropy",
     "g_of",
-    "g_prime_of",
     "big_g_of",
     "f_ratio",
     "diagonal_ratio",
@@ -73,13 +72,6 @@ def g_of(x: float) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"g_of needs x in (0, 1), got {x}")
     return -math.log2(x) - (1.0 - x) * _log2_1m(x) / x
-
-
-def g_prime_of(x: float) -> float:
-    """g'(x) = log2(1-x) / x^2 on (0, 1); strictly negative."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"g_prime_of needs x in (0, 1), got {x}")
-    return _log2_1m(x) / (x * x)
 
 
 def big_g_of(x: float) -> float:

@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = asub.add_parser("certify", help="branch-and-bound lower bound for f")
     q.add_argument("--theta", type=float, default=0.809016)
     q.add_argument("--eta", type=float, default=1e-4)
-    q.add_argument("--depth", type=int, default=60)
     q.add_argument("--budget", type=int, default=10_000_000)
     _add_common(q)
     q.set_defaults(run=_cmd_certify)
@@ -195,7 +194,7 @@ def _cmd_entropy(args) -> int:
     lower = _lib.check_lower_bound(family)
     upper = _lib.check_upper_bound(family)
     chain = _lib.chain_rule_check(family)
-    obj.update(entropy_union_bits=_lib.shannon_entropy(dist),
+    obj.update(entropy_union_bits=dist.entropy_bits,
                lower_bound=report.record_obj(lower),
                upper_bound=report.record_obj(upper),
                chain_rule=report.record_obj(chain))
@@ -219,8 +218,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_certify(args) -> int:
     cert = _lib.certify_lower_bound(
-        theta=args.theta, eta=args.eta, max_depth=args.depth,
-        box_budget=args.budget)
+        theta=args.theta, eta=args.eta, box_budget=args.budget)
     _emit(args, report.record_obj(cert))
     if cert.violation_boxes and args.theta < _lib.HALF_INV_PHI:
         return EXIT_VIOLATION

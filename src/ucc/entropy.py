@@ -1,8 +1,8 @@
 """Entropy checks for the union of two independent uniform draws.
 
 Let A and B be independent uniform draws from a family F.  The distribution
-of A | B (bitwise union) is computed exactly: counts over all |F|^2 ordered
-pairs, probabilities as Fractions.  The counts are the family's cached
+of A | B (bitwise union) is computed exactly, as integer counts over all
+|F|^2 ordered pairs.  The counts are the family's cached
 pair-union histogram, :attr:`ucc.setfamily.SetFamily.union_counts`, built
 once per family as an OR convolution by
 :func:`ucc.setfamily.pair_union_counts`, whose cell cap is the only size
@@ -52,7 +52,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
@@ -72,7 +72,6 @@ __all__ = [
     "BoundReport",
     "TheoremReport",
     "union_distribution",
-    "shannon_entropy",
     "chain_rule_check",
     "check_lower_bound",
     "check_upper_bound",
@@ -107,9 +106,11 @@ class UnionDistribution(NamedTuple):
     """Exact distribution of A | B for A, B independent uniform on F.
 
     ``unions`` (strictly ascending) and ``counts`` (all positive) are the
-    family's cached, read-only histogram arrays, shared rather than copied,
-    and ``entropy_bits`` is the family's cached
-    :attr:`~ucc.setfamily.SetFamily.union_entropy`.
+    family's cached, read-only histogram arrays, shared rather than copied:
+    U = A | B with probability count / ``pair_count``, exactly.
+    ``entropy_bits`` is H(A | B) in bits, the family's cached
+    :attr:`~ucc.setfamily.SetFamily.union_entropy`, and
+    :func:`_entropy_enclosure` bounds its error.
     """
 
     universe_size: int
@@ -123,11 +124,6 @@ class UnionDistribution(NamedTuple):
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__
-
-    @property
-    def probs(self) -> dict[int, Fraction]:
-        return {m: Fraction(c, self.pair_count)
-                for m, c in zip(self.unions.tolist(), self.counts.tolist())}
 
     @property
     def support_size(self) -> int:
@@ -180,38 +176,6 @@ def union_distribution(family: SetFamily) -> UnionDistribution:
         pair_count=family.size ** 2,
         entropy_bits=family.union_entropy,
     )
-
-
-def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits of a distribution.
-
-    Accepts a :class:`UnionDistribution`, a mapping from outcomes to
-    probabilities, or a bare iterable of probabilities (Fractions or
-    floats).  Probabilities must be finite, nonnegative and sum to 1
-    (exactly for Fractions, within 1e-9 for floats).
-    """
-    if isinstance(dist, UnionDistribution):
-        return dist.entropy_bits
-    if isinstance(dist, Mapping):
-        values = list(dist.values())
-    else:
-        values = list(dist)
-    if not values:
-        raise ValueError("empty distribution")
-    exact = all(isinstance(v, (Fraction, int)) for v in values)
-    for v in values:
-        if not (exact or math.isfinite(v)):
-            raise ValueError(f"non-finite probability {v}")
-        if v < 0:
-            raise ValueError(f"negative probability {v}")
-    total = sum(values) if exact else math.fsum(values)
-    if exact:
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-    elif abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    # 0.0 - s rather than -s: a point mass has entropy 0.0, not -0.0
-    return 0.0 - math.fsum(p * math.log2(p) for p in map(float, values) if p > 0.0)
 
 
 def _weighted_fsum(terms: Iterable[tuple[float, int]]) -> float:
@@ -381,8 +345,9 @@ def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
     del ordered
     coord = np.searchsorted(powers, diff & -diff)  # lowest bit where neighbours differ
     del diff
-    # the key bits that vary inside the pair's cell: bit i and those above it
-    free = (powers[::-1] * 2 - 1)[coord]
+    # the key bits that vary inside the pair's cell: bit i and those above
+    # it, 2^(n-i) - 1, formed so that n = 63 stays inside int64
+    free = ((powers[::-1] - 1) * 2 + 1)[coord]
     ends = np.searchsorted(key, key[1:] | free, side="right")
     starts = np.searchsorted(key, key[1:] & ~free)
     del key, free

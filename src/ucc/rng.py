@@ -60,21 +60,17 @@ class SplitMix64:
         return (self.next64() >> 11) * 2.0**-53
 
     def getrandbits(self, k: int) -> int:
-        """Uniform integer in [0, 2^k); k may exceed 64."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        words, rem = divmod(k, 64)
-        out = 0
-        for _ in range(words):
-            out = (out << 64) | self.next64()
-        if rem:
-            out = (out << rem) | (self.next64() >> (64 - rem))
-        return out
+        """Uniform integer in [0, 2^k) for 1 <= k <= 64: the top k bits of
+        one draw."""
+        if not 1 <= k <= 64:
+            raise ValueError(f"k must be in 1..64, got {k}")
+        return self.next64() >> (64 - k)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased for any n >= 1."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        """Uniform integer in [0, n) by rejection; unbiased for any
+        1 <= n <= 2^64."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"n must be in 1..2**64, got {n}")
         if n == 1:
             return 0
         k = (n - 1).bit_length()
@@ -86,8 +82,8 @@ class SplitMix64:
     def shuffle_prefix(self, n: int, k: int) -> list[int]:
         """Uniform ordered sample of k distinct values from range(n).
 
-        Partial Fisher-Yates over a sparse dict, so n may be astronomically
-        large as long as k is small.
+        Partial Fisher-Yates over a sparse dict, so n may be as large as
+        2^64 (one draw per value) as long as k is small.
         """
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")

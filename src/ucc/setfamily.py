@@ -160,10 +160,6 @@ class SetFamily:
         i = bisect_left(sets, mask)
         return i < len(sets) and sets[i] == mask
 
-    def member_set(self) -> frozenset[int]:
-        """The masks as a frozenset, built on each call."""
-        return frozenset(self.sets)
-
     @cached_property
     def union_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Pair-union histogram ``(unions, counts)`` of
@@ -403,18 +399,22 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
 def union_closure(family: SetFamily, cap: int = DEFAULT_CLOSURE_CAP) -> SetFamily:
     """Smallest union-closed family containing the input.
 
-    Fixed-point worklist: every freshly added union is combined with all
-    current members until nothing new appears.  Raises
-    :class:`CapExceededError` once the closure grows past ``cap`` members
-    (the closure of s sets can reach 2^s - 1 distinct unions).
+    Fixed-point worklist: each round combines every set of the frontier
+    with the members the round started with, and the new unions form the
+    next frontier, until nothing new appears.  Two sets that are new in the
+    same round are combined in the next, where one is in the frontier and
+    the other among the members.  Raises :class:`CapExceededError` once the closure grows
+    past ``cap`` members (the closure of s sets can reach 2^s - 1 distinct
+    unions).
     """
     _require_nonempty(family, "union_closure")
     members = set(family.sets)
     frontier = list(family.sets)
     while frontier:
         fresh: list[int] = []
+        snapshot = tuple(members)
         for a in frontier:
-            for b in members.copy():
+            for b in snapshot:
                 u = a | b
                 if u not in members:
                     members.add(u)

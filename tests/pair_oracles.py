@@ -26,7 +26,7 @@ def pair_union_counts(family: SetFamily) -> dict[int, int]:
 
 
 def is_union_closed(family: SetFamily) -> bool:
-    members = family.member_set()
+    members = frozenset(family.sets)
     sets = family.sets
     for i, a in enumerate(sets):
         for b in sets[i:]:
@@ -36,7 +36,7 @@ def is_union_closed(family: SetFamily) -> bool:
 
 
 def closure_fraction(family: SetFamily) -> Fraction:
-    members = family.member_set()
+    members = frozenset(family.sets)
     sets = family.sets
     hits = 0
     for i, a in enumerate(sets):
@@ -49,7 +49,7 @@ def closure_fraction(family: SetFamily) -> Fraction:
 
 
 def closure_fraction_unordered(family: SetFamily) -> Fraction:
-    members = family.member_set()
+    members = frozenset(family.sets)
     sets = family.sets
     hits = 0
     for i, a in enumerate(sets):

@@ -17,7 +17,7 @@ from ucc.analytic.intervals import (
     f_mean_value,
     f_point_enclosure,
 )
-from ucc.analytic.scalars import big_g_of, g_of, g_prime_of
+from ucc.analytic.scalars import big_g_of, g_of
 
 # independently frozen values (big-int/mpmath-free: evaluated from the
 # closed forms with 53-bit floats, cross-checked at higher precision)
@@ -67,8 +67,7 @@ def test_binary_entropy_domain():
 def test_g_pinned_values():
     assert g_of(0.5) == 2.0
     assert g_of(0.25) == pytest.approx(4 * H_QUARTER, abs=1e-14)
-    assert g_prime_of(0.5) == -4.0  # log2(1/2) / (1/4)
-    assert big_g_of(0.5) == -2.0
+    assert big_g_of(0.5) == -2.0  # log2(1/2) / (1/2), so g'(1/2) = -4
     assert big_g_of(0.25) == pytest.approx(BIG_G_QUARTER, abs=1e-14)
 
 
@@ -78,10 +77,11 @@ def test_big_g_three_quarters():
 
 
 def test_g_prime_matches_finite_differences():
-    # acceptance-grade derivative check, run at module scale too
+    # acceptance-grade derivative check, run at module scale too: the
+    # enclosures take g'(x) as G(x)/x, so that is the form checked
     delta = 1e-6
     xs = np.linspace(0.01, 0.99, 1000)
-    worst = max(abs(g_prime_of(x) - (g_of(x + delta) - g_of(x - delta)) / (2 * delta))
+    worst = max(abs(big_g_of(x) / x - (g_of(x + delta) - g_of(x - delta)) / (2 * delta))
                 for x in xs)
     assert worst <= 1e-5
 
@@ -93,7 +93,7 @@ def test_big_g_strictly_decreasing():
 
 
 def test_g_family_bundle():
-    assert (g_of(0.5), g_prime_of(0.5), big_g_of(0.5)) == (2.0, -4.0, -2.0)
+    assert (g_of(0.5), big_g_of(0.5) / 0.5, big_g_of(0.5)) == (2.0, -4.0, -2.0)
 
 
 def test_f_pinned_values():
@@ -274,6 +274,32 @@ def test_gradient_enclosure_sign_at_offsets():
     assert left is not None and right is not None
     assert left[0].hi < 0.0
     assert right[0].lo > 0.0
+
+
+def test_gradient_enclosure_contains_mpmath_partials():
+    # the mean-value form is sound only if this encloses the true gradient;
+    # the reference differentiates the definition of f, not the g form
+    mpmath = pytest.importorskip("mpmath")
+
+    def h(t):
+        return -t * mpmath.log(t, 2) - (1 - t) * mpmath.log(1 - t, 2)
+
+    def f(x, y):
+        return h(x * y) / (h(x) * y + h(y) * x)
+
+    rng = ucc.SplitMix64(19)
+    with mpmath.workdps(30):
+        for _ in range(300):
+            wx, wy = (10.0 ** (-6.0 + 4.0 * rng.random()) for _ in range(2))
+            x0 = 0.01 + (0.98 - wx) * rng.random()
+            y0 = 0.01 + (0.98 - wy) * rng.random()
+            x, y = Interval(x0, x0 + wx), Interval(y0, y0 + wy)
+            dfx, dfy = f_gradient_enclosure(x, y)
+            for px in (x.lo, x.mid, x.hi):
+                for py in (y.lo, y.mid, y.hi):
+                    at = (mpmath.mpf(px), mpmath.mpf(py))
+                    assert dfx.lo <= mpmath.diff(f, at, (1, 0)) <= dfx.hi, (px, py)
+                    assert dfy.lo <= mpmath.diff(f, at, (0, 1)) <= dfy.hi, (px, py)
 
 
 def test_transcendental_slack_is_small_but_positive():

@@ -138,17 +138,19 @@ def test_budget_exhaustion():
     assert cert.worst_box is not None
 
 
-def test_depth_exhaustion_reports_indeterminate():
-    cert = ucc.certify_lower_bound(theta=0.809016, max_depth=4)
+def test_depth_exhaustion_reports_indeterminate(monkeypatch):
+    monkeypatch.setattr(certify, "_MAX_DEPTH", 4)
+    cert = ucc.certify_lower_bound(theta=0.809016)
     assert not cert.verified
     assert cert.status == "indeterminate"
     assert cert.indeterminate_boxes > 0
 
 
-def test_shallow_refutation_counts_no_indeterminate_leaves():
+def test_shallow_refutation_counts_no_indeterminate_leaves(monkeypatch):
     # at depth 20 the minimum cannot be bracketed within the locate gap, so
     # many unsplittable boxes are popped; none can change the refutation
-    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4, max_depth=20)
+    monkeypatch.setattr(certify, "_MAX_DEPTH", 20)
+    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
     assert cert.status == "refuted"
     assert cert.indeterminate_boxes == 0
     assert cert.boxes_processed == 2_433
@@ -178,8 +180,6 @@ def test_parameter_validation():
         ucc.certify_lower_bound(theta=math.inf)
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(box_budget=0)
-    with pytest.raises(ValueError):
-        ucc.certify_lower_bound(max_depth=0)
 
 
 def test_threshold_above_minimum_is_not_rejected():

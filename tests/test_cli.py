@@ -610,6 +610,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "analytic")[0] == 2                    # missing action
     code, out, err = run(capsys, "analytic", "certify", "--strip-points", "-1")
     assert code == 2 and out == "" and "unrecognized arguments: --strip-points" in err
+    code, out, err = run(capsys, "analytic", "certify", "--depth", "5")
+    assert code == 2 and out == "" and "unrecognized arguments: --depth" in err
     for count in ("0", "-5"):
         assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
             2, "", "ucc: size and count must be positive\n")

@@ -21,19 +21,19 @@ DELTA_TWO_SINGLETONS = 1.0529201095237968
 def test_union_distribution_power_set_one():
     fam = ucc.SetFamily.from_masks(1, [0, 1])
     dist = ucc.union_distribution(fam)
-    assert dist.probs == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    assert dist.unions.tolist() == [0, 1] and dist.counts.tolist() == [1, 3]
     assert dist.pair_count == 4
     assert dist.support_size == 2
-    assert ucc.shannon_entropy(dist) == pytest.approx(H_QUARTER, abs=1e-14)
+    assert dist.entropy_bits == pytest.approx(H_QUARTER, abs=1e-14)
 
 
 def test_union_distribution_power_set_two():
     fam = ucc.SetFamily.from_masks(2, range(4))
     dist = ucc.union_distribution(fam)
     # coordinates independent: each union coordinate is Bernoulli(3/4)
-    assert dist.probs[0b11] == Fraction(9, 16)
-    assert dist.probs[0b00] == Fraction(1, 16)
-    assert ucc.shannon_entropy(dist) == pytest.approx(2 * H_QUARTER, abs=1e-13)
+    assert dist.unions.tolist() == [0b00, 0b01, 0b10, 0b11]
+    assert dist.counts.tolist() == [1, 3, 3, 9]  # out of 16 ordered pairs
+    assert dist.entropy_bits == pytest.approx(2 * H_QUARTER, abs=1e-13)
 
 
 def test_union_distribution_compares_by_identity():
@@ -44,24 +44,6 @@ def test_union_distribution_compares_by_identity():
     assert a == a and not a != a
     assert a != b and not a == b
     assert len({a, b}) == 2
-
-
-def test_shannon_entropy_accepts_mappings_and_iterables():
-    assert ucc.shannon_entropy({0: Fraction(1, 2), 1: Fraction(1, 2)}) == 1.0
-    assert ucc.shannon_entropy([0.25, 0.75]) == pytest.approx(H_QUARTER, abs=1e-14)
-    for point_mass in ([1.0], {0: Fraction(1)}):
-        h = ucc.shannon_entropy(point_mass)
-        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # 0.0, not -0.0
-
-
-def test_shannon_entropy_rejects_bad_distributions():
-    with pytest.raises(ValueError):
-        ucc.shannon_entropy({0: Fraction(1, 2)})  # does not sum to 1
-    with pytest.raises(ValueError):
-        ucc.shannon_entropy([0.5, 0.6])
-    for bad in ([float("nan"), 1.0], {0: float("nan")}, [float("inf"), 1.0]):
-        with pytest.raises(ValueError, match="non-finite"):
-            ucc.shannon_entropy(bad)
 
 
 def test_chain_rule_on_power_set(powerset3):
@@ -237,11 +219,10 @@ def test_bounds_hold_for_arbitrary_families(fam):
 @settings(max_examples=100, deadline=None)
 def test_union_entropy_definition(fam):
     dist = ucc.union_distribution(fam)
-    total = sum(dist.probs.values())
-    assert total == 1
-    brute = -math.fsum(float(p) * math.log2(float(p))
-                       for p in dist.probs.values() if p > 0)
-    assert ucc.shannon_entropy(dist) == pytest.approx(brute, abs=1e-10)
+    probs = [Fraction(c, dist.pair_count) for c in dist.counts.tolist()]
+    assert sum(probs) == 1
+    brute = -math.fsum(float(p) * math.log2(float(p)) for p in probs)
+    assert dist.entropy_bits == pytest.approx(brute, abs=1e-10)
 
 
 def test_entropy_run_evaluates_union_entropy_once(monkeypatch, capsys):

@@ -178,9 +178,15 @@ def test_dense_regime_capped_by_universe_width(monkeypatch):
 
 # the chain sum groups prefix cells in numpy; both sums round like the oracle
 
-@pytest.mark.parametrize("n, size, dense", [(40, 300, False), (13, 512, True)])
+# n = 63, the word cap, puts 2^63 - 1 in the widest prefix mask
+@pytest.mark.parametrize("n, size, dense",
+                         [(40, 300, False), (13, 512, True), (63, 40, False)])
 def test_chain_sums_equal_the_oracle_exactly(n, size, dense):
-    fam = ucc.SetFamily.from_masks(n, random.Random(n * size).sample(range(1 << n), size))
+    rng = random.Random(n * size)
+    # len(range(2^63)) overflows a C ssize_t, so the widest case draws bits
+    masks = (rng.sample(range(1 << n), size) if n < 63
+             else [rng.getrandbits(n) for _ in range(size)])
+    fam = ucc.SetFamily.from_masks(n, masks)
     assert fam.size == size and _is_dense(fam) == dense
     chain = ucc.chain_rule_check(fam)
     # one correctly rounded fsum per coordinate, added in ascending order,

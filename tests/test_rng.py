@@ -47,11 +47,12 @@ def test_randbelow_range(seed, n):
 
 
 def test_randbelow_handles_big_integers():
-    n = 1 << 200
+    # 2^64 is the widest range; shuffle_prefix over [63] draws below 2^63
+    n = 1 << 64
     rng = SplitMix64(3)
     vals = {rng.randbelow(n) for _ in range(5)}
     assert all(0 <= v < n for v in vals)
-    assert any(v > (1 << 150) for v in vals)  # not stuck in low words
+    assert any(v > (1 << 62) for v in vals)  # the top bits are drawn too
 
 
 def test_randbelow_covers_small_range():
@@ -60,12 +61,22 @@ def test_randbelow_covers_small_range():
     assert seen == {0, 1, 2}
 
 
-@given(st.integers(min_value=1, max_value=128))
+@given(st.integers(min_value=1, max_value=64))
 @settings(max_examples=50)
 def test_getrandbits_width(k):
     rng = SplitMix64(99)
     for _ in range(5):
         assert 0 <= rng.getrandbits(k) < (1 << k)
+
+
+def test_draws_are_at_most_one_word():
+    rng = SplitMix64(5)
+    for k in (0, 65):
+        with pytest.raises(ValueError, match="1..64"):
+            rng.getrandbits(k)
+    for n in (0, (1 << 64) + 1):
+        with pytest.raises(ValueError, match="1..2"):
+            rng.randbelow(n)
 
 
 def test_shuffle_prefix_is_a_partial_permutation():
