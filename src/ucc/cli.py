@@ -106,10 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(run=_cmd_example)
 
-    p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 4")
+    p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 5")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exclude-empty", action="store_true",
-                   help="skip families containing the empty set as a member")
     _add_common(p)
     p.set_defaults(run=_cmd_enumerate)
 
@@ -278,8 +276,7 @@ def _check_families(families, entropy_checks: bool = False):
 
 
 def _cmd_enumerate(args) -> int:
-    tally, violation = _check_families(
-        _lib.enumerate_union_closed(args.n, include_empty_set=not args.exclude_empty))
+    tally, violation = _check_families(_lib.enumerate_union_closed(args.n))
     obj = {
         "n": args.n,
         **{key: tally[key] for key in ("families", "theorem_checked",

@@ -10,7 +10,7 @@ near psi + n^(-1/3).  :func:`slice_example` materializes it at desk scale;
 :func:`slice_stats` gives its sizes, exact closure deficit and maximal
 frequency at any n from binomial arithmetic alone.
 
-The corpus side is exhaustive union-closed enumeration at n <= 4 and three
+The corpus side is exhaustive union-closed enumeration at n <= 5 and three
 seeded random family kinds for fuzzing.
 """
 
@@ -209,41 +209,36 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
     )
 
 
-def enumerate_union_closed(n: int, include_empty_set: bool = True) -> Iterator[SetFamily]:
-    """Yield every nonempty union-closed family over [n], n <= 4.
+def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
+    """Yield every nonempty union-closed family over [n], n <= 5.
 
-    Families are encoded as subsets of the 2^n masks and scanned in
-    increasing encoding order, which is canonical and stable.  With
-    ``include_empty_set`` false, families containing the empty set as a
-    member are skipped (the empty set changes nothing about closure).
+    A family encodes as the sum of 2^mask over its members, and families
+    come in increasing encoding order, which is canonical and stable.  A
+    depth-first walk decides the masks from 2^n - 1 down to 0: each is
+    first left out, then taken in if its union with every member taken so
+    far is a member.  Such a union is never below a taken member, so it is
+    already decided, and the walk's leaves are exactly the union-closed
+    families, each once.  Its cost follows their number (2 M(n) - 1, M the
+    Moore-family count), not the 2^(2^n) encodings.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"enumeration is exhaustive only for n in 1..4, got {n}")
-    num_masks = 1 << n
-    for encoding in range(1, 1 << num_masks):
-        if not include_empty_set and encoding & 1:
-            continue
-        members = []
-        rest = encoding
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        closed = True
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if not encoding >> (a | b) & 1:
-                    closed = False
-                    break
-            if not closed:
+    if not 1 <= n <= 5:
+        raise ValueError(f"enumeration is exhaustive only for n in 1..5, got {n}")
+    taken: list[int] = []  # the members so far, decreasing
+    encoding = 0
+    # masks left out whose take-in branch is still to walk, smallest on top
+    pending = list(range((1 << n) - 1, -1, -1))
+    while pending:
+        mask = pending.pop()
+        while taken and taken[-1] < mask:  # undo what was decided below mask
+            encoding ^= 1 << taken.pop()
+        for b in taken:
+            if not encoding >> (mask | b) & 1:
                 break
-        if closed:
-            yield SetFamily(n, tuple(members))
-
-
-def _maximal_flags(masks: tuple[int, ...]) -> list[bool]:
-    return [not any(other != m and m | other == other for other in masks)
-            for m in masks]
+        else:
+            taken.append(mask)
+            encoding |= 1 << mask
+            yield SetFamily(n, tuple(reversed(taken)))
+            pending.extend(range(mask - 1, -1, -1))
 
 
 def random_families(n: int, size: int, count: int, seed: int, kind: str,
@@ -252,9 +247,10 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
 
     Kinds: ``uniform`` (distinct masks, uniform), ``closure-of-random``
     (union closure of a small uniform seed family), ``noisy-uc`` (a
-    closure with each non-maximal member deleted independently with
-    probability ``rho``; maximal members survive, so unions of survivors
-    mostly stay inside and the closure deficit stays small).
+    closure with each member but its top, the union of all members,
+    deleted independently with probability ``rho``; the top survives, so
+    unions of survivors mostly stay inside and the closure deficit stays
+    small).
 
     Each family draws from a substream derived from (seed, index), so the
     stream is deterministic and prefix-stable: consuming only the first
@@ -293,10 +289,8 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
         fam = union_closure(fam)
         if kind == "closure-of-random":
             return fam
-        keep = []
-        for mask, is_max in zip(fam.sets, _maximal_flags(fam.sets)):
-            if is_max or rng.random() >= rho:
-                keep.append(mask)
+        top = fam.sets[-1]  # the union of all members, the only maximal one
+        keep = [mask for mask in fam.sets if mask == top or rng.random() >= rho]
         return SetFamily(fam.universe_size, tuple(keep))
 
     return (build(i) for i in range(count))

@@ -340,13 +340,6 @@ def test_enumerate_n3(capsys):
     assert obj["undecided"] == 0
 
 
-def test_enumerate_exclude_empty(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "3", "--exclude-empty")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["families"] == 60  # (121 - 1) / 2
-
-
 def test_fuzz_clean_run(capsys):
     code, out, _ = run(capsys, "fuzz", "--n", "5", "--count", "30",
                        "--seed", "7", "--entropy-checks")
@@ -470,8 +463,6 @@ PINNED_RUNS = [
      "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
     (("enumerate", "--n", "3"), 0,
      "e749f224c195772ec8be5b713ce30039af4acff35ff59869e8ccc07f64c2231b"),
-    (("enumerate", "--n", "3", "--exclude-empty"), 0,
-     "a648b57173d4824871974a82f62f791bef399825a5c517514de11502dee5e5ea"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
      "42d7733d06572eebb2e1aa67b404cb14402036a1a286b2d2badbe18ebf70b4a4"),
     (("fuzz", "--n", "5", "--count", "40", "--seed", "9", "--kind", "noisy-uc",
@@ -612,6 +603,8 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and "unrecognized arguments: --strip-points" in err
     code, out, err = run(capsys, "analytic", "certify", "--depth", "5")
     assert code == 2 and out == "" and "unrecognized arguments: --depth" in err
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--exclude-empty")
+    assert code == 2 and out == "" and "unrecognized arguments: --exclude-empty" in err
     for count in ("0", "-5"):
         assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
             2, "", "ucc: size and count must be positive\n")

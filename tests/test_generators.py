@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ucc
+from tests.pair_oracles import union_closed_by_encoding
 from ucc.generators import (
     DegenerateSpecError,
     default_slice_level,
@@ -150,15 +151,18 @@ def test_enumerate_yields_valid_families(enumerated):
             assert ucc.is_union_closed(fam)
 
 
-def test_enumerate_exclude_empty_relation():
+def test_enumerate_matches_the_encoding_scan():
+    # the walk yields the scan's families in the scan's order
+    for n in (1, 2, 3, 4):
+        assert list(ucc.enumerate_union_closed(n)) == list(union_closed_by_encoding(n))
+
+
+def test_enumerate_exclude_empty_relation(enumerated):
     # families containing the empty set are exactly {∅} plus any
     # union-closed family avoiding it, so N_all = 2 * N_no_empty + 1
-    for n in (1, 2, 3):
-        n_all = sum(1 for _ in ucc.enumerate_union_closed(n))
-        n_no = sum(1 for _ in ucc.enumerate_union_closed(n, include_empty_set=False))
-        assert n_all == 2 * n_no + 1
-        for fam in ucc.enumerate_union_closed(n, include_empty_set=False):
-            assert 0 not in fam.sets
+    for fams in enumerated.values():
+        n_no = sum(1 for fam in fams if 0 not in fam.sets)
+        assert len(fams) == 2 * n_no + 1
 
 
 def test_enumerate_half_frequency_oracle(enumerated):
@@ -175,7 +179,19 @@ def test_enumerate_bounds_universe():
     with pytest.raises(ValueError):
         list(ucc.enumerate_union_closed(0))
     with pytest.raises(ValueError):
-        list(ucc.enumerate_union_closed(5))
+        list(ucc.enumerate_union_closed(6))
+
+
+@pytest.mark.slow
+def test_enumerate_n5_counts_moore_families():
+    # 2 M(5) - 1 with M(5) = 1,385,552 Moore families (OEIS A102896);
+    # strictly increasing encodings also rule out a repeated family
+    count, prev = 0, -1
+    for fam in ucc.enumerate_union_closed(5):
+        encoding = sum(1 << m for m in fam.sets)
+        assert encoding > prev
+        count, prev = count + 1, encoding
+    assert count == 2_771_103
 
 
 def test_random_families_deterministic_and_sized():
