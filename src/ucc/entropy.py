@@ -10,8 +10,11 @@ limit on these checks.  It is a pair of int64 arrays, the ascending unions
 and their counts, and every check below reads those arrays directly, so a
 family's pairs are counted once however many checks run.  H(A|B) itself is
 the family's cached :attr:`~ucc.setfamily.SetFamily.union_entropy`, also
-evaluated once.  Grouping (member unions, prefix cells) happens in numpy;
-each entropy term is still a Python float from exact integer counts.  On
+evaluated once.  Grouping (member unions, prefix cells) happens in numpy,
+one chunk of :data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so a
+check holds at most 16 bytes a cell besides the histogram; each entropy
+term is still a Python float from exact integer counts, and each sum is
+rounded once, as ``math.fsum`` over all its terms would round it.  On
 top of the histogram sit four checks, each returning a small report rather
 than a bare bool so that callers and the CLI can show their work:
 
@@ -58,6 +61,8 @@ from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
 from .setfamily import (
     SetFamily,
+    _cell_counts,
+    _chunks,
     _entropy_from_counts,
     _member_cells,
     closure_fraction,
@@ -317,6 +322,22 @@ def _bit_reversed(masks, n: int):
     return key
 
 
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``terms``.
+
+    ``math.fsum`` rounds an exact sum correctly, so each round takes the
+    correctly rounded rest that the parts found so far leave out.  Every
+    float is a multiple of 2^-1074, so the rest is too, and it rounds to 0
+    only when it is 0; each round shrinks it by a factor of 2^52 or more.
+    So ``math.fsum`` over the parts of several lists equals ``math.fsum``
+    over all their terms, bit for bit.
+    """
+    parts: list[float] = []
+    while rest := math.fsum(terms + [-p for p in parts]):
+        parts.append(rest)
+    return parts
+
+
 def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
     """H(U_i | U below i) for every coordinate i of the union draw.
 
@@ -329,41 +350,56 @@ def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
     such pair, and the other cells, with U_i fixed, add nothing.  Each
     pair's cell is found by binary search on the keys and its counts are
     read off a running sum.  The terms are Python floats from the integer
-    counts, one ``math.fsum`` per coordinate.
+    counts, summed per coordinate as ``math.fsum`` over all of them would
+    sum them: the pairs are taken in chunks, and each coordinate carries the
+    exact sum of its terms so far as a few floats (:func:`_exact_parts`).
+
+    Besides the histogram the pass holds 16 bytes a cell, the sorted keys
+    and the running sum; everything else it allocates is one chunk of at
+    most ``_CHUNK_CELLS`` cells (:func:`~ucc.setfamily._chunks`).
     """
     import numpy as np
 
-    # Each K-sized temporary is dropped once spent, so the peak is a few of
-    # them.  Only np.sort sorts, the kernel np.unique uses too: an argsort
-    # would page in one more sort kernel, about 0.25 MB of resident code.
+    size = len(unions)
+    # Only sort sorts, the kernel np.unique uses too: an argsort would page
+    # in one more sort kernel, about 0.25 MB of resident code.
+    key = np.empty(size, dtype=np.int64)
+    for lo, hi in _chunks(size):
+        key[lo:hi] = _bit_reversed(unions[lo:hi], n)
+    key.sort()
+    running = np.empty(size + 1, dtype=np.int64)  # counts before each position
+    running[0] = 0
+    for lo, hi in _chunks(size):  # the counts in key order, then summed in place
+        running[lo + 1:hi + 1] = counts[np.searchsorted(unions, _bit_reversed(key[lo:hi], n))]
+    np.cumsum(running, out=running)
     powers = np.array([1 << i for i in range(n)], dtype=np.int64)
-    key = np.sort(_bit_reversed(unions, n))
-    ordered = _bit_reversed(key, n)  # the unions in key order
-    running = np.zeros(len(key) + 1, dtype=np.int64)  # counts before each position
-    np.cumsum(counts[np.searchsorted(unions, ordered)], out=running[1:])
-    diff = ordered[1:] ^ ordered[:-1]
-    del ordered
-    coord = np.searchsorted(powers, diff & -diff)  # lowest bit where neighbours differ
-    del diff
-    # the key bits that vary inside the pair's cell: bit i and those above
-    # it, 2^(n-i) - 1, formed so that n = 63 stays inside int64
-    free = ((powers[::-1] - 1) * 2 + 1)[coord]
-    ends = np.searchsorted(key, key[1:] | free, side="right")
-    starts = np.searchsorted(key, key[1:] & ~free)
-    del key, free
-    after = running[ends]
-    whole = after - running[starts]
-    ones = after - running[1:-1]
-    del running, ends, starts, after
-    # group the pairs by coordinate: sort (coordinate, position) packed in one int64
-    width = len(coord).bit_length()
-    packed = np.sort(coord << width | np.arange(len(coord)))
-    by_coord = packed & ((1 << width) - 1)
-    whole, ones = whole[by_coord], ones[by_coord]
-    bounds = np.searchsorted(packed, np.arange(n + 1) << width).tolist()
-    return [math.fsum(c / total * _h_of_counts(c1, c)
-                      for c, c1 in zip(whole[lo:hi].tolist(), ones[lo:hi].tolist()))
-            for lo, hi in zip(bounds, bounds[1:])]
+    # the key bits that vary inside a cell of coordinate i: bit i and those
+    # above it, 2^(n-i) - 1, formed so that n = 63 stays inside int64
+    free_of = (powers[::-1] - 1) * 2 + 1
+    # per coordinate, floats whose exact sum is that of its terms so far
+    parts: list[list[float]] = [[] for _ in range(n)]
+    for lo, hi in _chunks(size - 1):  # the neighbour pairs (j, j + 1), j in lo..hi-1
+        first = key[lo + 1:hi + 1]  # the first key with U_i = 1 in the pair's cell
+        # the lowest union bit where the neighbours differ: n - 1 less the
+        # highest key bit of their XOR
+        coord = n - np.searchsorted(powers, first ^ key[lo:hi], side="right")
+        free = free_of[coord]
+        after = running[np.searchsorted(key, first | free, side="right")]
+        whole = after - running[np.searchsorted(key, first & ~free)]
+        ones = after - running[lo + 1:hi + 1]
+        # group the pairs by coordinate: sort (coordinate, position) packed in one int64
+        width = (hi - lo).bit_length()
+        packed = np.sort(coord << width | np.arange(hi - lo))
+        by_coord = packed & ((1 << width) - 1)
+        whole, ones = whole[by_coord], ones[by_coord]
+        bounds = np.searchsorted(packed, np.arange(n + 1) << width).tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:
+                terms = parts[i] + [c / total * _h_of_counts(c1, c) for c, c1
+                                    in zip(whole[a:b].tolist(), ones[a:b].tolist())]
+                # exact while more chunks follow, rounded once after the last
+                parts[i] = _exact_parts(terms) if hi < size - 1 else [math.fsum(terms)]
+    return [math.fsum(p) for p in parts]
 
 
 def chain_rule_check(family: SetFamily) -> BoundReport:
@@ -497,10 +533,8 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     _, counts = family.union_counts
     lhs = family.union_entropy
 
-    inside = np.zeros(len(counts), dtype=bool)
-    inside[_member_cells(family)] = True
-    in_counts = counts[inside].tolist()
-    out_counts = counts[~inside].tolist()
+    members = _member_cells(family)
+    in_counts = counts[members].tolist()  # |F| ints, as many as family.sets
     in_total = sum(in_counts)
     out_total = total - in_total
     eps = Fraction(out_total, total)  # = 1 - closure_fraction, exactly
@@ -512,7 +546,9 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     h_in = lhs if not out_total else _entropy_from_counts(in_counts, in_total)
     decomposition = h_ind + (in_total / total) * h_in
     if out_total:
-        h_out = _entropy_from_counts(out_counts, out_total)
+        outside = np.ones(len(counts), dtype=bool)
+        outside[members] = False
+        h_out = _entropy_from_counts(_cell_counts(counts, outside), out_total)
         decomposition += (out_total / total) * h_out
 
     log_size = math.log2(family.size)
@@ -533,7 +569,7 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
                 + _fraction_enclosure(1 - eps)
                 * _entropy_enclosure(h_in, in_total, len(in_counts))
                 + _fraction_enclosure(eps)
-                * _entropy_enclosure(h_out, out_total, len(out_counts)))
+                * _entropy_enclosure(h_out, out_total, len(counts) - len(in_counts)))
             identity_ok = not _disjoint(decomposition_enc, lhs_enc)
         else:  # the decomposition is lhs itself
             rhs_enc = log_size_enc

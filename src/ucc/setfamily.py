@@ -21,7 +21,14 @@ from the input: a dense int64 transform over all 2^n cells when
 allocate anything of size 2^n.  The histogram is a pair of int64 arrays,
 the unions in ascending order and their positive counts, 16 bytes a cell.
 One cell cap bounds its memory in both regimes: a histogram of more than
-2^24 distinct unions is refused with :class:`CapExceededError`.
+2^24 distinct unions is refused with :class:`CapExceededError`.  The
+pairwise build peaks near three times the size of what it builds (72 MB
+for the 24 MB histogram of 1.5M cells).  Every pass over a built histogram
+reads it ``_CHUNK_CELLS`` cells at a time, so on top of it a pass holds
+buffers of one chunk and at most 16 bytes a cell: none for the union
+entropy, a flag a cell (and the members' positions and counts, |F| of
+each) for the split of the upper bound into member and other unions, and
+the sorted keys and running sum of the chain rule.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
@@ -43,6 +50,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import CapExceededError
@@ -74,9 +82,14 @@ WORD_CAP = 63
 DEFAULT_CLOSURE_CAP = 1_000_000
 #: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB)
 _PAIR_BLOCK_CELLS = 1 << 20
-#: most cells a pair-union histogram may hold (4096^2; about 256 MB as two
-#: int64 arrays)
+#: most cells a pair-union histogram may hold (4096^2): 256 MB as two int64
+#: arrays, up to 256 MB more in the checks that read it (16 bytes a cell at
+#: most), and a peak near three times its size while the pairwise regime
+#: builds it
 _MAX_CELLS = 1 << 24
+#: cells that one step of a pass over a built histogram reads: 32 KB of
+#: int64, and enough for the 2,080 cells of 64 sets in one step
+_CHUNK_CELLS = 1 << 12
 
 
 class UCFormatError(ValueError):
@@ -175,7 +188,7 @@ class SetFamily:
         """Entropy in bits of A | B for independent uniform draws A, B,
         from :attr:`union_counts`; computed on first use and kept for the
         life of the family, so every entropy check reads this one value."""
-        return _entropy_from_counts(self.union_counts[1].tolist(), self.size ** 2)
+        return _entropy_from_counts(_cell_counts(self.union_counts[1]), self.size ** 2)
 
     @cached_property
     def frequency_profile(self) -> FrequencyProfile:
@@ -201,6 +214,24 @@ def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
     # H = log2(T) - (1/T) sum c log2 c, exact integer counts throughout
     acc = math.fsum(c * math.log2(c) for c in counts if c > 0)
     return math.log2(total) - acc / total
+
+
+def _chunks(length: int) -> Iterator[tuple[int, int]]:
+    """Bounds ``(lo, hi)`` of the steps of ``_CHUNK_CELLS`` that cover
+    ``range(length)``, in order."""
+    step = _CHUNK_CELLS
+    for lo in range(0, length, step):
+        yield lo, min(lo + step, length)
+
+
+def _cell_counts(counts, where=None) -> Iterable[int]:
+    """The int64 ``counts`` as Python ints, only those where the boolean
+    array ``where`` is true when it is given.  They are converted a chunk
+    at a time, so no list longer than a chunk is built."""
+    bounds = _chunks(len(counts))
+    if where is None:
+        return chain.from_iterable(counts[lo:hi].tolist() for lo, hi in bounds)
+    return chain.from_iterable(counts[lo:hi][where[lo:hi]].tolist() for lo, hi in bounds)
 
 
 class FrequencyProfile(NamedTuple):

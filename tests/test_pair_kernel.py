@@ -5,13 +5,16 @@ positive counts; :func:`histogram` checks that shape and turns the pair
 into a dict for the oracle comparisons.  Union counts and closure
 fractions must be equal exactly; entropies, the chain sum and the
 data-processing sum within 1e-12, and the two sums exactly on seeded
-families in both regimes.  The kernel must give the same answers in both
+families in both regimes, as must the union entropy and the upper bound's
+decomposition against whole lists of counts, whatever the chunk the passes
+read the histogram in.  The kernel must give the same answers in both
 regimes, keep the pairwise regime free of 2^n allocations, refuse
 histograms above its cell cap, and be built once per family however many
-checks read it.
+checks read it; the passes over it must stay within a few bytes a cell.
 """
 
 import collections
+import functools
 import json
 import math
 import os
@@ -176,31 +179,89 @@ def test_dense_regime_capped_by_universe_width(monkeypatch):
         oracle.pair_union_counts(fam)
 
 
-# the chain sum groups prefix cells in numpy; both sums round like the oracle
+# the passes over a built histogram read it a chunk at a time; whatever the
+# chunk, every sum rounds as one correctly rounded sum over all its terms
 
-# n = 63, the word cap, puts 2^63 - 1 in the widest prefix mask
-@pytest.mark.parametrize("n, size, dense",
-                         [(40, 300, False), (13, 512, True), (63, 40, False)])
-def test_chain_sums_equal_the_oracle_exactly(n, size, dense):
+def whole_list_decomposition(fam: ucc.SetFamily) -> float:
+    """check_upper_bound's decomposition from whole lists of counts."""
+    entropy = ucc.setfamily._entropy_from_counts
+    unions, counts = fam.union_counts
+    total = fam.size ** 2
+    members = set(fam.sets)
+    cells = list(zip(unions.tolist(), counts.tolist()))
+    in_counts = [c for u, c in cells if u in members]
+    out_counts = [c for u, c in cells if u not in members]
+    in_total = sum(in_counts)
+    out_total = total - in_total
+    decomposition = ucc.binary_entropy(out_total / total)
+    if not out_total:
+        return decomposition + entropy(counts.tolist(), total)
+    return (decomposition + in_total / total * entropy(in_counts, in_total)
+            + out_total / total * entropy(out_counts, out_total))
+
+
+def assert_sums_exact(fam: ucc.SetFamily, chain_sum: float, dp_sum: float) -> None:
+    """Every float the passes sum equals the oracle's, or the whole-list
+    formula's, to the last bit."""
+    chain = ucc.chain_rule_check(fam)
+    # one correctly rounded fsum per coordinate, added in ascending order,
+    # on both sides, so not even the last bit may differ
+    assert chain.inputs["chain_sum_bits"] == chain_sum
+    assert chain.rhs_bits == dp_sum
+    assert chain.satisfied
+    assert fam.union_entropy == ucc.setfamily._entropy_from_counts(
+        fam.union_counts[1].tolist(), fam.size ** 2)
+    assert ucc.check_upper_bound(fam).inputs["decomposition_bits"] == \
+        whole_list_decomposition(fam)
+
+
+@functools.cache
+def oracle_case(n: int, size: int) -> tuple[tuple[int, ...], float, float, float]:
+    """Seeded masks and their oracle chain, data-processing and union
+    entropy sums, computed once per (n, size)."""
     rng = random.Random(n * size)
     # len(range(2^63)) overflows a C ssize_t, so the widest case draws bits
     masks = (rng.sample(range(1 << n), size) if n < 63
              else [rng.getrandbits(n) for _ in range(size)])
     fam = ucc.SetFamily.from_masks(n, masks)
+    return (fam.sets, oracle.chain_sum(fam), oracle.data_processing_sum(fam),
+            oracle.union_entropy(fam))
+
+
+# n = 63, the word cap, puts 2^63 - 1 in the widest prefix mask.  Each case
+# runs with the real chunk (no suffix), with chunks of 1, 2 and 3 cells, and
+# with chunks of K - 2 to K + 1 for the histogram's K cells.  A chunk of 1
+# puts each neighbour pair of the chain sum in a chunk of its own, so every
+# cell with both values of U_i spans chunks; 2 and 3 leave one pair, or two,
+# in a last chunk.  K has K - 1 neighbour pairs: K - 2 leaves one pair for a
+# second chunk, K - 1 covers the pairs exactly and the cells with one to
+# spare, K and K + 1 cover both in one.
+CHUNKS = {"": None, "-chunk1": (0, 1), "-chunk2": (0, 2), "-chunk3": (0, 3),
+          "-chunkK-2": (1, -2), "-chunkK-1": (1, -1), "-chunkK": (1, 0),
+          "-chunkK+1": (1, 1)}  # suffix: (multiple of K, offset) or the real chunk
+
+
+@pytest.mark.parametrize("n, size, dense, chunk", [
+    pytest.param(n, size, dense, chunk, id=f"{n}-{size}-{dense}{suffix}")
+    for n, size, dense in [(40, 300, False), (13, 512, True), (63, 40, False)]
+    for suffix, chunk in CHUNKS.items()])
+def test_chain_sums_equal_the_oracle_exactly(n, size, dense, chunk, monkeypatch):
+    masks, chain_sum, dp_sum, entropy = oracle_case(n, size)
+    if chunk:
+        per_cell, offset = chunk
+        cells = len(ucc.SetFamily.from_masks(n, masks).union_counts[0])
+        monkeypatch.setattr(ucc.setfamily, "_CHUNK_CELLS", per_cell * cells + offset)
+    fam = ucc.SetFamily.from_masks(n, masks)
     assert fam.size == size and _is_dense(fam) == dense
-    chain = ucc.chain_rule_check(fam)
-    # one correctly rounded fsum per coordinate, added in ascending order,
-    # on both sides, so not even the last bit may differ
-    assert chain.inputs["chain_sum_bits"] == oracle.chain_sum(fam)
-    assert chain.rhs_bits == oracle.data_processing_sum(fam)
-    assert chain.lhs_bits == pytest.approx(oracle.union_entropy(fam), abs=ENTROPY_TOL)
-    assert chain.satisfied
+    assert_sums_exact(fam, chain_sum, dp_sum)
+    assert fam.union_entropy == pytest.approx(entropy, abs=ENTROPY_TOL)
 
 
 def test_chain_rule_check_memory():
     # 2048 masks over [16]: about 42,800 cells.  The peak covers the
     # histogram build too; a dict of two-element lists per coordinate
-    # needed about 8.4 MB here.
+    # needed about 8.4 MB here, numpy arrays as long as the histogram, six
+    # at once, 2.9 MB.
     fam = ucc.SetFamily.from_masks(16, random.Random(16).sample(range(1 << 16), 2048))
     tracemalloc.start()
     try:
@@ -209,7 +270,32 @@ def test_chain_rule_check_memory():
     finally:
         tracemalloc.stop()
     assert len(fam.union_counts[0]) > 40_000
-    assert peak < 4 * 2 ** 20
+    assert peak < 2.1 * 2 ** 20
+
+
+def test_passes_over_the_histogram_take_bounded_bytes_per_cell():
+    # 2048 random masks over [20], dense regime: about 232,000 cells, a
+    # 3.6 MB histogram.  Above it, a pass may hold a few bytes a cell (the
+    # upper bound's member flags; the chain sum's sorted keys and running
+    # sum, 16) and buffers of one chunk; whole lists of Python ints or
+    # several arrays as long as the histogram took 8, 17 and 56 bytes a
+    # cell.
+    rng = random.Random(20)
+    fam = ucc.SetFamily.from_masks(20, (rng.getrandbits(20) for _ in range(2048)))
+    assert _is_dense(fam)
+    cells = len(fam.union_counts[0])
+    assert cells > 200_000
+    limits = [(lambda: fam.union_entropy, 1),
+              (lambda: ucc.check_upper_bound(fam), 3),
+              (lambda: ucc.chain_rule_check(fam), 20)]
+    for run, bytes_per_cell in limits:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_cell * cells
 
 
 def test_histogram_is_shared_and_read_only():
