@@ -3,7 +3,7 @@
 Draw A and B independently and uniformly from a family F and look at
 U = A | B.  Three facts get checked numerically here:
 
-  * the chain rule rebuilds H(U) one coordinate at a time, and
+  * the chain rule writes H(U) as a sum over coordinates, and
     conditioning each bit of U on both source prefixes instead of its
     own can only lower that sum (the data-processing step),
   * H(U) >= p/(2 phi) (H(A) + H(B)) with p the smallest marginal
@@ -31,9 +31,9 @@ print("3 h(1/4) =", 3 * ucc.binary_entropy(0.25))
 
 chain = ucc.chain_rule_check(fam)
 print("\nchain rule: H(U) = sum_i H(U_i | U below i)")
-print("  H(U)", chain.lhs_bits, "chain sum", chain.inputs["chain_sum_bits"])
 print("data processing: H(U) >= sum_i H(U_i | A below i, B below i)")
-print("  rhs", chain.rhs_bits, "margin", chain.margin_bits)
+print("  H(U)", chain.lhs_bits, "rhs", chain.rhs_bits,
+      "margin", chain.margin_bits)
 
 lower = ucc.check_lower_bound(fam)
 print("lower bound: H(U) >= p/(2 phi) (H(A) + H(B))")

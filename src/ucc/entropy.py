@@ -7,22 +7,24 @@ pair-union histogram, :attr:`ucc.setfamily.SetFamily.union_counts`, built
 once per family as an OR convolution by
 :func:`ucc.setfamily.pair_union_counts`, whose cell cap is the only size
 limit on these checks.  It is a pair of int64 arrays, the ascending unions
-and their counts, and every check below reads those arrays directly, so a
-family's pairs are counted once however many checks run.  H(A|B) itself is
-the family's cached :attr:`~ucc.setfamily.SetFamily.union_entropy`, also
-evaluated once.  Grouping (member unions, prefix cells) happens in numpy,
-one chunk of :data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so a
-check holds at most 16 bytes a cell besides the histogram; each entropy
-term is still a Python float from exact integer counts, and each sum is
-rounded once, as ``math.fsum`` over all its terms would round it.  On
-top of the histogram sit four checks, each returning a small report rather
-than a bare bool so that callers and the CLI can show their work:
+and their counts, and every check below reads those arrays or the entropy
+cached from them, so a family's pairs are counted once however many checks
+run.  H(A|B) itself is the family's cached
+:attr:`~ucc.setfamily.SetFamily.union_entropy`, also evaluated once.  The
+checks read the histogram in numpy, one chunk of
+:data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so a check holds at
+most about a byte a cell besides the histogram (the upper bound's member
+flags); each entropy term is still a Python float from exact integer
+counts, and each sum is rounded once, as ``math.fsum`` over all its terms
+would round it.  On top of the histogram sit four checks, each returning
+a small report rather than a bare bool so that callers and the CLI can
+show their work:
 
-*   ``chain_rule_check``: the coordinate chain rule reproduces H(A|B)
-    exactly, and conditioning each union bit on both full prefixes instead
-    of its own can only lower the sum (a data-processing step).  Both hold
-    for every family, so this check tests the float code and fails only on
-    a certified contradiction.
+*   ``chain_rule_check``: the coordinate chain rule writes H(A|B) as
+    sum_i H(U_i | U below i), and conditioning each union bit on both
+    source prefixes instead of its own can only lower that sum (a
+    data-processing step).  The step holds for every family, so this check
+    tests the float code and fails only on a certified contradiction.
 *   ``check_lower_bound``: H(A|B) >= p/(2 phi) (H(A) + H(B)) with
     p = min_i Pr[element i missing from a draw] = 1 - max frequency.
 *   ``check_upper_bound``: H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2|F|
@@ -51,7 +53,6 @@ check against mpmath.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -62,7 +63,6 @@ from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
 from .setfamily import (
     SetFamily,
     _cell_counts,
-    _chunks,
     _entropy_from_counts,
     _member_cells,
     closure_fraction,
@@ -277,152 +277,36 @@ def _union_entropy_enclosure(family: SetFamily) -> Interval:
 
 
 def _chain_radius(n: int) -> float:
-    """Error bound of the chain sum and of the data-processing sum of
-    :func:`chain_rule_check` over n coordinates.
+    """Error bound of the data-processing sum of :func:`chain_rule_check`
+    over n coordinates.
 
     A coordinate's term is a sum of fl(fl(w) binary_entropy(fl(x))) over
-    prefix cells or pairs of them, with exact weights w summing to at most
-    1 (pairs counted with their multiplicities) and x a ratio of counts
-    <= 2^48.  fl(w) and the product each round by u = 2^-53 and
-    binary_entropy is at most 1, so a summand errs by at most
-    w (_H_RADIUS + 3u).  fsum, or the exact weighted sum, rounds once more
-    by u times a value below 2, so the coordinate errs by at most
-    _H_RADIUS + 5u < s + 2^-46, with s = TRANSCENDENTAL_SLACK.  Adding the n
-    coordinate terms, each below 1 + 2^-40, in floats costs at most
-    (n - 1) u n (1 + 2^-39) < 2u n^2 more.
+    pairs of prefix cells, with exact weights w summing to 1 (pairs
+    counted with their multiplicities) and x a ratio of counts <= 2^48.
+    fl(w) and the product each round by u = 2^-53 and binary_entropy is
+    at most 1, so a summand errs by at most w (_H_RADIUS + 3u).  The exact
+    weighted sum rounds once, by u times a value below 2, so the
+    coordinate errs by at most _H_RADIUS + 5u < s + 2^-46, with
+    s = TRANSCENDENTAL_SLACK.  Adding the n coordinate terms, each below
+    1 + 2^-40, in floats costs at most (n - 1) u n (1 + 2^-39) < 2u n^2
+    more.
     """
     return n * (TRANSCENDENTAL_SLACK + 2.0 ** -46) + n * n * 2.0 ** -52
 
 
-@functools.cache
-def _byte_reversal():
-    """Table of the 256 bytes with their bits in reverse order (int64)."""
-    import numpy as np
-
-    table = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
-def _bit_reversed(masks, n: int):
-    """Each mask with its n low bits in reverse order: bit j moves to n-1-j.
-
-    Sorted by this key, the masks sharing their low i bits are contiguous,
-    for every i at once.  Every value stays below 2^n, so int64 holds it,
-    and reversing twice gives the masks back.
-    """
-    import numpy as np
-
-    table = _byte_reversal()
-    key = np.zeros_like(masks)
-    for low in range(0, n, 8):  # bits low..low+7 move to n-8-low..n-1-low
-        rev = table[masks >> low & 0xFF]
-        shift = n - 8 - low
-        key |= rev << shift if shift >= 0 else rev >> -shift
-    return key
-
-
-def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of ``terms``.
-
-    ``math.fsum`` rounds an exact sum correctly, so each round takes the
-    correctly rounded rest that the parts found so far leave out.  Every
-    float is a multiple of 2^-1074, so the rest is too, and it rounds to 0
-    only when it is 0; each round shrinks it by a factor of 2^52 or more.
-    So ``math.fsum`` over the parts of several lists equals ``math.fsum``
-    over all their terms, bit for bit.
-    """
-    parts: list[float] = []
-    while rest := math.fsum(terms + [-p for p in parts]):
-        parts.append(rest)
-    return parts
-
-
-def _chain_terms(unions, counts, n: int, total: int) -> list[float]:
-    """H(U_i | U below i) for every coordinate i of the union draw.
-
-    Sorted by bit-reversed value, the unions form a binary trie read from
-    bit 0 up.  A prefix cell of coordinate i, the unions agreeing on the
-    bits below i, is a contiguous run, its unions without bit i first.  Two
-    neighbours in that order first differ at some bit i, and that is the
-    one place where a cell of coordinate i switches from U_i = 0 to
-    U_i = 1.  So every cell where U_i takes both values holds exactly one
-    such pair, and the other cells, with U_i fixed, add nothing.  Each
-    pair's cell is found by binary search on the keys and its counts are
-    read off a running sum.  The terms are Python floats from the integer
-    counts, summed per coordinate as ``math.fsum`` over all of them would
-    sum them: the pairs are taken in chunks, and each coordinate carries the
-    exact sum of its terms so far as a few floats (:func:`_exact_parts`).
-
-    Besides the histogram the pass holds 16 bytes a cell, the sorted keys
-    and the running sum; everything else it allocates is one chunk of at
-    most ``_CHUNK_CELLS`` cells (:func:`~ucc.setfamily._chunks`).
-    """
-    import numpy as np
-
-    size = len(unions)
-    # Only sort sorts, the kernel np.unique uses too: an argsort would page
-    # in one more sort kernel, about 0.25 MB of resident code.
-    key = np.empty(size, dtype=np.int64)
-    for lo, hi in _chunks(size):
-        key[lo:hi] = _bit_reversed(unions[lo:hi], n)
-    key.sort()
-    running = np.empty(size + 1, dtype=np.int64)  # counts before each position
-    running[0] = 0
-    for lo, hi in _chunks(size):  # the counts in key order, then summed in place
-        running[lo + 1:hi + 1] = counts[np.searchsorted(unions, _bit_reversed(key[lo:hi], n))]
-    np.cumsum(running, out=running)
-    powers = np.array([1 << i for i in range(n)], dtype=np.int64)
-    # the key bits that vary inside a cell of coordinate i: bit i and those
-    # above it, 2^(n-i) - 1, formed so that n = 63 stays inside int64
-    free_of = (powers[::-1] - 1) * 2 + 1
-    # per coordinate, floats whose exact sum is that of its terms so far
-    parts: list[list[float]] = [[] for _ in range(n)]
-    for lo, hi in _chunks(size - 1):  # the neighbour pairs (j, j + 1), j in lo..hi-1
-        first = key[lo + 1:hi + 1]  # the first key with U_i = 1 in the pair's cell
-        # the lowest union bit where the neighbours differ: n - 1 less the
-        # highest key bit of their XOR
-        coord = n - np.searchsorted(powers, first ^ key[lo:hi], side="right")
-        free = free_of[coord]
-        after = running[np.searchsorted(key, first | free, side="right")]
-        whole = after - running[np.searchsorted(key, first & ~free)]
-        ones = after - running[lo + 1:hi + 1]
-        # group the pairs by coordinate: sort (coordinate, position) packed in one int64
-        width = (hi - lo).bit_length()
-        packed = np.sort(coord << width | np.arange(hi - lo))
-        by_coord = packed & ((1 << width) - 1)
-        whole, ones = whole[by_coord], ones[by_coord]
-        bounds = np.searchsorted(packed, np.arange(n + 1) << width).tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if a < b:
-                terms = parts[i] + [c / total * _h_of_counts(c1, c) for c, c1
-                                    in zip(whole[a:b].tolist(), ones[a:b].tolist())]
-                # exact while more chunks follow, rounded once after the last
-                parts[i] = _exact_parts(terms) if hi < size - 1 else [math.fsum(terms)]
-    return [math.fsum(p) for p in parts]
-
-
 def chain_rule_check(family: SetFamily) -> BoundReport:
-    """Chain-rule identity and the data-processing step for the union draw.
+    """The data-processing step of the chain rule for the union draw.
 
     Write U = A | B for an ordered pair drawn uniformly from the family.
-    lhs is H(U).  The chain sum sum_i H(U_i | U restricted below i) must
-    equal lhs up to rounding; its residue is ``identity_margin_bits``.
-    rhs conditions each coordinate on both source prefixes instead,
-    sum_i H(U_i | A below i, B below i), which is never larger, so
-    ``margin_bits`` = lhs - rhs >= 0 up to rounding.  Both facts hold for
-    every family, and the step is tight for product families, so the check
-    tests the float code: it is unsatisfied only on a certified
-    contradiction, when the chain sum's enclosure misses lhs's or the
-    rhs enclosure lies wholly above lhs's (radii of :func:`_chain_radius`
-    and :func:`_entropy_enclosure`), and never undecided.
-
-    The chain sum sorts the unions once by their bit-reversed value, so
-    every coordinate's prefix cells are contiguous runs of the histogram
-    arrays (:func:`_chain_terms`).  Only cells where U_i takes both values
-    contribute; each term is computed from its integer counts in Python
-    floats and every coordinate is summed with ``math.fsum``, which rounds
-    correctly whatever the order of the cells.
+    lhs is H(U), which the chain rule writes as
+    sum_i H(U_i | U restricted below i).  rhs conditions each coordinate
+    on both source prefixes instead, sum_i H(U_i | A below i, B below i),
+    which is never larger, so ``margin_bits`` = lhs - rhs >= 0 up to
+    rounding.  That holds for every family, and the step is tight for
+    product families, so the check tests the float code: it is
+    unsatisfied only on a certified contradiction, when the rhs enclosure
+    lies wholly above lhs's (radii of :func:`_chain_radius` and
+    :func:`_entropy_enclosure`), and never undecided.
 
     A pair of prefix cells contributes a term that depends only on each
     cell's type (members in the cell, members avoiding element i+1), so
@@ -434,15 +318,7 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
         raise ValueError("chain_rule_check requires a nonempty family")
     n = family.universe_size
     total = family.size ** 2
-    unions, counts = family.union_counts
-
-    chain_terms = _chain_terms(unions, counts, n, total)
-    chain_sum = 0.0
-    for term in chain_terms:  # ascending i, the order the chain rule reads
-        chain_sum += term
-
     lhs = family.union_entropy
-    identity_margin = chain_sum - lhs
 
     dp_sum = 0.0
     for i in range(n):
@@ -459,10 +335,8 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
             for (na, za), ka in types
             for (nb, zb), kb in types)
 
-    lhs_enc = _union_entropy_enclosure(family)
-    radius = _chain_radius(n)
-    satisfied = (not _disjoint(_widen(chain_sum, radius), lhs_enc)
-                 and _at_least(lhs_enc, _widen(dp_sum, radius)) is not False)
+    satisfied = _at_least(_union_entropy_enclosure(family),
+                          _widen(dp_sum, _chain_radius(n))) is not False
     return BoundReport(
         check="chain_rule",
         lhs_bits=lhs,
@@ -471,8 +345,6 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
         satisfied=satisfied,
         applicable=True,
         inputs={
-            "chain_sum_bits": chain_sum,
-            "identity_margin_bits": identity_margin,
             "family_size": float(family.size),
             "universe_size": float(n),
         },

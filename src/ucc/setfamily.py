@@ -22,13 +22,15 @@ allocate anything of size 2^n.  The histogram is a pair of int64 arrays,
 the unions in ascending order and their positive counts, 16 bytes a cell.
 One cell cap bounds its memory in both regimes: a histogram of more than
 2^24 distinct unions is refused with :class:`CapExceededError`.  The
-pairwise build peaks near three times the size of what it builds (72 MB
-for the 24 MB histogram of 1.5M cells).  Every pass over a built histogram
-reads it ``_CHUNK_CELLS`` cells at a time, so on top of it a pass holds
-buffers of one chunk and at most 16 bytes a cell: none for the union
-entropy, a flag a cell (and the members' positions and counts, |F| of
-each) for the split of the upper bound into member and other unions, and
-the sorted keys and running sum of the chain rule.
+pairwise build peaks near three times the size of what it builds (72 MiB
+for the 24 MiB histogram of 1.5M cells), mostly one ``bitwise_or.outer``
+block of ``_PAIR_BLOCK_CELLS`` cells and the temporaries of its
+``np.unique``: with blocks of 2^17 cells that peak is 41 MiB, but the
+build is slower.  Every pass over a built histogram reads it
+``_CHUNK_CELLS`` cells at a time, so on top of it a pass holds buffers of
+one chunk and at most a byte a cell: none for the union entropy, a flag a
+cell (and the members' positions and counts, |F| of each) for the split
+of the upper bound into member and other unions.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
@@ -80,10 +82,12 @@ __all__ = [
 
 WORD_CAP = 63
 DEFAULT_CLOSURE_CAP = 1_000_000
-#: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB)
+#: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB);
+#: the block and its ``np.unique`` temporaries are most of the build's peak,
+#: but at 2^19 cells 1,000 masks over [40] took 2.5 times as long
 _PAIR_BLOCK_CELLS = 1 << 20
 #: most cells a pair-union histogram may hold (4096^2): 256 MB as two int64
-#: arrays, up to 256 MB more in the checks that read it (16 bytes a cell at
+#: arrays, up to 16 MB more in the checks that read it (a byte a cell at
 #: most), and a peak near three times its size while the pairwise regime
 #: builds it
 _MAX_CELLS = 1 << 24
@@ -430,28 +434,19 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
 def union_closure(family: SetFamily, cap: int = DEFAULT_CLOSURE_CAP) -> SetFamily:
     """Smallest union-closed family containing the input.
 
-    Fixed-point worklist: each round combines every set of the frontier
-    with the members the round started with, and the new unions form the
-    next frontier, until nothing new appears.  Two sets that are new in the
-    same round are combined in the next, where one is in the frontier and
-    the other among the members.  Raises :class:`CapExceededError` once the closure grows
-    past ``cap`` members (the closure of s sets can reach 2^s - 1 distinct
-    unions).
+    Folds the generators in one at a time: the closure of the ones so far
+    plus g is that closure, g, and g | c for each c in it.  For generators
+    S and closure F that is O(|S| |F|) unions, where a worklist combining
+    each new union with every member is O(|F|^2).  Raises
+    :class:`CapExceededError` once the closure grows past ``cap`` members
+    (a closure can reach 2^|S| - 1 distinct unions).
     """
     _require_nonempty(family, "union_closure")
-    members = set(family.sets)
-    frontier = list(family.sets)
-    while frontier:
-        fresh: list[int] = []
-        snapshot = tuple(members)
-        for a in frontier:
-            for b in snapshot:
-                u = a | b
-                if u not in members:
-                    members.add(u)
-                    fresh.append(u)
-            if len(members) > cap:
-                raise CapExceededError(
-                    f"union closure exceeded cap of {cap} members")
-        frontier = fresh
-    return SetFamily(family.universe_size, tuple(sorted(members)))
+    closure: set[int] = set()
+    for g in family.sets:
+        closure |= {g | c for c in closure}
+        closure.add(g)
+        if len(closure) > cap:
+            raise CapExceededError(
+                f"union closure exceeded cap of {cap} members")
+    return SetFamily(family.universe_size, tuple(sorted(closure)))

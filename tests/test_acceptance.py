@@ -16,6 +16,7 @@ import ucc
 from ucc.analytic.scalars import big_g_of
 from ucc.cli import run_cli
 from ucc.rng import SplitMix64
+from tests import pair_oracles as oracle
 from tests.conftest import DATA_DIR, strict_json
 
 GOLDEN_X = 0.6180339887
@@ -129,7 +130,8 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
                             f"{ucc.format_family(fam)!r}")
             break
         chain = ucc.chain_rule_check(fam)
-        identity = abs(chain.inputs["identity_margin_bits"])
+        # the chain rule: sum_i H(U_i | U below i) = H(U), for every family
+        identity = abs(oracle.chain_sum(fam) - fam.union_entropy)
         if chain.margin_bits < -1e-9 or identity > 1e-9:
             failures.append(f"chain margin {chain.margin_bits!r} "
                             f"identity {identity!r}: {ucc.format_family(fam)!r}")

@@ -11,6 +11,7 @@ import ucc
 import ucc.entropy
 import ucc.setfamily
 from ucc.cli import run_cli
+from tests import pair_oracles as oracle
 from tests.conftest import DATA_DIR
 
 H_QUARTER = 0.8112781244591328  # h(1/4)
@@ -51,7 +52,7 @@ def test_chain_rule_on_power_set(powerset3):
     assert rep.applicable and rep.satisfied
     # independent coordinates: conditioning on source prefixes changes nothing
     assert rep.margin_bits == pytest.approx(0.0, abs=1e-12)
-    assert abs(rep.inputs["identity_margin_bits"]) <= 1e-12
+    assert abs(oracle.chain_sum(powerset3) - powerset3.union_entropy) <= 1e-12
     assert rep.lhs_bits == pytest.approx(3 * H_QUARTER, abs=1e-12)
 
 
@@ -140,8 +141,9 @@ def test_theorem_delta_zero_iff_union_closed(powerset3, near_closed):
 
 
 def test_faulty_float_code_is_a_certified_contradiction(monkeypatch, near_closed):
-    # the identities hold for every family, so a broken kernel must fail them
-    monkeypatch.setattr(ucc.entropy, "_chain_terms", lambda *args: [0.0])
+    # the data-processing step and the upper bound's decomposition hold for
+    # every family, so broken float code must fail them
+    monkeypatch.setattr(ucc.entropy, "_weighted_fsum", lambda terms: 1e3)
     assert ucc.chain_rule_check(near_closed).satisfied is False
     monkeypatch.setattr(ucc.entropy, "_entropy_from_counts", lambda counts, total: 0.0)
     assert ucc.check_upper_bound(near_closed).satisfied is False

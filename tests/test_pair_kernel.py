@@ -3,14 +3,16 @@
 The kernel returns its histogram as two int64 arrays, ascending unions and
 positive counts; :func:`histogram` checks that shape and turns the pair
 into a dict for the oracle comparisons.  Union counts and closure
-fractions must be equal exactly; entropies, the chain sum and the
-data-processing sum within 1e-12, and the two sums exactly on seeded
-families in both regimes, as must the union entropy and the upper bound's
-decomposition against whole lists of counts, whatever the chunk the passes
-read the histogram in.  The kernel must give the same answers in both
-regimes, keep the pairwise regime free of 2^n allocations, refuse
-histograms above its cell cap, and be built once per family however many
-checks read it; the passes over it must stay within a few bytes a cell.
+fractions must be equal exactly; entropies and the data-processing sum
+within 1e-12, and the oracle's chain sum, sum_i H(U_i | U below i), must
+equal the union entropy within 1e-12 (the chain rule).  On seeded families
+in both regimes the data-processing sum must equal the oracle's exactly,
+as must the union entropy and the upper bound's decomposition against
+whole lists of counts, whatever the chunk the passes read the histogram
+in.  The kernel must give the same answers in both regimes, keep the
+pairwise regime free of 2^n allocations, refuse histograms above its cell
+cap, and be built once per family however many checks read it; the passes
+over it must stay within a few bytes a cell.
 """
 
 import collections
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 
 import ucc
 import ucc.cli
+import ucc.entropy  # loaded here, not inside a traced pass
 import ucc.setfamily
 from tests import pair_oracles as oracle
 from tests.conftest import DATA_DIR
@@ -60,8 +63,7 @@ def assert_matches_oracle(fam: ucc.SetFamily) -> None:
     chain = ucc.chain_rule_check(fam)
     for rep in (ucc.check_lower_bound(fam), ucc.check_upper_bound(fam), chain):
         assert rep.lhs_bits == pytest.approx(entropy, abs=ENTROPY_TOL)
-    assert chain.inputs["chain_sum_bits"] == pytest.approx(
-        oracle.chain_sum(fam), abs=ENTROPY_TOL)
+    assert oracle.chain_sum(fam) == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
     assert chain.rhs_bits == pytest.approx(
         oracle.data_processing_sum(fam), abs=ENTROPY_TOL)
 
@@ -108,8 +110,6 @@ def assert_same_statistics(a: ucc.SetFamily, b: ucc.SetFamily) -> None:
     ca, cb = ucc.chain_rule_check(a), ucc.chain_rule_check(b)
     assert ca.lhs_bits == pytest.approx(cb.lhs_bits, abs=ENTROPY_TOL)
     assert ca.rhs_bits == pytest.approx(cb.rhs_bits, abs=ENTROPY_TOL)
-    assert ca.inputs["chain_sum_bits"] == pytest.approx(
-        cb.inputs["chain_sum_bits"], abs=ENTROPY_TOL)
 
 
 @st.composite
@@ -202,11 +202,12 @@ def whole_list_decomposition(fam: ucc.SetFamily) -> float:
 
 def assert_sums_exact(fam: ucc.SetFamily, chain_sum: float, dp_sum: float) -> None:
     """Every float the passes sum equals the oracle's, or the whole-list
-    formula's, to the last bit."""
+    formula's, to the last bit, and the oracle's chain sum is the union
+    entropy."""
     chain = ucc.chain_rule_check(fam)
+    assert chain_sum == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
     # one correctly rounded fsum per coordinate, added in ascending order,
     # on both sides, so not even the last bit may differ
-    assert chain.inputs["chain_sum_bits"] == chain_sum
     assert chain.rhs_bits == dp_sum
     assert chain.satisfied
     assert fam.union_entropy == ucc.setfamily._entropy_from_counts(
@@ -231,11 +232,10 @@ def oracle_case(n: int, size: int) -> tuple[tuple[int, ...], float, float, float
 # n = 63, the word cap, puts 2^63 - 1 in the widest prefix mask.  Each case
 # runs with the real chunk (no suffix), with chunks of 1, 2 and 3 cells, and
 # with chunks of K - 2 to K + 1 for the histogram's K cells.  A chunk of 1
-# puts each neighbour pair of the chain sum in a chunk of its own, so every
-# cell with both values of U_i spans chunks; 2 and 3 leave one pair, or two,
-# in a last chunk.  K has K - 1 neighbour pairs: K - 2 leaves one pair for a
-# second chunk, K - 1 covers the pairs exactly and the cells with one to
-# spare, K and K + 1 cover both in one.
+# puts each cell in a chunk of its own; 2 and 3 leave a last chunk shorter
+# than the rest whenever K is not a multiple.  K - 2 and K - 1 leave two
+# cells, or one, for a second chunk, and K and K + 1 read every cell in
+# one.
 CHUNKS = {"": None, "-chunk1": (0, 1), "-chunk2": (0, 2), "-chunk3": (0, 3),
           "-chunkK-2": (1, -2), "-chunkK-1": (1, -1), "-chunkK": (1, 0),
           "-chunkK+1": (1, 1)}  # suffix: (multiple of K, offset) or the real chunk
@@ -261,7 +261,8 @@ def test_chain_rule_check_memory():
     # 2048 masks over [16]: about 42,800 cells.  The peak covers the
     # histogram build too; a dict of two-element lists per coordinate
     # needed about 8.4 MB here, numpy arrays as long as the histogram, six
-    # at once, 2.9 MB.
+    # at once, 2.9 MB, and a second pass over the histogram for the chain
+    # sum, with its sorted keys and running sum, 1.7 MB.
     fam = ucc.SetFamily.from_masks(16, random.Random(16).sample(range(1 << 16), 2048))
     tracemalloc.start()
     try:
@@ -270,16 +271,17 @@ def test_chain_rule_check_memory():
     finally:
         tracemalloc.stop()
     assert len(fam.union_counts[0]) > 40_000
-    assert peak < 2.1 * 2 ** 20
+    assert peak < 1.4 * 2 ** 20
 
 
 def test_passes_over_the_histogram_take_bounded_bytes_per_cell():
     # 2048 random masks over [20], dense regime: about 232,000 cells, a
-    # 3.6 MB histogram.  Above it, a pass may hold a few bytes a cell (the
-    # upper bound's member flags; the chain sum's sorted keys and running
-    # sum, 16) and buffers of one chunk; whole lists of Python ints or
-    # several arrays as long as the histogram took 8, 17 and 56 bytes a
-    # cell.
+    # 3.6 MB histogram.  Above it, a pass may hold a byte a cell (the
+    # upper bound's member flags) and buffers of one chunk; the chain rule
+    # reads only the members and the cached entropy.  Whole lists of Python
+    # ints or several arrays as long as the histogram took 8, 17 and 56
+    # bytes a cell, and a chain sum over the histogram with its sorted keys
+    # and running sum 17.7.
     rng = random.Random(20)
     fam = ucc.SetFamily.from_masks(20, (rng.getrandbits(20) for _ in range(2048)))
     assert _is_dense(fam)
@@ -287,7 +289,7 @@ def test_passes_over_the_histogram_take_bounded_bytes_per_cell():
     assert cells > 200_000
     limits = [(lambda: fam.union_entropy, 1),
               (lambda: ucc.check_upper_bound(fam), 3),
-              (lambda: ucc.chain_rule_check(fam), 20)]
+              (lambda: ucc.chain_rule_check(fam), 2)]
     for run, bytes_per_cell in limits:
         tracemalloc.start()
         try:

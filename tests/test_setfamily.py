@@ -3,6 +3,7 @@
 import functools
 import json
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,18 @@ def test_union_closure_contains_family_and_is_closed(nm):
     assert set(fam.sets) <= set(closed.sets)
     assert ucc.is_union_closed(closed)
     # and smallest: each member is the union of the input sets inside it
+    for c in closed.sets:
+        assert functools.reduce(operator.or_, (a for a in fam.sets if a & c == a), 0) == c
+
+
+def test_union_closure_at_the_word_cap():
+    # 30 random masks over [63]: a closure of tens of thousands of members,
+    # about 10^9 pair unions for a worklist over the closure
+    rng = random.Random(63)
+    fam = ucc.SetFamily.from_masks(WORD_CAP, [rng.getrandbits(WORD_CAP) for _ in range(30)])
+    closed = union_closure(fam)
+    assert closed.size == 31_692
+    assert set(fam.sets) <= set(closed.sets)
     for c in closed.sets:
         assert functools.reduce(operator.or_, (a for a in fam.sets if a & c == a), 0) == c
 
