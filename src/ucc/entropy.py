@@ -10,15 +10,15 @@ limit on these checks.  It is a pair of int64 arrays, the ascending unions
 and their counts, and every check below reads those arrays or the entropy
 cached from them, so a family's pairs are counted once however many checks
 run.  H(A|B) itself is the family's cached
-:attr:`~ucc.setfamily.SetFamily.union_entropy`, also evaluated once.  The
-checks read the histogram in numpy, one chunk of
-:data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so a check holds at
-most about a byte a cell besides the histogram (the upper bound's member
-flags); each entropy term is still a Python float from exact integer
-counts, and each sum is rounded once, as ``math.fsum`` over all its terms
-would round it.  On top of the histogram sit four checks, each returning
-a small report rather than a bare bool so that callers and the CLI can
-show their work:
+:attr:`~ucc.setfamily.SetFamily.union_entropy`, evaluated once by the one
+pass that reads every cell: it reads the histogram one chunk of
+:data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so no check holds a
+per-cell buffer beyond one chunk (the closure count reads only the |F|
+members' cells); each entropy term is still a Python float from exact
+integer counts, and each sum is rounded once, as ``math.fsum`` over all
+its terms would round it.  On top of the histogram sit four checks, each
+returning a small report rather than a bare bool so that callers and the
+CLI can show their work:
 
 *   ``chain_rule_check``: the coordinate chain rule writes H(A|B) as
     sum_i H(U_i | U below i), and conditioning each union bit on both
@@ -28,9 +28,9 @@ show their work:
 *   ``check_lower_bound``: H(A|B) >= p/(2 phi) (H(A) + H(B)) with
     p = min_i Pr[element i missing from a draw] = 1 - max frequency.
 *   ``check_upper_bound``: H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2|F|
-    where eps is the ordered-pair closure deficit; proved through the
-    member-indicator decomposition, which is also verified as an exact
-    identity here.  Inapplicable (reported, not failed) once eps >= 1/2.
+    where eps is the ordered-pair closure deficit, proved by splitting on
+    the member indicator.  Inapplicable (reported, not failed) once
+    eps >= 1/2.
 *   ``check_theorem``: some element frequency reaches psi - delta with
     delta = 2 eps (1 + log(1/eps) / log|F|); vacuous when psi - delta <= 0.
 
@@ -42,7 +42,7 @@ verdict encloses both sides of its inequality in outward-rounded
 counts: psi and 1/(2 phi) from an enclosure of sqrt 5, each ``log2`` of a
 count widened by ``TRANSCENDENTAL_SLACK``, and each computed entropy
 widened by the error radius proved where it is defined
-(:func:`_entropy_enclosure`, :data:`_H_RADIUS`, :func:`_chain_radius`).
+(:func:`_union_entropy_enclosure`, :func:`_chain_radius`).
 ``satisfied`` is then ``True`` when the inequality holds on the whole
 enclosures, ``False`` when it fails on the whole of them, and ``None``
 (undecided) when they overlap; only ``False`` is a violation.  The radii
@@ -60,14 +60,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
-from .setfamily import (
-    SetFamily,
-    _cell_counts,
-    _entropy_from_counts,
-    _member_cells,
-    closure_fraction,
-    element_frequencies,
-)
+from .setfamily import SetFamily, _closure_hits, closure_fraction, element_frequencies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,14 +91,6 @@ _SQRT5_ENCLOSURE = Interval(math.nextafter(_SQRT5, 0.0), math.nextafter(_SQRT5, 
 _PSI_ENCLOSURE = (Interval.point(3.0) - _SQRT5_ENCLOSURE) / _TWO
 _HALF_INV_PHI_ENCLOSURE = (_ONE + _SQRT5_ENCLOSURE) / Interval.point(4.0)
 
-#: Error bound of ``binary_entropy(a / b)`` against h(a/b) for integers
-#: 0 < a < b <= 2^48.  The quotient is correctly rounded, so it moves by at
-#: most u a/b <= u, with u = 2^-53.  a/b and 1 - a/b are both at least
-#: 2^-48, so along that step |h'(t)| = |log2((1 - t)/t)| <= 49, and h moves
-#: by at most 49u < 2^-47.  binary_entropy itself stays within
-#: TRANSCENDENTAL_SLACK of h.
-_H_RADIUS = TRANSCENDENTAL_SLACK + 2.0 ** -47
-
 
 class UnionDistribution(NamedTuple):
     """Exact distribution of A | B for A, B independent uniform on F.
@@ -115,7 +100,7 @@ class UnionDistribution(NamedTuple):
     U = A | B with probability count / ``pair_count``, exactly.
     ``entropy_bits`` is H(A | B) in bits, the family's cached
     :attr:`~ucc.setfamily.SetFamily.union_entropy`, and
-    :func:`_entropy_enclosure` bounds its error.
+    :func:`_union_entropy_enclosure` bounds its error.
     """
 
     universe_size: int
@@ -223,10 +208,6 @@ def _at_least(lhs: Interval, rhs: Interval) -> bool | None:
     return None
 
 
-def _disjoint(a: Interval, b: Interval) -> bool:
-    return a.hi < b.lo or b.hi < a.lo
-
-
 def _widen(value: float, radius: float) -> Interval:
     return Interval.point(value) + Interval(-radius, radius)
 
@@ -247,13 +228,14 @@ def _log2_enclosure(m: int) -> Interval:
     return _widen(math.log2(m), TRANSCENDENTAL_SLACK)
 
 
-def _entropy_enclosure(value: float, total: int, cells: int) -> Interval:
-    """Enclosure of the entropy that ``_entropy_from_counts`` returned as
-    ``value`` for ``cells`` positive integer counts summing to total <= 2^48.
+def _union_entropy_enclosure(family: SetFamily) -> Interval:
+    """Enclosure of H(A|B) around the family's cached float, which
+    ``_entropy_from_counts`` computed from the histogram's positive integer
+    counts, summing to T = |F|^2 <= 2^48.
 
     One cell is entropy 0 exactly.  Otherwise the radius is
-    2 s + 2^-51 (fl(log2 T) + 2), where s = TRANSCENDENTAL_SLACK, T the
-    total, L = log2 T and u = 2^-53.  The float code evaluates
+    2 s + 2^-51 (fl(log2 T) + 2), where s = TRANSCENDENTAL_SLACK,
+    L = log2 T and u = 2^-53.  The float code evaluates
     H = log2 T - (1/T) sum c log2 c, and every count c <= T converts to
     float exactly.  The term fl(c fl(log2 c)) is within c s + u c (L + s)
     of c log2 c, so the exact sum S of the terms is within T s + u T (L + s)
@@ -264,16 +246,10 @@ def _entropy_enclosure(value: float, total: int, cells: int) -> Interval:
     below 2 s + 4u (L + 1).  As L <= fl(log2 T) + s, the radius's
     4u (fl(log2 T) + 2) covers that term and the rounding of the radius.
     """
-    if cells == 1:
+    if len(family.union_counts[1]) == 1:
         return _ZERO
-    return _widen(value, 2.0 * TRANSCENDENTAL_SLACK
-                  + 2.0 ** -51 * (math.log2(total) + 2.0))
-
-
-def _union_entropy_enclosure(family: SetFamily) -> Interval:
-    """Enclosure of H(A|B) around the family's cached float."""
-    return _entropy_enclosure(family.union_entropy, family.size ** 2,
-                              len(family.union_counts[1]))
+    return _widen(family.union_entropy, 2.0 * TRANSCENDENTAL_SLACK
+                  + 2.0 ** -51 * (math.log2(family.size ** 2) + 2.0))
 
 
 def _chain_radius(n: int) -> float:
@@ -282,14 +258,18 @@ def _chain_radius(n: int) -> float:
 
     A coordinate's term is a sum of fl(fl(w) binary_entropy(fl(x))) over
     pairs of prefix cells, with exact weights w summing to 1 (pairs
-    counted with their multiplicities) and x a ratio of counts <= 2^48.
-    fl(w) and the product each round by u = 2^-53 and binary_entropy is
-    at most 1, so a summand errs by at most w (_H_RADIUS + 3u).  The exact
-    weighted sum rounds once, by u times a value below 2, so the
-    coordinate errs by at most _H_RADIUS + 5u < s + 2^-46, with
-    s = TRANSCENDENTAL_SLACK.  Adding the n coordinate terms, each below
-    1 + 2^-40, in floats costs at most (n - 1) u n (1 + 2^-39) < 2u n^2
-    more.
+    counted with their multiplicities) and x = a/b for counts
+    0 < a < b <= 2^48 (x = 0 or 1 is entropy 0 exactly).  fl(x) moves x by
+    at most u x <= u, with u = 2^-53; x and 1 - x are both at least
+    2^-48, so along that step |h'(t)| = |log2((1 - t)/t)| <= 49 and h
+    moves by at most 49u < 2^-47.  binary_entropy stays within
+    s = TRANSCENDENTAL_SLACK of h, so binary_entropy(fl(x)) errs by at
+    most r = s + 2^-47.  fl(w) and the product each round by u and
+    binary_entropy is at most 1, so a summand errs by at most w (r + 3u).
+    The exact weighted sum rounds once, by u times a value below 2, so the
+    coordinate errs by at most r + 5u < s + 2^-46.  Adding the n
+    coordinate terms, each below 1 + 2^-40, in floats costs at most
+    (n - 1) u n (1 + 2^-39) < 2u n^2 more.
     """
     return n * (TRANSCENDENTAL_SLACK + 2.0 ** -46) + n * n * 2.0 ** -52
 
@@ -306,7 +286,7 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
     product families, so the check tests the float code: it is
     unsatisfied only on a certified contradiction, when the rhs enclosure
     lies wholly above lhs's (radii of :func:`_chain_radius` and
-    :func:`_entropy_enclosure`), and never undecided.
+    :func:`_union_entropy_enclosure`), and never undecided.
 
     A pair of prefix cells contributes a term that depends only on each
     cell's type (members in the cell, members avoiding element i+1), so
@@ -389,39 +369,25 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
 def check_upper_bound(family: SetFamily) -> BoundReport:
     """H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2 |F| for eps < 1/2.
 
-    Also verifies, as an exact identity, the decomposition of H(A|B)
-    through the indicator I = [A|B is a member]:
-    H(A|B) = H(I) + Pr[I=1] H(A|B given I=1) + Pr[I=0] H(A|B given I=0).
-    The identity fails (unsatisfied) only when the decomposition's
-    enclosure misses H(A|B)'s; the bound itself is decided on enclosures
-    of both sides, and with eps = 0 its rhs is log2 |F| exactly.  For
-    eps >= 1/2 the report is inapplicable and never counts as a failure.
+    eps is the ordered-pair closure deficit, the share of pairs whose
+    union U = A|B is not a member.  The bound splits on the indicator
+    I = [U is a member], a function of U, so by the chain rule
+    H(U) = H(I) + Pr[I=1] H(U | I=1) + Pr[I=0] H(U | I=0).  Given I = 1,
+    U takes at most |F| values, and given I = 0 at most |F|^2, so
+    H(U) <= h(eps) + (1 + eps) log2 |F|, below the rhs as
+    h(eps) <= 2 eps log2(1/eps) for eps <= 1/2.  The split is an identity
+    for every family, so only the tests check it
+    (``tests/pair_oracles.decomposition``); this check decides the
+    inequality alone, on enclosures of both sides, and with eps = 0 its
+    rhs is log2 |F| exactly.  For eps >= 1/2 the report is
+    inapplicable and never counts as a failure.
     """
-    import numpy as np
-
     if family.size == 0:
         raise ValueError("check_upper_bound requires a nonempty family")
     total = family.size ** 2
-    _, counts = family.union_counts
     lhs = family.union_entropy
-
-    members = _member_cells(family)
-    in_counts = counts[members].tolist()  # |F| ints, as many as family.sets
-    in_total = sum(in_counts)
-    out_total = total - in_total
-    eps = Fraction(out_total, total)  # = 1 - closure_fraction, exactly
+    eps = Fraction(total - _closure_hits(family), total)
     eps_f = float(eps)
-
-    h_ind = binary_entropy(eps_f)
-    # in_total >= |F| (A | A = A); with no pair outside, the inside part is
-    # the whole histogram and its entropy is lhs
-    h_in = lhs if not out_total else _entropy_from_counts(in_counts, in_total)
-    decomposition = h_ind + (in_total / total) * h_in
-    if out_total:
-        outside = np.ones(len(counts), dtype=bool)
-        outside[members] = False
-        h_out = _entropy_from_counts(_cell_counts(counts, outside), out_total)
-        decomposition += (out_total / total) * h_out
 
     log_size = math.log2(family.size)
     surprise = -math.log2(eps_f) if eps_f > 0.0 else 0.0
@@ -430,23 +396,12 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     applicable = eps < _HALF
     satisfied: bool | None = True
     if applicable:
-        lhs_enc = _union_entropy_enclosure(family)
-        log_size_enc = _log2_enclosure(family.size)
-        if out_total:
+        log_size_enc = rhs_enc = _log2_enclosure(family.size)
+        if eps:
             two_eps = _TWO * _fraction_enclosure(eps)
             surprise_enc = _log2_enclosure(eps.denominator) - _log2_enclosure(eps.numerator)
             rhs_enc = two_eps * surprise_enc + (_ONE + two_eps) * log_size_enc
-            decomposition_enc = (
-                _widen(h_ind, _H_RADIUS)
-                + _fraction_enclosure(1 - eps)
-                * _entropy_enclosure(h_in, in_total, len(in_counts))
-                + _fraction_enclosure(eps)
-                * _entropy_enclosure(h_out, out_total, len(counts) - len(in_counts)))
-            identity_ok = not _disjoint(decomposition_enc, lhs_enc)
-        else:  # the decomposition is lhs itself
-            rhs_enc = log_size_enc
-            identity_ok = True
-        satisfied = _at_least(rhs_enc, lhs_enc) if identity_ok else False
+        satisfied = _at_least(rhs_enc, _union_entropy_enclosure(family))
     return BoundReport(
         check="union_upper",
         lhs_bits=lhs,
@@ -456,8 +411,6 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
         applicable=applicable,
         inputs={
             "epsilon": eps_f,
-            "h_epsilon_bits": h_ind,
-            "decomposition_bits": decomposition,
             "family_size": float(family.size),
             "log2_family_size": log_size,
         },

@@ -26,11 +26,10 @@ pairwise build peaks near three times the size of what it builds (72 MiB
 for the 24 MiB histogram of 1.5M cells), mostly one ``bitwise_or.outer``
 block of ``_PAIR_BLOCK_CELLS`` cells and the temporaries of its
 ``np.unique``: with blocks of 2^17 cells that peak is 41 MiB, but the
-build is slower.  Every pass over a built histogram reads it
-``_CHUNK_CELLS`` cells at a time, so on top of it a pass holds buffers of
-one chunk and at most a byte a cell: none for the union entropy, a flag a
-cell (and the members' positions and counts, |F| of each) for the split
-of the upper bound into member and other unions.
+build is slower.  The one pass that reads every cell of a built
+histogram, the union entropy, reads it ``_CHUNK_CELLS`` cells at a time,
+so on top of the histogram it holds no per-cell buffer beyond one chunk;
+the closure count reads only the cells of the |F| members.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
@@ -87,9 +86,8 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 #: but at 2^19 cells 1,000 masks over [40] took 2.5 times as long
 _PAIR_BLOCK_CELLS = 1 << 20
 #: most cells a pair-union histogram may hold (4096^2): 256 MB as two int64
-#: arrays, up to 16 MB more in the checks that read it (a byte a cell at
-#: most), and a peak near three times its size while the pairwise regime
-#: builds it
+#: arrays, one chunk more in the passes that read it, and a peak near three
+#: times its size while the pairwise regime builds it
 _MAX_CELLS = 1 << 24
 #: cells that one step of a pass over a built histogram reads: 32 KB of
 #: int64, and enough for the 2,080 cells of 64 sets in one step
@@ -228,14 +226,10 @@ def _chunks(length: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + step, length)
 
 
-def _cell_counts(counts, where=None) -> Iterable[int]:
-    """The int64 ``counts`` as Python ints, only those where the boolean
-    array ``where`` is true when it is given.  They are converted a chunk
-    at a time, so no list longer than a chunk is built."""
-    bounds = _chunks(len(counts))
-    if where is None:
-        return chain.from_iterable(counts[lo:hi].tolist() for lo, hi in bounds)
-    return chain.from_iterable(counts[lo:hi][where[lo:hi]].tolist() for lo, hi in bounds)
+def _cell_counts(counts) -> Iterable[int]:
+    """The int64 ``counts`` as Python ints, converted a chunk at a time, so
+    no list longer than a chunk is built."""
+    return chain.from_iterable(counts[lo:hi].tolist() for lo, hi in _chunks(len(counts)))
 
 
 class FrequencyProfile(NamedTuple):
@@ -379,22 +373,18 @@ def pair_union_counts(universe_size: int,
     return unions, counts
 
 
-def _member_cells(family: SetFamily):
-    """Positions of the members among the sorted unions.
+def _closure_hits(family: SetFamily) -> int:
+    """Ordered pairs (A, B), diagonal included, whose union is a member.
 
     Every member A is a union, of the diagonal pair (A, A), so a binary
-    search finds each one; nothing as wide as the mask range is allocated.
+    search in the sorted unions finds each one; nothing as wide as the mask
+    range is allocated.
     """
     import numpy as np
 
-    unions, _ = family.union_counts
-    return np.searchsorted(unions, np.array(family.sets, dtype=np.int64))
-
-
-def _closure_hits(family: SetFamily) -> int:
-    """Ordered pairs (A, B), diagonal included, whose union is a member."""
-    _, counts = family.union_counts
-    return sum(counts[_member_cells(family)].tolist())
+    unions, counts = family.union_counts
+    members = np.searchsorted(unions, np.array(family.sets, dtype=np.int64))
+    return sum(counts[members].tolist())
 
 
 def is_union_closed(family: SetFamily) -> bool:

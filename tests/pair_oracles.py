@@ -3,7 +3,10 @@
 Each walks all |F|^2 ordered pairs (or all pairs of prefix cells) one at a
 time, with no shared histogram and no numpy, so agreement with
 :func:`ucc.setfamily.pair_union_counts` and the checks built on it is
-evidence that the fast path counts the same thing.  The encoding scan
+evidence that the fast path counts the same thing.  :func:`chain_sum` and
+:func:`decomposition` write H(A | B) two more ways, identities that hold
+for every family; they take the pair walk's counts when a caller already
+has them, so one walk serves both.  The encoding scan
 :func:`union_closed_by_encoding` tests every member set for closure, the
 oracle for the depth-first walk of :func:`ucc.enumerate_union_closed`.
 """
@@ -14,6 +17,9 @@ import math
 from fractions import Fraction
 
 from ucc import SetFamily, binary_entropy
+
+#: how far an oracle's float sum of H(A | B) may stray from the kernel's
+ENTROPY_TOL = 1e-12
 
 
 def pair_union_counts(family: SetFamily) -> dict[int, int]:
@@ -62,11 +68,14 @@ def closure_fraction_unordered(family: SetFamily) -> Fraction:
     return Fraction(hits, s * (s + 1) // 2)
 
 
+def _entropy(counts: list[int]) -> float:
+    total = sum(counts)
+    return -math.fsum(c / total * math.log2(c / total) for c in counts)
+
+
 def union_entropy(family: SetFamily) -> float:
     """H(A | B) in bits from the pair walk's probabilities."""
-    total = family.size ** 2
-    return -math.fsum(c / total * math.log2(c / total)
-                      for c in pair_union_counts(family).values())
+    return _entropy(list(pair_union_counts(family).values()))
 
 
 def _h_of_counts(part: int, whole: int) -> float:
@@ -75,10 +84,11 @@ def _h_of_counts(part: int, whole: int) -> float:
     return binary_entropy(part / whole)
 
 
-def chain_sum(family: SetFamily) -> float:
+def chain_sum(family: SetFamily, union_counts: dict[int, int] | None = None) -> float:
     """sum_i H(U_i | U below i), one prefix grouping per coordinate."""
     total = family.size ** 2
-    union_counts = pair_union_counts(family)
+    if union_counts is None:
+        union_counts = pair_union_counts(family)
     out = 0.0
     for i in range(family.universe_size):
         pmask = (1 << i) - 1
@@ -88,6 +98,24 @@ def chain_sum(family: SetFamily) -> float:
             cell[mask >> i & 1] += c
         out += math.fsum((c0 + c1) / total * _h_of_counts(c1, c0 + c1)
                          for c0, c1 in groups.values())
+    return out
+
+
+def decomposition(family: SetFamily,
+                  union_counts: dict[int, int] | None = None) -> float:
+    """H(I) + Pr[I=1] H(U | I=1) + Pr[I=0] H(U | I=0) for U = A | B and the
+    member indicator I = [U in F], the split the upper bound rests on."""
+    if union_counts is None:
+        union_counts = pair_union_counts(family)
+    members = frozenset(family.sets)
+    parts: tuple[list[int], list[int]] = ([], [])  # unions outside F, inside F
+    for u, c in union_counts.items():
+        parts[u in members].append(c)
+    total = family.size ** 2
+    out = binary_entropy(sum(parts[0]) / total)
+    for part in parts:
+        if part:
+            out += sum(part) / total * _entropy(part)
     return out
 
 

@@ -130,8 +130,12 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
                             f"{ucc.format_family(fam)!r}")
             break
         chain = ucc.chain_rule_check(fam)
-        # the chain rule: sum_i H(U_i | U below i) = H(U), for every family
-        identity = abs(oracle.chain_sum(fam) - fam.union_entropy)
+        # two identities for every family, from one pair walk: the chain
+        # rule, sum_i H(U_i | U below i) = H(U), and the split on the
+        # member indicator I, H(I) + sum_i Pr[I=i] H(U | I=i) = H(U)
+        pairs = oracle.pair_union_counts(fam)
+        identity = max(abs(oracle.chain_sum(fam, pairs) - fam.union_entropy),
+                       abs(oracle.decomposition(fam, pairs) - fam.union_entropy))
         if chain.margin_bits < -1e-9 or identity > 1e-9:
             failures.append(f"chain margin {chain.margin_bits!r} "
                             f"identity {identity!r}: {ucc.format_family(fam)!r}")

@@ -408,33 +408,33 @@ def _pinned_data_runs():
         "chain4.uc": (
             "2082cf6b1ea877cca0af48b1317f95c2276104170e9123a480927ba9dc5edb84",
             "de788f7f53dd84e941b7edb29574f34c9c1d47ee80bfbc699612d14c43d44d04",
-            "b617446bcd4babc5db91d5649e460a08994d3638b2940a766db099ab7ff44049",
-            "b2066a823822eadda7d62826a5febbe9498832d0d6a90ffef843a049d20af8c8"),
+            "2d5793939ffad1e2c0661d5d9357692bd0025e5fe5aa615f2688cd410c1d78e6",
+            "195000dd0472771ed8ae4d3d8edebae7f5acb02fc4b92ffad5bf7aa5e2e4f1e6"),
         "near_closed.uc": (
             "6b74a15b4bb41982172382fe6364da807cff9071b0d895546ba2b51c03f500f4",
             "26891449e9bb715ea8ed55095c9d8e00ccee71f6da4b53b1fd49f4c936ff8e66",
-            "097d4cf08e419dc99da2483f6c2af253b07c257bae337c3f52be1970c4e87dbb",
-            "e377f2d96ce2b1700f7fa297df18fc978e30079da2441833726faab81080d65f"),
+            "c0216fc419b0893a0ac4ee04fce31a4f5160e0b488b92930b73704ab8b1e28ce",
+            "72759bd413203dfb05608c7014f116d08428eb26e4eb555fa4c766a2f150a55b"),
         "powerset3.uc": (
             "c98be6d2618986c72801f3a100da5d93b0727c9ae4d0166f6a25b37236f4bf72",
             "8fe69d879d7f10dde4a74f6c169d9b6a266db8790754bcf7fdb88e7cb69f1f3a",
-            "cc4f92c600db497b0feb40b215b94dfc439ca72b3c7d759936cd9f91f8f1e9a1",
-            "c384d478e96b3c2c408f1f7c6a4fd8c83b3dfb158e594f602cc0545e49d158ae"),
+            "210238058d2ab6fc4325118450690c9e8486a67b6561a7e03bc52b1007eba09b",
+            "d24fb26e9bb55e718d4db433569662abc84720db250796c6d14406ac40e82f54"),
         "powerset3_noempty.uc": (
             "89d58a97ea82f3030f3e0ca4a7dae397769665a58b6826877b93801b4967bfa4",
             "38405d0c4a3c145975d66bef27e1e813985fa4c90e77c938a4a7bcab61da9d55",
-            "58b2a95782448472eb097245fa47d1fef386c586b65fc0eff87c7fbec7a1b3d0",
-            "6ce07b8f04ba61870d990c5caa7baffa67bb1d54961a31a74574ed09cf2fbe46"),
+            "5a214f8f3e8bdfd5ebc5eab435af7a64bc33bb0a6f1fd376b51bc8a63772efb6",
+            "058e258f68392c7e6be900dda2c7750e23d9c91657918d794ab0fdb3ca34e078"),
         "singleton.uc": (
             "05a5840a41c2a9ee98433274e8753ba37dafb0e8a512e153575c42f2eb98f996",
             "a4860a743899d47d91c893041a28794e1b3c90f98fa8637fc27333730b61c516",
-            "480facaa266f632badfe0c72e51fbff13af0826091ed5549de5872585ff6847d",
-            "553461570224aab36b32bdb29180fa28939fad12e36353db08ace20cda37a66c"),
+            "c817b4504911063cd912b62c5ef995b4ae235f8d6a82ccaca01131a1478b461a",
+            "46d308575f115c62f9063c1e85d810466535ac8a78a6d35ce25bd5cf282a5503"),
         "two_singletons.uc": (
             "ad89141ff8cee19d500b12b15174d2863305f0aec25d95195d10375e937a3da0",
             "ff1fb81d55354038a0b7a143442fa9a2128649e505095cb7845777311c5c1eed",
-            "ad17dc2f15a6973dea64e9ece8c60cb7297702b904522e60048035655d55440e",
-            "c372c26d9884a7f5ca16c2d90bd37bed3e53eb58cba560a314e2f963cd8306a2"),
+            "de0318a9d957f4328b2d167d2fefd646922c8cb85ce5e4a12e23d004a258398d",
+            "a3e5357cf631bbb10b5047bc462443029cd5c0fb3f98d480d0657916793f9346"),
     }
     assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
     for name, sums in digests.items():
@@ -518,8 +518,7 @@ REPORT_SCHEMAS = {
         "max_freq_element", "psi", "psi_minus_delta", "theorem.applicable",
         "theorem.satisfied", "union_closed", "universe",
         "upper_bound.applicable", "upper_bound.check",
-        "upper_bound.inputs.decomposition_bits", "upper_bound.inputs.epsilon",
-        "upper_bound.inputs.family_size", "upper_bound.inputs.h_epsilon_bits",
+        "upper_bound.inputs.epsilon", "upper_bound.inputs.family_size",
         "upper_bound.inputs.log2_family_size", "upper_bound.lhs_bits",
         "upper_bound.margin_bits", "upper_bound.rhs_bits",
         "upper_bound.satisfied"]),

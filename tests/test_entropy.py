@@ -1,6 +1,7 @@
 """Exact union distributions and the information-theoretic checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import ucc.setfamily
 from ucc.cli import run_cli
 from tests import pair_oracles as oracle
 from tests.conftest import DATA_DIR
+from tests.pair_oracles import ENTROPY_TOL
 
 H_QUARTER = 0.8112781244591328  # h(1/4)
 # delta for {∅,{1},{2}}: eps=2/9, |F|=3
@@ -97,10 +99,11 @@ def test_upper_bound_inapplicable_when_eps_at_half():
 
 
 def test_upper_bound_decomposition_identity(near_closed):
+    # the split on I = [A|B in F] that the bound rests on, from the pair walk
     rep = ucc.check_upper_bound(near_closed)
     assert rep.applicable and rep.satisfied
-    decomposition = rep.inputs["decomposition_bits"]
-    assert decomposition == pytest.approx(rep.lhs_bits, abs=1e-9)
+    assert oracle.decomposition(near_closed) == pytest.approx(
+        near_closed.union_entropy, abs=ENTROPY_TOL)
 
 
 def test_theorem_on_union_closed(powerset3):
@@ -141,12 +144,13 @@ def test_theorem_delta_zero_iff_union_closed(powerset3, near_closed):
 
 
 def test_faulty_float_code_is_a_certified_contradiction(monkeypatch, near_closed):
-    # the data-processing step and the upper bound's decomposition hold for
-    # every family, so broken float code must fail them
+    # the data-processing step holds for every family, and H(A|B) never
+    # exceeds 2 log2 |F|, so broken float code must fail both checks
     monkeypatch.setattr(ucc.entropy, "_weighted_fsum", lambda terms: 1e3)
     assert ucc.chain_rule_check(near_closed).satisfied is False
-    monkeypatch.setattr(ucc.entropy, "_entropy_from_counts", lambda counts, total: 0.0)
-    assert ucc.check_upper_bound(near_closed).satisfied is False
+    fresh = ucc.load_family(DATA_DIR / "near_closed.uc")  # entropy not cached yet
+    monkeypatch.setattr(ucc.setfamily, "_entropy_from_counts", lambda counts, total: 1e3)
+    assert ucc.check_upper_bound(fresh).satisfied is False
 
 
 def test_constant_enclosures_contain_psi_and_half_inv_phi():
@@ -228,8 +232,8 @@ def test_union_entropy_definition(fam):
 
 
 def test_entropy_run_evaluates_union_entropy_once(monkeypatch, capsys):
-    # every entropy of a whole pair-union histogram (total = |F|^2) goes
-    # through _entropy_from_counts; one `ucc entropy` run may take one
+    # every entropy of counts goes through _entropy_from_counts; one
+    # `ucc entropy` run takes one, of the whole histogram (total = |F|^2)
     totals = []
     original = ucc.setfamily._entropy_from_counts
 
@@ -237,11 +241,14 @@ def test_entropy_run_evaluates_union_entropy_once(monkeypatch, capsys):
         totals.append(total)
         return original(counts, total)
 
-    monkeypatch.setattr(ucc.setfamily, "_entropy_from_counts", counted)
-    monkeypatch.setattr(ucc.entropy, "_entropy_from_counts", counted)
+    # wherever a ucc module bound the name, so that no route escapes the count
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "ucc"
+                and getattr(module, "_entropy_from_counts", None) is original):
+            monkeypatch.setattr(module, "_entropy_from_counts", counted)
     for path in sorted(DATA_DIR.glob("*.uc")):
         size = ucc.load_family(str(path)).size
         totals.clear()
         assert run_cli(["entropy", str(path)]) == 0
         capsys.readouterr()
-        assert totals.count(size ** 2) == 1, path.name
+        assert totals == [size ** 2], path.name

@@ -7,12 +7,13 @@ fractions must be equal exactly; entropies and the data-processing sum
 within 1e-12, and the oracle's chain sum, sum_i H(U_i | U below i), must
 equal the union entropy within 1e-12 (the chain rule).  On seeded families
 in both regimes the data-processing sum must equal the oracle's exactly,
-as must the union entropy and the upper bound's decomposition against
-whole lists of counts, whatever the chunk the passes read the histogram
-in.  The kernel must give the same answers in both regimes, keep the
-pairwise regime free of 2^n allocations, refuse histograms above its cell
-cap, and be built once per family however many checks read it; the passes
-over it must stay within a few bytes a cell.
+and the union entropy must equal its sum over the whole list of counts and
+the oracle's decomposition through the member indicator within 1e-12,
+whatever the chunk the pass reads the histogram in.  The kernel must give
+the same answers in both regimes, keep the pairwise regime free of 2^n
+allocations, refuse histograms above its cell cap, and be built once per
+family however many checks read it; the passes over it must stay within a
+few bytes a cell.
 """
 
 import collections
@@ -37,9 +38,9 @@ import ucc.entropy  # loaded here, not inside a traced pass
 import ucc.setfamily
 from tests import pair_oracles as oracle
 from tests.conftest import DATA_DIR
+from tests.pair_oracles import ENTROPY_TOL
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
-ENTROPY_TOL = 1e-12
 
 
 def histogram(pair) -> dict[int, int]:
@@ -182,51 +183,34 @@ def test_dense_regime_capped_by_universe_width(monkeypatch):
 # the passes over a built histogram read it a chunk at a time; whatever the
 # chunk, every sum rounds as one correctly rounded sum over all its terms
 
-def whole_list_decomposition(fam: ucc.SetFamily) -> float:
-    """check_upper_bound's decomposition from whole lists of counts."""
-    entropy = ucc.setfamily._entropy_from_counts
-    unions, counts = fam.union_counts
-    total = fam.size ** 2
-    members = set(fam.sets)
-    cells = list(zip(unions.tolist(), counts.tolist()))
-    in_counts = [c for u, c in cells if u in members]
-    out_counts = [c for u, c in cells if u not in members]
-    in_total = sum(in_counts)
-    out_total = total - in_total
-    decomposition = ucc.binary_entropy(out_total / total)
-    if not out_total:
-        return decomposition + entropy(counts.tolist(), total)
-    return (decomposition + in_total / total * entropy(in_counts, in_total)
-            + out_total / total * entropy(out_counts, out_total))
-
-
-def assert_sums_exact(fam: ucc.SetFamily, chain_sum: float, dp_sum: float) -> None:
-    """Every float the passes sum equals the oracle's, or the whole-list
-    formula's, to the last bit, and the oracle's chain sum is the union
-    entropy."""
+def assert_sums_exact(fam: ucc.SetFamily, chain_sum: float, dp_sum: float,
+                      decomposition: float) -> None:
+    """The data-processing sum equals the oracle's and the union entropy
+    the whole-list formula's, to the last bit, and the oracle's chain sum
+    and decomposition are the union entropy."""
     chain = ucc.chain_rule_check(fam)
-    assert chain_sum == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
+    for identity in (chain_sum, decomposition):
+        assert identity == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
     # one correctly rounded fsum per coordinate, added in ascending order,
     # on both sides, so not even the last bit may differ
     assert chain.rhs_bits == dp_sum
     assert chain.satisfied
     assert fam.union_entropy == ucc.setfamily._entropy_from_counts(
         fam.union_counts[1].tolist(), fam.size ** 2)
-    assert ucc.check_upper_bound(fam).inputs["decomposition_bits"] == \
-        whole_list_decomposition(fam)
 
 
 @functools.cache
-def oracle_case(n: int, size: int) -> tuple[tuple[int, ...], float, float, float]:
-    """Seeded masks and their oracle chain, data-processing and union
-    entropy sums, computed once per (n, size)."""
+def oracle_case(n: int, size: int) -> tuple[tuple[int, ...], float, float, float, float]:
+    """Seeded masks and their oracle chain, data-processing, decomposition
+    and union entropy sums, computed once per (n, size)."""
     rng = random.Random(n * size)
     # len(range(2^63)) overflows a C ssize_t, so the widest case draws bits
     masks = (rng.sample(range(1 << n), size) if n < 63
              else [rng.getrandbits(n) for _ in range(size)])
     fam = ucc.SetFamily.from_masks(n, masks)
-    return (fam.sets, oracle.chain_sum(fam), oracle.data_processing_sum(fam),
-            oracle.union_entropy(fam))
+    pairs = oracle.pair_union_counts(fam)
+    return (fam.sets, oracle.chain_sum(fam, pairs), oracle.data_processing_sum(fam),
+            oracle.decomposition(fam, pairs), oracle.union_entropy(fam))
 
 
 # n = 63, the word cap, puts 2^63 - 1 in the widest prefix mask.  Each case
@@ -246,14 +230,14 @@ CHUNKS = {"": None, "-chunk1": (0, 1), "-chunk2": (0, 2), "-chunk3": (0, 3),
     for n, size, dense in [(40, 300, False), (13, 512, True), (63, 40, False)]
     for suffix, chunk in CHUNKS.items()])
 def test_chain_sums_equal_the_oracle_exactly(n, size, dense, chunk, monkeypatch):
-    masks, chain_sum, dp_sum, entropy = oracle_case(n, size)
+    masks, chain_sum, dp_sum, decomposition, entropy = oracle_case(n, size)
     if chunk:
         per_cell, offset = chunk
         cells = len(ucc.SetFamily.from_masks(n, masks).union_counts[0])
         monkeypatch.setattr(ucc.setfamily, "_CHUNK_CELLS", per_cell * cells + offset)
     fam = ucc.SetFamily.from_masks(n, masks)
     assert fam.size == size and _is_dense(fam) == dense
-    assert_sums_exact(fam, chain_sum, dp_sum)
+    assert_sums_exact(fam, chain_sum, dp_sum, decomposition)
     assert fam.union_entropy == pytest.approx(entropy, abs=ENTROPY_TOL)
 
 
@@ -276,19 +260,19 @@ def test_chain_rule_check_memory():
 
 def test_passes_over_the_histogram_take_bounded_bytes_per_cell():
     # 2048 random masks over [20], dense regime: about 232,000 cells, a
-    # 3.6 MB histogram.  Above it, a pass may hold a byte a cell (the
-    # upper bound's member flags) and buffers of one chunk; the chain rule
-    # reads only the members and the cached entropy.  Whole lists of Python
-    # ints or several arrays as long as the histogram took 8, 17 and 56
-    # bytes a cell, and a chain sum over the histogram with its sorted keys
-    # and running sum 17.7.
+    # 3.6 MB histogram.  Above it, the union entropy holds buffers of one
+    # chunk; the upper bound and the chain rule read only the members and
+    # the cached entropy.  Whole lists of Python ints or several arrays as
+    # long as the histogram took 8, 17 and 56 bytes a cell, a chain sum over
+    # the histogram with its sorted keys and running sum 17.7, and the upper
+    # bound's member flags and split of the counts 1.46.
     rng = random.Random(20)
     fam = ucc.SetFamily.from_masks(20, (rng.getrandbits(20) for _ in range(2048)))
     assert _is_dense(fam)
     cells = len(fam.union_counts[0])
     assert cells > 200_000
     limits = [(lambda: fam.union_entropy, 1),
-              (lambda: ucc.check_upper_bound(fam), 3),
+              (lambda: ucc.check_upper_bound(fam), 0.5),
               (lambda: ucc.chain_rule_check(fam), 2)]
     for run, bytes_per_cell in limits:
         tracemalloc.start()
