@@ -40,7 +40,6 @@ __all__ = [
     "LOG2E",
     "g_enclosure",
     "big_g_enclosure",
-    "product_enclosure",
     "f_point_enclosure",
     "f_gradient_enclosure",
     "f_mean_value",
@@ -150,11 +149,6 @@ def big_g_enclosure(iv: Interval) -> Interval:
                     big_g_of(iv.lo) + TRANSCENDENTAL_SLACK)
 
 
-def product_enclosure(x: Interval, y: Interval) -> Interval:
-    """Enclosure of x*y for subintervals of [0, 1], clamped back to [0, 1]."""
-    return Interval(max(0.0, _dn(x.lo * y.lo)), min(1.0, _up(x.hi * y.hi)))
-
-
 def f_point_enclosure(x: float, y: float) -> Interval:
     """Tight enclosure of f at one interior point (g form, outward)."""
     p = x * y
@@ -168,7 +162,8 @@ def f_point_enclosure(x: float, y: float) -> Interval:
 
 def f_gradient_enclosure(x: Interval, y: Interval) -> tuple[Interval, Interval] | None:
     """Enclosures of (df/dx, df/dy) on a box inside the open square."""
-    p = product_enclosure(x, y)
+    # x*y for subintervals of [0, 1], clamped back to [0, 1]
+    p = Interval(max(0.0, _dn(x.lo * y.lo)), min(1.0, _up(x.hi * y.hi)))
     if not (0.0 < p.lo and p.hi < 1.0 and x.lo > 0.0 and y.lo > 0.0):
         return None
     num = g_enclosure(p)

@@ -51,16 +51,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
-def _kind(value: str) -> str:
-    """The --kind type: a name in generators.RANDOM_KINDS, or "all"."""
-    kinds = _lib.RANDOM_KINDS + ("all",)
-    if value not in kinds:
-        choices = ", ".join(map(repr, kinds))
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose from {choices})")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The ``ucc`` parser.  Each verb's subparser is the one place that
     declares it: its options and its handler (``run``)."""
@@ -83,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="action", required=True)
 
     q = asub.add_parser("minimize", help="locate the diagonal ratio minimum")
-    q.add_argument("--grid", type=int, default=4096)
     _add_common(q)
     q.set_defaults(run=_cmd_minimize)
 
@@ -116,9 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=8)
-    p.add_argument("--kind", type=_kind, default="all",
+    p.add_argument("--kind", default="all",
                    help="one kind of random family, or all of them (default)")
-    p.add_argument("--rho", type=float, default=0.25)
     p.add_argument("--entropy-checks", action="store_true",
                    help="also run chain-rule and both entropy bounds per family")
     _add_common(p)
@@ -201,7 +189,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    dm = _lib.minimize_diagonal(grid_points=args.grid)
+    dm = _lib.minimize_diagonal()
     obj = report.record_obj(dm)
     obj["deviation_from_phi"] = abs(dm.x_star - _lib.PHI)
     obj["value_minus_min"] = dm.value - (_lib.PHI + 1.0)
@@ -291,8 +279,7 @@ def _cmd_fuzz(args) -> int:
     # one --kind draws as the first kind of a split does: derive_seed(seed, 0)
     seed = args.seed if args.kind == "all" else _lib.derive_seed(args.seed, 0)
     tally, violation = _check_families(
-        _lib.random_families(args.n, args.size, args.count, seed, args.kind,
-                             rho=args.rho),
+        _lib.random_families(args.n, args.size, args.count, seed, args.kind),
         args.entropy_checks)
     obj = {
         "n": args.n,
@@ -300,7 +287,6 @@ def _cmd_fuzz(args) -> int:
         "kinds": list(_lib.RANDOM_KINDS if args.kind == "all" else (args.kind,)),
         "size": args.size,
         "seed": args.seed,
-        "rho": args.rho,
         **{key: tally[key] for key in ("theorem_checked", "theorem_applicable",
                                        "skipped_small", "skipped_pair_cap",
                                        "undecided", "max_epsilon_seen")},

@@ -186,17 +186,6 @@ def _weighted_fsum(terms: Iterable[tuple[float, int]]) -> float:
     return num / den
 
 
-def _prefix_mask(i: int) -> int:
-    return (1 << i) - 1
-
-
-def _h_of_counts(part: int, whole: int) -> float:
-    """Binary entropy of a part/whole split given by integer counts."""
-    if part == 0 or part == whole:
-        return 0.0
-    return binary_entropy(part / whole)
-
-
 def _at_least(lhs: Interval, rhs: Interval) -> bool | None:
     """Decide lhs >= rhs from enclosures of its two sides: True when it holds
     for every pair of points, False when it fails for every pair, None
@@ -302,7 +291,7 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
 
     dp_sum = 0.0
     for i in range(n):
-        pmask = _prefix_mask(i)
+        pmask = (1 << i) - 1
         prefix_groups: dict[int, list[int]] = {}
         for mask in family.sets:
             cell = prefix_groups.setdefault(mask & pmask, [0, 0])
@@ -311,7 +300,7 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
                 cell[1] += 1  # members avoiding element i+1
         types = Counter(map(tuple, prefix_groups.values())).items()
         dp_sum += _weighted_fsum(
-            ((na * nb) / total * _h_of_counts(za * zb, na * nb), ka * kb)
+            ((na * nb) / total * binary_entropy(za * zb / (na * nb)), ka * kb)
             for (na, za), ka in types
             for (nb, zb), kb in types)
 
@@ -444,10 +433,12 @@ def check_theorem(family: SetFamily) -> TheoremReport:
 
     delta = 2 eps (1 + log(1/eps) / log |F|) with eps the ordered-pair
     closure deficit (delta = 0 when eps = 0, i.e. union-closed input).
-    Needs |F| >= 2.  Inapplicable when eps >= 1/2 or when psi - delta <= 0
-    (vacuously true either way; satisfied is reported as true).  The last
-    test reads the float bound; where that float is within rounding of 0
-    the verdict cannot turn on it, as max_freq >= 1/|F| >= 2^-24.
+    Needs |F| >= 2.  Inapplicable when psi - delta <= 0 (vacuously true;
+    satisfied is reported as true), which includes every eps >= 1/2: then
+    delta >= 2 eps >= 1 > psi, and the float delta keeps that order, as
+    float(eps) >= 1/2 and log2(1/eps) >= 0.  The test reads the float
+    bound; where that float is within rounding of 0 the verdict cannot
+    turn on it, as max_freq >= 1/|F| >= 2^-24.
 
     At eps = 0 the verdict is exact (:func:`_at_least_psi`).  Otherwise
     max_freq and psi - delta are enclosed, delta from eps = a/b as
@@ -460,7 +451,7 @@ def check_theorem(family: SetFamily) -> TheoremReport:
     prof = element_frequencies(family)
     delta = theorem_delta(eps, family.size)
     bound = PSI - delta
-    applicable = eps < _HALF and bound > 0.0
+    applicable = bound > 0.0
     satisfied: bool | None = True
     if applicable and not eps:
         satisfied = _at_least_psi(prof.max_freq)

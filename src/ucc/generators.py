@@ -48,6 +48,8 @@ __all__ = [
 
 DEFAULT_MATERIALIZE_CAP = 5_000_000
 RANDOM_KINDS = ("uniform", "closure-of-random", "noisy-uc")
+#: probability that noisy-uc deletes a member other than the top
+_NOISY_RHO = 0.25
 
 
 class DegenerateSpecError(ValueError):
@@ -241,16 +243,17 @@ def enumerate_union_closed(n: int) -> Iterator[SetFamily]:
             pending.extend(range(mask - 1, -1, -1))
 
 
-def random_families(n: int, size: int, count: int, seed: int, kind: str,
-                    rho: float = 0.25) -> Iterator[SetFamily]:
+def random_families(n: int, size: int, count: int, seed: int,
+                    kind: str) -> Iterator[SetFamily]:
     """Seeded stream of ``count`` random families over [n].
 
     Kinds: ``uniform`` (distinct masks, uniform), ``closure-of-random``
     (union closure of a small uniform seed family), ``noisy-uc`` (a
     closure with each member but its top, the union of all members,
-    deleted independently with probability ``rho``; the top survives, so
-    unions of survivors mostly stay inside and the closure deficit stays
-    small).
+    deleted independently with probability ``_NOISY_RHO`` = 0.25; the top
+    survives, so unions of survivors mostly stay inside and the closure
+    deficit stays small).  An unknown ``kind`` raises ValueError, naming
+    the kinds, before anything is drawn.
 
     Each family draws from a substream derived from (seed, index), so the
     stream is deterministic and prefix-stable: consuming only the first
@@ -271,13 +274,11 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
         raise ValueError(f"size {size} exceeds the 2^{n} distinct masks")
     if kind not in RANDOM_KINDS and kind != "all":
         raise ValueError(f"kind must be one of {RANDOM_KINDS} or 'all', got {kind!r}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must be in [0, 1]")
     if kind == "all":
         wants = [count // len(RANDOM_KINDS)] * len(RANDOM_KINDS)
         wants[-1] += count % len(RANDOM_KINDS)
         return chain.from_iterable(
-            random_families(n, size, want, derive_seed(seed, pos), each, rho)
+            random_families(n, size, want, derive_seed(seed, pos), each)
             for pos, (each, want) in enumerate(zip(RANDOM_KINDS, wants)) if want)
 
     def build(index: int) -> SetFamily:
@@ -290,7 +291,8 @@ def random_families(n: int, size: int, count: int, seed: int, kind: str,
         if kind == "closure-of-random":
             return fam
         top = fam.sets[-1]  # the union of all members, the only maximal one
-        keep = [mask for mask in fam.sets if mask == top or rng.random() >= rho]
+        keep = [mask for mask in fam.sets
+                if mask == top or rng.random() >= _NOISY_RHO]
         return SetFamily(fam.universe_size, tuple(keep))
 
     return (build(i) for i in range(count))

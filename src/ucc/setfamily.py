@@ -27,9 +27,10 @@ for the 24 MiB histogram of 1.5M cells), mostly one ``bitwise_or.outer``
 block of ``_PAIR_BLOCK_CELLS`` cells and the temporaries of its
 ``np.unique``: with blocks of 2^17 cells that peak is 41 MiB, but the
 build is slower.  The one pass that reads every cell of a built
-histogram, the union entropy, reads it ``_CHUNK_CELLS`` cells at a time,
-so on top of the histogram it holds no per-cell buffer beyond one chunk;
-the closure count reads only the cells of the |F| members.
+histogram, :attr:`SetFamily.union_entropy`, turns its counts into Python
+ints ``_CHUNK_CELLS`` cells at a time, so on top of the histogram it holds
+no per-cell buffer beyond one chunk; the closure count reads only the
+cells of the |F| members.
 :attr:`SetFamily.union_counts` computes it at most once per family, so
 the closure fractions, the theorem check, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
@@ -189,8 +190,15 @@ class SetFamily:
     def union_entropy(self) -> float:
         """Entropy in bits of A | B for independent uniform draws A, B,
         from :attr:`union_counts`; computed on first use and kept for the
-        life of the family, so every entropy check reads this one value."""
-        return _entropy_from_counts(_cell_counts(self.union_counts[1]), self.size ** 2)
+        life of the family, so every entropy check reads this one value.
+        The one pass that reads every cell: the int64 counts become Python
+        ints ``_CHUNK_CELLS`` at a time, so no list longer than a chunk is
+        built."""
+        counts = self.union_counts[1]
+        step = _CHUNK_CELLS
+        cells = chain.from_iterable(counts[lo:lo + step].tolist()
+                                    for lo in range(0, len(counts), step))
+        return _entropy_from_counts(cells, self.size ** 2)
 
     @cached_property
     def frequency_profile(self) -> FrequencyProfile:
@@ -216,20 +224,6 @@ def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
     # H = log2(T) - (1/T) sum c log2 c, exact integer counts throughout
     acc = math.fsum(c * math.log2(c) for c in counts if c > 0)
     return math.log2(total) - acc / total
-
-
-def _chunks(length: int) -> Iterator[tuple[int, int]]:
-    """Bounds ``(lo, hi)`` of the steps of ``_CHUNK_CELLS`` that cover
-    ``range(length)``, in order."""
-    step = _CHUNK_CELLS
-    for lo in range(0, length, step):
-        yield lo, min(lo + step, length)
-
-
-def _cell_counts(counts) -> Iterable[int]:
-    """The int64 ``counts`` as Python ints, converted a chunk at a time, so
-    no list longer than a chunk is built."""
-    return chain.from_iterable(counts[lo:hi].tolist() for lo, hi in _chunks(len(counts)))
 
 
 class FrequencyProfile(NamedTuple):

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shapes, formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -280,6 +281,39 @@ def test_every_verb_rejects_tol_and_example_sampling_options(capsys):
         assert run(capsys, "example", "--n", "1000", option, "1")[0] == 2, option
 
 
+def _settable_arguments(parser, verb=""):
+    """Every argument that a verb's parser accepts, positionals included,
+    as ``"<verb> <argument>"``, walking the subparsers; -h is left out."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += _settable_arguments(sub, f"{verb} {name}".strip())
+        elif not isinstance(action, argparse._HelpAction):
+            found.append(f"{verb} {(action.option_strings or [action.dest])[-1]}")
+    return found
+
+
+def test_settable_arguments_pinned():
+    # a knob added or dropped shows up here as a diff
+    settable = sorted(_settable_arguments(_build_parser()))
+    assert len(settable) == 32
+    assert settable == [
+        "analytic certify --budget", "analytic certify --eta",
+        "analytic certify --format", "analytic certify --out",
+        "analytic certify --theta",
+        "analytic grid --format", "analytic grid --grid", "analytic grid --out",
+        "analytic minimize --format", "analytic minimize --out",
+        "check --format", "check --out", "check file",
+        "entropy --format", "entropy --out", "entropy file",
+        "enumerate --format", "enumerate --n", "enumerate --out",
+        "example --format", "example --k", "example --m", "example --n",
+        "example --out",
+        "fuzz --count", "fuzz --entropy-checks", "fuzz --format", "fuzz --kind",
+        "fuzz --n", "fuzz --out", "fuzz --seed", "fuzz --size",
+    ]
+
+
 @pytest.mark.parametrize("verb", ["check", "entropy"])
 def test_every_data_file_is_decided(verb, capsys):
     for path in sorted(DATA_DIR.glob("*.uc")):
@@ -361,11 +395,12 @@ def test_fuzz_single_kind(capsys):
 
 
 def test_fuzz_unknown_kind_names_the_kinds(capsys):
+    # random_families is the one place that checks the kind
     code, out, err = run(capsys, "fuzz", "--n", "5", "--count", "10",
                          "--seed", "7", "--kind", "bogus")
     assert (code, out) == (2, "")
-    assert err.endswith("argument --kind: invalid choice: 'bogus' (choose from "
-                        "'uniform', 'closure-of-random', 'noisy-uc', 'all')\n")
+    assert err == ("ucc: kind must be one of ('uniform', 'closure-of-random', "
+                   "'noisy-uc') or 'all', got 'bogus'\n")
 
 
 def test_human_and_csv_formats(capsys):
@@ -464,15 +499,15 @@ PINNED_RUNS = [
     (("enumerate", "--n", "3"), 0,
      "e749f224c195772ec8be5b713ce30039af4acff35ff59869e8ccc07f64c2231b"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
-     "42d7733d06572eebb2e1aa67b404cb14402036a1a286b2d2badbe18ebf70b4a4"),
+     "4da71952d6cbf626492f3e973bd2f246626145751753aa3622305a51a555b178"),
     (("fuzz", "--n", "5", "--count", "40", "--seed", "9", "--kind", "noisy-uc",
       "--entropy-checks"), 0,
-     "f1b9203977baf209b90a7b1bf7dd24ff410b8b8fa06fc49ded8044f3d8d8db2c"),
+     "8b1391476252209a02dff3ba5a2089a815427bcd44153c2bc7ec208f5834df7b"),
     # fewer families than kinds: only the last kind draws
     (("fuzz", "--n", "4", "--seed", "1", "--count", "1"), 0,
-     "75ade6a971bfee06036ba04903f12d5096490ba9b9e62947d844205b557e3631"),
+     "c5e0d1e1acc8ca6e1194da7e3bf4412a8ed600e31ae4cc9c4314745ffbd22d35"),
     (("fuzz", "--n", "4", "--seed", "1", "--count", "2"), 0,
-     "78a6acfed2578542b065f5361e4eac17d926b360c88f572d3bc20320944107d7"),
+     "80ccfd5c6eb9c69a3df30bc2e1c7b7590a2d1286d926b1e66eeeddc5b6b71e63"),
 ]
 
 
@@ -522,7 +557,7 @@ REPORT_SCHEMAS = {
         "upper_bound.inputs.log2_family_size", "upper_bound.lhs_bits",
         "upper_bound.margin_bits", "upper_bound.rhs_bits",
         "upper_bound.satisfied"]),
-    "minimize": (("analytic", "minimize", "--grid", "200"), [
+    "minimize": (("analytic", "minimize"), [
         "deviation_from_phi", "grid_points", "refine_tol", "value",
         "value_minus_min", "x_star"]),
     "grid": (("analytic", "grid", "--grid", "101"), [
@@ -546,7 +581,7 @@ REPORT_SCHEMAS = {
         "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
         "n", "psi", "skipped_small", "theorem_checked", "undecided"]),
     "fuzz": (("fuzz", "--n", "4", "--count", "6", "--seed", "1"), [
-        "count", "kinds[]", "max_epsilon_seen", "n", "rho", "seed", "size",
+        "count", "kinds[]", "max_epsilon_seen", "n", "seed", "size",
         "skipped_pair_cap", "skipped_small", "theorem_applicable",
         "theorem_checked", "undecided", "violation_found"]),
 }
@@ -602,6 +637,11 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and "unrecognized arguments: --depth" in err
     code, out, err = run(capsys, "enumerate", "--n", "3", "--exclude-empty")
     assert code == 2 and out == "" and "unrecognized arguments: --exclude-empty" in err
+    code, out, err = run(capsys, "fuzz", "--n", "4", "--count", "6", "--seed", "1",
+                         "--rho", "0.3")
+    assert code == 2 and out == "" and "unrecognized arguments: --rho" in err
+    code, out, err = run(capsys, "analytic", "minimize", "--grid", "200")
+    assert code == 2 and out == "" and "unrecognized arguments: --grid" in err
     for count in ("0", "-5"):
         assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
             2, "", "ucc: size and count must be positive\n")

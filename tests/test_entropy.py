@@ -98,6 +98,16 @@ def test_upper_bound_inapplicable_when_eps_at_half():
     assert rep.satisfied  # inapplicable is never a failure
 
 
+def test_theorem_inapplicable_when_eps_at_half():
+    # eps >= 1/2 makes delta >= 1 > psi, so psi - delta <= 0 decides it
+    fam = ucc.SetFamily.from_masks(2, [1, 2])  # eps = 1/2 exactly
+    rep = ucc.check_theorem(fam)
+    assert rep.epsilon == Fraction(1, 2)
+    assert rep.psi_minus_delta <= 0.0
+    assert rep.applicable is False
+    assert rep.satisfied is True
+
+
 def test_upper_bound_decomposition_identity(near_closed):
     # the split on I = [A|B in F] that the bound rests on, from the pair walk
     rep = ucc.check_upper_bound(near_closed)

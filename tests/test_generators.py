@@ -223,8 +223,6 @@ def test_random_families_validation():
         list(ucc.random_families(3, 9, 1, seed=0, kind="uniform"))  # size > 2^n
     with pytest.raises(ValueError):
         list(ucc.random_families(4, 4, 1, seed=0, kind="bogus"))
-    with pytest.raises(ValueError):
-        list(ucc.random_families(4, 4, 1, seed=0, kind="noisy-uc", rho=1.5))
 
 
 def test_seeds_shift_streams():
@@ -233,7 +231,7 @@ def test_seeds_shift_streams():
     assert a != b
 
 
-def _split_by_kind(n, size, count, seed, rho):
+def _split_by_kind(n, size, count, seed):
     """The per-kind split fuzz ran before random_families took "all": the
     oracle for that kind."""
     kinds = ucc.RANDOM_KINDS
@@ -245,16 +243,16 @@ def _split_by_kind(n, size, count, seed, rho):
         if want <= 0:
             continue
         out.extend(ucc.random_families(n, size, want, ucc.derive_seed(seed, pos),
-                                       kind, rho=rho))
+                                       kind))
     return out
 
 
 @pytest.mark.parametrize("seed", [1, 20260816])
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 300])
 def test_random_families_all_splits_the_count_across_kinds(count, seed):
-    fams = list(ucc.random_families(5, 6, count, seed, "all", rho=0.3))
+    fams = list(ucc.random_families(5, 6, count, seed, "all"))
     assert len(fams) == count
-    assert fams == _split_by_kind(5, 6, count, seed, rho=0.3)
+    assert fams == _split_by_kind(5, 6, count, seed)
 
 
 @pytest.mark.parametrize("count", [0, -5])

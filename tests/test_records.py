@@ -160,7 +160,7 @@ def test_cli_resolves_only_table_names():
     ["example", "--n", "1000"],
     ["enumerate", "--n", "2"],
     ["fuzz", "--n", "4", "--count", "6", "--seed", "1", "--entropy-checks"],
-    ["analytic", "minimize", "--grid", "128"],
+    ["analytic", "minimize"],
     ["analytic", "grid", "--grid", "101"],
     ["analytic", "certify", "--theta", "0.81", "--eta", "0.01"],
 ], ids=lambda argv: argv[1] if argv[0] == "analytic" else argv[0])
