@@ -32,12 +32,13 @@ print("3 h(1/4) =", 3 * ucc.binary_entropy(0.25))
 chain = ucc.chain_rule_check(fam)
 print("\nchain rule: H(U) = sum_i H(U_i | U below i)")
 print("data processing: H(U) >= sum_i H(U_i | A below i, B below i)")
-print("  H(U)", chain.lhs_bits, "rhs", chain.rhs_bits,
+print("  H(U)", fam.union_entropy, "rhs", chain.rhs_bits,
       "margin", chain.margin_bits)
 
 lower = ucc.check_lower_bound(fam)
+p = 1 - ucc.element_frequencies(fam).max_freq
 print("lower bound: H(U) >= p/(2 phi) (H(A) + H(B))")
-print("  p =", lower.inputs["p_min_zero"], " margin", lower.margin_bits)
+print("  p =", p, " margin", lower.margin_bits)
 
 upper = ucc.check_upper_bound(fam)
 print("upper bound (needs closure defect < 1/2):")
@@ -49,7 +50,7 @@ loose = ucc.SetFamily.from_sets(2, [{1}, {2}])
 print("\nclosure fraction of {{1}, {2}}:", ucc.closure_fraction(loose))
 upper = ucc.check_upper_bound(loose)
 print("upper bound applicable:", upper.applicable,
-      "(defect", upper.inputs["epsilon"], "reaches 1/2)")
+      "(defect", 1 - ucc.closure_fraction(loose), "reaches 1/2)")
 
 # A defect below 1/2 can still drive the certified threshold negative,
 # in which case the theorem holds vacuously.

@@ -48,7 +48,8 @@ __all__ = [*_HOME, "CapExceededError", "__version__"]
 
 
 class CapExceededError(RuntimeError):
-    """A size guard tripped (closure blow-up, histogram cells, materialization).
+    """A size guard tripped (closure blow-up, histogram cells, grid points,
+    materialization).
 
     Defined here rather than in its raisers so that ``ucc.cli`` can catch it
     without loading them."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .. import CapExceededError
+
 __all__ = [
     "PHI",
     "PSI",
@@ -204,6 +206,10 @@ def _entropy_grid(values):
 # 2^14 held twice the memory (1.37 MiB) for no gain.
 _BLOCK_CELLS = 1 << 13
 
+# points per axis of a grid sweep: 4096^2 = 2^24 cells, the pair-union
+# histogram's cell cap (``ucc.setfamily._MAX_CELLS``)
+_MAX_GRID_POINTS = 1 << 12
+
 
 def _margin_blocks(grid):
     """Yield ``(first_row, margin_rows)`` over consecutive row blocks of the
@@ -228,12 +234,18 @@ def corollary_grid_check(grid_points: int = 1001) -> GridCheck:
     """Sweep the product-form margin over a uniform grid on [0, 1]^2.
 
     The sweep runs one row block at a time and never holds the margin
-    matrix, so its memory does not grow with ``grid_points``.
+    matrix, so its memory does not grow with ``grid_points``, but the
+    grid and its entropies are held whole, so more than
+    ``_MAX_GRID_POINTS`` points raise :class:`~ucc.CapExceededError`
+    before anything is allocated.
     """
-    import numpy as np
-
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
+    if grid_points > _MAX_GRID_POINTS:
+        raise CapExceededError(
+            f"grid of {grid_points} points exceeds cap of {_MAX_GRID_POINTS} points")
+    import numpy as np
+
     grid = np.linspace(0.0, 1.0, grid_points)
     last = grid_points - 1
     min_margin = math.inf

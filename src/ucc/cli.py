@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _HOME, CapExceededError, report
@@ -144,13 +145,12 @@ def _family_report(path: str):
     if family.size == 0:
         raise ValueError("empty family; nothing to check")
     profile = _lib.element_frequencies(family)
-    eps = 1 - _lib.closure_fraction(family)
     if family.size >= 2:
         rep = _lib.check_theorem(family)
-        delta, bound = rep.delta, rep.psi_minus_delta
+        eps, delta, bound = rep.epsilon, rep.delta, rep.psi_minus_delta
         theorem = {"applicable": rep.applicable, "satisfied": rep.satisfied}
-    else:
-        delta, bound = 0.0, _lib.PSI
+    else:  # a one-set family is union-closed
+        eps, delta, bound = Fraction(0), 0.0, _lib.PSI
         theorem = {"applicable": False, "satisfied": True, "note": "family size < 2"}
     obj = {
         "family_size": family.size,

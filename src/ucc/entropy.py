@@ -17,8 +17,11 @@ per-cell buffer beyond one chunk (the closure count reads only the |F|
 members' cells); each entropy term is still a Python float from exact
 integer counts, and each sum is rounded once, as ``math.fsum`` over all
 its terms would round it.  On top of the histogram sit four checks, each
-returning a small report rather than a bare bool so that callers and the
-CLI can show their work:
+returning a small report rather than a bare bool.  The three inequality
+checks bound H(A|B) from one side, and their :class:`BoundReport` holds
+only what the verdict turns on: the other side (``rhs_bits``), the
+margin, the verdict and whether the bound applies.  H(A|B) itself is not
+repeated there; callers read it from the family:
 
 *   ``chain_rule_check``: the coordinate chain rule writes H(A|B) as
     sum_i H(U_i | U below i), and conditioning each union bit on both
@@ -121,24 +124,21 @@ class UnionDistribution(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """One verified inequality: lhs <= rhs or lhs >= rhs, as named.
+    """One verified inequality between H(A|B), the family's
+    :attr:`~ucc.setfamily.SetFamily.union_entropy`, and ``rhs_bits``.
 
     ``margin_bits`` is oriented so that nonnegative means satisfied.
     ``satisfied`` is decided from enclosures of both sides, not from the
     margin: True or False when the enclosures settle the inequality, None
-    when they overlap (undecided, never a violation).  ``inputs`` carries
-    the named scalars the bound was assembled from.  ``applicable`` is
+    when they overlap (undecided, never a violation).  ``applicable`` is
     false when the hypothesis of the bound fails (never counted as a
     violation).
     """
 
-    check: str
-    lhs_bits: float
     rhs_bits: float
     margin_bits: float
     satisfied: bool | None
     applicable: bool
-    inputs: dict[str, float]
 
 
 class TheoremReport(NamedTuple):
@@ -267,15 +267,16 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
     """The data-processing step of the chain rule for the union draw.
 
     Write U = A | B for an ordered pair drawn uniformly from the family.
-    lhs is H(U), which the chain rule writes as
-    sum_i H(U_i | U restricted below i).  rhs conditions each coordinate
-    on both source prefixes instead, sum_i H(U_i | A below i, B below i),
-    which is never larger, so ``margin_bits`` = lhs - rhs >= 0 up to
-    rounding.  That holds for every family, and the step is tight for
-    product families, so the check tests the float code: it is
-    unsatisfied only on a certified contradiction, when the rhs enclosure
-    lies wholly above lhs's (radii of :func:`_chain_radius` and
-    :func:`_union_entropy_enclosure`), and never undecided.
+    The lhs is H(U), the family's union entropy, which the chain rule
+    writes as sum_i H(U_i | U restricted below i).  The rhs
+    (``rhs_bits``) conditions each coordinate on both source prefixes
+    instead, sum_i H(U_i | A below i, B below i), which is never larger,
+    so ``margin_bits`` = lhs - rhs >= 0 up to rounding.  That holds for
+    every family, and the step is tight for product families, so the
+    check tests the float code: it is unsatisfied only on a certified
+    contradiction, when the rhs enclosure lies wholly above lhs's (radii
+    of :func:`_chain_radius` and :func:`_union_entropy_enclosure`), and
+    never undecided.
 
     A pair of prefix cells contributes a term that depends only on each
     cell's type (members in the cell, members avoiding element i+1), so
@@ -287,7 +288,7 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
         raise ValueError("chain_rule_check requires a nonempty family")
     n = family.universe_size
     total = family.size ** 2
-    lhs = family.union_entropy
+    lhs = family.union_entropy  # built before any prefix cells are held
 
     dp_sum = 0.0
     for i in range(n):
@@ -307,16 +308,10 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
     satisfied = _at_least(_union_entropy_enclosure(family),
                           _widen(dp_sum, _chain_radius(n))) is not False
     return BoundReport(
-        check="chain_rule",
-        lhs_bits=lhs,
         rhs_bits=dp_sum,
         margin_bits=lhs - dp_sum,
         satisfied=satisfied,
         applicable=True,
-        inputs={
-            "family_size": float(family.size),
-            "universe_size": float(n),
-        },
     )
 
 
@@ -340,18 +335,10 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
         rhs_enc = (_fraction_enclosure(p) * _HALF_INV_PHI_ENCLOSURE
                    * (log_size + log_size))
     return BoundReport(
-        check="pairwise_union_lower",
-        lhs_bits=lhs,
         rhs_bits=rhs,
         margin_bits=lhs - rhs,
         satisfied=_at_least(_union_entropy_enclosure(family), rhs_enc),
         applicable=True,
-        inputs={
-            "p_min_zero": float(p),
-            "half_inv_phi": HALF_INV_PHI,
-            "family_size": float(family.size),
-            "entropy_per_draw_bits": h_draw,
-        },
     )
 
 
@@ -392,17 +379,10 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
             rhs_enc = two_eps * surprise_enc + (_ONE + two_eps) * log_size_enc
         satisfied = _at_least(rhs_enc, _union_entropy_enclosure(family))
     return BoundReport(
-        check="union_upper",
-        lhs_bits=lhs,
         rhs_bits=rhs,
         margin_bits=rhs - lhs,
         satisfied=satisfied,
         applicable=applicable,
-        inputs={
-            "epsilon": eps_f,
-            "family_size": float(family.size),
-            "log2_family_size": log_size,
-        },
     )
 
 

@@ -30,16 +30,14 @@ def record_obj(rec: Any) -> Any:
     """JSON-ready form of a result record: its report keys are its fields.
 
     A NamedTuple becomes a dict of its fields in field order, tuples and
-    lists become lists, a dict is sorted by key, a Fraction becomes
-    :func:`frac_obj`, and anything else passes through unchanged; nested
-    values are converted the same way.
+    lists become lists, a Fraction becomes :func:`frac_obj`, and anything
+    else passes through unchanged; nested values are converted the same
+    way.
     """
     if isinstance(rec, tuple) and hasattr(rec, "_fields"):
         return {name: record_obj(value) for name, value in zip(rec._fields, rec)}
     if isinstance(rec, (tuple, list)):
         return [record_obj(value) for value in rec]
-    if isinstance(rec, dict):
-        return {key: record_obj(rec[key]) for key in sorted(rec)}
     if isinstance(rec, Fraction):
         return frac_obj(rec)
     return rec

@@ -141,7 +141,8 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
                             f"identity {identity!r}: {ucc.format_family(fam)!r}")
             break
         # every verdict decided and true: none undecided (None), none false
-        verdicts = {r.check: r.satisfied for r in (lower, upper, chain)}
+        verdicts = {"lower_bound": lower.satisfied, "upper_bound": upper.satisfied,
+                    "chain_rule": chain.satisfied}
         if set(verdicts.values()) != {True}:
             failures.append(f"verdicts {verdicts}: {ucc.format_family(fam)!r}")
             break

@@ -88,7 +88,7 @@ def test_entropy_report_shape(capsys):
     for key in ("lower_bound", "upper_bound", "chain_rule"):
         sec = obj[key]
         assert sec["satisfied"] is True
-        assert {"lhs_bits", "rhs_bits", "margin_bits", "applicable"} <= set(sec)
+        assert set(sec) == {"rhs_bits", "margin_bits", "satisfied", "applicable"}
     assert obj["chain_rule"]["margin_bits"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -154,6 +154,20 @@ def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err == "ucc: grid_points must be at least 100\n"
     assert not dest.exists()
+
+
+def test_grid_points_capped_before_the_sweep(monkeypatch, capsys):
+    # 4096^2 = 2^24 cells, the pair-union histogram's budget; one point
+    # more is refused before the grid is allocated
+    from ucc.analytic import scalars
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(scalars, "_margin_blocks", no_sweep)
+    code, out, err = run(capsys, "analytic", "grid", "--grid", "4097")
+    assert (code, out) == (2, "")
+    assert err == "ucc: grid of 4097 points exceeds cap of 4096 points\n"
 
 
 def test_certify_verified_run(capsys):
@@ -443,33 +457,33 @@ def _pinned_data_runs():
         "chain4.uc": (
             "2082cf6b1ea877cca0af48b1317f95c2276104170e9123a480927ba9dc5edb84",
             "de788f7f53dd84e941b7edb29574f34c9c1d47ee80bfbc699612d14c43d44d04",
-            "2d5793939ffad1e2c0661d5d9357692bd0025e5fe5aa615f2688cd410c1d78e6",
-            "195000dd0472771ed8ae4d3d8edebae7f5acb02fc4b92ffad5bf7aa5e2e4f1e6"),
+            "7794265f4d2a860a3497ac210db2e06f7b22d4482bf602626549227f0f95ce36",
+            "f91be87e6f429105303aa91358ce69482cf5587529aba6efcd968e194c6ff5da"),
         "near_closed.uc": (
             "6b74a15b4bb41982172382fe6364da807cff9071b0d895546ba2b51c03f500f4",
             "26891449e9bb715ea8ed55095c9d8e00ccee71f6da4b53b1fd49f4c936ff8e66",
-            "c0216fc419b0893a0ac4ee04fce31a4f5160e0b488b92930b73704ab8b1e28ce",
-            "72759bd413203dfb05608c7014f116d08428eb26e4eb555fa4c766a2f150a55b"),
+            "3f35689518f18a35a836f557b2d4ec7a24df56eafcc2294866de3e2f267f9f42",
+            "6e318f872e43705461ae0391993a8c93b7401078db1c79b095a7059c4a1328fa"),
         "powerset3.uc": (
             "c98be6d2618986c72801f3a100da5d93b0727c9ae4d0166f6a25b37236f4bf72",
             "8fe69d879d7f10dde4a74f6c169d9b6a266db8790754bcf7fdb88e7cb69f1f3a",
-            "210238058d2ab6fc4325118450690c9e8486a67b6561a7e03bc52b1007eba09b",
-            "d24fb26e9bb55e718d4db433569662abc84720db250796c6d14406ac40e82f54"),
+            "66ee573cd320fc1b623e8dae5d4e9d4ca560060a7d9c8b83c2632525b70a1f8c",
+            "b10cad721f19b81bf8b024f1790abd77bae5732d643f0b63773de2abd64340ce"),
         "powerset3_noempty.uc": (
             "89d58a97ea82f3030f3e0ca4a7dae397769665a58b6826877b93801b4967bfa4",
             "38405d0c4a3c145975d66bef27e1e813985fa4c90e77c938a4a7bcab61da9d55",
-            "5a214f8f3e8bdfd5ebc5eab435af7a64bc33bb0a6f1fd376b51bc8a63772efb6",
-            "058e258f68392c7e6be900dda2c7750e23d9c91657918d794ab0fdb3ca34e078"),
+            "4828221d9d500bd35a1a02b2fed59cacf64218e528ba44aaf5d10268c2fadf11",
+            "0efda77ddd717e8ac843558f69e17e39f1caa1ae3946a56bb4e4a7e7d639ddc1"),
         "singleton.uc": (
             "05a5840a41c2a9ee98433274e8753ba37dafb0e8a512e153575c42f2eb98f996",
             "a4860a743899d47d91c893041a28794e1b3c90f98fa8637fc27333730b61c516",
-            "c817b4504911063cd912b62c5ef995b4ae235f8d6a82ccaca01131a1478b461a",
-            "46d308575f115c62f9063c1e85d810466535ac8a78a6d35ce25bd5cf282a5503"),
+            "866c230331e6d01978d98df2995a7bd6404b684fb92b3612f1c8a7e572980570",
+            "f3625baad29a2cae8edb1f35193852a8b1aa3eaff2c938da8ad8144d9a841b7f"),
         "two_singletons.uc": (
             "ad89141ff8cee19d500b12b15174d2863305f0aec25d95195d10375e937a3da0",
             "ff1fb81d55354038a0b7a143442fa9a2128649e505095cb7845777311c5c1eed",
-            "de0318a9d957f4328b2d167d2fefd646922c8cb85ce5e4a12e23d004a258398d",
-            "a3e5357cf631bbb10b5047bc462443029cd5c0fb3f98d480d0657916793f9346"),
+            "d2091e2a375e2f358683dbdb78e5935e0be42056cd3b75ea0153b1c470253afd",
+            "2f1b59fd29a288cfcf06ca182f669617c185132a579c2242b8e64462d78c25ad"),
     }
     assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
     for name, sums in digests.items():
@@ -540,23 +554,15 @@ REPORT_SCHEMAS = {
         "max_freq.num", "max_freq_element", "psi", "psi_minus_delta",
         "theorem.applicable", "theorem.satisfied", "union_closed", "universe"]),
     "entropy": (("entropy", NEAR_CLOSED), [
-        "chain_rule.applicable", "chain_rule.check",
-        "chain_rule.inputs.family_size", "chain_rule.inputs.universe_size",
-        "chain_rule.lhs_bits", "chain_rule.margin_bits", "chain_rule.rhs_bits",
+        "chain_rule.applicable", "chain_rule.margin_bits", "chain_rule.rhs_bits",
         "chain_rule.satisfied", "delta", "entropy_union_bits", "epsilon.den",
         "epsilon.num", "family_size", "lower_bound.applicable",
-        "lower_bound.check", "lower_bound.inputs.entropy_per_draw_bits",
-        "lower_bound.inputs.family_size", "lower_bound.inputs.half_inv_phi",
-        "lower_bound.inputs.p_min_zero", "lower_bound.lhs_bits",
         "lower_bound.margin_bits", "lower_bound.rhs_bits",
         "lower_bound.satisfied", "max_freq.den", "max_freq.num",
         "max_freq_element", "psi", "psi_minus_delta", "theorem.applicable",
         "theorem.satisfied", "union_closed", "universe",
-        "upper_bound.applicable", "upper_bound.check",
-        "upper_bound.inputs.epsilon", "upper_bound.inputs.family_size",
-        "upper_bound.inputs.log2_family_size", "upper_bound.lhs_bits",
-        "upper_bound.margin_bits", "upper_bound.rhs_bits",
-        "upper_bound.satisfied"]),
+        "upper_bound.applicable", "upper_bound.margin_bits",
+        "upper_bound.rhs_bits", "upper_bound.satisfied"]),
     "minimize": (("analytic", "minimize"), [
         "deviation_from_phi", "grid_points", "refine_tol", "value",
         "value_minus_min", "x_star"]),

@@ -55,7 +55,7 @@ def test_chain_rule_on_power_set(powerset3):
     # independent coordinates: conditioning on source prefixes changes nothing
     assert rep.margin_bits == pytest.approx(0.0, abs=1e-12)
     assert abs(oracle.chain_sum(powerset3) - powerset3.union_entropy) <= 1e-12
-    assert rep.lhs_bits == pytest.approx(3 * H_QUARTER, abs=1e-12)
+    assert powerset3.union_entropy == pytest.approx(3 * H_QUARTER, abs=1e-12)
 
 
 def test_chain_rule_strict_gain_when_coordinates_interact():
@@ -69,18 +69,18 @@ def test_lower_bound_pinned_singleton():
     fam = ucc.SetFamily.from_sets(1, [{1}])
     rep = ucc.check_lower_bound(fam)
     assert rep.applicable and rep.satisfied
-    assert rep.lhs_bits == 0.0
+    assert fam.union_entropy == 0.0
     assert rep.rhs_bits == 0.0  # p = 0: element 1 in every set
-    assert rep.inputs["p_min_zero"] == 0.0
+    assert ucc.element_frequencies(fam).p_min_zero == 0
 
 
 def test_lower_bound_power_set(powerset3):
     rep = ucc.check_lower_bound(powerset3)
     assert rep.satisfied
-    assert rep.lhs_bits == pytest.approx(3 * H_QUARTER, abs=1e-12)
+    assert rep.margin_bits == powerset3.union_entropy - rep.rhs_bits
     assert rep.rhs_bits == pytest.approx(
         0.5 * ucc.HALF_INV_PHI * 2 * math.log2(8), abs=1e-12)
-    assert rep.inputs["p_min_zero"] == 0.5
+    assert ucc.element_frequencies(powerset3).p_min_zero == Fraction(1, 2)
 
 
 def test_upper_bound_union_closed_family(powerset3):
@@ -88,7 +88,7 @@ def test_upper_bound_union_closed_family(powerset3):
     assert rep.applicable and rep.satisfied
     # eps = 0: rhs collapses to log2 |F|
     assert rep.rhs_bits == pytest.approx(math.log2(8), abs=1e-12)
-    assert rep.inputs["epsilon"] == 0.0
+    assert ucc.closure_fraction(powerset3) == 1
 
 
 def test_upper_bound_inapplicable_when_eps_at_half():
@@ -228,7 +228,10 @@ def test_bounds_hold_for_arbitrary_families(fam):
     assert low.satisfied
     assert chain.satisfied
     assert up.satisfied
-    assert chain.lhs_bits == pytest.approx(low.lhs_bits, abs=0)
+    # every margin is taken against the one union entropy of the family
+    assert low.margin_bits == fam.union_entropy - low.rhs_bits
+    assert chain.margin_bits == fam.union_entropy - chain.rhs_bits
+    assert up.margin_bits == up.rhs_bits - fam.union_entropy
 
 
 @given(small_families())

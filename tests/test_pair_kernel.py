@@ -60,10 +60,13 @@ def assert_matches_oracle(fam: ucc.SetFamily) -> None:
     assert ucc.is_union_closed(fam) == oracle.is_union_closed(fam)
     if fam.size >= 2:
         assert ucc.check_theorem(fam).epsilon == 1 - closure
-    entropy = oracle.union_entropy(fam)
+    assert fam.union_entropy == pytest.approx(oracle.union_entropy(fam), abs=ENTROPY_TOL)
+    lower, upper = ucc.check_lower_bound(fam), ucc.check_upper_bound(fam)
     chain = ucc.chain_rule_check(fam)
-    for rep in (ucc.check_lower_bound(fam), ucc.check_upper_bound(fam), chain):
-        assert rep.lhs_bits == pytest.approx(entropy, abs=ENTROPY_TOL)
+    # each margin is taken against the family's own union entropy
+    assert lower.margin_bits == fam.union_entropy - lower.rhs_bits
+    assert upper.margin_bits == upper.rhs_bits - fam.union_entropy
+    assert chain.margin_bits == fam.union_entropy - chain.rhs_bits
     assert oracle.chain_sum(fam) == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
     assert chain.rhs_bits == pytest.approx(
         oracle.data_processing_sum(fam), abs=ENTROPY_TOL)
@@ -106,11 +109,9 @@ def assert_same_statistics(a: ucc.SetFamily, b: ucc.SetFamily) -> None:
     assert histogram(a.union_counts) == histogram(b.union_counts)
     assert ucc.closure_fraction(a) == ucc.closure_fraction(b)
     assert ucc.closure_fraction_unordered(a) == ucc.closure_fraction_unordered(b)
-    for check in (ucc.check_lower_bound, ucc.check_upper_bound):
-        assert check(a).lhs_bits == pytest.approx(check(b).lhs_bits, abs=ENTROPY_TOL)
-    ca, cb = ucc.chain_rule_check(a), ucc.chain_rule_check(b)
-    assert ca.lhs_bits == pytest.approx(cb.lhs_bits, abs=ENTROPY_TOL)
-    assert ca.rhs_bits == pytest.approx(cb.rhs_bits, abs=ENTROPY_TOL)
+    assert a.union_entropy == pytest.approx(b.union_entropy, abs=ENTROPY_TOL)
+    for check in (ucc.check_lower_bound, ucc.check_upper_bound, ucc.chain_rule_check):
+        assert check(a).rhs_bits == pytest.approx(check(b).rhs_bits, abs=ENTROPY_TOL)
 
 
 @st.composite
@@ -144,8 +145,8 @@ def test_dense_regime_power_set_of_eleven():
     assert ucc.closure_fraction_unordered(fam) == 1
     chain = ucc.chain_rule_check(fam)
     assert chain.satisfied
-    assert chain.lhs_bits == pytest.approx(n * ucc.binary_entropy(0.25), abs=ENTROPY_TOL)
-    assert chain.rhs_bits == pytest.approx(chain.lhs_bits, abs=ENTROPY_TOL)
+    assert fam.union_entropy == pytest.approx(n * ucc.binary_entropy(0.25), abs=ENTROPY_TOL)
+    assert chain.rhs_bits == pytest.approx(fam.union_entropy, abs=ENTROPY_TOL)
 
 
 def test_pairwise_regime_never_allocates_the_universe():

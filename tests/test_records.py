@@ -45,8 +45,7 @@ RECORD_FIELDS = {
     ucc.FrequencyProfile: ("freq", "max_freq", "argmax", "p_min_zero"),
     ucc.UnionDistribution: ("universe_size", "unions", "counts",
                             "pair_count", "entropy_bits"),
-    ucc.BoundReport: ("check", "lhs_bits", "rhs_bits", "margin_bits",
-                      "satisfied", "applicable", "inputs"),
+    ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),
     ucc.TheoremReport: ("family_size", "epsilon", "delta", "psi_minus_delta",
                         "max_freq", "applicable", "satisfied"),
     ucc.ExampleSpec: ("n", "k", "m"),

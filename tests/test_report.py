@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from ucc import report
 from ucc.analytic.certify import Certificate, EdgeBounds, ViolationBox
-from ucc.entropy import BoundReport
 
 
 def test_refuted_certificate_nests_boxes_and_scan():
@@ -33,18 +32,6 @@ def test_refuted_certificate_nests_boxes_and_scan():
     assert obj["trace_digest"] == "ab" * 32
     # every nested value is plain JSON: lists and dicts, never tuples
     assert json.loads(json.dumps(obj)) == obj
-
-
-def test_bound_report_inputs_sorted_by_key():
-    rep = BoundReport(check="lower", lhs_bits=3.0, rhs_bits=2.5,
-                      margin_bits=0.5, satisfied=True, applicable=True,
-                      inputs={"p_min_zero": 0.25, "family_size": 8.0,
-                              "half_inv_phi": 0.809})
-    obj = report.record_obj(rep)
-    assert list(obj) == list(BoundReport._fields)
-    assert list(obj["inputs"]) == ["family_size", "half_inv_phi", "p_min_zero"]
-    assert obj["inputs"]["p_min_zero"] == 0.25
-    assert obj["satisfied"] is True
 
 
 def test_fraction_and_none():
