@@ -1,14 +1,15 @@
 """Interval branch and bound: certifying a floor under f, or refuting one.
 
-Pointwise grids can miss dips between samples.  The certifier covers the
-square [eta, 1-eta]^2 with boxes (only its half x <= y: f is symmetric,
-so boxes wholly in x > y are dropped), bounds f on each box with
-outward-rounded interval arithmetic, and splits the box with the lowest
-bound first: until every box clears the threshold theta, until the
-minimum of f is bracketed below it, or until the box budget or the depth
-limit runs out.  Three proved closed-form bounds cover the strips of
-width eta around that square, so a verified certificate holds on all of
-[0, 1]^2.
+Pointwise grids can miss dips between samples.  The certifier first
+encloses f at its minimizer (phi, phi): a threshold above that enclosure
+is refuted by the point alone.  Otherwise it covers the square
+[eta, 1-eta]^2 with boxes (only its half x <= y: f is symmetric, so boxes
+wholly in x > y are dropped), bounds f on each box with outward-rounded
+interval arithmetic, and splits every box it cannot decide, depth first,
+until every box clears the threshold theta, a box falls wholly below it,
+or the box budget or the depth limit runs out.  Three proved closed-form
+bounds cover the strips of width eta around that square, so a verified
+certificate holds on all of [0, 1]^2.
 
 Run:  python3 demos/04_certificate.py
 """
@@ -30,16 +31,14 @@ print("\ntheta = 0.809016")
 print("  status", tight.status, "after", tight.boxes_processed, "boxes")
 assert tight.verified
 
-# Above the minimum: impossible, and the refutation says where it dies.
+# Above the minimum: impossible, and one validated point says so.
 refuted = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
-worst = refuted.worst_box
+(witness,) = refuted.violation_boxes
 print("\ntheta = 0.81")
-print("  status", refuted.status)
-print("  worst box f <=", worst.f_upper)
-print("  box center  (%.6f, %.6f)" % ((worst.x_lo + worst.x_hi) / 2,
-                                      (worst.y_lo + worst.y_hi) / 2))
-print("  true minimizer (%.6f, %.6f)" % (ucc.PHI, ucc.PHI))
-assert not refuted.verified
+print("  status", refuted.status, "after", refuted.boxes_processed, "boxes")
+print("  at (%.6f, %.6f)  f <= %r" % (witness.x_lo, witness.y_lo, witness.f_upper))
+print("  true minimum 1/(2 phi) =", ucc.HALF_INV_PHI)
+assert not refuted.verified and witness.f_upper < 0.81
 
 # The strips outside the searched region carry proved lower bounds of f.
 # At eta = 1e-4 all three clear 0.9; the corner is [1-eta, 1] x [1-delta, 1].

@@ -1,26 +1,19 @@
 """Certified lower bounds for f on the closed unit square.
 
-``certify_lower_bound(theta, eta)`` runs an interval branch and bound over
-[eta, 1-eta]^2 as one best-first search.  Every box is enclosed once, when
-it is created, by the mean-value form of f (``intervals.f_mean_value``).
-A box whose enclosure proves f >= theta is an accepted leaf; every other
-box waits in a heap keyed on its enclosure lower bound, and the box with
-the lowest bound is split next: at the geometric mean of its distances
-from the nearer edge when it spans decades of them, else along its longer
-side (``_split``).  A box that can no longer be split is an indeterminate
-leaf, unless the run ends refuted: such a box cannot change a refutation,
-so it is then not counted.
-
-A box whose enclosure lies entirely below theta is a certified violation.
-The one with the lowest upper bound is the incumbent; once it exists,
-boxes that cannot beat it are dropped, and the search stops as soon as
-the global minimum of f is bracketed.  The reported violation boxes are
-the incumbent and its near-optimal neighbours, each one independently
-certified (enclosure hi < theta), so refutations point at the bottom of
-the dip: the sub-level set of f can be wide, but the reported boxes hug
-the global minimizer.  A box's fate depends only on the box, never on
-the order of the search, so a verified run's cover of accepted leaves
-does not depend on that order either.
+``certify_lower_bound(theta, eta)`` first encloses f at the one point where
+it is least, (phi, phi) with phi the float ``PHI`` (``f_point_enclosure``).
+If that enclosure lies wholly below theta, the point itself refutes
+f >= theta and no search runs.  Otherwise an interval branch and bound
+covers [eta, 1-eta]^2 as one preorder sweep on a stack.  Every box is
+enclosed once, when it is created, by the mean-value form of f
+(``intervals.f_mean_value``).  A box whose enclosure proves f >= theta is
+an accepted leaf; every other box is split, at the geometric mean of its
+distances from the nearer edge when it spans decades of them, else along
+its longer side (``_split``).  A box that can no longer be split is an
+indeterminate leaf.  A box whose enclosure lies wholly below theta is a
+certified violation, and the sweep stops at the first one.  A box's fate
+depends only on the box, never on the order of the sweep, so a verified
+run's cover of accepted leaves does not depend on that order either.
 
 Mirrored boxes are dropped.  f(x, y) = f(y, x) and the root box is
 symmetric, so a box with x_lo > y_hi lies wholly in the region x > y,
@@ -36,21 +29,21 @@ docstring), each evaluated once with outward-rounded intervals; f is 1 on
 the boundary lines themselves.  So a ``verified`` certificate proves
 f >= theta on all of [0, 1]^2.
 
-Determinism: the search is one heap, ties broken by insertion order, all
-float operations are IEEE double, and the trace digest is a multiset hash
-of the accepted and indeterminate leaves (per-leaf sha256, summed mod
-2^256), so repeated runs with equal parameters produce byte-identical
-certificates.
+Determinism: the sweep visits boxes in one fixed order, all float
+operations are IEEE double, and the trace digest is a multiset hash of the
+accepted and indeterminate leaves (per-leaf sha256, summed mod 2^256), so
+repeated runs with equal parameters produce byte-identical certificates.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import NamedTuple
 
-from .intervals import LOG2E, TRANSCENDENTAL_SLACK, Interval, f_mean_value, g_enclosure
+from .intervals import (LOG2E, TRANSCENDENTAL_SLACK, Interval, f_mean_value,
+                        f_point_enclosure, g_enclosure)
+from .scalars import PHI
 
 __all__ = [
     "Box",
@@ -61,9 +54,6 @@ __all__ = [
 ]
 
 _DIGEST_MOD = 1 << 256
-_LOCATE_GAP = 1e-9   # stop localizing once min f is bracketed this tightly
-_NEAR_BAND = 1e-6    # report boxes whose certified hi is this close to best
-_VIOLATION_CAP = 16  # most violation boxes one certificate reports
 _MAX_DEPTH = 60      # a box this many splits below the root is not split again
 
 
@@ -85,7 +75,8 @@ class Box(NamedTuple):
 
 
 class ViolationBox(NamedTuple):
-    """A box on which f is certified to stay below the threshold."""
+    """A box on which f is certified to stay below the threshold; a point
+    when x_lo == x_hi and y_lo == y_hi."""
 
     x_lo: float
     x_hi: float
@@ -105,23 +96,28 @@ class EdgeBounds(NamedTuple):
 
 
 class Certificate(NamedTuple):
-    """Outcome of one branch-and-bound run.
+    """Outcome of one run: a point check at (phi, phi), then, unless that
+    refutes theta, one branch-and-bound sweep.
 
     ``verified`` is true iff f >= theta is proved on all of [0, 1]^2: every
     box of the interior partition that meets {x <= y} was accepted within
     the budget, and every bound in ``boundary`` (an :class:`EdgeBounds`) is
     at least theta.  Mirrored boxes (x_lo > y_hi) are dropped, since f is
     symmetric, and a checker replaying the cover must drop them too.
-    ``boxes_processed`` counts every enclosure of the run, localization
-    included, so only boxes that meet {x <= y}, and never exceeds the box
-    budget.  ``violation_boxes`` are certified refutations clustered at the
-    global minimizer (empty when verified).  ``worst_box`` is the box with
-    the smallest certified upper bound on f among the incumbent, the
-    indeterminate leaves and the boxes left pending when verification
-    failed for any reason, else None.  ``status`` is one of ``verified``,
-    ``refuted``, ``indeterminate``, ``budget_exhausted``; it is
-    ``indeterminate`` with no indeterminate boxes when the interior
-    verified but an edge bound is below theta.
+    ``boxes_processed`` counts every box enclosure of the sweep, so only
+    boxes that meet {x <= y}; it never exceeds the box budget, and it is 0
+    when the point refutes.  ``violation_boxes`` holds at most one certified
+    refutation: the point (phi, phi), or else the first box of the sweep
+    wholly below theta (empty when there is none).  ``worst_box`` is that
+    refutation; without one, it is the box with the smallest certified upper
+    bound on f among the indeterminate leaves and the boxes left pending
+    when the budget ran out, else None.  ``indeterminate_boxes`` counts the
+    unsplittable boxes the sweep met before it ended.  ``status`` is one of
+    ``verified``, ``refuted``, ``indeterminate``, ``budget_exhausted``; a
+    run cut short by the budget is ``budget_exhausted`` whatever leaves it
+    met, and a finished one is ``indeterminate`` when it met an unsplittable
+    box, or, with no indeterminate boxes, when the interior verified but an
+    edge bound is below theta.
     """
 
     threshold: float
@@ -260,17 +256,18 @@ def certify_lower_bound(
     eta: float = 1e-4,
     box_budget: int = 10_000_000,
 ) -> Certificate:
-    """Certificate that f >= theta on [0, 1]^2: a branch and bound over
-    [eta, 1-eta]^2 and three closed-form bounds on the strips around it.
+    """Certificate that f >= theta on [0, 1]^2: a preorder branch and bound
+    over [eta, 1-eta]^2 and three closed-form bounds on the strips around it.
 
     A box ``_MAX_DEPTH`` splits below the root is not split again, so a
     run that stays within ``box_budget`` is a function of theta and eta
     alone; the budget can only cut a run short.
 
-    Thresholds at or above the true minimum 1/(2 phi) are not rejected:
-    the run then terminates with verified=false and refutation boxes
-    localized at the global minimizer, which is itself a checkable
-    statement about where f dips below theta.
+    Thresholds at or above the true minimum 1/(2 phi) are not rejected.
+    Above the upper end of the enclosure of f(phi, phi), about 3.4e-13 above
+    1/(2 phi), that one point is the refutation and no box is enclosed;
+    nearer the minimum the sweep cannot settle the boxes around (phi, phi),
+    and the run ends indeterminate or out of budget.
     """
     if not 0.0 < eta < 0.1:
         raise ValueError(f"eta must be in (0, 0.1), got {eta}")
@@ -282,20 +279,17 @@ def certify_lower_bound(
         raise ValueError("box_budget must be at least 1")
 
     lo, hi = eta, 1.0 - eta
-    # pending boxes keyed on (enclosure lo, insertion index)
-    heap: list[tuple[float, int, Box, float, int]] = []
+    stack: list[tuple[Box, float, int]] = []  # pending boxes: box, enclosure hi, depth
     processed = 0
     accepted = 0
-    undecided: list[tuple[Box, float]] = []  # unsplittable boxes, with hi
+    undecided: list[tuple[Box, float, int]] = []  # unsplittable boxes, as stacked
     max_depth_used = 0
     digest_acc = 0
-    best_box: Box | None = None  # incumbent: lowest certified hi below theta
-    best_hi = math.inf
 
-    def enclose(box: Box, depth: int) -> None:
-        nonlocal processed, accepted, max_depth_used, digest_acc, best_box, best_hi
+    def enclose(box: Box, depth: int) -> ViolationBox | None:
+        nonlocal processed, accepted, max_depth_used, digest_acc
         if box.x_lo > box.y_hi:
-            return  # wholly in x > y: its mirror image is covered, f is symmetric
+            return None  # wholly in x > y: its mirror image is covered, f is symmetric
         processed += 1
         max_depth_used = max(max_depth_used, depth)
         enc = f_mean_value(box.x, box.y)
@@ -303,57 +297,39 @@ def certify_lower_bound(
         if enc_lo >= theta:
             accepted += 1
             digest_acc += _leaf_digest("ok", box)
-            return
-        if enc_hi < best_hi and enc_hi < theta:
-            best_box, best_hi = box, enc_hi
-        if enc_lo < best_hi - _LOCATE_GAP:
-            heapq.heappush(heap, (enc_lo, processed, box, enc_hi, depth))
+        elif enc_hi < theta:
+            return ViolationBox(*box, enc_hi)
+        else:
+            stack.append((box, enc_hi, depth))
+        return None
 
-    enclose(Box(lo, hi, lo, hi), 0)
-    exhausted = False
-    while heap:
-        enc_lo, _, box, enc_hi, depth = heap[0]
-        if enc_lo >= best_hi - _LOCATE_GAP:
-            break  # min f is bracketed; every pending box is near-optimal
+    at_phi = f_point_enclosure(PHI, PHI).hi
+    witness = (ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta
+               else enclose(Box(lo, hi, lo, hi), 0))
+    while stack and witness is None:
+        box, _, depth = stack[-1]
         parts = _split(box) if depth < _MAX_DEPTH else None
-        if parts is not None and processed + len(parts) > box_budget:
-            exhausted = True
-            break
-        heapq.heappop(heap)
         if parts is None:
-            undecided.append((box, enc_hi))
+            undecided.append(stack.pop())
+            digest_acc += _leaf_digest("indeterminate", box)
             continue
-        for child in parts:
-            enclose(child, depth + 1)
+        if processed + len(parts) > box_budget:
+            break
+        stack.pop()
+        for child in parts:  # a witness ends the sweep before its sibling
+            witness = witness or enclose(child, depth + 1)
 
-    violations: tuple[ViolationBox, ...] = ()
-    worst: ViolationBox | None = None
-    if best_box is not None:
-        # a refutation stands whatever the unsplittable boxes hold, and a box
-        # wholly below theta always has an incumbent (itself or a lower one),
-        # so none of them is an indeterminate leaf
-        undecided = []
-        band = min(theta, best_hi + _NEAR_BAND)
-        near = sorted((h, lo_b, b) for lo_b, _, b, h, _ in heap
-                      if h < band and b != best_box)
-        violations = (ViolationBox(*best_box, best_hi),) + tuple(
-            ViolationBox(*b, h) for h, _, b in near[:_VIOLATION_CAP - 1])
-        worst = violations[0]
-    else:  # the indeterminate leaves, then the boxes left pending; a box
-        # without an enclosure (upper bound +inf) certifies no bound
-        for box, enc_hi in undecided + [(b, h) for _, _, b, h, _ in heap]:
-            if enc_hi < (math.inf if worst is None else worst.f_upper):
-                worst = ViolationBox(*box, enc_hi)
-    for box, _ in undecided:
-        digest_acc += _leaf_digest("indeterminate", box)
+    # a box without an enclosure (upper bound +inf) certifies no bound
+    worst = witness or min(
+        (ViolationBox(*box, enc_hi) for box, enc_hi, _ in undecided + stack
+         if enc_hi < math.inf),
+        key=lambda v: v.f_upper, default=None)
     boundary = _edge_bounds(eta)
-    if violations:
+    if witness is not None:
         status = "refuted"
-    elif undecided:
-        status = "indeterminate"
-    elif exhausted:
+    elif stack:  # the budget ran out before the sweep ended
         status = "budget_exhausted"
-    elif min(boundary.low_strip, boundary.high_strip, boundary.corner) < theta:
+    elif undecided or min(boundary.low_strip, boundary.high_strip, boundary.corner) < theta:
         status = "indeterminate"
     else:
         status = "verified"
@@ -367,7 +343,7 @@ def certify_lower_bound(
         status=status,
         accepted_boxes=accepted,
         indeterminate_boxes=len(undecided),
-        violation_boxes=violations,
+        violation_boxes=() if witness is None else (witness,),
         worst_box=worst,
         boundary=boundary,
         trace_digest=f"{digest_acc % _DIGEST_MOD:064x}",

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
-from .setfamily import SetFamily, _closure_hits, closure_fraction, element_frequencies
+from .setfamily import SetFamily, element_frequencies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -342,6 +342,12 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
     )
 
 
+def _closure_deficit(family: SetFamily) -> Fraction:
+    """eps, the share of ordered pairs whose union is not a member."""
+    total = family.size ** 2
+    return Fraction(total - family.closure_hits, total)
+
+
 def check_upper_bound(family: SetFamily) -> BoundReport:
     """H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2 |F| for eps < 1/2.
 
@@ -360,9 +366,8 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     """
     if family.size == 0:
         raise ValueError("check_upper_bound requires a nonempty family")
-    total = family.size ** 2
     lhs = family.union_entropy
-    eps = Fraction(total - _closure_hits(family), total)
+    eps = _closure_deficit(family)
     eps_f = float(eps)
 
     log_size = math.log2(family.size)
@@ -427,7 +432,7 @@ def check_theorem(family: SetFamily) -> TheoremReport:
     """
     if family.size < 2:
         raise ValueError("check_theorem requires a family of size >= 2")
-    eps = 1 - closure_fraction(family)
+    eps = _closure_deficit(family)
     prof = element_frequencies(family)
     delta = theorem_delta(eps, family.size)
     bound = PSI - delta

@@ -29,10 +29,11 @@ block of ``_PAIR_BLOCK_CELLS`` cells and the temporaries of its
 build is slower.  The one pass that reads every cell of a built
 histogram, :attr:`SetFamily.union_entropy`, turns its counts into Python
 ints ``_CHUNK_CELLS`` cells at a time, so on top of the histogram it holds
-no per-cell buffer beyond one chunk; the closure count reads only the
-cells of the |F| members.
-:attr:`SetFamily.union_counts` computes it at most once per family, so
-the closure fractions, the theorem check, the union distribution, both
+no per-cell buffer beyond one chunk; the closure count,
+:attr:`SetFamily.closure_hits`, reads only the cells of the |F| members,
+once per family, for the closure fractions, the theorem check and the
+upper bound.  :attr:`SetFamily.union_counts` computes the histogram at
+most once per family, so the closure count, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
 binary searches in the sorted unions, never a table over 2^n masks.
 :attr:`SetFamily.union_entropy` caches the entropy of that histogram, read
@@ -185,6 +186,23 @@ class SetFamily:
         unions.flags.writeable = False
         counts.flags.writeable = False
         return unions, counts
+
+    @cached_property
+    def closure_hits(self) -> int:
+        """Ordered pairs (A, B), diagonal included, whose union is a member,
+        from :attr:`union_counts`; computed on first use and kept for the
+        life of the family, so the closure fractions, the theorem check and
+        the upper bound share one search.
+
+        Every member A is a union, of the diagonal pair (A, A), so a binary
+        search in the sorted unions finds each one; nothing as wide as the
+        mask range is allocated.
+        """
+        import numpy as np
+
+        unions, counts = self.union_counts
+        members = np.searchsorted(unions, np.array(self.sets, dtype=np.int64))
+        return sum(counts[members].tolist())
 
     @cached_property
     def union_entropy(self) -> float:
@@ -367,24 +385,10 @@ def pair_union_counts(universe_size: int,
     return unions, counts
 
 
-def _closure_hits(family: SetFamily) -> int:
-    """Ordered pairs (A, B), diagonal included, whose union is a member.
-
-    Every member A is a union, of the diagonal pair (A, A), so a binary
-    search in the sorted unions finds each one; nothing as wide as the mask
-    range is allocated.
-    """
-    import numpy as np
-
-    unions, counts = family.union_counts
-    members = np.searchsorted(unions, np.array(family.sets, dtype=np.int64))
-    return sum(counts[members].tolist())
-
-
 def is_union_closed(family: SetFamily) -> bool:
     """True iff A | B is a member for every pair of members (A = B included)."""
     _require_nonempty(family, "is_union_closed")
-    return _closure_hits(family) == family.size ** 2
+    return family.closure_hits == family.size ** 2
 
 
 def closure_fraction(family: SetFamily) -> Fraction:
@@ -395,7 +399,7 @@ def closure_fraction(family: SetFamily) -> Fraction:
     the |F| diagonal pairs contribute their own unions.
     """
     _require_nonempty(family, "closure_fraction")
-    return Fraction(_closure_hits(family), family.size ** 2)
+    return Fraction(family.closure_hits, family.size ** 2)
 
 
 def closure_fraction_unordered(family: SetFamily) -> Fraction:
@@ -407,7 +411,7 @@ def closure_fraction_unordered(family: SetFamily) -> Fraction:
     """
     _require_nonempty(family, "closure_fraction_unordered")
     s = family.size
-    return Fraction((_closure_hits(family) + s) // 2, s * (s + 1) // 2)
+    return Fraction((family.closure_hits + s) // 2, s * (s + 1) // 2)
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:

@@ -1,14 +1,17 @@
 """Branch-and-bound certificates: soundness, statuses, determinism."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 import ucc
-from ucc.analytic.intervals import TRANSCENDENTAL_SLACK, Interval, f_mean_value
+from ucc.analytic.intervals import (TRANSCENDENTAL_SLACK, Interval, f_mean_value,
+                                   f_point_enclosure)
 from ucc.analytic import certify
 from ucc.analytic.certify import Box, ViolationBox, _edge_bounds, _split
+from ucc.cli import run_cli
 
 
 def test_split_bisects_longer_side():
@@ -68,6 +71,16 @@ def test_verified_certificate_coarse():
         "f177d2d89fb660a2e11d3452665f0bc571ed9d5996193b94d2146b4db61de6a4")
 
 
+def test_verified_cover_at_the_default_threshold():
+    # theta = 0.809016 is within 1e-6 of the minimum: the cover, pinned
+    cert = ucc.certify_lower_bound(theta=0.809016, eta=1e-4)
+    assert cert.status == "verified"
+    assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
+            cert.max_depth_used) == (2_471, 1_138, 0, 22)
+    assert cert.trace_digest == (
+        "ee1a9c44f7daf82a746829d3735184aae484e0f9d25c3879bf589149e3c1e028")
+
+
 def _area_where_x_le_y(a, b, c, d):
     """Exact area of {x <= y} inside the box [a, b] x [c, d] (Fractions)."""
     area = max(Fraction(0), min(b, c) - a) * (d - c)  # columns x < c: all of [c, d]
@@ -97,38 +110,67 @@ def test_verified_cover_tiles_the_half_square(monkeypatch):
     assert area == (Fraction(hi) - Fraction(lo)) ** 2 / 2
 
 
-def test_refuted_certificate_boxes_are_sound_and_localized():
-    cert = ucc.certify_lower_bound(theta=0.95, eta=0.01)
-    assert not cert.verified
+def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
+    # above the enclosure of f(phi, phi), that one point is the refutation:
+    # no box is enclosed and the witness sits exactly at the minimizer
+    calls = []
+    monkeypatch.setattr(certify, "f_mean_value", lambda x, y: calls.append((x, y)))
+    at_phi = f_point_enclosure(ucc.PHI, ucc.PHI).hi
+    witness = ViolationBox(ucc.PHI, ucc.PHI, ucc.PHI, ucc.PHI, at_phi)
+    for theta, eta in ((0.81, 1e-4), (0.95, 0.01)):
+        cert = ucc.certify_lower_bound(theta=theta, eta=eta)
+        assert not cert.verified
+        assert cert.status == "refuted"
+        assert cert.violation_boxes == (witness,)
+        assert cert.worst_box == witness
+        assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
+                cert.max_depth_used) == (0, 0, 0, 0)
+        assert cert.trace_digest == "0" * 64
+    assert calls == []
+    # the point's certified bound brackets the true minimum from above
+    assert ucc.HALF_INV_PHI <= at_phi < ucc.HALF_INV_PHI + 1e-12
+
+
+def test_refutation_starts_just_above_the_point_enclosure(capsys):
+    at_phi = f_point_enclosure(ucc.PHI, ucc.PHI).hi
+    cert = ucc.certify_lower_bound(theta=math.nextafter(at_phi, 1.0))
+    assert (cert.status, cert.boxes_processed) == ("refuted", 0)
+    # between the minimum and the point's bound no box can be settled: the
+    # run is not a refutation, and it exits 0
+    theta = ucc.HALF_INV_PHI + 1e-13
+    assert run_cli(["analytic", "certify", "--theta", repr(theta),
+                    "--budget", "2000"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["status"], obj["boxes_processed"]) == ("budget_exhausted", 1_999)
+    assert obj["violation_boxes"] == []
+    assert obj["worst_box"]["f_upper"] >= theta
+
+
+def test_sweep_stops_at_its_first_violation(monkeypatch):
+    # with the point check disarmed, theta = 0.81 falls to the sweep, which
+    # must stop at the first box wholly below theta and report only that box
+    monkeypatch.setattr(certify, "f_point_enclosure",
+                        lambda x, y: Interval(-math.inf, math.inf))
+    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
     assert cert.status == "refuted"
-    assert cert.violation_boxes
-    for vb in cert.violation_boxes:
-        assert vb.f_upper < 0.95
-        # every certified violating box hugs the unique minimizer
-        cx = 0.5 * (vb.x_lo + vb.x_hi)
-        cy = 0.5 * (vb.y_lo + vb.y_hi)
-        assert math.hypot(cx - ucc.PHI, cy - ucc.PHI) < 1e-2
-    assert cert.worst_box == cert.violation_boxes[0]
-    # the incumbent's certified bound brackets the true minimum from above
-    assert ucc.HALF_INV_PHI <= cert.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
+    (witness,) = cert.violation_boxes
+    assert cert.worst_box == witness
+    assert witness.f_upper < 0.81
+    box = Box(*witness[:4])
+    assert f_mean_value(box.x, box.y).hi == witness.f_upper
+    # the depth-60 boxes met on the level set before the stop stay counted
+    assert (cert.boxes_processed, cert.accepted_boxes,
+            cert.indeterminate_boxes, cert.max_depth_used) == (1_029, 448, 6, 60)
 
 
 def test_verdicts_next_to_the_minimum():
-    # thresholds 4e-9 below and 6e-9 above 1/(2 phi): the sweep must
-    # resolve f to within that band around the minimizer
+    # 4e-9 below 1/(2 phi) the sweep must resolve f to within that band
+    # around the minimizer; 6e-9 above it the point (phi, phi) refutes
     below = ucc.certify_lower_bound(theta=0.80901699, eta=1e-2)
     assert below.status == "verified"
     above = ucc.certify_lower_bound(theta=0.809017, eta=1e-2)
-    assert above.status == "refuted"
+    assert (above.status, above.boxes_processed) == ("refuted", 0)
     assert ucc.HALF_INV_PHI <= above.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
-    # boxes straddling f = theta are never bisected down to max_depth
-    assert above.indeterminate_boxes == 0
-
-
-def test_violation_cap_limits_report():
-    cert = ucc.certify_lower_bound(theta=0.95, eta=0.01)
-    assert len(cert.violation_boxes) == 16
-    assert all(vb.f_upper < 0.95 for vb in cert.violation_boxes)
 
 
 def test_budget_exhaustion():
@@ -144,20 +186,6 @@ def test_depth_exhaustion_reports_indeterminate(monkeypatch):
     assert not cert.verified
     assert cert.status == "indeterminate"
     assert cert.indeterminate_boxes > 0
-
-
-def test_shallow_refutation_counts_no_indeterminate_leaves(monkeypatch):
-    # at depth 20 the minimum cannot be bracketed within the locate gap, so
-    # many unsplittable boxes are popped; none can change the refutation
-    monkeypatch.setattr(certify, "_MAX_DEPTH", 20)
-    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
-    assert cert.status == "refuted"
-    assert cert.indeterminate_boxes == 0
-    assert cert.boxes_processed == 2_433
-    assert cert.violation_boxes == (ViolationBox(
-        0.6171640625000001, 0.6181404296875002,
-        0.6171640625000001, 0.6181404296875002, 0.8090201163440421),)
-    assert cert.worst_box == cert.violation_boxes[0]
 
 
 def test_certificates_are_deterministic():

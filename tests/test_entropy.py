@@ -2,8 +2,10 @@
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,3 +267,43 @@ def test_entropy_run_evaluates_union_entropy_once(monkeypatch, capsys):
         assert run_cli(["entropy", str(path)]) == 0
         capsys.readouterr()
         assert totals == [size ** 2], path.name
+
+
+def test_entropy_run_searches_the_members_once(monkeypatch, capsys):
+    # the closure count is the one search of the |F| members in the sorted
+    # unions; one `ucc entropy` run, theorem and upper bound alike, takes it once
+    searched = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        searched.append(tuple(np.asarray(v).tolist()))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    for path in sorted(DATA_DIR.glob("*.uc")):
+        family = ucc.load_family(str(path))
+        searched.clear()
+        assert run_cli(["entropy", str(path)]) == 0
+        capsys.readouterr()
+        assert searched.count(family.sets) == 1, path.name
+
+
+def test_every_family_over_three_elements_is_decided():
+    # all 255 nonempty families over [3], closed or not, are a complete
+    # class: every verdict on the 247 of size >= 2 is true or inapplicable,
+    # and none is left undecided (null)
+    checks = {"theorem": ucc.check_theorem, "lower_bound": ucc.check_lower_bound,
+              "upper_bound": ucc.check_upper_bound, "chain_rule": ucc.chain_rule_check}
+    applicable = Counter()
+    for encoding in range(1, 1 << 8):
+        fam = ucc.SetFamily.from_masks(3, (m for m in range(8) if encoding >> m & 1))
+        if fam.size < 2:
+            continue
+        for name, check in checks.items():
+            rep = check(fam)
+            assert rep.satisfied is not None, (name, fam)
+            assert rep.satisfied or not rep.applicable, (name, fam)
+            applicable[name, rep.applicable] += 1
+    assert applicable == {("theorem", True): 122, ("theorem", False): 125,
+                          ("lower_bound", True): 247, ("upper_bound", True): 230,
+                          ("upper_bound", False): 17, ("chain_rule", True): 247}
