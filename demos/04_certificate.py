@@ -22,7 +22,8 @@ print("theta = 0.80")
 print("  status      ", cert.status)
 print("  boxes       ", cert.boxes_processed,
       "accepted", cert.accepted_boxes, "depth", cert.max_depth_used)
-print("  digest      ", cert.trace_digest[:16], "(stable across runs)")
+print("  digest      ", cert.trace_digest[:16],
+      "(sha256 of the walk's trail, one byte per box; stable across runs)")
 assert cert.verified
 
 # Six decimals of headroom left: still verifiable, just more work.
@@ -43,7 +44,7 @@ assert not refuted.verified and witness.f_upper < 0.81
 # The strips outside the searched region carry proved lower bounds of f.
 # At eta = 1e-4 all three clear 0.9; the corner is [1-eta, 1] x [1-delta, 1].
 edges = tight.boundary
-print("\nregion", tight.region)
+print("\nsearch square [eta, 1-eta]^2, eta =", tight.eta)
 print("  delta      ", edges.delta)
 print("  low strip   f >=", edges.low_strip)
 print("  high strip  f >=", edges.high_strip)

@@ -4,24 +4,25 @@
 it is least, (phi, phi) with phi the float ``PHI`` (``f_point_enclosure``).
 If that enclosure lies wholly below theta, the point itself refutes
 f >= theta and no search runs.  Otherwise an interval branch and bound
-covers [eta, 1-eta]^2 as one preorder sweep on a stack.  Every box is
-enclosed once, when it is created, by the mean-value form of f
+covers [eta, 1-eta]^2 as one preorder walk on a stack.  Each box is
+enclosed once, when it is popped, by the mean-value form of f
 (``intervals.f_mean_value``).  A box whose enclosure proves f >= theta is
-an accepted leaf; every other box is split, at the geometric mean of its
-distances from the nearer edge when it spans decades of them, else along
-its longer side (``_split``).  A box that can no longer be split is an
-indeterminate leaf.  A box whose enclosure lies wholly below theta is a
-certified violation, and the sweep stops at the first one.  A box's fate
-depends only on the box, never on the order of the sweep, so a verified
-run's cover of accepted leaves does not depend on that order either.
+an accepted leaf.  A box whose enclosure lies wholly below theta is a
+certified violation, and the walk stops at the first one.  Every other
+box is split, at the geometric mean of its distances from the nearer edge
+when it spans decades of them, else along its longer side (``_split``),
+and its first child is walked before its second.  A box that can no
+longer be split is an indeterminate leaf.  A box's fate depends only on
+the box, so the cover tree of a run that ends without a violation or a
+budget cut is fixed by theta and eta alone.
 
 Mirrored boxes are dropped.  f(x, y) = f(y, x) and the root box is
 symmetric, so a box with x_lo > y_hi lies wholly in the region x > y,
 whose mirror image the kept boxes cover.  Such a box is discarded when it
-is created, before it is counted or enclosed: ``boxes_processed``, the
-accepted and indeterminate leaves and the trace digest cover only boxes
-that meet {x <= y}, about half the work of the full square.  A checker
-that replays a certificate's cover must apply the same cut.
+is created, before it is pushed: ``boxes_processed``, the accepted and
+indeterminate leaves and the trail cover only boxes that meet {x <= y},
+about half the work of the full square.  A checker that replays the trail
+must apply the same cut.
 
 The strips of width eta around the search square are not searched.  Three
 closed-form lower bounds of f cover them (``_edge_bounds``, proved in its
@@ -29,10 +30,17 @@ docstring), each evaluated once with outward-rounded intervals; f is 1 on
 the boundary lines themselves.  So a ``verified`` certificate proves
 f >= theta on all of [0, 1]^2.
 
-Determinism: the sweep visits boxes in one fixed order, all float
-operations are IEEE double, and the trace digest is a multiset hash of the
-accepted and indeterminate leaves (per-leaf sha256, summed mod 2^256), so
-repeated runs with equal parameters produce byte-identical certificates.
+The trail: each enclosed box appends one byte, in preorder: 0 for an
+accepted leaf, 1 for a split, 2 for an indeterminate leaf and 3 for a
+violation, which can only be last.  Its length is ``boxes_processed``, and
+``trace_digest`` is its sha256 (that of the empty trail when the point
+refutes).  Replaying ``_split`` from the root box, with the mirrored
+children dropped, reads the trail back one byte a box; that is how a
+checker can rebuild the cover and enclose only its leaves.
+
+Determinism: the walk visits boxes in one fixed order and all float
+operations are IEEE double, so repeated runs with equal parameters
+produce byte-identical certificates.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ __all__ = [
     "certify_lower_bound",
 ]
 
-_DIGEST_MOD = 1 << 256
 _MAX_DEPTH = 60      # a box this many splits below the root is not split again
 
 
@@ -97,22 +104,25 @@ class EdgeBounds(NamedTuple):
 
 class Certificate(NamedTuple):
     """Outcome of one run: a point check at (phi, phi), then, unless that
-    refutes theta, one branch-and-bound sweep.
+    refutes theta, one preorder branch-and-bound walk.
 
     ``verified`` is true iff f >= theta is proved on all of [0, 1]^2: every
     box of the interior partition that meets {x <= y} was accepted within
     the budget, and every bound in ``boundary`` (an :class:`EdgeBounds`) is
     at least theta.  Mirrored boxes (x_lo > y_hi) are dropped, since f is
     symmetric, and a checker replaying the cover must drop them too.
-    ``boxes_processed`` counts every box enclosure of the sweep, so only
-    boxes that meet {x <= y}; it never exceeds the box budget, and it is 0
-    when the point refutes.  ``violation_boxes`` holds at most one certified
-    refutation: the point (phi, phi), or else the first box of the sweep
-    wholly below theta (empty when there is none).  ``worst_box`` is that
-    refutation; without one, it is the box with the smallest certified upper
-    bound on f among the indeterminate leaves and the boxes left pending
-    when the budget ran out, else None.  ``indeterminate_boxes`` counts the
-    unsplittable boxes the sweep met before it ended.  ``status`` is one of
+    ``boxes_processed`` counts every box enclosure of the walk, so only
+    boxes that meet {x <= y}; it never exceeds the box budget, it is 0
+    when the point refutes, and it is the length of the trail whose sha256
+    is ``trace_digest`` (see the module docstring).  ``violation_boxes``
+    holds at most one certified refutation: the point (phi, phi), or else
+    the first box of the walk wholly below theta (empty when there is
+    none).  ``worst_box`` is that refutation; without one, it is the box
+    with the smallest finite certified upper bound on f among the
+    indeterminate leaves and the boxes left pending when the budget ran
+    out, else None.  A pending box has not been enclosed, so its bound is
+    its parent's enclosure hi.  ``indeterminate_boxes`` counts the
+    unsplittable boxes the walk met before it ended.  ``status`` is one of
     ``verified``, ``refuted``, ``indeterminate``, ``budget_exhausted``; a
     run cut short by the budget is ``budget_exhausted`` whatever leaves it
     met, and a finished one is ``indeterminate`` when it met an unsplittable
@@ -122,7 +132,6 @@ class Certificate(NamedTuple):
 
     threshold: float
     eta: float
-    region: tuple[tuple[float, float], tuple[float, float]]
     boxes_processed: int
     max_depth_used: int
     verified: bool
@@ -183,11 +192,10 @@ def _split(box: Box) -> tuple[Box, Box] | None:
     return None
 
 
-def _leaf_digest(status: str, box: Box) -> int:
+def _trail_digest(trail: bytes) -> str:
     import hashlib  # loads OpenSSL; only this verb's digest needs it
 
-    rec = f"{status}:{box.x_lo.hex()},{box.x_hi.hex()},{box.y_lo.hex()},{box.y_hi.hex()}"
-    return int.from_bytes(hashlib.sha256(rec.encode("ascii")).digest(), "big")
+    return hashlib.sha256(trail).hexdigest()
 
 
 def _edge_bounds(eta: float) -> EdgeBounds:
@@ -261,12 +269,14 @@ def certify_lower_bound(
 
     A box ``_MAX_DEPTH`` splits below the root is not split again, so a
     run that stays within ``box_budget`` is a function of theta and eta
-    alone; the budget can only cut a run short.
+    alone; the budget can only cut a run short, after exactly
+    ``box_budget`` enclosures.  The walk keeps only its stack, its trail
+    and a few counts: no per-leaf list.
 
     Thresholds at or above the true minimum 1/(2 phi) are not rejected.
     Above the upper end of the enclosure of f(phi, phi), about 3.4e-13 above
     1/(2 phi), that one point is the refutation and no box is enclosed;
-    nearer the minimum the sweep cannot settle the boxes around (phi, phi),
+    nearer the minimum the walk cannot settle the boxes around (phi, phi),
     and the run ends indeterminate or out of budget.
     """
     if not 0.0 < eta < 0.1:
@@ -278,56 +288,47 @@ def certify_lower_bound(
     if box_budget < 1:
         raise ValueError("box_budget must be at least 1")
 
-    lo, hi = eta, 1.0 - eta
-    stack: list[tuple[Box, float, int]] = []  # pending boxes: box, enclosure hi, depth
-    processed = 0
-    accepted = 0
-    undecided: list[tuple[Box, float, int]] = []  # unsplittable boxes, as stacked
-    max_depth_used = 0
-    digest_acc = 0
-
-    def enclose(box: Box, depth: int) -> ViolationBox | None:
-        nonlocal processed, accepted, max_depth_used, digest_acc
-        if box.x_lo > box.y_hi:
-            return None  # wholly in x > y: its mirror image is covered, f is symmetric
-        processed += 1
+    at_phi = f_point_enclosure(PHI, PHI).hi
+    witness = ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta else None
+    # pending boxes, each with its depth and its parent's enclosure hi, an
+    # upper bound of f on the box (+inf for the root, which has no parent)
+    stack = [] if witness else [(Box(eta, 1.0 - eta, eta, 1.0 - eta), math.inf, 0)]
+    trail = bytearray()  # one byte per enclosed box, in preorder
+    accepted = undecided = max_depth_used = 0
+    lowest: ViolationBox | None = None  # the indeterminate leaf with the least hi
+    while stack and len(trail) < box_budget:
+        box, _, depth = stack.pop()
         max_depth_used = max(max_depth_used, depth)
         enc = f_mean_value(box.x, box.y)
         enc_lo, enc_hi = (enc.lo, enc.hi) if enc is not None else (-math.inf, math.inf)
         if enc_lo >= theta:
+            trail.append(0)  # accepted leaf
             accepted += 1
-            digest_acc += _leaf_digest("ok", box)
-        elif enc_hi < theta:
-            return ViolationBox(*box, enc_hi)
-        else:
-            stack.append((box, enc_hi, depth))
-        return None
-
-    at_phi = f_point_enclosure(PHI, PHI).hi
-    witness = (ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta
-               else enclose(Box(lo, hi, lo, hi), 0))
-    while stack and witness is None:
-        box, _, depth = stack[-1]
-        parts = _split(box) if depth < _MAX_DEPTH else None
-        if parts is None:
-            undecided.append(stack.pop())
-            digest_acc += _leaf_digest("indeterminate", box)
             continue
-        if processed + len(parts) > box_budget:
+        if enc_hi < theta:
+            trail.append(3)  # violation: the walk ends here
+            witness = ViolationBox(*box, enc_hi)
             break
-        stack.pop()
-        for child in parts:  # a witness ends the sweep before its sibling
-            witness = witness or enclose(child, depth + 1)
+        parts = _split(box) if depth < _MAX_DEPTH else None
+        if parts is not None:
+            trail.append(1)  # split; the first child is visited first
+            stack.extend((child, enc_hi, depth + 1) for child in reversed(parts)
+                         if child.x_lo <= child.y_hi)  # else its mirror is covered
+        else:
+            trail.append(2)  # indeterminate leaf
+            undecided += 1
+            if lowest is None or enc_hi < lowest.f_upper:
+                lowest = ViolationBox(*box, enc_hi)
 
     # a box without an enclosure (upper bound +inf) certifies no bound
     worst = witness or min(
-        (ViolationBox(*box, enc_hi) for box, enc_hi, _ in undecided + stack
-         if enc_hi < math.inf),
+        [v for v in (lowest, *(ViolationBox(*box, hi) for box, hi, _ in stack))
+         if v is not None and v.f_upper < math.inf],
         key=lambda v: v.f_upper, default=None)
     boundary = _edge_bounds(eta)
     if witness is not None:
         status = "refuted"
-    elif stack:  # the budget ran out before the sweep ended
+    elif stack:  # the budget ran out before the walk ended
         status = "budget_exhausted"
     elif undecided or min(boundary.low_strip, boundary.high_strip, boundary.corner) < theta:
         status = "indeterminate"
@@ -336,15 +337,14 @@ def certify_lower_bound(
     return Certificate(
         threshold=theta,
         eta=eta,
-        region=((lo, hi), (lo, hi)),
-        boxes_processed=processed,
+        boxes_processed=len(trail),
         max_depth_used=max_depth_used,
         verified=status == "verified",
         status=status,
         accepted_boxes=accepted,
-        indeterminate_boxes=len(undecided),
+        indeterminate_boxes=undecided,
         violation_boxes=() if witness is None else (witness,),
         worst_box=worst,
         boundary=boundary,
-        trace_digest=f"{digest_acc % _DIGEST_MOD:064x}",
+        trace_digest=_trail_digest(trail),
     )

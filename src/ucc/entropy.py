@@ -144,7 +144,6 @@ class BoundReport(NamedTuple):
 class TheoremReport(NamedTuple):
     """Frequency bound max_freq >= psi - delta for one family."""
 
-    family_size: int
     epsilon: Fraction
     delta: float
     psi_minus_delta: float
@@ -447,7 +446,6 @@ def check_theorem(family: SetFamily) -> TheoremReport:
         satisfied = _at_least(_fraction_enclosure(prof.max_freq),
                               _PSI_ENCLOSURE - delta_enc)
     return TheoremReport(
-        family_size=family.size,
         epsilon=eps,
         delta=delta,
         psi_minus_delta=bound,

@@ -1,7 +1,9 @@
 """Branch-and-bound certificates: soundness, statuses, determinism."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,13 +64,12 @@ def test_verified_certificate_coarse():
     assert cert.indeterminate_boxes == 0
     assert cert.accepted_boxes > 0
     assert cert.boxes_processed < 5000
-    assert cert.region == ((0.01, 0.99), (0.01, 0.99))
-    # the cover itself: a change of search order must not change it
+    # the cover itself, and its preorder trail
     assert cert.boxes_processed == 239
     assert cert.accepted_boxes == 109
     assert cert.max_depth_used == 11
     assert cert.trace_digest == (
-        "f177d2d89fb660a2e11d3452665f0bc571ed9d5996193b94d2146b4db61de6a4")
+        "888a58b1f6c61d3a66085512dfcb29ef22079ae49ef948e652c2684067b37a74")
 
 
 def test_verified_cover_at_the_default_threshold():
@@ -78,7 +79,7 @@ def test_verified_cover_at_the_default_threshold():
     assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
             cert.max_depth_used) == (2_471, 1_138, 0, 22)
     assert cert.trace_digest == (
-        "ee1a9c44f7daf82a746829d3735184aae484e0f9d25c3879bf589149e3c1e028")
+        "e2323615550b5cb39d51ed47b5c7a5bce10cb7afc843d787f3f6e5e9ac578568")
 
 
 def _area_where_x_le_y(a, b, c, d):
@@ -90,24 +91,71 @@ def _area_where_x_le_y(a, b, c, d):
     return area
 
 
-def test_verified_cover_tiles_the_half_square(monkeypatch):
-    # mirrored boxes are dropped, so the accepted leaves must tile exactly
-    # the part of [eta, 1-eta]^2 where x <= y, and nothing wholly beyond it
+def _run_with_trail(monkeypatch, theta, eta):
+    """Certify, and keep the trail whose sha256 is the trace digest."""
+    trails = []
+
+    def record(trail):
+        trails.append(bytes(trail))
+        return digest(trail)
+
+    digest = certify._trail_digest
+    monkeypatch.setattr(certify, "_trail_digest", record)
+    cert = ucc.certify_lower_bound(theta=theta, eta=eta)
+    (trail,) = trails
+    assert len(trail) == cert.boxes_processed
+    assert hashlib.sha256(trail).hexdigest() == cert.trace_digest
+    return cert, trail
+
+
+def _replay(trail, theta, eta):
+    """Rebuild a cover from its trail, one byte per box in preorder, from
+    the root box with mirrored children dropped; the accepted leaves.
+
+    0: the enclosure proves f >= theta.  1: the box splits below the depth
+    limit and its enclosure leaves it undecided.  2: the box cannot be
+    split.  Any other byte, a byte left over or one missing fails.
+    """
+    stack = [(Box(eta, 1.0 - eta, eta, 1.0 - eta), 0)]
     leaves = []
+    for i, fate in enumerate(trail):
+        assert stack, f"byte {i} is left over"
+        box, depth = stack.pop()
+        parts = _split(box) if depth < certify._MAX_DEPTH else None
+        enc = f_mean_value(box.x, box.y)
+        if fate == 0:
+            assert enc is not None and enc.lo >= theta, i
+            leaves.append(box)
+        elif fate == 1:
+            assert parts is not None, i
+            assert enc is None or enc.lo < theta <= enc.hi, i
+            stack.extend((child, depth + 1) for child in reversed(parts)
+                         if child.x_lo <= child.y_hi)
+        else:
+            assert fate == 2 and parts is None, i
+    assert not stack, "the trail ends before the cover"
+    return leaves
 
-    def record(status, box):
-        leaves.append((status, box))
-        return digest(status, box)
 
-    digest = certify._leaf_digest
-    monkeypatch.setattr(certify, "_leaf_digest", record)
-    cert = ucc.certify_lower_bound(theta=0.7, eta=0.01)
-    assert cert.status == "verified"
-    assert len(leaves) == cert.accepted_boxes == 109
-    assert all(status == "ok" and box.x_lo <= box.y_hi for status, box in leaves)
-    area = sum(_area_where_x_le_y(*map(Fraction, box)) for _, box in leaves)
-    (lo, hi), _ = cert.region
-    assert area == (Fraction(hi) - Fraction(lo)) ** 2 / 2
+def test_verified_cover_tiles_the_half_square(monkeypatch):
+    for theta, eta in ((0.7, 0.01), (0.809016, 1e-4)):
+        cert, trail = _run_with_trail(monkeypatch, theta, eta)
+        assert cert.status == "verified"
+        leaves = _replay(trail, theta, eta)
+        assert len(leaves) == cert.accepted_boxes == trail.count(0)
+        # mirrored boxes are dropped, so the accepted leaves must tile exactly
+        # the part of [eta, 1-eta]^2 where x <= y, and nothing wholly beyond it
+        assert all(box.x_lo <= box.y_hi for box in leaves)
+        area = sum(_area_where_x_le_y(*map(Fraction, box)) for box in leaves)
+        assert area == (Fraction(1.0 - eta) - Fraction(eta)) ** 2 / 2
+        # one flipped byte, a byte too many or one too few: the replay fails
+        for i in (0, trail.index(0), len(trail) // 2, len(trail) - 1):
+            for fate in {0, 1, 2, 3} - {trail[i]}:
+                with pytest.raises(AssertionError):
+                    _replay(trail[:i] + bytes([fate]) + trail[i + 1:], theta, eta)
+        for bad in (trail + b"\0", trail[:-1]):
+            with pytest.raises(AssertionError):
+                _replay(bad, theta, eta)
 
 
 def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
@@ -125,7 +173,7 @@ def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
         assert cert.worst_box == witness
         assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
                 cert.max_depth_used) == (0, 0, 0, 0)
-        assert cert.trace_digest == "0" * 64
+        assert cert.trace_digest == hashlib.sha256(b"").hexdigest()  # empty trail
     assert calls == []
     # the point's certified bound brackets the true minimum from above
     assert ucc.HALF_INV_PHI <= at_phi < ucc.HALF_INV_PHI + 1e-12
@@ -141,7 +189,7 @@ def test_refutation_starts_just_above_the_point_enclosure(capsys):
     assert run_cli(["analytic", "certify", "--theta", repr(theta),
                     "--budget", "2000"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert (obj["status"], obj["boxes_processed"]) == ("budget_exhausted", 1_999)
+    assert (obj["status"], obj["boxes_processed"]) == ("budget_exhausted", 2_000)
     assert obj["violation_boxes"] == []
     assert obj["worst_box"]["f_upper"] >= theta
 
@@ -158,9 +206,11 @@ def test_sweep_stops_at_its_first_violation(monkeypatch):
     assert witness.f_upper < 0.81
     box = Box(*witness[:4])
     assert f_mean_value(box.x, box.y).hi == witness.f_upper
-    # the depth-60 boxes met on the level set before the stop stay counted
+    # preorder reaches the level set far from (phi, phi); the depth-60
+    # boxes met on it before the stop stay counted
+    assert (round(box.x_lo, 3), round(box.y_lo, 3)) == (0.539, 0.543)
     assert (cert.boxes_processed, cert.accepted_boxes,
-            cert.indeterminate_boxes, cert.max_depth_used) == (1_029, 448, 6, 60)
+            cert.indeterminate_boxes, cert.max_depth_used) == (785, 355, 8, 60)
 
 
 def test_verdicts_next_to_the_minimum():
@@ -194,7 +244,7 @@ def test_certificates_are_deterministic():
     assert a == b
     assert a.trace_digest == b.trace_digest
     c = ucc.certify_lower_bound(theta=0.8080, eta=1e-3)
-    assert c.trace_digest != a.trace_digest  # leaves genuinely differ
+    assert c.trace_digest != a.trace_digest  # the covers genuinely differ
 
 
 def test_parameter_validation():
@@ -308,16 +358,32 @@ def test_eta_at_its_floor_returns_a_certificate():
     # within the slack of 0, and those rungs must be skipped, not divided by
     cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=100)
     assert cert.status == "budget_exhausted"
-    assert cert.region == ((2.0 ** -53, 1.0 - 2.0 ** -53),) * 2
     assert min(cert.boundary[1:]) >= 0.97
 
 
 def test_worst_box_needs_a_finite_upper_bound():
     # at eta = 2^-53 the root box has no enclosure (g near 1 is within the
-    # slack of 0), so a budget that cannot split it certifies no upper bound
-    for budget in (1, 2):
-        cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=budget)
-        assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 1)
-        assert cert.worst_box is None
-    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=3)
+    # slack of 0): its children, pending with its bound, certify none
+    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=1)
+    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 1)
+    assert cert.worst_box is None
+    # the first child has one, and its pending children carry it
+    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=2)
+    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 2)
     assert math.isfinite(cert.worst_box.f_upper)
+
+
+def test_walk_keeps_no_per_leaf_state():
+    # between 1/(2 phi) and the point's bound no box around (phi, phi)
+    # settles, and thousands of indeterminate leaves pile up: the walk
+    # keeps their count and the lowest bound, not the leaves
+    tracemalloc.start()
+    try:
+        cert = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI + 1e-13, eta=1e-4,
+                                       box_budget=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 20_000)
+    assert cert.indeterminate_boxes > 1_000
+    assert peak < 256 * 1024

@@ -211,9 +211,10 @@ def test_certify_low_edge_bound_is_indeterminate(capsys):
 def test_certify_at_the_eta_floor(capsys):
     # the first rungs of the edge ladder have g(1-delta) within the slack of
     # 0; they are skipped, so the run ends in one report, not a traceback.
-    # At budgets 1 and 2 no pending box has an enclosure, so there is no
-    # finite upper bound to report: worst_box is null, not Infinity.
-    for budget, has_worst in (("1", False), ("2", False), ("100", True)):
+    # At budget 1 only the root, which has no enclosure, bounds the pending
+    # boxes, so there is no finite upper bound to report: worst_box is null,
+    # not Infinity.
+    for budget, has_worst in (("1", False), ("2", True), ("100", True)):
         code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
                              "--eta", "1.2e-16", "--budget", budget)
         assert (code, err) == (0, "")
@@ -494,8 +495,9 @@ def _pinned_data_runs():
 
 # sha256 of stdout and the exit code, pinned across commits: a refactor must
 # not move a byte.  The certify digest covers the certificate's trace digest
-# and its edge bounds, so it is re-pinned only when the certifier's box split
-# (_split), the edge bounds or the certificate's fields change.
+# (the sha256 of its preorder trail) and its edge bounds, so it is re-pinned
+# only when the certifier's walk order, its box split (_split), the edge
+# bounds or the certificate's fields change.
 PINNED_RUNS = [
     *_pinned_data_runs(),
     (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
@@ -507,7 +509,7 @@ PINNED_RUNS = [
     (("analytic", "minimize"), 0,
      "4dbe5bb16867fc98c8bfba8ac192fb17eb1a87bc5889a38d85d96638675bb5d8"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
-     "6ad67856059f81214d2598f8802789e9296c77d8de11b1afff86edd9028e18c1"),
+     "043448655b5591642424f74e9708bcf7bb73434217ac62ad20dc0f01894537f7"),
     (("example", "--n", "1000"), 0,
      "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
     (("enumerate", "--n", "3"), 0,
@@ -571,7 +573,7 @@ REPORT_SCHEMAS = {
     "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01"), [
         "accepted_boxes", "boundary.corner", "boundary.delta",
         "boundary.high_strip", "boundary.low_strip", "boxes_processed", "eta",
-        "indeterminate_boxes", "max_depth_used", "region[][]",
+        "indeterminate_boxes", "max_depth_used",
         "status", "threshold", "trace_digest", "verified",
         "violation_boxes[].f_upper", "violation_boxes[].x_hi",
         "violation_boxes[].x_lo", "violation_boxes[].y_hi",

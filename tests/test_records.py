@@ -37,7 +37,7 @@ RECORD_FIELDS = {
     ucc.DiagonalMinimum: ("x_star", "value", "grid_points", "refine_tol"),
     ucc.GridCheck: ("min_margin", "argmin", "argmin_margin", "grid_points"),
     EdgeBounds: ("delta", "low_strip", "high_strip", "corner"),
-    ucc.Certificate: ("threshold", "eta", "region", "boxes_processed",
+    ucc.Certificate: ("threshold", "eta", "boxes_processed",
                       "max_depth_used", "verified", "status",
                       "accepted_boxes", "indeterminate_boxes",
                       "violation_boxes", "worst_box", "boundary",
@@ -46,8 +46,8 @@ RECORD_FIELDS = {
     ucc.UnionDistribution: ("universe_size", "unions", "counts",
                             "pair_count", "entropy_bits"),
     ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),
-    ucc.TheoremReport: ("family_size", "epsilon", "delta", "psi_minus_delta",
-                        "max_freq", "applicable", "satisfied"),
+    ucc.TheoremReport: ("epsilon", "delta", "psi_minus_delta", "max_freq",
+                        "applicable", "satisfied"),
     ucc.ExampleSpec: ("n", "k", "m"),
     ucc.ExampleStats: ("n", "k", "m", "log2_f1", "log2_f2", "size_ratio",
                        "max_freq_exact", "closure_deficit",

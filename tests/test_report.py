@@ -12,7 +12,7 @@ def test_refuted_certificate_nests_boxes_and_scan():
                         0.8090170)
     best = ViolationBox(0.6176, 0.6182, 0.6176, 0.6182, 0.8090169)
     cert = Certificate(
-        threshold=0.95, eta=0.01, region=((0.01, 0.99), (0.01, 0.99)),
+        threshold=0.95, eta=0.01,
         boxes_processed=2958, max_depth_used=33, verified=False,
         status="refuted", accepted_boxes=0, indeterminate_boxes=0,
         violation_boxes=(best, near), worst_box=best,
@@ -22,7 +22,6 @@ def test_refuted_certificate_nests_boxes_and_scan():
     assert list(obj) == list(Certificate._fields)
     box = {"x_lo": 0.6176, "x_hi": 0.6182, "y_lo": 0.6176, "y_hi": 0.6182,
            "f_upper": 0.8090169}
-    assert obj["region"] == [[0.01, 0.99], [0.01, 0.99]]
     assert obj["violation_boxes"] == [box, report.record_obj(near)]
     assert list(obj["violation_boxes"][1]) == list(ViolationBox._fields)
     assert obj["worst_box"] == box
