@@ -21,7 +21,7 @@ import ucc
 fam = ucc.SetFamily.from_masks(3, range(8))  # the full powerset of [3]
 dist = ucc.union_distribution(fam)
 print("union supports", dist.support_size, "masks over",
-      dist.pair_count, "ordered pairs")
+      fam.size ** 2, "ordered pairs")
 
 h_union = dist.entropy_bits
 print("H(U) =", h_union, "bits")

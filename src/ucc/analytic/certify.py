@@ -118,10 +118,12 @@ class Certificate(NamedTuple):
     holds at most one certified refutation: the point (phi, phi), or else
     the first box of the walk wholly below theta (empty when there is
     none).  ``worst_box`` is that refutation; without one, it is the box
-    with the smallest finite certified upper bound on f among the
+    with the smallest certified upper bound on f below 1 among the
     indeterminate leaves and the boxes left pending when the budget ran
-    out, else None.  A pending box has not been enclosed, so its bound is
-    its parent's enclosure hi.  ``indeterminate_boxes`` counts the
+    out, else None (f <= 1 on the whole square, see
+    :func:`certify_lower_bound`, so a bound of 1 or more says nothing).  A
+    pending box has not been enclosed, so its bound is its parent's
+    enclosure hi.  ``indeterminate_boxes`` counts the
     unsplittable boxes the walk met before it ended.  ``status`` is one of
     ``verified``, ``refuted``, ``indeterminate``, ``budget_exhausted``; a
     run cut short by the budget is ``budget_exhausted`` whatever leaves it
@@ -273,6 +275,16 @@ def certify_lower_bound(
     ``box_budget`` enclosures.  The walk keeps only its stack, its trail
     and a few counts: no per-leaf list.
 
+    f <= 1 on [0, 1]^2, so ``worst_box`` keeps only bounds below 1.  With
+    g and r as in :func:`_edge_bounds`, f <= 1 iff g(xy) <= g(x) + g(y),
+    and as log2(1/(xy)) = log2(1/x) + log2(1/y) that is r(xy) <= r(x) + r(y).
+    Write r(t) = log2 e (1 - sigma(t)) with
+    sigma(t) = sum_{k>=2} t^(k-1) / (k(k-1)); the inequality becomes
+    D(y) = sigma(x) + sigma(y) - sigma(xy) <= 1.  For fixed x in [0, 1],
+    D'(y) = sigma'(y) - x sigma'(xy) >= 0, because sigma' has nonnegative
+    coefficients and so rises, xy <= y and x <= 1.  sigma is continuous on
+    [0, 1], so D(y) <= D(1) = sigma(1) = 1.  On the boundary lines f is 1.
+
     Thresholds at or above the true minimum 1/(2 phi) are not rejected.
     Above the upper end of the enclosure of f(phi, phi), about 3.4e-13 above
     1/(2 phi), that one point is the refutation and no box is enclosed;
@@ -320,10 +332,11 @@ def certify_lower_bound(
             if lowest is None or enc_hi < lowest.f_upper:
                 lowest = ViolationBox(*box, enc_hi)
 
-    # a box without an enclosure (upper bound +inf) certifies no bound
+    # f <= 1 everywhere, so an upper bound of 1 or more (+inf for a box
+    # without an enclosure) certifies nothing
     worst = witness or min(
         [v for v in (lowest, *(ViolationBox(*box, hi) for box, hi, _ in stack))
-         if v is not None and v.f_upper < math.inf],
+         if v is not None and v.f_upper < 1.0],
         key=lambda v: v.f_upper, default=None)
     boundary = _edge_bounds(eta)
     if witness is not None:

@@ -10,12 +10,17 @@ family is dumped in .uc form) or a certificate refuting a threshold below
 cap).  ``analytic grid`` and ``analytic minimize`` only sample, so they
 never exit 1; certified refutations come from ``analytic certify``.
 Every verb writes one report, JSON by default or ``--format human|csv``,
-to stdout, or the same bytes to ``--out PATH`` when given.
+to stdout, or the same bytes to ``--out PATH`` when given, and every verb
+writes it through ``_emit``: given a violating family, ``_emit`` also dumps
+that family to stderr and returns exit code 1.  ``analytic certify`` sets
+its exit code itself.  A report holds only numbers the run computed; the
+package constants (``PSI``, ``PHI``) are not repeated in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -47,61 +52,55 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "human", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write the report to this path")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The ``ucc`` parser.  Each verb's subparser is the one place that
-    declares it: its options and its handler (``run``)."""
+    declares it: its options and its handler (``run``).  ``--format`` and
+    ``--out``, which every verb takes, are declared once, on ``common``."""
     ap = argparse.ArgumentParser(
         prog="ucc",
         description="Checks for union-closed set systems and the entropy bound behind them.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "human", "csv"), default="json")
+    common.add_argument("--out", default=None, help="write the report to this path")
     sub = ap.add_subparsers(dest="command", required=True)
+    verb = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("check", help="closure fraction, frequencies, theorem report")
+    p = verb("check", help="closure fraction, frequencies, theorem report")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser("entropy", help="union entropy, chain rule, both bounds")
+    p = verb("entropy", help="union entropy, chain rule, both bounds")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(run=_cmd_entropy)
 
     p = sub.add_parser("analytic", help="scalar landscape checks and certification")
-    asub = p.add_subparsers(dest="action", required=True)
+    action = functools.partial(p.add_subparsers(dest="action", required=True).add_parser,
+                               parents=[common])
 
-    q = asub.add_parser("minimize", help="locate the diagonal ratio minimum")
-    _add_common(q)
+    q = action("minimize", help="locate the diagonal ratio minimum")
     q.set_defaults(run=_cmd_minimize)
 
-    q = asub.add_parser("grid", help="sweep the product-form margin on a grid")
+    q = action("grid", help="sweep the product-form margin on a grid")
     q.add_argument("--grid", type=int, default=1001)
-    _add_common(q)
     q.set_defaults(run=_cmd_grid)
 
-    q = asub.add_parser("certify", help="branch-and-bound lower bound for f")
+    q = action("certify", help="branch-and-bound lower bound for f")
     q.add_argument("--theta", type=float, default=0.809016)
     q.add_argument("--eta", type=float, default=1e-4)
     q.add_argument("--budget", type=int, default=10_000_000)
-    _add_common(q)
     q.set_defaults(run=_cmd_certify)
 
-    p = sub.add_parser("example", help="exact slice example statistics")
+    p = verb("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    _add_common(p)
     p.set_defaults(run=_cmd_example)
 
-    p = sub.add_parser("enumerate", help="exhaustive union-closed families, n <= 5")
+    p = verb("enumerate", help="exhaustive union-closed families, n <= 5")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("fuzz", help="random families through the theorem checker")
+    p = verb("fuzz", help="random families through the theorem checker")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -110,26 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one kind of random family, or all of them (default)")
     p.add_argument("--entropy-checks", action="store_true",
                    help="also run chain-rule and both entropy bounds per family")
-    _add_common(p)
     p.set_defaults(run=_cmd_fuzz)
     return ap
 
 
-def _emit(args, obj: dict) -> int:
-    """Write the report to --out or stdout; returns EXIT_OK."""
+def _emit(args, obj: dict, violation: SetFamily | None = None) -> int:
+    """Write the report to --out or stdout and return the exit code:
+    EXIT_VIOLATION after dumping a violating family to stderr in .uc form,
+    else EXIT_OK."""
     text = report.render(obj, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _finish(args, obj: dict, violation: SetFamily | None) -> int:
-    """Write a family verb's report; a violating family is then dumped to
-    stderr in .uc form and exits 1."""
-    _emit(args, obj)
     if violation is None:
         return EXIT_OK
     sys.stderr.write("violating family in .uc format:\n")
@@ -159,7 +152,6 @@ def _family_report(path: str):
         "epsilon": report.frac_obj(eps),
         "delta": delta,
         "psi_minus_delta": bound,
-        "psi": _lib.PSI,
         "max_freq": report.frac_obj(profile.max_freq),
         "max_freq_element": profile.argmax + 1,
         "theorem": theorem,
@@ -171,7 +163,7 @@ def _cmd_check(args) -> int:
     family, verdict, obj = _family_report(args.file)
     obj["closure_fraction_unordered"] = report.frac_obj(
         _lib.closure_fraction_unordered(family))
-    return _finish(args, obj, family if verdict is False else None)
+    return _emit(args, obj, family if verdict is False else None)
 
 
 def _cmd_entropy(args) -> int:
@@ -185,21 +177,16 @@ def _cmd_entropy(args) -> int:
                upper_bound=report.record_obj(upper),
                chain_rule=report.record_obj(chain))
     verdicts = (verdict, lower.satisfied, upper.satisfied, chain.satisfied)
-    return _finish(args, obj, family if False in verdicts else None)
+    return _emit(args, obj, family if False in verdicts else None)
 
 
 def _cmd_minimize(args) -> int:
-    dm = _lib.minimize_diagonal()
-    obj = report.record_obj(dm)
-    obj["deviation_from_phi"] = abs(dm.x_star - _lib.PHI)
-    obj["value_minus_min"] = dm.value - (_lib.PHI + 1.0)
-    return _emit(args, obj)
+    return _emit(args, report.record_obj(_lib.minimize_diagonal()))
 
 
 def _cmd_grid(args) -> int:
-    obj = report.record_obj(_lib.corollary_grid_check(grid_points=args.grid))
-    obj["phi"] = _lib.PHI
-    return _emit(args, obj)
+    return _emit(args, report.record_obj(
+        _lib.corollary_grid_check(grid_points=args.grid)))
 
 
 def _cmd_certify(args) -> int:
@@ -270,9 +257,8 @@ def _cmd_enumerate(args) -> int:
         **{key: tally[key] for key in ("families", "theorem_checked",
                                        "skipped_small", "undecided", "min_max_freq")},
         "all_satisfied": violation is None,
-        "psi": _lib.PSI,
     }
-    return _finish(args, obj, violation)
+    return _emit(args, obj, violation)
 
 
 def _cmd_fuzz(args) -> int:
@@ -292,7 +278,7 @@ def _cmd_fuzz(args) -> int:
                                        "undecided", "max_epsilon_seen")},
         "violation_found": violation is not None,
     }
-    return _finish(args, obj, violation)
+    return _emit(args, obj, violation)
 
 
 def run_cli(argv: list[str]) -> int:

@@ -16,7 +16,10 @@ pass that reads every cell: it reads the histogram one chunk of
 per-cell buffer beyond one chunk (the closure count reads only the |F|
 members' cells); each entropy term is still a Python float from exact
 integer counts, and each sum is rounded once, as ``math.fsum`` over all
-its terms would round it.  On top of the histogram sit four checks, each
+its terms would round it.  :func:`union_distribution` reports two numbers
+of that histogram, its support size and H(A|B); whoever needs the unions
+and counts themselves reads them from the family.  On top of the histogram
+sit four checks, each
 returning a small report rather than a bare bool.  The three inequality
 checks bound H(A|B) from one side, and their :class:`BoundReport` holds
 only what the verdict turns on: the other side (``rhs_bits``), the
@@ -59,14 +62,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .analytic.intervals import TRANSCENDENTAL_SLACK, Interval
 from .analytic.scalars import HALF_INV_PHI, PSI, binary_entropy
 from .setfamily import SetFamily, element_frequencies
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "UnionDistribution",
@@ -96,31 +96,20 @@ _HALF_INV_PHI_ENCLOSURE = (_ONE + _SQRT5_ENCLOSURE) / Interval.point(4.0)
 
 
 class UnionDistribution(NamedTuple):
-    """Exact distribution of A | B for A, B independent uniform on F.
+    """What a run reads of the distribution of A | B, for A, B independent
+    uniform on F.
 
-    ``unions`` (strictly ascending) and ``counts`` (all positive) are the
-    family's cached, read-only histogram arrays, shared rather than copied:
-    U = A | B with probability count / ``pair_count``, exactly.
-    ``entropy_bits`` is H(A | B) in bits, the family's cached
-    :attr:`~ucc.setfamily.SetFamily.union_entropy`, and
-    :func:`_union_entropy_enclosure` bounds its error.
+    ``support_size`` is the number of distinct unions and ``entropy_bits``
+    is H(A | B) in bits, the family's cached
+    :attr:`~ucc.setfamily.SetFamily.union_entropy`;
+    :func:`_union_entropy_enclosure` bounds its error.  The distribution
+    itself is the family's histogram,
+    :attr:`~ucc.setfamily.SetFamily.union_counts`, out of |F|^2 ordered
+    pairs.
     """
 
-    universe_size: int
-    unions: np.ndarray
-    counts: np.ndarray
-    pair_count: int
+    support_size: int
     entropy_bits: float
-
-    # compared and hashed by identity: tuple equality would compare the
-    # arrays elementwise and raise on the ambiguous truth value
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-    @property
-    def support_size(self) -> int:
-        return len(self.unions)
 
 
 class BoundReport(NamedTuple):
@@ -153,18 +142,13 @@ class TheoremReport(NamedTuple):
 
 
 def union_distribution(family: SetFamily) -> UnionDistribution:
-    """Exact union distribution; requires |F| >= 1 and a histogram within
-    the kernel's cell cap (:class:`~ucc.CapExceededError` otherwise)."""
+    """Support size and entropy of the union of two independent uniform
+    draws; requires |F| >= 1 and a histogram within the kernel's cell cap
+    (:class:`~ucc.CapExceededError` otherwise)."""
     if family.size == 0:
         raise ValueError("union_distribution requires a nonempty family")
-    unions, counts = family.union_counts
-    return UnionDistribution(
-        universe_size=family.universe_size,
-        unions=unions,
-        counts=counts,
-        pair_count=family.size ** 2,
-        entropy_bits=family.union_entropy,
-    )
+    return UnionDistribution(support_size=len(family.union_counts[1]),
+                             entropy_bits=family.union_entropy)
 
 
 def _weighted_fsum(terms: Iterable[tuple[float, int]]) -> float:

@@ -224,10 +224,15 @@ def test_verdicts_next_to_the_minimum():
 
 
 def test_budget_exhaustion():
+    # after 50 boxes every pending bound is 1 or more, which f <= 1 makes
+    # empty; after 1000 the lowest lies next to (phi, phi)
     cert = ucc.certify_lower_bound(theta=0.809016, box_budget=50)
     assert not cert.verified
     assert cert.status == "budget_exhausted"
-    assert cert.worst_box is not None
+    assert cert.worst_box is None
+    cert = ucc.certify_lower_bound(theta=0.809016, box_budget=1000)
+    assert cert.status == "budget_exhausted"
+    assert ucc.HALF_INV_PHI <= cert.worst_box.f_upper < 0.81
 
 
 def test_depth_exhaustion_reports_indeterminate(monkeypatch):
@@ -363,14 +368,22 @@ def test_eta_at_its_floor_returns_a_certificate():
 
 def test_worst_box_needs_a_finite_upper_bound():
     # at eta = 2^-53 the root box has no enclosure (g near 1 is within the
-    # slack of 0): its children, pending with its bound, certify none
-    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=1)
-    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 1)
-    assert cert.worst_box is None
-    # the first child has one, and its pending children carry it
-    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=2)
-    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 2)
-    assert math.isfinite(cert.worst_box.f_upper)
+    # slack of 0), and the boxes below it have finite enclosures reaching 1
+    # or more; as f <= 1, such a bound says nothing, so no box is reported
+    for budget in (1, 2, 100, 1000):
+        cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=budget)
+        assert (cert.status, cert.boxes_processed) == ("budget_exhausted", budget)
+        assert cert.worst_box is None, budget
+
+
+def test_f_is_at_most_one():
+    # the bound that lets worst_box drop upper bounds of 1 or more
+    # (proved in the certify_lower_bound docstring), sampled on 399^2
+    # interior points and on points within 1e-15..1e-3 of each edge
+    grid = [i / 400 for i in range(1, 400)]
+    near = [t for e in (1e-15, 1e-9, 1e-6, 1e-3) for t in (e, 1.0 - e)]
+    points = [*grid, *near]
+    assert max(ucc.f_ratio(x, y) for x in points for y in points) <= 1.0 + 1e-12
 
 
 def test_walk_keeps_no_per_leaf_state():

@@ -43,7 +43,8 @@ def test_check_union_closed_file(capsys):
     assert obj["max_freq"] == {"num": 1, "den": 2}
     assert obj["theorem"]["applicable"] is True
     assert obj["theorem"]["satisfied"] is True
-    assert obj["psi"] == pytest.approx(ucc.PSI)
+    # union-closed: delta is 0, so the bound is psi itself
+    assert (obj["delta"], obj["psi_minus_delta"]) == (0.0, ucc.PSI)
 
 
 def test_check_vacuous_family(capsys):
@@ -103,9 +104,8 @@ def test_minimize_defaults(capsys):
     code, out, _ = run(capsys, "analytic", "minimize")
     assert code == 0
     obj = json.loads(out)
-    assert obj["deviation_from_phi"] <= 1e-6
-    assert abs(obj["value_minus_min"]) <= 1e-9
-    assert obj["x_star"] == pytest.approx(ucc.PHI, abs=1e-6)
+    assert abs(obj["x_star"] - ucc.PHI) <= 1e-6
+    assert abs(obj["value"] - (1.0 + ucc.PHI)) <= 1e-9
 
 
 def test_grid_json_and_csv(tmp_path, capsys):
@@ -114,7 +114,6 @@ def test_grid_json_and_csv(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["grid_points"] == 101
     assert obj["min_margin"] >= -1e-12
-    assert obj["phi"] == pytest.approx(ucc.PHI)
 
     # a .csv path gets the report as --format asks, JSON by default
     dest = tmp_path / "sweep.csv"
@@ -127,8 +126,7 @@ def test_grid_json_and_csv(tmp_path, capsys):
     assert out.splitlines() == [
         "key,value", f"min_margin,{obj['min_margin']!r}",
         f"argmin[0],{obj['argmin'][0]!r}", f"argmin[1],{obj['argmin'][1]!r}",
-        f"argmin_margin,{obj['argmin_margin']!r}", "grid_points,101",
-        f"phi,{ucc.PHI!r}"]
+        f"argmin_margin,{obj['argmin_margin']!r}", "grid_points,101"]
 
 
 def test_grid_csv_sweeps_once(monkeypatch, capsys):
@@ -144,7 +142,7 @@ def test_grid_csv_sweeps_once(monkeypatch, capsys):
     monkeypatch.setattr(scalars, "_margin_blocks", counting)
     code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
     assert code == 0 and len(sweeps) == 1
-    assert out.startswith("key,value\n") and out.count("\n") == 7
+    assert out.startswith("key,value\n") and out.count("\n") == 6
 
 
 def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
@@ -211,17 +209,16 @@ def test_certify_low_edge_bound_is_indeterminate(capsys):
 def test_certify_at_the_eta_floor(capsys):
     # the first rungs of the edge ladder have g(1-delta) within the slack of
     # 0; they are skipped, so the run ends in one report, not a traceback.
-    # At budget 1 only the root, which has no enclosure, bounds the pending
-    # boxes, so there is no finite upper bound to report: worst_box is null,
-    # not Infinity.
-    for budget, has_worst in (("1", False), ("2", True), ("100", True)):
+    # The root has no enclosure and the boxes below it enclose f only up to
+    # bounds of 1 or more, which f <= 1 makes empty: worst_box is null.
+    for budget in ("1", "2", "100", "1000"):
         code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
                              "--eta", "1.2e-16", "--budget", budget)
         assert (code, err) == (0, "")
         assert out.count("\n") == 1
         obj = strict_json(out)
         assert obj["status"] == "budget_exhausted"
-        assert (obj["worst_box"] is not None) == has_worst
+        assert obj["worst_box"] is None, budget
 
 
 def test_certify_usage_error_is_one_line(capsys):
@@ -368,13 +365,34 @@ def test_undecided_verdict_is_null_and_exits_0(monkeypatch, capsys):
     assert obj["undecided"] == obj["theorem_checked"] > 0
 
 
-def test_certified_violation_exits_1(monkeypatch, capsys):
-    # with psi moved to 1 the bound 1 - delta = 0.733 exceeds max freq 7/10
+def test_certified_violation_exits_1(monkeypatch, tmp_path, capsys):
+    # with psi moved to 1, in the enclosure and in the integer test alike,
+    # a family with max freq below 1 - delta violates the theorem (on
+    # near_closed.uc the bound 1 - delta = 0.733 exceeds max freq 7/10).
+    # Every family verb then exits 1 and dumps that family to stderr, also
+    # when the report goes to --out
     monkeypatch.setattr(ucc.entropy, "_PSI_ENCLOSURE", ucc.Interval.point(1.0))
-    code, out, err = run(capsys, "check", NEAR_CLOSED)
-    assert code == 1
-    assert json.loads(out)["theorem"]["satisfied"] is False
-    assert err.startswith("violating family in .uc format:\n")
+    monkeypatch.setattr(ucc.entropy, "_at_least_psi", lambda q: q >= 1)
+    runs = [  # each verb and the report key that records the violation
+        (("check", NEAR_CLOSED), lambda obj: obj["theorem"]["satisfied"]),
+        (("entropy", NEAR_CLOSED), lambda obj: obj["theorem"]["satisfied"]),
+        (("enumerate", "--n", "2"), lambda obj: obj["all_satisfied"]),
+        (("fuzz", "--n", "5", "--count", "30", "--seed", "7", "--entropy-checks"),
+         lambda obj: not obj["violation_found"]),
+    ]
+    dest = tmp_path / "report.json"
+    for argv, verdict in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert verdict(strict_json(out)) is False, argv
+        header, _, dump = err.partition("\n")
+        assert header == "violating family in .uc format:", argv
+        family = ucc.parse_family(dump)
+        assert ucc.check_theorem(family).satisfied is False, argv
+        if argv[1] == NEAR_CLOSED:
+            assert family == ucc.load_family(NEAR_CLOSED)
+        assert run(capsys, *argv, "--out", str(dest)) == (1, "", err), argv
+        assert dest.read_text() == out, argv
 
 
 def test_enumerate_n3(capsys):
@@ -456,35 +474,35 @@ def test_stdout_byte_identical_across_runs(capsys):
 def _pinned_data_runs():
     digests = {
         "chain4.uc": (
-            "2082cf6b1ea877cca0af48b1317f95c2276104170e9123a480927ba9dc5edb84",
-            "de788f7f53dd84e941b7edb29574f34c9c1d47ee80bfbc699612d14c43d44d04",
-            "7794265f4d2a860a3497ac210db2e06f7b22d4482bf602626549227f0f95ce36",
-            "f91be87e6f429105303aa91358ce69482cf5587529aba6efcd968e194c6ff5da"),
+            "c0eab1f865e8c3f948b67fe45237f33a487dce2ed555f3c4d02561457a1a94ed",
+            "a541722842850f440e7c96612f96b39bdb6537e05d1d4f7999a5fd43453d884b",
+            "6a31f2644a9d3dfe4263adfed91c0c0efd03bcfc196e463d399e36c5874271d3",
+            "8f1dac1963e9563d922f1e4f2714a771e94ffdf0ebb75e8abe1ff66fa9af2a96"),
         "near_closed.uc": (
-            "6b74a15b4bb41982172382fe6364da807cff9071b0d895546ba2b51c03f500f4",
-            "26891449e9bb715ea8ed55095c9d8e00ccee71f6da4b53b1fd49f4c936ff8e66",
-            "3f35689518f18a35a836f557b2d4ec7a24df56eafcc2294866de3e2f267f9f42",
-            "6e318f872e43705461ae0391993a8c93b7401078db1c79b095a7059c4a1328fa"),
+            "a3f6b45848c5540c3d389d41d9670fba80d74073583ec911abc409caa2940bb4",
+            "1790e0bf5e478fc7744b5c4cc994e8fbc619532fab01318202cf9178d7d6fb09",
+            "397c31c74e9317c85d200406e3e1215250e005fa58ab0e2746317aa59ee4090f",
+            "47b991348b4d4fa682c15370877c4c9f06a0c10bd04170941fd997ae4640636d"),
         "powerset3.uc": (
-            "c98be6d2618986c72801f3a100da5d93b0727c9ae4d0166f6a25b37236f4bf72",
-            "8fe69d879d7f10dde4a74f6c169d9b6a266db8790754bcf7fdb88e7cb69f1f3a",
-            "66ee573cd320fc1b623e8dae5d4e9d4ca560060a7d9c8b83c2632525b70a1f8c",
-            "b10cad721f19b81bf8b024f1790abd77bae5732d643f0b63773de2abd64340ce"),
+            "01c7ec1b41c378010240cbece3a6a021e620e8dff1782c768cc7bfb038240b2c",
+            "a5ad1fbc391cd0e8f0bd2c438d5aacada2fdb956116666b1796dab74105e06a1",
+            "41172fff0b467ac9d579d769059cdfc6d982ab1a4e2d566b9dc43f6c9cce8d0d",
+            "cd167046125375ab2d4ef611e12a1d6feff3a20c32f63c982c575e8b13d286c7"),
         "powerset3_noempty.uc": (
-            "89d58a97ea82f3030f3e0ca4a7dae397769665a58b6826877b93801b4967bfa4",
-            "38405d0c4a3c145975d66bef27e1e813985fa4c90e77c938a4a7bcab61da9d55",
-            "4828221d9d500bd35a1a02b2fed59cacf64218e528ba44aaf5d10268c2fadf11",
-            "0efda77ddd717e8ac843558f69e17e39f1caa1ae3946a56bb4e4a7e7d639ddc1"),
+            "7bbb3e8e9e78a07ffc88d21c200469bb87dbf0fc35347778efd28085f81bb8ca",
+            "c4192838f147846fd919c6ce3a4a9283c3052d520e201e1f53354cee7194c802",
+            "0682138506dd9a03a8d545d992184fc51105bfe610196049c9e28629211a7aae",
+            "40d5d5c621c94eb9b869e8466fc70a1572a7ddb3acdc4d27fee50a2cae1fb235"),
         "singleton.uc": (
-            "05a5840a41c2a9ee98433274e8753ba37dafb0e8a512e153575c42f2eb98f996",
-            "a4860a743899d47d91c893041a28794e1b3c90f98fa8637fc27333730b61c516",
-            "866c230331e6d01978d98df2995a7bd6404b684fb92b3612f1c8a7e572980570",
-            "f3625baad29a2cae8edb1f35193852a8b1aa3eaff2c938da8ad8144d9a841b7f"),
+            "b8a54ac3980c47148847fedfbaa8cebef12cee8a45601e0456a42842e1551143",
+            "69ece05bd590df22e30c63768c289389bdbb165cd9939f3a50c121b7049a69a0",
+            "1765dbfabfb624777c4922998f99965ca0b8be02514d1b079262723bfaac60d2",
+            "d698dcfb2736dbb128704cbd8dcab5c59e90629ea5d712f87a814e7dc97ba2a6"),
         "two_singletons.uc": (
-            "ad89141ff8cee19d500b12b15174d2863305f0aec25d95195d10375e937a3da0",
-            "ff1fb81d55354038a0b7a143442fa9a2128649e505095cb7845777311c5c1eed",
-            "d2091e2a375e2f358683dbdb78e5935e0be42056cd3b75ea0153b1c470253afd",
-            "2f1b59fd29a288cfcf06ca182f669617c185132a579c2242b8e64462d78c25ad"),
+            "d99066ca2a4bd5db488160aa0c1909344ec0aaafb7e41f3d1b1e416d5d33748b",
+            "14238bce74ad41dfd1b24c1e529260ea35df3e12ba16f9cdc18144a6d0d5ede9",
+            "a492b786d95fd848dd4de6059e86cd87731670d879c0be93b7c226803df734e9",
+            "f5b0134d735d27a97d2d7d68debde47a66f53e5fcabe550886d555b5ae123f14"),
     }
     assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
     for name, sums in digests.items():
@@ -501,19 +519,19 @@ def _pinned_data_runs():
 PINNED_RUNS = [
     *_pinned_data_runs(),
     (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
-     "4a1c130bfe88771cb0476a8ed9361b9280075693a77d5e1ccf19238f682da106"),
+     "88f55111cc1b1ed78a5cd6e4e47ca0dcc5fc69f672d4377b1d6627f0c33dba2c"),
     (("analytic", "grid", "--grid", "101", "--format", "csv"), 0,
-     "0cfb945132425a4b1486d75bd571881a50f83d52961aae42924f050452aa32c6"),
+     "271df4c2788f1e56ab2389e1e31dc126c38da15189dac40e6b3cccff581e0c64"),
     (("analytic", "grid", "--grid", "101", "--format", "human"), 0,
-     "50273ed76e36791a48c28abe5ce6204de48f6d8df3d5e3a4f655237b77c77f72"),
+     "9c4a8a089f8e5c385134f01f769c773fd30d8040e1d1ae8988644860264bbe6a"),
     (("analytic", "minimize"), 0,
-     "4dbe5bb16867fc98c8bfba8ac192fb17eb1a87bc5889a38d85d96638675bb5d8"),
+     "b5cfd55c87f6d2b79727210d444ca059ad63db3d7e48d0a201a6d5191ed1a911"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
      "043448655b5591642424f74e9708bcf7bb73434217ac62ad20dc0f01894537f7"),
     (("example", "--n", "1000"), 0,
      "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
     (("enumerate", "--n", "3"), 0,
-     "e749f224c195772ec8be5b713ce30039af4acff35ff59869e8ccc07f64c2231b"),
+     "b185b918329bd84b475fb61921013e1fb1dec72bcffe768e8f1bfd580fcd5d57"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
      "4da71952d6cbf626492f3e973bd2f246626145751753aa3622305a51a555b178"),
     (("fuzz", "--n", "5", "--count", "40", "--seed", "9", "--kind", "noisy-uc",
@@ -553,7 +571,7 @@ REPORT_SCHEMAS = {
     "check": (("check", NEAR_CLOSED), [
         "closure_fraction_unordered.den", "closure_fraction_unordered.num",
         "delta", "epsilon.den", "epsilon.num", "family_size", "max_freq.den",
-        "max_freq.num", "max_freq_element", "psi", "psi_minus_delta",
+        "max_freq.num", "max_freq_element", "psi_minus_delta",
         "theorem.applicable", "theorem.satisfied", "union_closed", "universe"]),
     "entropy": (("entropy", NEAR_CLOSED), [
         "chain_rule.applicable", "chain_rule.margin_bits", "chain_rule.rhs_bits",
@@ -561,15 +579,14 @@ REPORT_SCHEMAS = {
         "epsilon.num", "family_size", "lower_bound.applicable",
         "lower_bound.margin_bits", "lower_bound.rhs_bits",
         "lower_bound.satisfied", "max_freq.den", "max_freq.num",
-        "max_freq_element", "psi", "psi_minus_delta", "theorem.applicable",
+        "max_freq_element", "psi_minus_delta", "theorem.applicable",
         "theorem.satisfied", "union_closed", "universe",
         "upper_bound.applicable", "upper_bound.margin_bits",
         "upper_bound.rhs_bits", "upper_bound.satisfied"]),
     "minimize": (("analytic", "minimize"), [
-        "deviation_from_phi", "grid_points", "refine_tol", "value",
-        "value_minus_min", "x_star"]),
+        "grid_points", "refine_tol", "value", "x_star"]),
     "grid": (("analytic", "grid", "--grid", "101"), [
-        "argmin[]", "argmin_margin", "grid_points", "min_margin", "phi"]),
+        "argmin[]", "argmin_margin", "grid_points", "min_margin"]),
     "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01"), [
         "accepted_boxes", "boundary.corner", "boundary.delta",
         "boundary.high_strip", "boundary.low_strip", "boxes_processed", "eta",
@@ -587,7 +604,7 @@ REPORT_SCHEMAS = {
         "example.size_ratio"]),
     "enumerate": (("enumerate", "--n", "2"), [
         "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
-        "n", "psi", "skipped_small", "theorem_checked", "undecided"]),
+        "n", "skipped_small", "theorem_checked", "undecided"]),
     "fuzz": (("fuzz", "--n", "4", "--count", "6", "--seed", "1"), [
         "count", "kinds[]", "max_epsilon_seen", "n", "seed", "size",
         "skipped_pair_cap", "skipped_small", "theorem_applicable",

@@ -25,30 +25,22 @@ DELTA_TWO_SINGLETONS = 1.0529201095237968
 
 def test_union_distribution_power_set_one():
     fam = ucc.SetFamily.from_masks(1, [0, 1])
+    unions, counts = fam.union_counts
+    assert unions.tolist() == [0, 1] and counts.tolist() == [1, 3]  # of 4 pairs
     dist = ucc.union_distribution(fam)
-    assert dist.unions.tolist() == [0, 1] and dist.counts.tolist() == [1, 3]
-    assert dist.pair_count == 4
-    assert dist.support_size == 2
+    assert dist == (2, fam.union_entropy)
     assert dist.entropy_bits == pytest.approx(H_QUARTER, abs=1e-14)
 
 
 def test_union_distribution_power_set_two():
     fam = ucc.SetFamily.from_masks(2, range(4))
-    dist = ucc.union_distribution(fam)
+    unions, counts = fam.union_counts
     # coordinates independent: each union coordinate is Bernoulli(3/4)
-    assert dist.unions.tolist() == [0b00, 0b01, 0b10, 0b11]
-    assert dist.counts.tolist() == [1, 3, 3, 9]  # out of 16 ordered pairs
+    assert unions.tolist() == [0b00, 0b01, 0b10, 0b11]
+    assert counts.tolist() == [1, 3, 3, 9]  # out of 16 ordered pairs
+    dist = ucc.union_distribution(fam)
+    assert dist.support_size == 4
     assert dist.entropy_bits == pytest.approx(2 * H_QUARTER, abs=1e-13)
-
-
-def test_union_distribution_compares_by_identity():
-    # equal but distinct families: tuple equality would compare the numpy
-    # fields elementwise and raise on the ambiguous truth value
-    a = ucc.union_distribution(ucc.SetFamily.from_masks(2, range(4)))
-    b = ucc.union_distribution(ucc.SetFamily.from_masks(2, range(4)))
-    assert a == a and not a != a
-    assert a != b and not a == b
-    assert len({a, b}) == 2
 
 
 def test_chain_rule_on_power_set(powerset3):
@@ -240,7 +232,9 @@ def test_bounds_hold_for_arbitrary_families(fam):
 @settings(max_examples=100, deadline=None)
 def test_union_entropy_definition(fam):
     dist = ucc.union_distribution(fam)
-    probs = [Fraction(c, dist.pair_count) for c in dist.counts.tolist()]
+    counts = fam.union_counts[1].tolist()
+    assert dist.support_size == len(counts)
+    probs = [Fraction(c, fam.size ** 2) for c in counts]
     assert sum(probs) == 1
     brute = -math.fsum(float(p) * math.log2(float(p)) for p in probs)
     assert dist.entropy_bits == pytest.approx(brute, abs=1e-10)
@@ -288,15 +282,28 @@ def test_entropy_run_searches_the_members_once(monkeypatch, capsys):
         assert searched.count(family.sets) == 1, path.name
 
 
-def test_every_family_over_three_elements_is_decided():
-    # all 255 nonempty families over [3], closed or not, are a complete
-    # class: every verdict on the 247 of size >= 2 is true or inapplicable,
-    # and none is left undecided (null)
+# verdicts by (check, applicable) over every family of size >= 2 over [n]
+EVERY_FAMILY_VERDICTS = {
+    3: {("theorem", True): 122, ("theorem", False): 125,
+        ("lower_bound", True): 247, ("upper_bound", True): 230,
+        ("upper_bound", False): 17, ("chain_rule", True): 247},
+    4: {("theorem", True): 16_435, ("theorem", False): 49_084,
+        ("lower_bound", True): 65_519, ("upper_bound", True): 62_763,
+        ("upper_bound", False): 2_756, ("chain_rule", True): 65_519},
+}
+
+
+@pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.slow)])
+def test_every_family_over_n_elements_is_decided(n):
+    # all 2^(2^n) - 1 nonempty families over [n], closed or not, are a
+    # complete class: every verdict on those of size >= 2 (247 for n = 3,
+    # 65,519 for n = 4) is true or inapplicable, and none is left
+    # undecided (null)
     checks = {"theorem": ucc.check_theorem, "lower_bound": ucc.check_lower_bound,
               "upper_bound": ucc.check_upper_bound, "chain_rule": ucc.chain_rule_check}
     applicable = Counter()
-    for encoding in range(1, 1 << 8):
-        fam = ucc.SetFamily.from_masks(3, (m for m in range(8) if encoding >> m & 1))
+    for encoding in range(1, 1 << (1 << n)):
+        fam = ucc.SetFamily.from_masks(n, (m for m in range(1 << n) if encoding >> m & 1))
         if fam.size < 2:
             continue
         for name, check in checks.items():
@@ -304,6 +311,4 @@ def test_every_family_over_three_elements_is_decided():
             assert rep.satisfied is not None, (name, fam)
             assert rep.satisfied or not rep.applicable, (name, fam)
             applicable[name, rep.applicable] += 1
-    assert applicable == {("theorem", True): 122, ("theorem", False): 125,
-                          ("lower_bound", True): 247, ("upper_bound", True): 230,
-                          ("upper_bound", False): 17, ("chain_rule", True): 247}
+    assert applicable == EVERY_FAMILY_VERDICTS[n]

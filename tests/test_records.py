@@ -43,8 +43,7 @@ RECORD_FIELDS = {
                       "violation_boxes", "worst_box", "boundary",
                       "trace_digest"),
     ucc.FrequencyProfile: ("freq", "max_freq", "argmax", "p_min_zero"),
-    ucc.UnionDistribution: ("universe_size", "unions", "counts",
-                            "pair_count", "entropy_bits"),
+    ucc.UnionDistribution: ("support_size", "entropy_bits"),
     ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),
     ucc.TheoremReport: ("epsilon", "delta", "psi_minus_delta", "max_freq",
                         "applicable", "satisfied"),
