@@ -6,10 +6,11 @@ is refuted by the point alone.  Otherwise it covers the square
 [eta, 1-eta]^2 with boxes (only its half x <= y: f is symmetric, so boxes
 wholly in x > y are dropped), bounds f on each box with outward-rounded
 interval arithmetic, and splits every box it cannot decide, depth first,
-until every box clears the threshold theta, a box falls wholly below it,
-or the box budget or the depth limit runs out.  Three proved closed-form
-bounds cover the strips of width eta around that square, so a verified
-certificate holds on all of [0, 1]^2.
+until every box clears the threshold theta, or it meets the first box it
+cannot cover: one wholly below theta, or one that the depth limit or
+float precision will not split (the box budget caps the walk too).  Three
+proved closed-form bounds cover the strips of width eta around that
+square, so a verified certificate holds on all of [0, 1]^2.
 
 Run:  python3 demos/04_certificate.py
 """
@@ -55,5 +56,14 @@ assert min(edges.low_strip, edges.high_strip, edges.corner) >= 0.9
 # theta = 0.809016, the square does not, and the run says indeterminate.
 wide = ucc.certify_lower_bound(theta=0.809016, eta=0.05)
 print("\neta = 0.05")
-print("  status", wide.status, "indeterminate boxes", wide.indeterminate_boxes)
+print("  status", wide.status, "after", wide.boxes_processed, "boxes")
+print("  smallest edge bound", min(wide.boundary[1:]))
 assert wide.status == "indeterminate"
+
+# Within the enclosure slack of the minimum no box around (phi, phi)
+# settles: the walk stops at the first such leaf instead of walking on.
+near = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI + 1e-13, eta=1e-4)
+print("\ntheta = 1/(2 phi) + 1e-13")
+print("  status", near.status, "after", near.boxes_processed, "boxes")
+print("  stopped at a leaf with f <=", near.worst_box.f_upper)
+assert near.status == "indeterminate" and near.boxes_processed < 10_000

@@ -8,19 +8,23 @@ covers [eta, 1-eta]^2 as one preorder walk on a stack.  Each box is
 enclosed once, when it is popped, by the mean-value form of f
 (``intervals.f_mean_value``).  A box whose enclosure proves f >= theta is
 an accepted leaf.  A box whose enclosure lies wholly below theta is a
-certified violation, and the walk stops at the first one.  Every other
-box is split, at the geometric mean of its distances from the nearer edge
-when it spans decades of them, else along its longer side (``_split``),
-and its first child is walked before its second.  A box that can no
-longer be split is an indeterminate leaf.  A box's fate depends only on
-the box, so the cover tree of a run that ends without a violation or a
-budget cut is fixed by theta and eta alone.
+certified violation.  Every other box is split, at the geometric mean of
+its distances from the nearer edge when it spans decades of them, else
+along its longer side (``_split``), and its first child is walked before
+its second.  A box that can no longer be split (``_MAX_DEPTH``, or floats
+too close) is an undecided leaf.  The walk stops at its first violation
+and at its first undecided leaf: a cover with a box left uncovered can no
+longer verify, no box refutes a theta below the minimum 1/(2 phi), and
+above the point's enclosure the point has refuted already; only in the
+3.4e-13 between them could a later box refute, and there the run is
+``indeterminate``.  A box's fate depends only on the box, so a run that
+no budget cuts short is fixed by theta and eta alone.
 
 Mirrored boxes are dropped.  f(x, y) = f(y, x) and the root box is
 symmetric, so a box with x_lo > y_hi lies wholly in the region x > y,
 whose mirror image the kept boxes cover.  Such a box is discarded when it
-is created, before it is pushed: ``boxes_processed``, the accepted and
-indeterminate leaves and the trail cover only boxes that meet {x <= y},
+is created, before it is pushed: ``boxes_processed``, the accepted
+leaves and the trail cover only boxes that meet {x <= y},
 about half the work of the full square.  A checker that replays the trail
 must apply the same cut.
 
@@ -31,8 +35,9 @@ the boundary lines themselves.  So a ``verified`` certificate proves
 f >= theta on all of [0, 1]^2.
 
 The trail: each enclosed box appends one byte, in preorder: 0 for an
-accepted leaf, 1 for a split, 2 for an indeterminate leaf and 3 for a
-violation, which can only be last.  Its length is ``boxes_processed``, and
+accepted leaf, 1 for a split, 2 for an undecided leaf and 3 for a
+violation.  A 2 or a 3 ends the walk, so it can only be the last byte, and
+a verified trail is 0s and 1s.  Its length is ``boxes_processed``, and
 ``trace_digest`` is its sha256 (that of the empty trail when the point
 refutes).  Replaying ``_split`` from the root box, with the mirrored
 children dropped, reads the trail back one byte a box; that is how a
@@ -117,19 +122,15 @@ class Certificate(NamedTuple):
     is ``trace_digest`` (see the module docstring).  ``violation_boxes``
     holds at most one certified refutation: the point (phi, phi), or else
     the first box of the walk wholly below theta (empty when there is
-    none).  ``worst_box`` is that refutation; without one, it is the box
-    with the smallest certified upper bound on f below 1 among the
-    indeterminate leaves and the boxes left pending when the budget ran
-    out, else None (f <= 1 on the whole square, see
-    :func:`certify_lower_bound`, so a bound of 1 or more says nothing).  A
-    pending box has not been enclosed, so its bound is its parent's
-    enclosure hi.  ``indeterminate_boxes`` counts the
-    unsplittable boxes the walk met before it ended.  ``status`` is one of
-    ``verified``, ``refuted``, ``indeterminate``, ``budget_exhausted``; a
-    run cut short by the budget is ``budget_exhausted`` whatever leaves it
-    met, and a finished one is ``indeterminate`` when it met an unsplittable
-    box, or, with no indeterminate boxes, when the interior verified but an
-    edge bound is below theta.
+    none).  ``worst_box`` is the box the run stopped at: that refutation,
+    or else the undecided leaf the walk ended at, but only when its
+    certified upper bound on f is below 1 (f <= 1 on the whole square, see
+    :func:`certify_lower_bound`, so a bound of 1 or more says nothing);
+    otherwise None, as for every verified run and every budget cut.
+    ``status`` is one of ``verified``, ``refuted``, ``indeterminate``,
+    ``budget_exhausted``: ``indeterminate`` when the walk ended at an
+    undecided leaf, or when the interior verified but an edge bound is
+    below theta, and ``budget_exhausted`` when the budget ran out first.
     """
 
     threshold: float
@@ -139,7 +140,6 @@ class Certificate(NamedTuple):
     verified: bool
     status: str
     accepted_boxes: int
-    indeterminate_boxes: int
     violation_boxes: tuple[ViolationBox, ...]
     worst_box: ViolationBox | None
     boundary: EdgeBounds
@@ -269,11 +269,13 @@ def certify_lower_bound(
     """Certificate that f >= theta on [0, 1]^2: a preorder branch and bound
     over [eta, 1-eta]^2 and three closed-form bounds on the strips around it.
 
-    A box ``_MAX_DEPTH`` splits below the root is not split again, so a
+    A box ``_MAX_DEPTH`` splits below the root is not split again, and the
+    walk ends at its first violation or its first undecided leaf, so a
     run that stays within ``box_budget`` is a function of theta and eta
-    alone; the budget can only cut a run short, after exactly
-    ``box_budget`` enclosures.  The walk keeps only its stack, its trail
-    and a few counts: no per-leaf list.
+    alone.  No bound on the walk's length is proved, so the budget stays
+    as a cap: it can only cut a run short, after exactly ``box_budget``
+    enclosures.  The walk keeps only its stack of (box, depth) entries,
+    its trail and two counts: no per-leaf list.
 
     f <= 1 on [0, 1]^2, so ``worst_box`` keeps only bounds below 1.  With
     g and r as in :func:`_edge_bounds`, f <= 1 iff g(xy) <= g(x) + g(y),
@@ -289,7 +291,8 @@ def certify_lower_bound(
     Above the upper end of the enclosure of f(phi, phi), about 3.4e-13 above
     1/(2 phi), that one point is the refutation and no box is enclosed;
     nearer the minimum the walk cannot settle the boxes around (phi, phi),
-    and the run ends indeterminate or out of budget.
+    and the run ends ``indeterminate`` at the first of them, a depth-60
+    leaf, after about 2,100 boxes at eta 1e-4.
     """
     if not 0.0 < eta < 0.1:
         raise ValueError(f"eta must be in (0, 0.1), got {eta}")
@@ -301,15 +304,14 @@ def certify_lower_bound(
         raise ValueError("box_budget must be at least 1")
 
     at_phi = f_point_enclosure(PHI, PHI).hi
-    witness = ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta else None
-    # pending boxes, each with its depth and its parent's enclosure hi, an
-    # upper bound of f on the box (+inf for the root, which has no parent)
-    stack = [] if witness else [(Box(eta, 1.0 - eta, eta, 1.0 - eta), math.inf, 0)]
+    # the box the run stopped at: a refutation or the first undecided leaf
+    stop = ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta else None
+    refuted = stop is not None
+    stack = [] if refuted else [(Box(eta, 1.0 - eta, eta, 1.0 - eta), 0)]
     trail = bytearray()  # one byte per enclosed box, in preorder
-    accepted = undecided = max_depth_used = 0
-    lowest: ViolationBox | None = None  # the indeterminate leaf with the least hi
+    accepted = max_depth_used = 0
     while stack and len(trail) < box_budget:
-        box, _, depth = stack.pop()
+        box, depth = stack.pop()
         max_depth_used = max(max_depth_used, depth)
         enc = f_mean_value(box.x, box.y)
         enc_lo, enc_hi = (enc.lo, enc.hi) if enc is not None else (-math.inf, math.inf)
@@ -317,33 +319,23 @@ def certify_lower_bound(
             trail.append(0)  # accepted leaf
             accepted += 1
             continue
-        if enc_hi < theta:
-            trail.append(3)  # violation: the walk ends here
-            witness = ViolationBox(*box, enc_hi)
+        parts = _split(box) if depth < _MAX_DEPTH and enc_hi >= theta else None
+        if parts is None:  # a violation or an undecided leaf: the walk ends here
+            refuted = enc_hi < theta
+            trail.append(3 if refuted else 2)
+            stop = ViolationBox(*box, enc_hi)
             break
-        parts = _split(box) if depth < _MAX_DEPTH else None
-        if parts is not None:
-            trail.append(1)  # split; the first child is visited first
-            stack.extend((child, enc_hi, depth + 1) for child in reversed(parts)
-                         if child.x_lo <= child.y_hi)  # else its mirror is covered
-        else:
-            trail.append(2)  # indeterminate leaf
-            undecided += 1
-            if lowest is None or enc_hi < lowest.f_upper:
-                lowest = ViolationBox(*box, enc_hi)
+        trail.append(1)  # split; the first child is visited first
+        stack.extend((child, depth + 1) for child in reversed(parts)
+                     if child.x_lo <= child.y_hi)  # else its mirror is covered
 
-    # f <= 1 everywhere, so an upper bound of 1 or more (+inf for a box
-    # without an enclosure) certifies nothing
-    worst = witness or min(
-        [v for v in (lowest, *(ViolationBox(*box, hi) for box, hi, _ in stack))
-         if v is not None and v.f_upper < 1.0],
-        key=lambda v: v.f_upper, default=None)
     boundary = _edge_bounds(eta)
-    if witness is not None:
+    if refuted:
         status = "refuted"
-    elif stack:  # the budget ran out before the walk ended
+    elif stop is None and stack:  # the budget ran out before the walk ended
         status = "budget_exhausted"
-    elif undecided or min(boundary.low_strip, boundary.high_strip, boundary.corner) < theta:
+    elif stop is not None or min(boundary.low_strip, boundary.high_strip,
+                                 boundary.corner) < theta:
         status = "indeterminate"
     else:
         status = "verified"
@@ -355,9 +347,10 @@ def certify_lower_bound(
         verified=status == "verified",
         status=status,
         accepted_boxes=accepted,
-        indeterminate_boxes=undecided,
-        violation_boxes=() if witness is None else (witness,),
-        worst_box=worst,
+        violation_boxes=(stop,) if refuted else (),
+        # f <= 1 everywhere, so an upper bound of 1 or more (+inf for a box
+        # without an enclosure) certifies nothing
+        worst_box=stop if stop is not None and stop.f_upper < 1.0 else None,
         boundary=boundary,
         trace_digest=_trail_digest(trail),
     )

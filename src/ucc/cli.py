@@ -131,12 +131,10 @@ def _emit(args, obj: dict, violation: SetFamily | None = None) -> int:
 
 
 def _family_report(path: str):
-    """Load a nonempty family and build the report fields check and entropy
-    share; returns the family, its theorem verdict (true below size 2,
-    where the theorem does not apply) and the report object."""
+    """Load a family and build the report fields check and entropy share;
+    returns the family, its theorem verdict (true below size 2, where the
+    theorem does not apply) and the report object."""
     family = _lib.load_family(path)
-    if family.size == 0:
-        raise ValueError("empty family; nothing to check")
     profile = _lib.element_frequencies(family)
     if family.size >= 2:
         rep = _lib.check_theorem(family)

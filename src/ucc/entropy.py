@@ -143,10 +143,8 @@ class TheoremReport(NamedTuple):
 
 def union_distribution(family: SetFamily) -> UnionDistribution:
     """Support size and entropy of the union of two independent uniform
-    draws; requires |F| >= 1 and a histogram within the kernel's cell cap
+    draws; requires a histogram within the kernel's cell cap
     (:class:`~ucc.CapExceededError` otherwise)."""
-    if family.size == 0:
-        raise ValueError("union_distribution requires a nonempty family")
     return UnionDistribution(support_size=len(family.union_counts[1]),
                              entropy_bits=family.union_entropy)
 
@@ -267,8 +265,6 @@ def chain_rule_check(family: SetFamily) -> BoundReport:
     multiplicities.  That weighted sum is exact until its one rounding,
     so it equals ``math.fsum`` over all cell pairs.
     """
-    if family.size == 0:
-        raise ValueError("chain_rule_check requires a nonempty family")
     n = family.universe_size
     total = family.size ** 2
     lhs = family.union_entropy  # built before any prefix cells are held
@@ -305,8 +301,6 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
     the maximum element frequency.  The rhs is enclosed from p, sqrt 5 and
     log2|F|; it is exactly 0 when p = 0 or |F| = 1.
     """
-    if family.size == 0:
-        raise ValueError("check_lower_bound requires a nonempty family")
     lhs = family.union_entropy
     p = element_frequencies(family).p_min_zero
     h_draw = math.log2(family.size)
@@ -347,8 +341,6 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     rhs is log2 |F| exactly.  For eps >= 1/2 the report is
     inapplicable and never counts as a failure.
     """
-    if family.size == 0:
-        raise ValueError("check_upper_bound requires a nonempty family")
     lhs = family.union_entropy
     eps = _closure_deficit(family)
     eps_f = float(eps)

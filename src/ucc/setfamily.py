@@ -120,16 +120,19 @@ class SetFamily:
     """Canonical, deduplicated family of subsets of {1, ..., universe_size}.
 
     ``sets`` is strictly increasing as integers, which fixes one canonical
-    order for iteration, serialization, and hashing.  The family may be
-    empty; most statistics below then refuse to run.  A family is treated
-    as immutable: equality and hashing read ``(universe_size, sets)``, and
-    the statistics cached on it are computed once.
+    order for iteration, serialization, and hashing.  A family has at
+    least one set: an empty ``sets`` raises ValueError, so no statistic
+    below needs to check for one.  A family is treated as immutable:
+    equality and hashing read ``(universe_size, sets)``, and the
+    statistics cached on it are computed once.
     """
 
     def __init__(self, universe_size: int, sets: tuple[int, ...]) -> None:
         n = universe_size
         if not 1 <= n <= WORD_CAP:
             raise ValueError(f"universe size must be in 1..{WORD_CAP}, got {n}")
+        if not sets:
+            raise ValueError("empty family: a family has at least one set")
         limit = 1 << n
         prev = -1
         for m in sets:
@@ -222,7 +225,6 @@ class SetFamily:
     def frequency_profile(self) -> FrequencyProfile:
         """Element frequencies of :func:`element_frequencies`, computed on
         first use and kept for the life of the family."""
-        _require_nonempty(self, "element_frequencies")
         n = self.universe_size
         counts = [0] * n
         for mask in self.sets:
@@ -259,17 +261,13 @@ class FrequencyProfile(NamedTuple):
     p_min_zero: Fraction
 
 
-def _require_nonempty(family: SetFamily, what: str) -> None:
-    if family.size == 0:
-        raise ValueError(f"{what} requires a nonempty family")
-
-
 def parse_family(text: str) -> SetFamily:
     """Parse ``.uc`` text into a :class:`SetFamily`.
 
     Raises :class:`UCFormatError` with a line number on malformed input:
     missing or bad header, wrong-width or non-binary rows, duplicates,
-    universe size outside 1..63.
+    universe size outside 1..63.  A header with no set after it is no
+    family: :class:`SetFamily` refuses it with a ValueError.
     """
     n: int | None = None
     masks: list[int] = []
@@ -334,10 +332,11 @@ def pair_union_counts(universe_size: int,
     Returns ``(unions, counts)``, two int64 arrays: every U reached by some
     pair, strictly ascending, and its count, always positive.  Exact over
     all len(sets)^2 ordered pairs (diagonal included), so every member of
-    ``sets`` is among the unions.  ``sets`` must be distinct masks below
-    2^universe_size.  Dense regime (2^n <= min(|F|^2, ``_MAX_CELLS``)):
-    zeta transform of the indicator, squared pointwise, then the Mobius
-    transform, all in int64 over 2^n cells.  Pairwise regime otherwise:
+    ``sets`` is among the unions.  ``sets`` must be one or more distinct
+    masks below 2^universe_size.  Dense regime
+    (2^n <= min(|F|^2, ``_MAX_CELLS``)): zeta transform of the indicator,
+    squared pointwise, then the Mobius transform, all in int64 over 2^n
+    cells.  Pairwise regime otherwise:
     ``bitwise_or.outer`` over row blocks of at most ``_PAIR_BLOCK_CELLS``
     cells, each counted with ``np.unique`` and merged into the sorted
     pair; it never allocates anything of size 2^n, and raises
@@ -348,8 +347,6 @@ def pair_union_counts(universe_size: int,
     import numpy as np
 
     size = len(sets)
-    if size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     masks = np.array(sets, dtype=np.int64)
     if 1 << universe_size <= min(size * size, _MAX_CELLS):
         f = np.zeros(1 << universe_size, dtype=np.int64)
@@ -387,7 +384,6 @@ def pair_union_counts(universe_size: int,
 
 def is_union_closed(family: SetFamily) -> bool:
     """True iff A | B is a member for every pair of members (A = B included)."""
-    _require_nonempty(family, "is_union_closed")
     return family.closure_hits == family.size ** 2
 
 
@@ -398,7 +394,6 @@ def closure_fraction(family: SetFamily) -> Fraction:
     Equals 1 iff the family is union closed; always at least 1/|F| because
     the |F| diagonal pairs contribute their own unions.
     """
-    _require_nonempty(family, "closure_fraction")
     return Fraction(family.closure_hits, family.size ** 2)
 
 
@@ -409,7 +404,6 @@ def closure_fraction_unordered(family: SetFamily) -> Fraction:
     diagonal pair is a hit, so the hits are (ordered hits + |F|) / 2.
     Secondary diagnostic only; the theorem checks use the ordered version.
     """
-    _require_nonempty(family, "closure_fraction_unordered")
     s = family.size
     return Fraction((family.closure_hits + s) // 2, s * (s + 1) // 2)
 
@@ -429,7 +423,6 @@ def union_closure(family: SetFamily, cap: int = DEFAULT_CLOSURE_CAP) -> SetFamil
     :class:`CapExceededError` once the closure grows past ``cap`` members
     (a closure can reach 2^|S| - 1 distinct unions).
     """
-    _require_nonempty(family, "union_closure")
     closure: set[int] = set()
     for g in family.sets:
         closure |= {g | c for c in closure}

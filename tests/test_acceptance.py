@@ -59,8 +59,9 @@ def test_acceptance_2_certificates_and_grid():
     refuted = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
     if refuted.verified or not refuted.violation_boxes:
         failures.append("theta=0.81 should produce counterexample boxes")
-    if refuted.indeterminate_boxes:
-        failures.append(f"theta=0.81 left {refuted.indeterminate_boxes} indeterminate boxes")
+    if refuted.boxes_processed:
+        failures.append(f"theta=0.81 enclosed {refuted.boxes_processed} boxes; "
+                        "the point (phi, phi) alone refutes it")
     for v in refuted.violation_boxes:
         cx = (v.x_lo + v.x_hi) / 2
         cy = (v.y_lo + v.y_hi) / 2

@@ -61,7 +61,6 @@ def test_verified_certificate_coarse():
     assert cert.status == "verified"
     assert cert.violation_boxes == ()
     assert cert.worst_box is None
-    assert cert.indeterminate_boxes == 0
     assert cert.accepted_boxes > 0
     assert cert.boxes_processed < 5000
     # the cover itself, and its preorder trail
@@ -76,8 +75,8 @@ def test_verified_cover_at_the_default_threshold():
     # theta = 0.809016 is within 1e-6 of the minimum: the cover, pinned
     cert = ucc.certify_lower_bound(theta=0.809016, eta=1e-4)
     assert cert.status == "verified"
-    assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
-            cert.max_depth_used) == (2_471, 1_138, 0, 22)
+    assert (cert.boxes_processed, cert.accepted_boxes,
+            cert.max_depth_used) == (2_471, 1_138, 22)
     assert cert.trace_digest == (
         "e2323615550b5cb39d51ed47b5c7a5bce10cb7afc843d787f3f6e5e9ac578568")
 
@@ -92,7 +91,8 @@ def _area_where_x_le_y(a, b, c, d):
 
 
 def _run_with_trail(monkeypatch, theta, eta):
-    """Certify, and keep the trail whose sha256 is the trace digest."""
+    """Certify with no box budget, and keep the trail whose sha256 is the
+    trace digest."""
     trails = []
 
     def record(trail):
@@ -114,7 +114,12 @@ def _replay(trail, theta, eta):
 
     0: the enclosure proves f >= theta.  1: the box splits below the depth
     limit and its enclosure leaves it undecided.  2: the box cannot be
-    split.  Any other byte, a byte left over or one missing fails.
+    split and its enclosure leaves it undecided.  3: the enclosure lies
+    wholly below theta.  A 2 or a 3 ends the walk, so it must be the last
+    byte, and a trail of 0s and 1s must cover the whole half square.  Any
+    other byte, a byte left over or one missing fails.  The enclosure is
+    looked up in the certifier's module, so a test that patches it there
+    patches the replay too.
     """
     stack = [(Box(eta, 1.0 - eta, eta, 1.0 - eta), 0)]
     leaves = []
@@ -122,17 +127,20 @@ def _replay(trail, theta, eta):
         assert stack, f"byte {i} is left over"
         box, depth = stack.pop()
         parts = _split(box) if depth < certify._MAX_DEPTH else None
-        enc = f_mean_value(box.x, box.y)
+        enc = certify.f_mean_value(box.x, box.y)
+        lo, hi = (enc.lo, enc.hi) if enc is not None else (-math.inf, math.inf)
         if fate == 0:
-            assert enc is not None and enc.lo >= theta, i
+            assert lo >= theta, i
             leaves.append(box)
         elif fate == 1:
-            assert parts is not None, i
-            assert enc is None or enc.lo < theta <= enc.hi, i
+            assert parts is not None and lo < theta <= hi, i
             stack.extend((child, depth + 1) for child in reversed(parts)
                          if child.x_lo <= child.y_hi)
         else:
-            assert fate == 2 and parts is None, i
+            assert i == len(trail) - 1, f"byte {i} ends the walk, but the trail goes on"
+            assert (fate == 3 and hi < theta
+                    or fate == 2 and parts is None and lo < theta <= hi), i
+            return leaves
     assert not stack, "the trail ends before the cover"
     return leaves
 
@@ -148,14 +156,61 @@ def test_verified_cover_tiles_the_half_square(monkeypatch):
         assert all(box.x_lo <= box.y_hi for box in leaves)
         area = sum(_area_where_x_le_y(*map(Fraction, box)) for box in leaves)
         assert area == (Fraction(1.0 - eta) - Fraction(eta)) ** 2 / 2
+        # a verified trail is 0s and 1s
+        assert set(trail) == {0, 1}
         # one flipped byte, a byte too many or one too few: the replay fails
         for i in (0, trail.index(0), len(trail) // 2, len(trail) - 1):
             for fate in {0, 1, 2, 3} - {trail[i]}:
-                with pytest.raises(AssertionError):
-                    _replay(trail[:i] + bytes([fate]) + trail[i + 1:], theta, eta)
+                bad = trail[:i] + bytes([fate]) + trail[i + 1:]
+                # a 2 or a 3 before the last byte fails on its place alone
+                match = "ends the walk" if fate >= 2 and i < len(trail) - 1 else None
+                with pytest.raises(AssertionError, match=match):
+                    _replay(bad, theta, eta)
         for bad in (trail + b"\0", trail[:-1]):
             with pytest.raises(AssertionError):
                 _replay(bad, theta, eta)
+
+
+STOPPED_RUNS = [(ucc.HALF_INV_PHI + 1e-13, 1e-4, 2_104),
+                (ucc.HALF_INV_PHI - 1e-13, 1e-4, 2_184),
+                (0.7, 1e-15, 4_797)]
+
+
+@pytest.mark.parametrize("theta, eta, boxes", STOPPED_RUNS)
+def test_walk_stops_at_its_first_undecided_leaf(monkeypatch, theta, eta, boxes):
+    # next to 1/(2 phi) the boxes around (phi, phi) cannot be settled, and at
+    # eta = 1e-15 neither can a box by (1, 1) that floats no longer split:
+    # the walk ends at the first such leaf, with no budget to cut it
+    cert, trail = _run_with_trail(monkeypatch, theta, eta)
+    assert (cert.status, cert.boxes_processed) == ("indeterminate", boxes)
+    assert cert.violation_boxes == ()
+    # exactly one byte of the trail is 2 or more, and it is the last
+    assert [i for i, fate in enumerate(trail) if fate >= 2] == [len(trail) - 1]
+    assert trail[-1] == 2
+    assert len(_replay(trail, theta, eta)) == cert.accepted_boxes
+    for more in (b"\0", b"\1", b"\2"):
+        with pytest.raises(AssertionError, match="ends the walk"):
+            _replay(trail + more, theta, eta)
+    leaf = cert.worst_box
+    if eta == 1e-4:  # a depth-60 box at (phi, phi), its bound below 1
+        assert cert.max_depth_used == 60
+        assert math.dist((leaf.x_lo, leaf.y_lo), (ucc.PHI, ucc.PHI)) < 1e-5
+        assert theta <= leaf.f_upper < 1.0
+    else:  # by (1, 1) the leaf's bound is 1 or more, which says nothing
+        assert leaf is None
+
+
+def _dip_at(px, py, width):
+    """An enclosure of f that reads [0, 0.5] on every box narrower than
+    ``width`` that holds the point (px, py), [0, inf] on every wider one,
+    and the true enclosure elsewhere: a stand-in for a violation, which
+    f itself never shows below 1/(2 phi)."""
+    def enclosure(x, y):
+        if not (x.lo <= px <= x.hi and y.lo <= py <= y.hi):
+            return f_mean_value(x, y)
+        narrow = x.hi - x.lo < width and y.hi - y.lo < width
+        return Interval(0.0, 0.5 if narrow else math.inf)
+    return enclosure
 
 
 def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
@@ -171,8 +226,8 @@ def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
         assert cert.status == "refuted"
         assert cert.violation_boxes == (witness,)
         assert cert.worst_box == witness
-        assert (cert.boxes_processed, cert.accepted_boxes, cert.indeterminate_boxes,
-                cert.max_depth_used) == (0, 0, 0, 0)
+        assert (cert.boxes_processed, cert.accepted_boxes,
+                cert.max_depth_used) == (0, 0, 0)
         assert cert.trace_digest == hashlib.sha256(b"").hexdigest()  # empty trail
     assert calls == []
     # the point's certified bound brackets the true minimum from above
@@ -183,34 +238,42 @@ def test_refutation_starts_just_above_the_point_enclosure(capsys):
     at_phi = f_point_enclosure(ucc.PHI, ucc.PHI).hi
     cert = ucc.certify_lower_bound(theta=math.nextafter(at_phi, 1.0))
     assert (cert.status, cert.boxes_processed) == ("refuted", 0)
-    # between the minimum and the point's bound no box can be settled: the
-    # run is not a refutation, and it exits 0
+    # between the minimum and the point's bound no box around (phi, phi)
+    # can be settled: the walk ends at the first of them, the run is not a
+    # refutation, and it exits 0
     theta = ucc.HALF_INV_PHI + 1e-13
-    assert run_cli(["analytic", "certify", "--theta", repr(theta),
-                    "--budget", "2000"]) == 0
+    assert run_cli(["analytic", "certify", "--theta", repr(theta)]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert (obj["status"], obj["boxes_processed"]) == ("budget_exhausted", 2_000)
+    assert (obj["status"], obj["boxes_processed"]) == ("indeterminate", 2_104)
     assert obj["violation_boxes"] == []
-    assert obj["worst_box"]["f_upper"] >= theta
+    assert theta <= obj["worst_box"]["f_upper"] < 1.0
 
 
 def test_sweep_stops_at_its_first_violation(monkeypatch):
-    # with the point check disarmed, theta = 0.81 falls to the sweep, which
-    # must stop at the first box wholly below theta and report only that box
-    monkeypatch.setattr(certify, "f_point_enclosure",
-                        lambda x, y: Interval(-math.inf, math.inf))
-    cert = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
-    assert cert.status == "refuted"
+    # an enclosure that dips below theta = 0.7 around (0.3, 0.5) stands in
+    # for a violation: the walk must stop at the first box wholly below
+    # theta, report only that box, and end its trail with a 3
+    monkeypatch.setattr(certify, "f_mean_value", _dip_at(0.3, 0.5, 1e-3))
+    cert, trail = _run_with_trail(monkeypatch, 0.7, 0.01)
+    assert cert.status == "refuted" and not cert.verified
     (witness,) = cert.violation_boxes
     assert cert.worst_box == witness
-    assert witness.f_upper < 0.81
-    box = Box(*witness[:4])
-    assert f_mean_value(box.x, box.y).hi == witness.f_upper
-    # preorder reaches the level set far from (phi, phi); the depth-60
-    # boxes met on it before the stop stay counted
-    assert (round(box.x_lo, 3), round(box.y_lo, 3)) == (0.539, 0.543)
-    assert (cert.boxes_processed, cert.accepted_boxes,
-            cert.indeterminate_boxes, cert.max_depth_used) == (785, 355, 8, 60)
+    assert witness.f_upper == 0.5
+    assert witness.x_lo <= 0.3 <= witness.x_hi and witness.y_lo <= 0.5 <= witness.y_hi
+    assert trail[-1] == 3 and set(trail[:-1]) <= {0, 1}
+    assert len(_replay(trail, 0.7, 0.01)) == cert.accepted_boxes
+
+
+def test_certified_violation_below_the_minimum_exits_1(monkeypatch, capsys):
+    # f >= 1/(2 phi) everywhere, so a box below a theta under it would
+    # refute the lemma itself: the one certify run that exits 1
+    monkeypatch.setattr(certify, "f_mean_value", _dip_at(0.3, 0.5, 1e-3))
+    code = run_cli(["analytic", "certify", "--theta", "0.7", "--eta", "0.01"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    obj = json.loads(captured.out)
+    assert obj["status"] == "refuted"
+    assert obj["worst_box"] == obj["violation_boxes"][0]
 
 
 def test_verdicts_next_to_the_minimum():
@@ -224,15 +287,18 @@ def test_verdicts_next_to_the_minimum():
 
 
 def test_budget_exhaustion():
-    # after 50 boxes every pending bound is 1 or more, which f <= 1 makes
-    # empty; after 1000 the lowest lies next to (phi, phi)
-    cert = ucc.certify_lower_bound(theta=0.809016, box_budget=50)
-    assert not cert.verified
-    assert cert.status == "budget_exhausted"
-    assert cert.worst_box is None
-    cert = ucc.certify_lower_bound(theta=0.809016, box_budget=1000)
-    assert cert.status == "budget_exhausted"
-    assert ucc.HALF_INV_PHI <= cert.worst_box.f_upper < 0.81
+    # a budget cut stops the walk at no box, so it reports none
+    for budget in (50, 1_000):
+        cert = ucc.certify_lower_bound(theta=0.809016, box_budget=budget)
+        assert not cert.verified
+        assert (cert.status, cert.boxes_processed) == ("budget_exhausted", budget)
+        assert cert.worst_box is None
+    # the walk's own stop on its last allowed enclosure is no budget cut
+    theta = ucc.HALF_INV_PHI + 1e-13
+    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_104)
+    assert cert.status == "indeterminate" and cert.worst_box is not None
+    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_103)
+    assert cert.status == "budget_exhausted" and cert.worst_box is None
 
 
 def test_depth_exhaustion_reports_indeterminate(monkeypatch):
@@ -240,7 +306,7 @@ def test_depth_exhaustion_reports_indeterminate(monkeypatch):
     cert = ucc.certify_lower_bound(theta=0.809016)
     assert not cert.verified
     assert cert.status == "indeterminate"
-    assert cert.indeterminate_boxes > 0
+    assert cert.max_depth_used == 4  # it ended at its first depth-4 leaf
 
 
 def test_certificates_are_deterministic():
@@ -353,7 +419,7 @@ def test_low_edge_bound_leaves_the_interior_verified_but_indeterminate():
     # the edge bounds (about 0.69) cannot show it
     cert = ucc.certify_lower_bound(theta=0.809016, eta=0.05)
     assert cert.status == "indeterminate" and not cert.verified
-    assert cert.indeterminate_boxes == 0 and cert.violation_boxes == ()
+    assert cert.violation_boxes == ()
     assert cert.worst_box is None
     assert 0.69 <= min(cert.boundary[1:]) < 0.7
 
@@ -366,14 +432,21 @@ def test_eta_at_its_floor_returns_a_certificate():
     assert min(cert.boundary[1:]) >= 0.97
 
 
-def test_worst_box_needs_a_finite_upper_bound():
-    # at eta = 2^-53 the root box has no enclosure (g near 1 is within the
-    # slack of 0), and the boxes below it have finite enclosures reaching 1
-    # or more; as f <= 1, such a bound says nothing, so no box is reported
+def test_worst_box_needs_a_finite_upper_bound(monkeypatch):
+    # a budget cut stops at no box.  Without one, the walk at eta = 2^-53
+    # ends at a leaf by (1, 1) that floats no longer split, and its
+    # enclosure reaches 1 or more (or there is none); as f <= 1, such a
+    # bound says nothing, so no box is reported
     for budget in (1, 2, 100, 1000):
         cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53, box_budget=budget)
         assert (cert.status, cert.boxes_processed) == ("budget_exhausted", budget)
         assert cert.worst_box is None, budget
+    enclosures = []
+    monkeypatch.setattr(certify, "f_mean_value",
+                        lambda x, y: enclosures.append(f_mean_value(x, y)) or enclosures[-1])
+    cert = ucc.certify_lower_bound(theta=0.7, eta=2.0 ** -53)
+    assert (cert.status, cert.worst_box) == ("indeterminate", None)
+    assert enclosures[-1] is None or enclosures[-1].hi >= 1.0
 
 
 def test_f_is_at_most_one():
@@ -387,16 +460,14 @@ def test_f_is_at_most_one():
 
 
 def test_walk_keeps_no_per_leaf_state():
-    # between 1/(2 phi) and the point's bound no box around (phi, phi)
-    # settles, and thousands of indeterminate leaves pile up: the walk
-    # keeps their count and the lowest bound, not the leaves
+    # a verified cover with thousands of accepted leaves: the walk keeps
+    # their count and one trail byte each, not the leaves
     tracemalloc.start()
     try:
-        cert = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI + 1e-13, eta=1e-4,
-                                       box_budget=20_000)
+        cert = ucc.certify_lower_bound(theta=0.809016, eta=1e-12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 20_000)
-    assert cert.indeterminate_boxes > 1_000
+    assert (cert.status, cert.boxes_processed, cert.accepted_boxes) == (
+        "verified", 5_799, 2_702)
     assert peak < 256 * 1024

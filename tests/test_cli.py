@@ -75,8 +75,9 @@ def test_check_malformed_file(tmp_path, capsys):
 def test_check_empty_family_rejected(tmp_path, capsys):
     p = tmp_path / "empty.uc"
     p.write_text("n=4\n")
-    code, _, err = run(capsys, "check", str(p))
-    assert code == 2
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("ucc: ") and err.count("\n") == 1
     assert "empty family" in err
 
 
@@ -202,15 +203,14 @@ def test_certify_low_edge_bound_is_indeterminate(capsys):
                          "--eta", "0.05")
     obj = json.loads(out)
     assert (code, err) == (0, "")
-    assert (obj["status"], obj["indeterminate_boxes"]) == ("indeterminate", 0)
+    assert obj["status"] == "indeterminate"
     assert obj["violation_boxes"] == [] and obj["worst_box"] is None
 
 
 def test_certify_at_the_eta_floor(capsys):
     # the first rungs of the edge ladder have g(1-delta) within the slack of
     # 0; they are skipped, so the run ends in one report, not a traceback.
-    # The root has no enclosure and the boxes below it enclose f only up to
-    # bounds of 1 or more, which f <= 1 makes empty: worst_box is null.
+    # A budget cut stops the walk at no box: worst_box is null.
     for budget in ("1", "2", "100", "1000"):
         code, out, err = run(capsys, "analytic", "certify", "--theta", "0.7",
                              "--eta", "1.2e-16", "--budget", budget)
@@ -527,7 +527,7 @@ PINNED_RUNS = [
     (("analytic", "minimize"), 0,
      "b5cfd55c87f6d2b79727210d444ca059ad63db3d7e48d0a201a6d5191ed1a911"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
-     "043448655b5591642424f74e9708bcf7bb73434217ac62ad20dc0f01894537f7"),
+     "1e6eeaef99ecf3463dcb234b3bf4c66783d47628091424b227d26ba99d0f4754"),
     (("example", "--n", "1000"), 0,
      "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
     (("enumerate", "--n", "3"), 0,
@@ -590,7 +590,7 @@ REPORT_SCHEMAS = {
     "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01"), [
         "accepted_boxes", "boundary.corner", "boundary.delta",
         "boundary.high_strip", "boundary.low_strip", "boxes_processed", "eta",
-        "indeterminate_boxes", "max_depth_used",
+        "max_depth_used",
         "status", "threshold", "trace_digest", "verified",
         "violation_boxes[].f_upper", "violation_boxes[].x_hi",
         "violation_boxes[].x_lo", "violation_boxes[].y_hi",

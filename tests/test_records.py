@@ -39,9 +39,8 @@ RECORD_FIELDS = {
     EdgeBounds: ("delta", "low_strip", "high_strip", "corner"),
     ucc.Certificate: ("threshold", "eta", "boxes_processed",
                       "max_depth_used", "verified", "status",
-                      "accepted_boxes", "indeterminate_boxes",
-                      "violation_boxes", "worst_box", "boundary",
-                      "trace_digest"),
+                      "accepted_boxes", "violation_boxes", "worst_box",
+                      "boundary", "trace_digest"),
     ucc.FrequencyProfile: ("freq", "max_freq", "argmax", "p_min_zero"),
     ucc.UnionDistribution: ("support_size", "entropy_bits"),
     ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),

@@ -14,7 +14,7 @@ def test_refuted_certificate_nests_boxes_and_scan():
     cert = Certificate(
         threshold=0.95, eta=0.01,
         boxes_processed=2958, max_depth_used=33, verified=False,
-        status="refuted", accepted_boxes=0, indeterminate_boxes=0,
+        status="refuted", accepted_boxes=0,
         violation_boxes=(best, near), worst_box=best,
         boundary=EdgeBounds(0.0625, 0.85, 0.82, 0.81),
         trace_digest="ab" * 32)

@@ -82,8 +82,9 @@ def test_parse_errors_carry_line_numbers():
         ucc.parse_family("10\n01\n")
     with pytest.raises(ucc.UCFormatError):
         ucc.parse_family("n=zzz\n")
-    # a header-only file is a valid empty family; rejection is the CLI's job
-    assert ucc.parse_family("n=2\n").size == 0
+    # a header with no set after it is no family
+    with pytest.raises(ValueError, match="empty family"):
+        ucc.parse_family("n=2\n")
 
 
 @pytest.mark.parametrize("header", ["n=³", "n=١٢"])
@@ -177,8 +178,11 @@ def test_frequencies_computed_once_per_fuzz_family(profiles_built, capsys):
 
 
 def test_frequencies_refuse_the_empty_family():
-    with pytest.raises(ValueError, match="nonempty"):
+    # a family has at least one set, so no statistic ever meets an empty one
+    with pytest.raises(ValueError, match="empty family"):
         ucc.element_frequencies(ucc.SetFamily(3, ()))
+    with pytest.raises(ValueError, match="empty family"):
+        ucc.SetFamily.from_masks(3, [])
 
 
 def test_union_closure_fixed_point():
