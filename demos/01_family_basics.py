@@ -30,12 +30,13 @@ closed = ucc.union_closure(broken)
 print("closure has", closed.size, "sets:")
 print(ucc.format_family(closed))
 
-# Element frequencies: how often each ground element appears.  The
-# conjecture behind this library says some element reaches 1/2 in any
+# Element frequencies: how often each ground element appears.  The profile
+# keeps each element's member count; its frequency is that count over |F|.
+# The conjecture behind this library says some element reaches 1/2 in any
 # finite union-closed family; the theorem we check certifies the
 # weaker constant psi everywhere.
 prof = ucc.element_frequencies(closed)
-print("frequencies:", [str(f) for f in prof.freq])
+print("frequencies:", [str(Fraction(c, closed.size)) for c in prof.counts])
 print("max:", prof.max_freq, "at element", prof.argmax + 1)
 assert prof.max_freq >= Fraction(1, 2)
 

@@ -86,19 +86,17 @@ def big_g_of(x: float) -> float:
 def f_ratio(x: float, y: float) -> float:
     """f(x, y) = h(xy) / (h(x) y + h(y) x) on [0, 1]^2.
 
-    Boundary points take the limiting value 1.  Near the origin the direct
-    quotient is 0/0-shaped in floats, so for tiny products the g form
-    ``g(xy) / (g(x) + g(y))`` is used instead; both forms are evaluated
-    with symmetric operations, so f(x, y) == f(y, x) exactly.
+    Boundary points take the limiting value 1.  The open square is
+    evaluated in the g form ``g(xy) / (g(x) + g(y))``, as
+    :func:`diagonal_ratio` and the certifier's enclosures are; it has no
+    0/0 near the origin, and its operations are symmetric, so
+    f(x, y) == f(y, x) exactly.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"f_ratio needs (x, y) in [0, 1]^2, got ({x}, {y})")
     if x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
         return 1.0
-    p = x * y
-    if p < 1e-8:
-        return g_of(p) / (g_of(x) + g_of(y))
-    return binary_entropy(p) / (binary_entropy(x) * y + binary_entropy(y) * x)
+    return g_of(x * y) / (g_of(x) + g_of(y))
 
 
 def diagonal_ratio(x: float) -> float:

@@ -302,7 +302,7 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
     log2|F|; it is exactly 0 when p = 0 or |F| = 1.
     """
     lhs = family.union_entropy
-    p = element_frequencies(family).p_min_zero
+    p = 1 - element_frequencies(family).max_freq
     h_draw = math.log2(family.size)
     rhs = float(p) * HALF_INV_PHI * (h_draw + h_draw)
     if p == 0 or family.size == 1:

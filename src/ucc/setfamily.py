@@ -6,10 +6,10 @@ universe is capped at 63 elements: families we materialize must fit in a
 machine word per set, and everything larger is handled symbolically by the
 generator module.
 
-All closure and frequency statistics returned here are exact
-:class:`fractions.Fraction` values.  Downstream inequality checks convert
-to float at the last moment, so no rounding error is inherited from this
-layer.
+All closure and frequency statistics returned here are exact: integer
+counts or :class:`fractions.Fraction` values.  Downstream inequality
+checks convert to float at the last moment, so no rounding error is
+inherited from this layer.
 
 Every pair statistic, here and in :mod:`ucc.entropy`, derives from one
 histogram: the exact count of ordered pairs (A, B) in F x F, over all
@@ -38,8 +38,8 @@ entropy bounds and the chain rule share one build.  Member lookups are
 binary searches in the sorted unions, never a table over 2^n masks.
 :attr:`SetFamily.union_entropy` caches the entropy of that histogram, read
 by the union distribution and all three entropy checks, and
-:attr:`SetFamily.frequency_profile` the element frequencies that the
-theorem check and the lower bound share.
+:attr:`SetFamily.frequency_profile` the element counts and largest
+frequency that the theorem check and the lower bound share.
 
 The text format (``.uc``) is a header line ``n=<universe size>`` followed
 by one bit string per set, leftmost character = element 1.  ``#`` starts a
@@ -223,21 +223,19 @@ class SetFamily:
 
     @cached_property
     def frequency_profile(self) -> FrequencyProfile:
-        """Element frequencies of :func:`element_frequencies`, computed on
-        first use and kept for the life of the family."""
-        n = self.universe_size
-        counts = [0] * n
+        """Element counts of :func:`element_frequencies`, computed on first
+        use and kept for the life of the family.  The counts are ints and
+        share the denominator |F|, so the densest element is found on them
+        and ``max_freq`` is the one Fraction built."""
+        counts = [0] * self.universe_size
         for mask in self.sets:
             while mask:
                 low = mask & -mask
                 counts[low.bit_length() - 1] += 1
                 mask ^= low
-        size = self.size
-        freq = tuple(Fraction(c, size) for c in counts)
-        argmax = max(range(n), key=lambda i: (freq[i], -i))
-        max_freq = freq[argmax]
-        return FrequencyProfile(freq=freq, max_freq=max_freq, argmax=argmax,
-                                p_min_zero=1 - max_freq)
+        argmax = counts.index(max(counts))
+        return FrequencyProfile(counts=tuple(counts), argmax=argmax,
+                                max_freq=Fraction(counts[argmax], self.size))
 
 
 def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
@@ -247,18 +245,17 @@ def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
 
 
 class FrequencyProfile(NamedTuple):
-    """Per-element membership frequencies of a family.
+    """Per-element membership counts of a family.
 
-    ``freq[i]`` is the fraction of member sets containing ground element
-    i+1.  ``argmax`` is the smallest 0-based index attaining ``max_freq``.
-    ``p_min_zero`` is 1 - max_freq: the smallest probability, over
-    elements, that a uniformly drawn member avoids the element.
+    ``counts[i]`` is the number of member sets containing ground element
+    i+1, so its frequency is ``counts[i] / |F|``.  ``argmax`` is the
+    smallest 0-based index with the largest count, and ``max_freq`` is
+    that count over |F|, the densest element's frequency.
     """
 
-    freq: tuple[Fraction, ...]
-    max_freq: Fraction
+    counts: tuple[int, ...]
     argmax: int
-    p_min_zero: Fraction
+    max_freq: Fraction
 
 
 def parse_family(text: str) -> SetFamily:
@@ -409,7 +406,8 @@ def closure_fraction_unordered(family: SetFamily) -> Fraction:
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:
-    """Exact membership frequency of every ground element (cached per family)."""
+    """Membership count of every ground element and the exact largest
+    frequency (cached per family)."""
     return family.frequency_profile
 
 

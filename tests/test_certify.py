@@ -171,15 +171,26 @@ def test_verified_cover_tiles_the_half_square(monkeypatch):
                 _replay(bad, theta, eta)
 
 
+# the last two sit below the eta floor (test_verified_just_above_the_eta_floor)
 STOPPED_RUNS = [(ucc.HALF_INV_PHI + 1e-13, 1e-4, 2_104),
                 (ucc.HALF_INV_PHI - 1e-13, 1e-4, 2_184),
+                (0.7, 1e-14, 4_230),
                 (0.7, 1e-15, 4_797)]
+
+
+def test_verified_just_above_the_eta_floor():
+    # the mean-value enclosure next to the corner (1, 1), not the edge
+    # bounds, sets how small eta may be: theta 0.7, far below the minimum,
+    # verifies at eta 1e-13, but from 1e-14 down (STOPPED_RUNS) the walk
+    # stops at a box one float wide by (1, 1) whose bound says nothing
+    cert = ucc.certify_lower_bound(theta=0.7, eta=1e-13)
+    assert (cert.status, cert.boxes_processed) == ("verified", 3_663)
 
 
 @pytest.mark.parametrize("theta, eta, boxes", STOPPED_RUNS)
 def test_walk_stops_at_its_first_undecided_leaf(monkeypatch, theta, eta, boxes):
     # next to 1/(2 phi) the boxes around (phi, phi) cannot be settled, and at
-    # eta = 1e-15 neither can a box by (1, 1) that floats no longer split:
+    # eta <= 1e-14 neither can a box by (1, 1) that floats no longer split:
     # the walk ends at the first such leaf, with no budget to cut it
     cert, trail = _run_with_trail(monkeypatch, theta, eta)
     assert (cert.status, cert.boxes_processed) == ("indeterminate", boxes)

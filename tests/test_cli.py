@@ -169,6 +169,21 @@ def test_grid_points_capped_before_the_sweep(monkeypatch, capsys):
     assert err == "ucc: grid of 4097 points exceeds cap of 4096 points\n"
 
 
+@pytest.mark.parametrize("n", [131_073, 10_000_000])
+def test_example_n_capped_before_any_binomial(monkeypatch, capsys, n):
+    # slice_stats at 2^17 already takes about half a minute; one element
+    # more is refused before the first binomial
+    from ucc import generators
+
+    def no_binomial(*args):
+        raise AssertionError("a binomial was computed")
+
+    monkeypatch.setattr(generators.math, "comb", no_binomial)
+    code, out, err = run(capsys, "example", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"ucc: slice example of n={n} exceeds cap of n=131072\n"
+
+
 def test_certify_verified_run(capsys):
     code, out, _ = run(capsys, "analytic", "certify", "--theta", "0.80",
                        "--eta", "0.01")

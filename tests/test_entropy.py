@@ -65,7 +65,7 @@ def test_lower_bound_pinned_singleton():
     assert rep.applicable and rep.satisfied
     assert fam.union_entropy == 0.0
     assert rep.rhs_bits == 0.0  # p = 0: element 1 in every set
-    assert ucc.element_frequencies(fam).p_min_zero == 0
+    assert 1 - ucc.element_frequencies(fam).max_freq == 0
 
 
 def test_lower_bound_power_set(powerset3):
@@ -74,7 +74,7 @@ def test_lower_bound_power_set(powerset3):
     assert rep.margin_bits == powerset3.union_entropy - rep.rhs_bits
     assert rep.rhs_bits == pytest.approx(
         0.5 * ucc.HALF_INV_PHI * 2 * math.log2(8), abs=1e-12)
-    assert ucc.element_frequencies(powerset3).p_min_zero == Fraction(1, 2)
+    assert 1 - ucc.element_frequencies(powerset3).max_freq == Fraction(1, 2)
 
 
 def test_upper_bound_union_closed_family(powerset3):
@@ -291,6 +291,12 @@ EVERY_FAMILY_VERDICTS = {
         ("lower_bound", True): 65_519, ("upper_bound", True): 62_763,
         ("upper_bound", False): 2_756, ("chain_rule", True): 65_519},
 }
+# over [n], the applicable family with eps > 0 whose max frequency comes
+# closest to psi - delta: (max_freq - (psi - delta), the one mask it lacks,
+# eps); the first in encoding order among its images under permutations
+# of [n]
+CLOSEST_APPROACH = {3: (0.40528238163903596, 0b110, Fraction(2, 49)),
+                    4: (0.2001502905310537, 0b1100, Fraction(2, 225))}
 
 
 @pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.slow)])
@@ -298,17 +304,36 @@ def test_every_family_over_n_elements_is_decided(n):
     # all 2^(2^n) - 1 nonempty families over [n], closed or not, are a
     # complete class: every verdict on those of size >= 2 (247 for n = 3,
     # 65,519 for n = 4) is true or inapplicable, and none is left
-    # undecided (null)
+    # undecided (null).  The extremes are pinned too: the closest approach
+    # to psi - delta, and the least lower-bound ratio H(U)/(p 2 log2|F|),
+    # h(1/4), first at the subcube {∅, {1}} (the power set of [n] ties with it)
     checks = {"theorem": ucc.check_theorem, "lower_bound": ucc.check_lower_bound,
               "upper_bound": ucc.check_upper_bound, "chain_rule": ucc.chain_rule_check}
     applicable = Counter()
+    closest = least = (math.inf, None)
     for encoding in range(1, 1 << (1 << n)):
         fam = ucc.SetFamily.from_masks(n, (m for m in range(1 << n) if encoding >> m & 1))
         if fam.size < 2:
             continue
-        for name, check in checks.items():
-            rep = check(fam)
+        reps = {name: check(fam) for name, check in checks.items()}
+        for name, rep in reps.items():
             assert rep.satisfied is not None, (name, fam)
             assert rep.satisfied or not rep.applicable, (name, fam)
             applicable[name, rep.applicable] += 1
+        theorem = reps["theorem"]
+        # strict comparisons: the first family in encoding order wins a tie
+        gap = float(theorem.max_freq) - theorem.psi_minus_delta
+        if theorem.applicable and theorem.epsilon > 0 and gap < closest[0]:
+            closest = (gap, fam, theorem.epsilon)
+        p = 1 - theorem.max_freq
+        if p > 0:
+            ratio = fam.union_entropy / (float(p) * 2 * math.log2(fam.size))
+            if ratio < least[0]:
+                least = (ratio, fam)
     assert applicable == EVERY_FAMILY_VERDICTS[n]
+    gap, lacking, eps = CLOSEST_APPROACH[n]
+    assert closest[0] == pytest.approx(gap, abs=1e-12)
+    assert closest[1:] == (
+        ucc.SetFamily.from_masks(n, set(range(1 << n)) - {lacking}), eps)
+    assert least[0] == pytest.approx(H_QUARTER, abs=1e-12)
+    assert least[1] == ucc.SetFamily.from_sets(n, [(), (1,)])

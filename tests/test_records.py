@@ -41,7 +41,7 @@ RECORD_FIELDS = {
                       "max_depth_used", "verified", "status",
                       "accepted_boxes", "violation_boxes", "worst_box",
                       "boundary", "trace_digest"),
-    ucc.FrequencyProfile: ("freq", "max_freq", "argmax", "p_min_zero"),
+    ucc.FrequencyProfile: ("counts", "argmax", "max_freq"),
     ucc.UnionDistribution: ("support_size", "entropy_bits"),
     ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),
     ucc.TheoremReport: ("epsilon", "delta", "psi_minus_delta", "max_freq",

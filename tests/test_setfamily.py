@@ -138,10 +138,41 @@ def test_closure_fraction_brute_force(nm):
 def test_element_frequencies_oracle():
     fam = ucc.SetFamily.from_sets(2, [{1}, {1, 2}])
     prof = ucc.element_frequencies(fam)
-    assert prof.freq == (Fraction(1), Fraction(1, 2))
+    assert prof.counts == (2, 1)
+    assert all(type(c) is int for c in prof.counts)
+    assert [Fraction(c, fam.size) for c in prof.counts] == [Fraction(1), Fraction(1, 2)]
     assert prof.max_freq == 1
     assert prof.argmax == 0
-    assert prof.p_min_zero == 0
+    assert 1 - prof.max_freq == 0
+
+
+@given(masks_families())
+@settings(max_examples=100)
+def test_element_counts_brute_force(nm):
+    n, masks = nm
+    fam = ucc.SetFamily.from_masks(n, masks)
+    prof = ucc.element_frequencies(fam)
+    counts = tuple(sum(m >> i & 1 for m in fam.sets) for i in range(n))
+    assert prof.counts == counts
+    assert prof.argmax == counts.index(max(counts))
+    assert prof.max_freq == Fraction(max(counts), fam.size)
+
+
+def test_profile_builds_one_fraction(monkeypatch):
+    # the counts are ints over the shared denominator |F|, so only the
+    # densest element's frequency is ever a Fraction
+    built: list[Fraction] = []
+
+    def counting(*args):
+        built.append(Fraction(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ucc.setfamily, "Fraction", counting)
+    fam = ucc.SetFamily.from_masks(6, range(1, 64, 3))
+    prof = ucc.element_frequencies(fam)
+    assert len(built) == 1
+    assert prof.max_freq == Fraction(11, 21)
+    assert (prof.counts, prof.argmax) == ((11, 10, 11, 10, 11, 10), 0)
 
 
 def test_frequency_argmax_prefers_smallest_element():
