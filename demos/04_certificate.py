@@ -1,8 +1,9 @@
 """Interval branch and bound: certifying a floor under f, or refuting one.
 
 Pointwise grids can miss dips between samples.  The certifier first
-encloses f at its minimizer (phi, phi): a threshold above that enclosure
-is refuted by the point alone.  Otherwise it covers the square
+decides, exactly, whether theta lies above the minimum f(phi, phi) =
+1/(2 phi): every such threshold is refuted by the point alone.  Otherwise
+it covers the square
 [eta, 1-eta]^2 with boxes (only its half x <= y: f is symmetric, so boxes
 wholly in x > y are dropped), bounds f on each box with outward-rounded
 interval arithmetic, and splits every box it cannot decide, depth first,
@@ -33,7 +34,7 @@ print("\ntheta = 0.809016")
 print("  status", tight.status, "after", tight.boxes_processed, "boxes")
 assert tight.verified
 
-# Above the minimum: impossible, and one validated point says so.
+# Above the minimum: impossible, and one exact point says so.
 refuted = ucc.certify_lower_bound(theta=0.81, eta=1e-4)
 (witness,) = refuted.violation_boxes
 print("\ntheta = 0.81")
@@ -60,10 +61,17 @@ print("  status", wide.status, "after", wide.boxes_processed, "boxes")
 print("  smallest edge bound", min(wide.boundary[1:]))
 assert wide.status == "indeterminate"
 
-# Within the enclosure slack of the minimum no box around (phi, phi)
+# Within the enclosure slack below the minimum no box around (phi, phi)
 # settles: the walk stops at the first such leaf instead of walking on.
-near = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI + 1e-13, eta=1e-4)
-print("\ntheta = 1/(2 phi) + 1e-13")
+near = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI - 1e-13, eta=1e-4)
+print("\ntheta = 1/(2 phi) - 1e-13")
 print("  status", near.status, "after", near.boxes_processed, "boxes")
 print("  stopped at a leaf with f <=", near.worst_box.f_upper)
 assert near.status == "indeterminate" and near.boxes_processed < 10_000
+
+# HALF_INV_PHI itself lies just above 1/(2 phi), so an exact test in
+# integers refutes it at the point, before any box.
+at_min = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI, eta=1e-4)
+print("\ntheta = HALF_INV_PHI")
+print("  status", at_min.status, "after", at_min.boxes_processed, "boxes")
+assert (at_min.status, at_min.boxes_processed) == ("refuted", 0)

@@ -1,22 +1,24 @@
 """Certified lower bounds for f on the closed unit square.
 
-``certify_lower_bound(theta, eta)`` first encloses f at the one point where
-it is least, (phi, phi) with phi the float ``PHI`` (``f_point_enclosure``).
-If that enclosure lies wholly below theta, the point itself refutes
-f >= theta and no search runs.  Otherwise an interval branch and bound
+``certify_lower_bound(theta, eta)`` first decides, exactly, whether theta
+lies above the minimum of f.  f is least at the one point (phi, phi), where
+f(phi, phi) = 1/(2 phi) = (1 + sqrt 5)/4 (``scalars``: phi^2 = 1 - phi, so
+h(phi^2) = h(phi)).  A float theta is dyadic, so with q = 4 theta - 1 as a
+``Fraction``, theta > 1/(2 phi) iff q > 0 and q^2 > 5, in integers.  Every
+such theta is refuted by the point (phi, phi) itself and no search runs.
+Otherwise, so only for theta below the minimum, an interval branch and bound
 covers [eta, 1-eta]^2 as one preorder walk on a stack.  Each box is
 enclosed once, when it is popped, by the mean-value form of f
 (``intervals.f_mean_value``).  A box whose enclosure proves f >= theta is
 an accepted leaf.  A box whose enclosure lies wholly below theta is a
-certified violation.  Every other box is split, at the geometric mean of
-its distances from the nearer edge when it spans decades of them, else
-along its longer side (``_split``), and its first child is walked before
-its second.  A box that can no longer be split (``_MAX_DEPTH``, or floats
-too close) is an undecided leaf.  The walk stops at its first violation
-and at its first undecided leaf: a cover with a box left uncovered can no
-longer verify, no box refutes a theta below the minimum 1/(2 phi), and
-above the point's enclosure the point has refuted already; only in the
-3.4e-13 between them could a later box refute, and there the run is
+certified violation, which below the minimum would contradict the lemma
+itself.  Every other box is split, at the geometric mean of its distances
+from the nearer edge when it spans decades of them, else along its longer
+side (``_split``), and its first child is walked before its second.  A
+box that can no longer be split (``_MAX_DEPTH``, or floats too close) is
+an undecided leaf.  The walk stops at its first violation and at its
+first undecided leaf: a cover with a box left uncovered can no longer
+verify, and below the minimum no later box could refute, so such a run is
 ``indeterminate``.  A box's fate depends only on the box, so a run that
 no budget cuts short is fixed by theta and eta alone.
 
@@ -52,11 +54,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .intervals import (LOG2E, TRANSCENDENTAL_SLACK, Interval, f_mean_value,
-                        f_point_enclosure, g_enclosure)
-from .scalars import PHI
+                        g_enclosure)
+from .scalars import HALF_INV_PHI, PHI
 
 __all__ = [
     "Box",
@@ -88,7 +91,15 @@ class Box(NamedTuple):
 
 class ViolationBox(NamedTuple):
     """A box on which f is certified to stay below the threshold; a point
-    when x_lo == x_hi and y_lo == y_hi."""
+    when x_lo == x_hi and y_lo == y_hi.
+
+    The point is the exact minimizer (phi, phi), printed as the float
+    ``PHI``, and its ``f_upper`` is the float ``HALF_INV_PHI``.  Two facts
+    certify that bound: f(phi, phi) = 1/(2 phi) exactly (``scalars``), and
+    the integer rule of :func:`certify_lower_bound` puts ``HALF_INV_PHI``
+    above 1/(2 phi) and ``nextafter(HALF_INV_PHI, 0)`` below it.  So every
+    theta the point refutes is at least ``f_upper``, and f(phi, phi) < theta.
+    """
 
     x_lo: float
     x_hi: float
@@ -108,8 +119,9 @@ class EdgeBounds(NamedTuple):
 
 
 class Certificate(NamedTuple):
-    """Outcome of one run: a point check at (phi, phi), then, unless that
-    refutes theta, one preorder branch-and-bound walk.
+    """Outcome of one run: an exact test of theta against the minimum
+    1/(2 phi), then, unless theta lies above it, one preorder
+    branch-and-bound walk.
 
     ``verified`` is true iff f >= theta is proved on all of [0, 1]^2: every
     box of the interior partition that meets {x <= y} was accepted within
@@ -120,13 +132,15 @@ class Certificate(NamedTuple):
     boxes that meet {x <= y}; it never exceeds the box budget, it is 0
     when the point refutes, and it is the length of the trail whose sha256
     is ``trace_digest`` (see the module docstring).  ``violation_boxes``
-    holds at most one certified refutation: the point (phi, phi), or else
-    the first box of the walk wholly below theta (empty when there is
-    none).  ``worst_box`` is the box the run stopped at: that refutation,
-    or else the undecided leaf the walk ended at, but only when its
-    certified upper bound on f is below 1 (f <= 1 on the whole square, see
-    :func:`certify_lower_bound`, so a bound of 1 or more says nothing);
-    otherwise None, as for every verified run and every budget cut.
+    holds at most one certified refutation: the point (phi, phi) for every
+    theta above 1/(2 phi) (see :class:`ViolationBox`), or else the first
+    box of the walk wholly below theta, which would contradict the lemma
+    (empty when there is none).  ``worst_box`` is the box the run stopped
+    at: that refutation, or else the undecided leaf the walk ended at, but
+    only when its certified upper bound on f is below 1 (f <= 1 on the
+    whole square, see :func:`certify_lower_bound`, so a bound of 1 or more
+    says nothing); otherwise None, as for every verified run and every
+    budget cut.
     ``status`` is one of ``verified``, ``refuted``, ``indeterminate``,
     ``budget_exhausted``: ``indeterminate`` when the walk ended at an
     undecided leaf, or when the interior verified but an edge bound is
@@ -287,12 +301,13 @@ def certify_lower_bound(
     coefficients and so rises, xy <= y and x <= 1.  sigma is continuous on
     [0, 1], so D(y) <= D(1) = sigma(1) = 1.  On the boundary lines f is 1.
 
-    Thresholds at or above the true minimum 1/(2 phi) are not rejected.
-    Above the upper end of the enclosure of f(phi, phi), about 3.4e-13 above
-    1/(2 phi), that one point is the refutation and no box is enclosed;
-    nearer the minimum the walk cannot settle the boxes around (phi, phi),
-    and the run ends ``indeterminate`` at the first of them, a depth-60
-    leaf, after about 2,100 boxes at eta 1e-4.
+    Thresholds above the true minimum 1/(2 phi) are not rejected: each is
+    decided exactly, q = 4 theta - 1 > 0 and q^2 > 5 in ``Fraction``s, and
+    refuted by the point (phi, phi) with no box enclosed.  That takes in
+    ``HALF_INV_PHI``, which lies above 1/(2 phi).  Just below the minimum
+    the walk cannot settle the boxes around (phi, phi), and the run ends
+    ``indeterminate`` at the first of them, a depth-60 leaf, after about
+    2,100 boxes at eta 1e-4.
     """
     if not 0.0 < eta < 0.1:
         raise ValueError(f"eta must be in (0, 0.1), got {eta}")
@@ -303,9 +318,9 @@ def certify_lower_bound(
     if box_budget < 1:
         raise ValueError("box_budget must be at least 1")
 
-    at_phi = f_point_enclosure(PHI, PHI).hi
+    q = 4 * Fraction(theta) - 1  # theta > 1/(2 phi) = (1 + sqrt 5)/4, exactly
     # the box the run stopped at: a refutation or the first undecided leaf
-    stop = ViolationBox(PHI, PHI, PHI, PHI, at_phi) if at_phi < theta else None
+    stop = ViolationBox(PHI, PHI, PHI, PHI, HALF_INV_PHI) if q > 0 and q * q > 5 else None
     refuted = stop is not None
     stack = [] if refuted else [(Box(eta, 1.0 - eta, eta, 1.0 - eta), 0)]
     trail = bytearray()  # one byte per enclosed box, in preorder

@@ -5,10 +5,10 @@ with proved error radii (:mod:`ucc.entropy`), and is reported as
 ``"satisfied"``: true, false, or null when the enclosures cannot settle
 it (undecided).  Exit codes: 0 no certified violation (every verdict
 true, null or inapplicable); 1 a certified violation: a false verdict (the
-family is dumped in .uc form) or a certificate refuting a threshold below
-1/(2 phi); 2 usage or I/O error, or a size cap hit (the message names the
-cap).  ``analytic grid`` and ``analytic minimize`` only sample, so they
-never exit 1; certified refutations come from ``analytic certify``.
+family is dumped in .uc form) or a refutation found by the walk of
+``analytic certify``; 2 usage or I/O error, or a size cap hit (the message
+names the cap).  ``analytic grid`` and ``analytic minimize`` only sample,
+so they never exit 1; certified refutations come from ``analytic certify``.
 Every verb writes one report, JSON by default or ``--format human|csv``,
 to stdout, or the same bytes to ``--out PATH`` when given, and every verb
 writes it through ``_emit``: given a violating family, ``_emit`` also dumps
@@ -191,9 +191,9 @@ def _cmd_certify(args) -> int:
     cert = _lib.certify_lower_bound(
         theta=args.theta, eta=args.eta, box_budget=args.budget)
     _emit(args, report.record_obj(cert))
-    if cert.violation_boxes and args.theta < _lib.HALF_INV_PHI:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    # the point (phi, phi) refutes with no box; a box the walk refutes lies
+    # below a theta under the minimum, against the lemma itself
+    return EXIT_VIOLATION if cert.violation_boxes and cert.boxes_processed else EXIT_OK
 
 
 def _cmd_example(args) -> int:

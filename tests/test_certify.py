@@ -7,10 +7,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ucc
-from ucc.analytic.intervals import (TRANSCENDENTAL_SLACK, Interval, f_mean_value,
-                                   f_point_enclosure)
+from ucc.analytic.intervals import TRANSCENDENTAL_SLACK, Interval, f_mean_value
 from ucc.analytic import certify
 from ucc.analytic.certify import Box, ViolationBox, _edge_bounds, _split
 from ucc.cli import run_cli
@@ -172,8 +173,7 @@ def test_verified_cover_tiles_the_half_square(monkeypatch):
 
 
 # the last two sit below the eta floor (test_verified_just_above_the_eta_floor)
-STOPPED_RUNS = [(ucc.HALF_INV_PHI + 1e-13, 1e-4, 2_104),
-                (ucc.HALF_INV_PHI - 1e-13, 1e-4, 2_184),
+STOPPED_RUNS = [(ucc.HALF_INV_PHI - 1e-13, 1e-4, 2_184),
                 (0.7, 1e-14, 4_230),
                 (0.7, 1e-15, 4_797)]
 
@@ -189,7 +189,7 @@ def test_verified_just_above_the_eta_floor():
 
 @pytest.mark.parametrize("theta, eta, boxes", STOPPED_RUNS)
 def test_walk_stops_at_its_first_undecided_leaf(monkeypatch, theta, eta, boxes):
-    # next to 1/(2 phi) the boxes around (phi, phi) cannot be settled, and at
+    # just below 1/(2 phi) the boxes around (phi, phi) cannot be settled, and at
     # eta <= 1e-14 neither can a box by (1, 1) that floats no longer split:
     # the walk ends at the first such leaf, with no budget to cut it
     cert, trail = _run_with_trail(monkeypatch, theta, eta)
@@ -225,12 +225,12 @@ def _dip_at(px, py, width):
 
 
 def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
-    # above the enclosure of f(phi, phi), that one point is the refutation:
-    # no box is enclosed and the witness sits exactly at the minimizer
+    # above the minimum 1/(2 phi), the point (phi, phi) is the refutation:
+    # no box is enclosed, the witness sits exactly at the minimizer, and its
+    # bound is the least float above f(phi, phi) = 1/(2 phi)
     calls = []
     monkeypatch.setattr(certify, "f_mean_value", lambda x, y: calls.append((x, y)))
-    at_phi = f_point_enclosure(ucc.PHI, ucc.PHI).hi
-    witness = ViolationBox(ucc.PHI, ucc.PHI, ucc.PHI, ucc.PHI, at_phi)
+    witness = ViolationBox(ucc.PHI, ucc.PHI, ucc.PHI, ucc.PHI, ucc.HALF_INV_PHI)
     for theta, eta in ((0.81, 1e-4), (0.95, 0.01)):
         cert = ucc.certify_lower_bound(theta=theta, eta=eta)
         assert not cert.verified
@@ -241,23 +241,57 @@ def test_refuted_certificate_boxes_are_sound_and_localized(monkeypatch):
                 cert.max_depth_used) == (0, 0, 0)
         assert cert.trace_digest == hashlib.sha256(b"").hexdigest()  # empty trail
     assert calls == []
-    # the point's certified bound brackets the true minimum from above
-    assert ucc.HALF_INV_PHI <= at_phi < ucc.HALF_INV_PHI + 1e-12
 
 
-def test_refutation_starts_just_above_the_point_enclosure(capsys):
-    at_phi = f_point_enclosure(ucc.PHI, ucc.PHI).hi
-    cert = ucc.certify_lower_bound(theta=math.nextafter(at_phi, 1.0))
+def test_refutation_starts_at_the_minimum():
+    # HALF_INV_PHI is the least float above 1/(2 phi): refuted by the point
+    cert = ucc.certify_lower_bound(theta=ucc.HALF_INV_PHI)
     assert (cert.status, cert.boxes_processed) == ("refuted", 0)
-    # between the minimum and the point's bound no box around (phi, phi)
-    # can be settled: the walk ends at the first of them, the run is not a
-    # refutation, and it exits 0
-    theta = ucc.HALF_INV_PHI + 1e-13
-    assert run_cli(["analytic", "certify", "--theta", repr(theta)]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert (obj["status"], obj["boxes_processed"]) == ("indeterminate", 2_104)
-    assert obj["violation_boxes"] == []
-    assert theta <= obj["worst_box"]["f_upper"] < 1.0
+    assert cert.worst_box.f_upper == ucc.HALF_INV_PHI
+    # the float below it is under the minimum: the walk runs, cannot settle
+    # the boxes around (phi, phi), and ends at the first of them
+    theta = math.nextafter(ucc.HALF_INV_PHI, 0.0)
+    cert = ucc.certify_lower_bound(theta=theta)
+    assert (cert.status, cert.boxes_processed) == ("indeterminate", 2_096)
+    assert cert.violation_boxes == ()
+    assert theta <= cert.worst_box.f_upper < 1.0
+
+
+def _above_the_minimum(theta, mpmath):
+    """theta > 1/(2 phi) = (1 + sqrt 5)/4, decided at 50 digits."""
+    with mpmath.workdps(50):
+        gap = mpmath.mpf(theta) - (1 + mpmath.sqrt(5)) / 4
+        assert abs(gap) > mpmath.mpf(10) ** -40  # no float sits that close
+        return gap > 0
+
+
+def _assert_decided_as_the_oracle(theta, mpmath):
+    # one box of budget: above the minimum the point refutes before any
+    # box, below it the walk takes its one box and is cut
+    cert = ucc.certify_lower_bound(theta=theta, box_budget=1)
+    if _above_the_minimum(theta, mpmath):
+        assert (cert.status, cert.boxes_processed) == ("refuted", 0), theta
+    else:
+        assert (cert.status, cert.boxes_processed) == ("budget_exhausted", 1), theta
+
+
+def test_exact_rule_matches_the_oracle_next_to_the_minimum():
+    mpmath = pytest.importorskip("mpmath")
+    below = above = ucc.HALF_INV_PHI
+    thetas = [below]
+    for _ in range(64):  # every float within 64 ulps of HALF_INV_PHI
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+        thetas += [below, above]
+    for theta in thetas:
+        _assert_decided_as_the_oracle(theta, mpmath)
+    assert not _above_the_minimum(math.nextafter(ucc.HALF_INV_PHI, 0.0), mpmath)
+    assert _above_the_minimum(ucc.HALF_INV_PHI, mpmath)
+
+
+@given(st.floats(min_value=0.5, max_value=1.0))
+def test_exact_rule_matches_the_oracle_on_the_unit_half(theta):
+    mpmath = pytest.importorskip("mpmath")
+    _assert_decided_as_the_oracle(theta, mpmath)
 
 
 def test_sweep_stops_at_its_first_violation(monkeypatch):
@@ -294,7 +328,7 @@ def test_verdicts_next_to_the_minimum():
     assert below.status == "verified"
     above = ucc.certify_lower_bound(theta=0.809017, eta=1e-2)
     assert (above.status, above.boxes_processed) == ("refuted", 0)
-    assert ucc.HALF_INV_PHI <= above.worst_box.f_upper < ucc.HALF_INV_PHI + 1e-6
+    assert above.worst_box.f_upper == ucc.HALF_INV_PHI
 
 
 def test_budget_exhaustion():
@@ -305,10 +339,10 @@ def test_budget_exhaustion():
         assert (cert.status, cert.boxes_processed) == ("budget_exhausted", budget)
         assert cert.worst_box is None
     # the walk's own stop on its last allowed enclosure is no budget cut
-    theta = ucc.HALF_INV_PHI + 1e-13
-    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_104)
+    theta = ucc.HALF_INV_PHI - 1e-13
+    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_184)
     assert cert.status == "indeterminate" and cert.worst_box is not None
-    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_103)
+    cert = ucc.certify_lower_bound(theta=theta, box_budget=2_183)
     assert cert.status == "budget_exhausted" and cert.worst_box is None
 
 
@@ -334,10 +368,11 @@ def test_parameter_validation():
         ucc.certify_lower_bound(eta=0.0)
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(eta=0.2)
-    with pytest.raises(ValueError):
-        ucc.certify_lower_bound(theta=-1.0)
-    with pytest.raises(ValueError):
-        ucc.certify_lower_bound(theta=math.inf)
+    # refused before the exact rule: Fraction(nan) and Fraction(inf) would
+    # raise errors of their own
+    for theta in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, -1.0):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            ucc.certify_lower_bound(theta=theta)
     with pytest.raises(ValueError):
         ucc.certify_lower_bound(box_budget=0)
 

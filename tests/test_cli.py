@@ -212,6 +212,21 @@ def test_certify_refuted_run(capsys):
     assert "limitation" not in obj
 
 
+def test_certify_exits_0_on_both_sides_of_the_minimum(capsys):
+    # HALF_INV_PHI lies above 1/(2 phi): the point refutes, with no box
+    code, out, err = run(capsys, "analytic", "certify", "--theta",
+                         repr(ucc.HALF_INV_PHI))
+    obj = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (obj["status"], obj["boxes_processed"]) == ("refuted", 0)
+    assert obj["trace_digest"] == hashlib.sha256(b"").hexdigest()
+    # the float below it is under the minimum: the walk ends undecided
+    code, out, err = run(capsys, "analytic", "certify", "--theta",
+                         repr(math.nextafter(ucc.HALF_INV_PHI, 0.0)))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "indeterminate"
+
+
 def test_certify_low_edge_bound_is_indeterminate(capsys):
     # the interior verifies, but the edge bounds at eta = 0.05 stay near 0.69
     code, out, err = run(capsys, "analytic", "certify", "--theta", "0.809016",
