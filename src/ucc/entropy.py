@@ -31,6 +31,8 @@ repeated there; callers read it from the family:
     source prefixes instead of its own can only lower that sum (a
     data-processing step).  The step holds for every family, so this check
     tests the float code and fails only on a certified contradiction.
+    Only the ``entropy`` report runs it; ``fuzz --entropy-checks`` decides
+    the two bounds below, not this step.
 *   ``check_lower_bound``: H(A|B) >= p/(2 phi) (H(A) + H(B)) with
     p = min_i Pr[element i missing from a draw] = 1 - max frequency.
 *   ``check_upper_bound``: H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2|F|

@@ -48,12 +48,12 @@ comment, blank lines are skipped, CRLF is tolerated.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import CapExceededError
@@ -119,10 +119,13 @@ def mask_from_elements(elements: Iterable[int]) -> int:
 class SetFamily:
     """Canonical, deduplicated family of subsets of {1, ..., universe_size}.
 
-    ``sets`` is strictly increasing as integers, which fixes one canonical
-    order for iteration, serialization, and hashing.  A family has at
-    least one set: an empty ``sets`` raises ValueError, so no statistic
-    below needs to check for one.  A family is treated as immutable:
+    ``sets`` holds Python ints, strictly increasing, which fixes one
+    canonical order for iteration, serialization, and hashing.  A mask
+    that is not an int is stored as ``operator.index`` of it, so a numpy
+    integer is taken, and a float or any other non-integer raises
+    ValueError naming the mask.  A family has at least one set: an empty
+    ``sets`` raises ValueError, so no statistic below needs to check for
+    one.  A family is treated as immutable:
     equality and hashing read ``(universe_size, sets)``, and the
     statistics cached on it are computed once.
     """
@@ -135,14 +138,23 @@ class SetFamily:
             raise ValueError("empty family: a family has at least one set")
         limit = 1 << n
         prev = -1
+        converted = False
         for m in sets:
+            # only a mask that is not a plain int pays for index():
+            # calling it on every mask slowed the n = 5 enumeration by a fifth
+            if m.__class__ is not int:  # a numpy integer, a bool, a float
+                try:
+                    m = index(m)
+                except TypeError:
+                    raise ValueError(f"mask {m!r} is not an integer") from None
+                converted = True
             if not 0 <= m < limit:
                 raise ValueError(f"mask {m} out of range for universe of size {n}")
             if m <= prev:
                 raise ValueError("sets must be strictly increasing (canonical order)")
             prev = m
         self.universe_size = universe_size
-        self.sets = sets
+        self.sets = tuple(map(index, sets)) if converted else sets
 
     def __repr__(self) -> str:
         return f"SetFamily(universe_size={self.universe_size!r}, sets={self.sets!r})"
@@ -286,12 +298,10 @@ def parse_family(text: str) -> SetFamily:
             continue
         if len(line) != n:
             raise UCFormatError(f"expected {n} characters, got {len(line)}", lineno)
-        mask = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                mask |= 1 << j
-            elif ch != "0":
-                raise UCFormatError(f"invalid character {ch!r} in bit string", lineno)
+        rest = line.lstrip("01")  # from the first character that is not a bit
+        if rest:
+            raise UCFormatError(f"invalid character {rest[0]!r} in bit string", lineno)
+        mask = int(line[::-1], 2)  # the leftmost character is bit 0
         if mask in seen:
             raise UCFormatError(f"duplicate of the set on line {seen[mask]}", lineno)
         seen[mask] = lineno
@@ -304,12 +314,8 @@ def parse_family(text: str) -> SetFamily:
 def format_family(family: SetFamily) -> str:
     """Serialize to ``.uc`` text; ``parse_family`` round-trips it exactly."""
     n = family.universe_size
-    buf = io.StringIO()
-    buf.write(f"n={n}\n")
-    for mask in family.sets:
-        buf.write("".join("1" if mask >> j & 1 else "0" for j in range(n)))
-        buf.write("\n")
-    return buf.getvalue()
+    # n binary digits, reversed so that element 1 (bit 0) comes first
+    return f"n={n}\n" + "".join(f"{mask:0{n}b}"[::-1] + "\n" for mask in family.sets)
 
 
 def load_family(path: str) -> SetFamily:

@@ -137,8 +137,12 @@ def test_acceptance_4_entropy_inequalities(fuzz_corpus, enumerated):
         pairs = oracle.pair_union_counts(fam)
         identity = max(abs(oracle.chain_sum(fam, pairs) - fam.union_entropy),
                        abs(oracle.decomposition(fam, pairs) - fam.union_entropy))
-        if chain.margin_bits < -1e-9 or identity > 1e-9:
+        # and the data-processing step, from the oracle alone:
+        # sum_i H(U_i | A below i, B below i) <= H(U)
+        oracle_margin = fam.union_entropy - oracle.data_processing_sum(fam)
+        if chain.margin_bits < -1e-9 or identity > 1e-9 or oracle_margin < -1e-9:
             failures.append(f"chain margin {chain.margin_bits!r} "
+                            f"oracle margin {oracle_margin!r} "
                             f"identity {identity!r}: {ucc.format_family(fam)!r}")
             break
         # every verdict decided and true: none undecided (None), none false

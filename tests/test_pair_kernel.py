@@ -422,6 +422,28 @@ def test_one_histogram_per_fuzz_family(kernel_calls, monkeypatch, capsys):
     assert collections.Counter(kernel_calls) == collections.Counter(checked)
 
 
+def test_fuzz_entropy_checks_decide_the_two_bounds(monkeypatch, capsys):
+    # the chain rule's data-processing step holds for every family: only
+    # the entropy report decides it, not fuzz once per family
+    calls = collections.Counter()
+    for name in ("check_lower_bound", "check_upper_bound", "chain_rule_check"):
+        def counted(family, check=getattr(ucc.cli, name), name=name):
+            calls[name] += 1
+            return check(family)
+        monkeypatch.setattr(ucc.cli, name, counted)
+    argv = ["fuzz", "--n", "5", "--count", "40", "--seed", "11", "--entropy-checks"]
+    assert ucc.cli.run_cli(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    checked = rep["theorem_checked"]
+    assert checked > 0
+    assert calls == {"check_lower_bound": checked, "check_upper_bound": checked}
+
+    calls.clear()
+    assert ucc.cli.run_cli(["entropy", str(DATA_DIR / "near_closed.uc")]) == 0
+    capsys.readouterr()
+    assert calls == {"check_lower_bound": 1, "check_upper_bound": 1, "chain_rule_check": 1}
+
+
 def test_import_does_not_load_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -6,6 +6,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,20 @@ def test_universe_size_bounds():
         ucc.SetFamily.from_masks(WORD_CAP + 1, [0])
     with pytest.raises(ValueError):
         ucc.SetFamily.from_masks(2, [4])  # mask outside universe
+
+
+def test_masks_are_python_ints():
+    # the statistics use int methods (check_theorem's int.bit_length), so
+    # a numpy mask is stored as an int and a float is refused
+    with pytest.raises(ValueError, match=r"mask 1\.0 is not an integer"):
+        ucc.SetFamily(3, (0, 1.0))
+    with pytest.raises(ValueError, match="mask '1' is not an integer"):
+        ucc.SetFamily.from_masks(3, ["1"])
+    fam = ucc.SetFamily.from_masks(3, np.arange(8))
+    assert fam.sets == tuple(range(8))
+    assert {type(m) for m in fam.sets} == {int}
+    assert fam == ucc.SetFamily(3, tuple(range(8)))
+    assert ucc.check_theorem(fam).satisfied is True
 
 
 def test_membership_lookup(powerset3):
