@@ -114,34 +114,34 @@ class DiagonalMinimum(NamedTuple):
 
     x_star: float
     value: float
-    grid_points: int
-    refine_tol: float
 
 
-def minimize_diagonal(grid_points: int = 4096, refine_tol: float = 1e-12) -> DiagonalMinimum:
+#: interior points of the coarse scan that brackets the diagonal minimum
+_SCAN_POINTS = 4096
+#: bracket width at which the golden-section search stops
+_REFINE_TOL = 1e-12
+
+
+def minimize_diagonal() -> DiagonalMinimum:
     """Locate the minimum of the diagonal ratio on (0, 1).
 
-    Coarse scan over ``grid_points`` interior points brackets the basin,
-    then golden-section search narrows it to ``refine_tol``.  Ties in the
-    golden-section comparison keep the left bracket, so the result is a
-    deterministic function of the two parameters.
+    A coarse scan over ``_SCAN_POINTS`` interior points brackets the basin,
+    then golden-section search narrows it to ``_REFINE_TOL``.  Ties in the
+    golden-section comparison keep the left bracket, so the result is
+    deterministic.
     """
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    if not refine_tol > 0.0:
-        raise ValueError("refine_tol must be positive")
-    step = 1.0 / (grid_points + 1)
-    best_i = min(range(1, grid_points + 1),
+    step = 1.0 / (_SCAN_POINTS + 1)
+    best_i = min(range(1, _SCAN_POINTS + 1),
                  key=lambda i: diagonal_ratio(i * step))
     a = max(best_i - 1, 1) * step
-    b = min(best_i + 1, grid_points) * step
+    b = min(best_i + 1, _SCAN_POINTS) * step
 
     inv = PHI  # interval shrink factor of golden-section search
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc = diagonal_ratio(c)
     fd = diagonal_ratio(d)
-    while b - a > refine_tol:
+    while b - a > _REFINE_TOL:
         if fc <= fd:  # tie keeps the left bracket
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -151,8 +151,7 @@ def minimize_diagonal(grid_points: int = 4096, refine_tol: float = 1e-12) -> Dia
             d = a + inv * (b - a)
             fd = diagonal_ratio(d)
     x = 0.5 * (a + b)
-    return DiagonalMinimum(x_star=x, value=diagonal_ratio(x),
-                           grid_points=grid_points, refine_tol=refine_tol)
+    return DiagonalMinimum(x_star=x, value=diagonal_ratio(x))
 
 
 def corollary_margin(x: float, y: float) -> float:

@@ -92,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("example", help="exact slice example statistics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
     p.set_defaults(run=_cmd_example)
 
     p = verb("enumerate", help="exhaustive union-closed families, n <= 5")
@@ -197,7 +195,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    stats = _lib.slice_stats(_lib.ExampleSpec(n=args.n, k=args.k, m=args.m))
+    stats = _lib.slice_stats(_lib.ExampleSpec(args.n))
     obj = report.record_obj(stats)
     obj["closure_deficit"] = float(stats.closure_deficit)
     return _emit(args, {"example": obj})
@@ -267,7 +265,7 @@ def _cmd_fuzz(args) -> int:
     obj = {
         "n": args.n,
         "count": args.count,
-        "kinds": list(_lib.RANDOM_KINDS if args.kind == "all" else (args.kind,)),
+        "kind": args.kind,
         "size": args.size,
         "seed": args.seed,
         **{key: tally[key] for key in ("theorem_checked", "theorem_applicable",

@@ -32,7 +32,6 @@ from .setfamily import (
 )
 
 __all__ = [
-    "DEFAULT_MATERIALIZE_CAP",
     "RANDOM_KINDS",
     "DegenerateSpecError",
     "ExampleSpec",
@@ -46,7 +45,8 @@ __all__ = [
     "random_families",
 ]
 
-DEFAULT_MATERIALIZE_CAP = 5_000_000
+#: most sets slice_example builds
+_MATERIALIZE_CAP = 5_000_000
 RANDOM_KINDS = ("uniform", "closure-of-random", "noisy-uc")
 #: probability that noisy-uc deletes a member other than the top
 _NOISY_RHO = 0.25
@@ -80,9 +80,9 @@ class ExampleSpec(_ExampleSpecFields):
     size at least m); k and m default from n.
 
     Raises :class:`DegenerateSpecError` unless 0 < k < m <= n.  The
-    default k overtakes the default m for n below roughly 50, which is a
-    statement about the construction being asymptotic, not a bug, so the
-    failure is loud instead of clamped.
+    default k reaches the default m at every n up to 79 but 73, 75 and 78,
+    which is a statement about the construction being asymptotic, not a
+    bug, so the failure is loud instead of clamped.
     """
 
     __slots__ = ()
@@ -135,11 +135,11 @@ def _tail_weights(n: int, m: int) -> list[int]:
     return w
 
 
-def slice_example(spec: ExampleSpec, cap: int = DEFAULT_MATERIALIZE_CAP) -> SetFamily:
+def slice_example(spec: ExampleSpec) -> SetFamily:
     """Materialize the slice example as a SetFamily.
 
-    Refuses to build more than ``cap`` sets or any universe beyond the
-    word cap; :func:`slice_stats` covers the example at any n.
+    Refuses to build more than ``_MATERIALIZE_CAP`` sets or any universe
+    beyond the word cap; :func:`slice_stats` covers the example at any n.
     """
     n, k, m = spec.n, spec.k, spec.m
     if n > WORD_CAP:
@@ -147,9 +147,9 @@ def slice_example(spec: ExampleSpec, cap: int = DEFAULT_MATERIALIZE_CAP) -> SetF
             f"the slice example is materialized only for n <= {WORD_CAP}, got {n}; "
             f"slice_stats gives its statistics at any n")
     total = math.comb(n, k) + sum(_tail_weights(n, m))
-    if total > cap:
+    if total > _MATERIALIZE_CAP:
         raise CapExceededError(
-            f"explicit slice example would have {total} sets, cap is {cap}")
+            f"explicit slice example would have {total} sets, cap is {_MATERIALIZE_CAP}")
     masks = [sum(1 << p for p in combo) for combo in combinations(range(n), k)]
     for j in range(m, n + 1):
         masks.extend(sum(1 << p for p in combo) for combo in combinations(range(n), j))

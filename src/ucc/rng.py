@@ -25,17 +25,14 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Derive a child seed from ``seed`` and one or more stream indices.
+def derive_seed(seed: int, index: int) -> int:
+    """Derive a child seed from ``seed`` and a stream index.
 
-    Children are decorrelated by running each index through the SplitMix64
+    Children are decorrelated by running the index through the SplitMix64
     finalizer before folding it in; ``derive_seed(s, i)`` and
     ``derive_seed(s, j)`` differ for i != j with overwhelming probability.
     """
-    state = _mix(seed & _MASK64)
-    for ix in indices:
-        state = _mix(state ^ _mix((ix + _GAMMA) & _MASK64))
-    return state
+    return _mix(_mix(seed & _MASK64) ^ _mix((index + _GAMMA) & _MASK64))
 
 
 class SplitMix64:

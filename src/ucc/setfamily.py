@@ -63,7 +63,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WORD_CAP",
-    "DEFAULT_CLOSURE_CAP",
     "UCFormatError",
     "CapExceededError",
     "SetFamily",
@@ -82,7 +81,8 @@ __all__ = [
 ]
 
 WORD_CAP = 63
-DEFAULT_CLOSURE_CAP = 1_000_000
+#: most members :func:`union_closure` builds before it gives up
+_CLOSURE_CAP = 1_000_000
 #: cells of one ``bitwise_or.outer`` block in the pairwise regime (8 MB);
 #: the block and its ``np.unique`` temporaries are most of the build's peak,
 #: but at 2^19 cells 1,000 masks over [40] took 2.5 times as long
@@ -120,18 +120,21 @@ class SetFamily:
     """Canonical, deduplicated family of subsets of {1, ..., universe_size}.
 
     ``sets`` holds Python ints, strictly increasing, which fixes one
-    canonical order for iteration, serialization, and hashing.  A mask
+    canonical order for iteration, serialization, and hashing.  It is a
+    tuple whatever iterable it is given, so a family built from a list or
+    a generator equals and hashes like one built from a tuple.  A mask
     that is not an int is stored as ``operator.index`` of it, so a numpy
     integer is taken, and a float or any other non-integer raises
     ValueError naming the mask.  A family has at least one set: an empty
     ``sets`` raises ValueError, so no statistic below needs to check for
-    one.  A family is treated as immutable:
-    equality and hashing read ``(universe_size, sets)``, and the
-    statistics cached on it are computed once.
+    one.  A family is treated as immutable: equality and hashing read
+    ``(universe_size, sets)``, and the statistics cached on it are
+    computed once.
     """
 
-    def __init__(self, universe_size: int, sets: tuple[int, ...]) -> None:
+    def __init__(self, universe_size: int, sets: Iterable[int]) -> None:
         n = universe_size
+        sets = tuple(sets)  # a tuple is kept as it is, not copied
         if not 1 <= n <= WORD_CAP:
             raise ValueError(f"universe size must be in 1..{WORD_CAP}, got {n}")
         if not sets:
@@ -417,21 +420,21 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
     return family.frequency_profile
 
 
-def union_closure(family: SetFamily, cap: int = DEFAULT_CLOSURE_CAP) -> SetFamily:
+def union_closure(family: SetFamily) -> SetFamily:
     """Smallest union-closed family containing the input.
 
     Folds the generators in one at a time: the closure of the ones so far
     plus g is that closure, g, and g | c for each c in it.  For generators
     S and closure F that is O(|S| |F|) unions, where a worklist combining
     each new union with every member is O(|F|^2).  Raises
-    :class:`CapExceededError` once the closure grows past ``cap`` members
-    (a closure can reach 2^|S| - 1 distinct unions).
+    :class:`CapExceededError` once the closure grows past ``_CLOSURE_CAP``
+    members (a closure can reach 2^|S| - 1 distinct unions).
     """
     closure: set[int] = set()
     for g in family.sets:
         closure |= {g | c for c in closure}
         closure.add(g)
-        if len(closure) > cap:
+        if len(closure) > _CLOSURE_CAP:
             raise CapExceededError(
-                f"union closure exceeded cap of {cap} members")
+                f"union closure exceeded cap of {_CLOSURE_CAP} members")
     return SetFamily(family.universe_size, tuple(sorted(closure)))

@@ -149,13 +149,6 @@ def test_minimize_diagonal():
     dm = ucc.minimize_diagonal()
     assert abs(dm.x_star - ucc.PHI) <= 1e-6
     assert abs(dm.value - (1.0 + ucc.PHI)) <= 1e-9  # 1/phi = 1 + phi
-    assert dm.grid_points == 4096
-    assert dm.refine_tol == 1e-12
-
-
-def test_minimize_diagonal_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        ucc.minimize_diagonal(grid_points=3)
 
 
 def test_corollary_margin_values():

@@ -281,11 +281,6 @@ def test_example_degenerate_spec(capsys):
     assert code == 2
     assert err == ("ucc: degenerate slice example: need 0 < k < m <= n, got "
                    "k=15, m=13, n=20 (the default spec only separates for larger n)\n")
-    # with k given, the hint about the default spec does not apply
-    code, _, err = run(capsys, "example", "--n", "100", "--k", "0")
-    assert code == 2
-    assert err == ("ucc: degenerate slice example: need 0 < k < m <= n, got "
-                   "k=0, m=62, n=100\n")
 
 
 def test_example_n1000(capsys):
@@ -298,13 +293,6 @@ def test_example_n1000(capsys):
     assert obj["log2_inv_closure_deficit"] == pytest.approx(158.853, abs=1e-3)
     assert obj["psi_minus_delta"] <= obj["max_freq_exact"]
     assert obj["size_ratio"] < 1e-6
-
-
-def test_example_null_log2_when_union_closed(capsys):
-    code, out, _ = run(capsys, "example", "--n", "10", "--k", "3", "--m", "4")
-    assert code == 0
-    assert '"log2_inv_closure_deficit":null' in out
-    assert json.loads(out)["example"]["closure_deficit"] == 0.0
 
 
 def test_every_verb_rejects_tol_and_example_sampling_options(capsys):
@@ -339,7 +327,7 @@ def _settable_arguments(parser, verb=""):
 def test_settable_arguments_pinned():
     # a knob added or dropped shows up here as a diff
     settable = sorted(_settable_arguments(_build_parser()))
-    assert len(settable) == 32
+    assert len(settable) == 30
     assert settable == [
         "analytic certify --budget", "analytic certify --eta",
         "analytic certify --format", "analytic certify --out",
@@ -349,8 +337,7 @@ def test_settable_arguments_pinned():
         "check --format", "check --out", "check file",
         "entropy --format", "entropy --out", "entropy file",
         "enumerate --format", "enumerate --n", "enumerate --out",
-        "example --format", "example --k", "example --m", "example --n",
-        "example --out",
+        "example --format", "example --n", "example --out",
         "fuzz --count", "fuzz --entropy-checks", "fuzz --format", "fuzz --kind",
         "fuzz --n", "fuzz --out", "fuzz --seed", "fuzz --size",
     ]
@@ -445,7 +432,7 @@ def test_fuzz_clean_run(capsys):
     assert obj["violation_found"] is False
     assert obj["undecided"] == 0
     assert obj["theorem_checked"] + obj["skipped_small"] == 30
-    assert obj["kinds"] == ["uniform", "closure-of-random", "noisy-uc"]
+    assert obj["kind"] == "all"
     assert 0.0 <= obj["max_epsilon_seen"] < 0.5
 
 
@@ -454,7 +441,7 @@ def test_fuzz_single_kind(capsys):
                        "--seed", "7", "--kind", "uniform")
     assert code == 0
     obj = json.loads(out)
-    assert obj["kinds"] == ["uniform"]
+    assert obj["kind"] == "uniform"
 
 
 def test_fuzz_unknown_kind_names_the_kinds(capsys):
@@ -555,7 +542,7 @@ PINNED_RUNS = [
     (("analytic", "grid", "--grid", "101", "--format", "human"), 0,
      "9c4a8a089f8e5c385134f01f769c773fd30d8040e1d1ae8988644860264bbe6a"),
     (("analytic", "minimize"), 0,
-     "b5cfd55c87f6d2b79727210d444ca059ad63db3d7e48d0a201a6d5191ed1a911"),
+     "d30f3421943d7cd16dfe72c4bfb3835247e1d41cbb93db8e8eb68073454621d1"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
      "1e6eeaef99ecf3463dcb234b3bf4c66783d47628091424b227d26ba99d0f4754"),
     (("example", "--n", "1000"), 0,
@@ -563,15 +550,15 @@ PINNED_RUNS = [
     (("enumerate", "--n", "3"), 0,
      "b185b918329bd84b475fb61921013e1fb1dec72bcffe768e8f1bfd580fcd5d57"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
-     "4da71952d6cbf626492f3e973bd2f246626145751753aa3622305a51a555b178"),
+     "d9faef02a19f680a65ee5e80720f548c50e9b977235df410f7f0e42382fd48e9"),
     (("fuzz", "--n", "5", "--count", "40", "--seed", "9", "--kind", "noisy-uc",
       "--entropy-checks"), 0,
-     "8b1391476252209a02dff3ba5a2089a815427bcd44153c2bc7ec208f5834df7b"),
+     "e064534e4523330525c7066747f1db5b50bb686064cdb3b79d32f2ea171c4644"),
     # fewer families than kinds: only the last kind draws
     (("fuzz", "--n", "4", "--seed", "1", "--count", "1"), 0,
-     "c5e0d1e1acc8ca6e1194da7e3bf4412a8ed600e31ae4cc9c4314745ffbd22d35"),
+     "9d43604ad70ad2eaf0213e406a10f38a25e606c8c431baed64852d62e667ee7a"),
     (("fuzz", "--n", "4", "--seed", "1", "--count", "2"), 0,
-     "80ccfd5c6eb9c69a3df30bc2e1c7b7590a2d1286d926b1e66eeeddc5b6b71e63"),
+     "08b7139a84c91ca933f8fd5c0de6b342a5344fa54e9389125b74ced70c32e254"),
 ]
 
 
@@ -613,8 +600,7 @@ REPORT_SCHEMAS = {
         "theorem.satisfied", "union_closed", "universe",
         "upper_bound.applicable", "upper_bound.margin_bits",
         "upper_bound.rhs_bits", "upper_bound.satisfied"]),
-    "minimize": (("analytic", "minimize"), [
-        "grid_points", "refine_tol", "value", "x_star"]),
+    "minimize": (("analytic", "minimize"), ["value", "x_star"]),
     "grid": (("analytic", "grid", "--grid", "101"), [
         "argmin[]", "argmin_margin", "grid_points", "min_margin"]),
     "certify": (("analytic", "certify", "--theta", "0.95", "--eta", "0.01"), [
@@ -626,7 +612,7 @@ REPORT_SCHEMAS = {
         "violation_boxes[].x_lo", "violation_boxes[].y_hi",
         "violation_boxes[].y_lo", "worst_box.f_upper", "worst_box.x_hi",
         "worst_box.x_lo", "worst_box.y_hi", "worst_box.y_lo"]),
-    "example": (("example", "--n", "10", "--k", "3", "--m", "4"), [
+    "example": (("example", "--n", "1000"), [
         "example.closure_deficit", "example.delta", "example.k",
         "example.log2_f1", "example.log2_f2",
         "example.log2_inv_closure_deficit", "example.m",
@@ -636,7 +622,7 @@ REPORT_SCHEMAS = {
         "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
         "n", "skipped_small", "theorem_checked", "undecided"]),
     "fuzz": (("fuzz", "--n", "4", "--count", "6", "--seed", "1"), [
-        "count", "kinds[]", "max_epsilon_seen", "n", "seed", "size",
+        "count", "kind", "max_epsilon_seen", "n", "seed", "size",
         "skipped_pair_cap", "skipped_small", "theorem_applicable",
         "theorem_checked", "undecided", "violation_found"]),
 }
@@ -697,6 +683,8 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and "unrecognized arguments: --rho" in err
     code, out, err = run(capsys, "analytic", "minimize", "--grid", "200")
     assert code == 2 and out == "" and "unrecognized arguments: --grid" in err
+    code, out, err = run(capsys, "example", "--n", "1000", "--k", "3")
+    assert code == 2 and out == "" and "unrecognized arguments: --k" in err
     for count in ("0", "-5"):
         assert run(capsys, "fuzz", "--n", "4", "--seed", "1", "--count", count) == (
             2, "", "ucc: size and count must be positive\n")

@@ -39,10 +39,12 @@ def test_default_spec_parameters():
 
 
 def test_default_spec_degenerate_at_small_n():
-    # the slice level overtakes the threshold below a few hundred elements
-    for n in (12, 20, 50):
+    # the slice level reaches the threshold at every n up to 79 but 73, 75, 78
+    for n in (12, 20, 50, 79):
         with pytest.raises(DegenerateSpecError):
             ucc.ExampleSpec(n=n)
+    for n in (73, 75, 78, 80):
+        assert ucc.ExampleSpec(n=n).n == n
 
 
 def test_manual_spec_validation():
@@ -50,6 +52,11 @@ def test_manual_spec_validation():
         ucc.ExampleSpec(n=10, k=5, m=5)  # k < m required
     with pytest.raises(DegenerateSpecError):
         ucc.ExampleSpec(n=10, k=0, m=5)
+    # with k given, the hint about the default spec does not apply
+    with pytest.raises(DegenerateSpecError) as info:
+        ucc.ExampleSpec(n=100, k=0)
+    assert str(info.value) == ("degenerate slice example: need 0 < k < m <= n, "
+                               "got k=0, m=62, n=100")
     with pytest.raises(DegenerateSpecError):
         ucc.ExampleSpec(n=10, k=3, m=11)
     with pytest.raises(ValueError):

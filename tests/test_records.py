@@ -15,6 +15,7 @@ and keep ``hashlib`` (which loads OpenSSL) and ``dataclasses`` out of it.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -34,7 +35,7 @@ MODULES = sorted(
     for path in (SRC_DIR / "ucc").rglob("*.py") if path.stem != "__main__")
 
 RECORD_FIELDS = {
-    ucc.DiagonalMinimum: ("x_star", "value", "grid_points", "refine_tol"),
+    ucc.DiagonalMinimum: ("x_star", "value"),
     ucc.GridCheck: ("min_margin", "argmin", "argmin_margin", "grid_points"),
     EdgeBounds: ("delta", "low_strip", "high_strip", "corner"),
     ucc.Certificate: ("threshold", "eta", "boxes_processed",
@@ -175,6 +176,26 @@ def test_verb_homes_cover_what_the_handler_reads(argv, monkeypatch, capsys):
 def test_record_fields_pinned(record):
     assert issubclass(record, tuple)
     assert record._fields == RECORD_FIELDS[record]
+
+
+# every parameter of these library functions is one that a caller sets: a
+# knob re-added to one of them shows up here as a diff
+LIBRARY_PARAMETERS = {
+    "minimize_diagonal": (),
+    "union_closure": ("family",),
+    "slice_example": ("spec",),
+    "derive_seed": ("seed", "index"),
+    "certify_lower_bound": ("theta", "eta", "box_budget"),
+    "corollary_grid_check": ("grid_points",),
+    "random_families": ("n", "size", "count", "seed", "kind"),
+    "slice_stats": ("spec",),
+}
+
+
+def test_library_parameters_pinned():
+    got = {name: tuple(inspect.signature(getattr(ucc, name)).parameters)
+           for name in LIBRARY_PARAMETERS}
+    assert got == LIBRARY_PARAMETERS
 
 
 def test_record_defaults():

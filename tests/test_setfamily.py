@@ -59,6 +59,20 @@ def test_masks_are_python_ints():
     assert ucc.check_theorem(fam).satisfied is True
 
 
+def test_sets_are_stored_as_a_tuple():
+    # a list or a generator of masks gives the family a tuple built from
+    # the same masks gives: equal, hashable with the same hash, and sized
+    want = ucc.SetFamily(3, (0, 1, 5))
+    assert ucc.SetFamily(3, want.sets).sets is want.sets  # a tuple is not copied
+    for sets in ([0, 1, 5], (m for m in (0, 1, 5))):
+        fam = ucc.SetFamily(3, sets)
+        assert type(fam.sets) is tuple
+        assert fam == want and hash(fam) == hash(want)
+        assert fam.size == 3 and list(fam) == [0, 1, 5]
+    with pytest.raises(ValueError, match="empty family"):
+        ucc.SetFamily(3, (m for m in ()))
+
+
 def test_membership_lookup(powerset3):
     assert 0b101 in powerset3
     assert powerset3.size == 8
@@ -267,10 +281,11 @@ def test_union_closure_at_the_word_cap():
         assert functools.reduce(operator.or_, (a for a in fam.sets if a & c == a), 0) == c
 
 
-def test_union_closure_cap():
+def test_union_closure_cap(monkeypatch):
+    monkeypatch.setattr(ucc.setfamily, "_CLOSURE_CAP", 1000)
     fam = ucc.SetFamily.from_masks(16, [1 << i for i in range(16)])
-    with pytest.raises(ucc.CapExceededError):
-        union_closure(fam, cap=1000)
+    with pytest.raises(ucc.CapExceededError, match="cap of 1000 members"):
+        union_closure(fam)
 
 
 def test_load_dump(tmp_path, powerset3):
