@@ -61,8 +61,7 @@ def _up(v: float) -> float:
 class Interval:
     """Closed interval [lo, hi] with outward-rounded arithmetic.
 
-    Treated as immutable: equal intervals hash alike, and every operation
-    returns a new one.
+    Treated as immutable: every operation returns a new one.
     """
 
     __slots__ = ("lo", "hi")
@@ -78,21 +77,9 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
     @classmethod
     def point(cls, v: float) -> "Interval":
         return cls(v, v)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     @property
     def mid(self) -> float:
@@ -101,9 +88,6 @@ class Interval:
     def mag(self) -> float:
         """Largest absolute value attained on the interval."""
         return max(abs(self.lo), abs(self.hi))
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_dn(self.lo + other.lo), _up(self.hi + other.hi))

@@ -9,12 +9,12 @@ family is dumped in .uc form) or a refutation found by the walk of
 ``analytic certify``; 2 usage or I/O error, or a size cap hit (the message
 names the cap).  ``analytic grid`` and ``analytic minimize`` only sample,
 so they never exit 1; certified refutations come from ``analytic certify``.
-Every verb writes one report, JSON by default or ``--format human|csv``,
-to stdout, or the same bytes to ``--out PATH`` when given, and every verb
-writes it through ``_emit``: given a violating family, ``_emit`` also dumps
-that family to stderr and returns exit code 1.  ``analytic certify`` sets
-its exit code itself.  A report holds only numbers the run computed; the
-package constants (``PSI``, ``PHI``) are not repeated in it.
+Every verb writes one report, a line of JSON, to stdout, or the same
+bytes to ``--out PATH`` when given, and every verb writes it through
+``_emit``: given a violating family, ``_emit`` also dumps that family to
+stderr and returns exit code 1.  ``analytic certify`` sets its exit code
+itself.  A report holds only numbers the run computed; the package
+constants (``PSI``, ``PHI``) are not repeated in it.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ EXIT_USAGE = 2
 
 def _build_parser() -> argparse.ArgumentParser:
     """The ``ucc`` parser.  Each verb's subparser is the one place that
-    declares it: its options and its handler (``run``).  ``--format`` and
-    ``--out``, which every verb takes, are declared once, on ``common``."""
+    declares it: its options and its handler (``run``).  ``--out``, which
+    every verb takes, is declared once, on ``common``."""
     ap = argparse.ArgumentParser(
         prog="ucc",
         description="Checks for union-closed set systems and the entropy bound behind them.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "human", "csv"), default="json")
     common.add_argument("--out", default=None, help="write the report to this path")
     sub = ap.add_subparsers(dest="command", required=True)
     verb = functools.partial(sub.add_parser, parents=[common])
@@ -115,7 +114,7 @@ def _emit(args, obj: dict, violation: SetFamily | None = None) -> int:
     """Write the report to --out or stdout and return the exit code:
     EXIT_VIOLATION after dumping a violating family to stderr in .uc form,
     else EXIT_OK."""
-    text = report.render(obj, args.format)
+    text = report.render(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, JSON shapes, formats, determinism."""
+"""CLI behavior: exit codes, JSON shapes, --out, determinism."""
 
 import argparse
 import hashlib
@@ -116,21 +116,14 @@ def test_grid_json_and_csv(tmp_path, capsys):
     assert obj["grid_points"] == 101
     assert obj["min_margin"] >= -1e-12
 
-    # a .csv path gets the report as --format asks, JSON by default
+    # a .csv path gets the JSON report too: the suffix chooses nothing
     dest = tmp_path / "sweep.csv"
     assert run(capsys, "analytic", "grid", "--grid", "101",
                "--out", str(dest)) == (0, "", "")
     assert dest.read_text() == out
 
-    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
-    assert code == 0
-    assert out.splitlines() == [
-        "key,value", f"min_margin,{obj['min_margin']!r}",
-        f"argmin[0],{obj['argmin'][0]!r}", f"argmin[1],{obj['argmin'][1]!r}",
-        f"argmin_margin,{obj['argmin_margin']!r}", "grid_points,101"]
 
-
-def test_grid_csv_sweeps_once(monkeypatch, capsys):
+def test_grid_csv_sweeps_once(monkeypatch, tmp_path, capsys):
     from ucc.analytic import scalars
 
     sweeps: list[int] = []
@@ -140,15 +133,20 @@ def test_grid_csv_sweeps_once(monkeypatch, capsys):
         sweeps.append(1)
         return blocks(*args, **kwargs)
 
+    # one sweep per run, to stdout or to a .csv path, which gets JSON too
     monkeypatch.setattr(scalars, "_margin_blocks", counting)
-    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101", "--format", "csv")
+    code, out, _ = run(capsys, "analytic", "grid", "--grid", "101")
     assert code == 0 and len(sweeps) == 1
-    assert out.startswith("key,value\n") and out.count("\n") == 6
+    assert out.count("\n") == 1 and strict_json(out)["grid_points"] == 101
+    dest = tmp_path / "sweep.csv"
+    assert run(capsys, "analytic", "grid", "--grid", "101",
+               "--out", str(dest)) == (0, "", "")
+    assert len(sweeps) == 2 and dest.read_text() == out
 
 
 def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
     dest = tmp_path / "coarse.csv"
-    for extra in (("--format", "csv"), ("--out", str(dest)), ()):
+    for extra in (("--out", str(dest)), ()):
         code, out, err = run(capsys, "analytic", "grid", "--grid", "50", *extra)
         assert (code, out) == (2, "")
         assert err == "ucc: grid_points must be at least 100\n"
@@ -327,18 +325,17 @@ def _settable_arguments(parser, verb=""):
 def test_settable_arguments_pinned():
     # a knob added or dropped shows up here as a diff
     settable = sorted(_settable_arguments(_build_parser()))
-    assert len(settable) == 30
+    assert len(settable) == 22
     assert settable == [
         "analytic certify --budget", "analytic certify --eta",
-        "analytic certify --format", "analytic certify --out",
-        "analytic certify --theta",
-        "analytic grid --format", "analytic grid --grid", "analytic grid --out",
-        "analytic minimize --format", "analytic minimize --out",
-        "check --format", "check --out", "check file",
-        "entropy --format", "entropy --out", "entropy file",
-        "enumerate --format", "enumerate --n", "enumerate --out",
-        "example --format", "example --n", "example --out",
-        "fuzz --count", "fuzz --entropy-checks", "fuzz --format", "fuzz --kind",
+        "analytic certify --out", "analytic certify --theta",
+        "analytic grid --grid", "analytic grid --out",
+        "analytic minimize --out",
+        "check --out", "check file",
+        "entropy --out", "entropy file",
+        "enumerate --n", "enumerate --out",
+        "example --n", "example --out",
+        "fuzz --count", "fuzz --entropy-checks", "fuzz --kind",
         "fuzz --n", "fuzz --out", "fuzz --seed", "fuzz --size",
     ]
 
@@ -453,18 +450,6 @@ def test_fuzz_unknown_kind_names_the_kinds(capsys):
                    "'noisy-uc') or 'all', got 'bogus'\n")
 
 
-def test_human_and_csv_formats(capsys):
-    code, out, _ = run(capsys, "check", POWERSET3, "--format", "human")
-    assert code == 0
-    assert "family_size" in out
-    assert "{" not in out
-    code, out, _ = run(capsys, "check", POWERSET3, "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "key,value"
-    assert any(line.startswith("family_size,8") for line in lines)
-
-
 def test_out_file_diverts_stdout(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, "check", POWERSET3, "--out", str(dest))
@@ -492,40 +477,27 @@ def _pinned_data_runs():
     digests = {
         "chain4.uc": (
             "c0eab1f865e8c3f948b67fe45237f33a487dce2ed555f3c4d02561457a1a94ed",
-            "a541722842850f440e7c96612f96b39bdb6537e05d1d4f7999a5fd43453d884b",
-            "6a31f2644a9d3dfe4263adfed91c0c0efd03bcfc196e463d399e36c5874271d3",
-            "8f1dac1963e9563d922f1e4f2714a771e94ffdf0ebb75e8abe1ff66fa9af2a96"),
+            "6a31f2644a9d3dfe4263adfed91c0c0efd03bcfc196e463d399e36c5874271d3"),
         "near_closed.uc": (
             "a3f6b45848c5540c3d389d41d9670fba80d74073583ec911abc409caa2940bb4",
-            "1790e0bf5e478fc7744b5c4cc994e8fbc619532fab01318202cf9178d7d6fb09",
-            "397c31c74e9317c85d200406e3e1215250e005fa58ab0e2746317aa59ee4090f",
-            "47b991348b4d4fa682c15370877c4c9f06a0c10bd04170941fd997ae4640636d"),
+            "397c31c74e9317c85d200406e3e1215250e005fa58ab0e2746317aa59ee4090f"),
         "powerset3.uc": (
             "01c7ec1b41c378010240cbece3a6a021e620e8dff1782c768cc7bfb038240b2c",
-            "a5ad1fbc391cd0e8f0bd2c438d5aacada2fdb956116666b1796dab74105e06a1",
-            "41172fff0b467ac9d579d769059cdfc6d982ab1a4e2d566b9dc43f6c9cce8d0d",
-            "cd167046125375ab2d4ef611e12a1d6feff3a20c32f63c982c575e8b13d286c7"),
+            "41172fff0b467ac9d579d769059cdfc6d982ab1a4e2d566b9dc43f6c9cce8d0d"),
         "powerset3_noempty.uc": (
             "7bbb3e8e9e78a07ffc88d21c200469bb87dbf0fc35347778efd28085f81bb8ca",
-            "c4192838f147846fd919c6ce3a4a9283c3052d520e201e1f53354cee7194c802",
-            "0682138506dd9a03a8d545d992184fc51105bfe610196049c9e28629211a7aae",
-            "40d5d5c621c94eb9b869e8466fc70a1572a7ddb3acdc4d27fee50a2cae1fb235"),
+            "0682138506dd9a03a8d545d992184fc51105bfe610196049c9e28629211a7aae"),
         "singleton.uc": (
             "b8a54ac3980c47148847fedfbaa8cebef12cee8a45601e0456a42842e1551143",
-            "69ece05bd590df22e30c63768c289389bdbb165cd9939f3a50c121b7049a69a0",
-            "1765dbfabfb624777c4922998f99965ca0b8be02514d1b079262723bfaac60d2",
-            "d698dcfb2736dbb128704cbd8dcab5c59e90629ea5d712f87a814e7dc97ba2a6"),
+            "1765dbfabfb624777c4922998f99965ca0b8be02514d1b079262723bfaac60d2"),
         "two_singletons.uc": (
             "d99066ca2a4bd5db488160aa0c1909344ec0aaafb7e41f3d1b1e416d5d33748b",
-            "14238bce74ad41dfd1b24c1e529260ea35df3e12ba16f9cdc18144a6d0d5ede9",
-            "a492b786d95fd848dd4de6059e86cd87731670d879c0be93b7c226803df734e9",
-            "f5b0134d735d27a97d2d7d68debde47a66f53e5fcabe550886d555b5ae123f14"),
+            "a492b786d95fd848dd4de6059e86cd87731670d879c0be93b7c226803df734e9"),
     }
     assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
     for name, sums in digests.items():
-        argvs = [(verb, name, "--format", fmt)
-                 for verb in ("check", "entropy") for fmt in ("json", "human")]
-        yield from ((argv, 0, digest) for argv, digest in zip(argvs, sums))
+        yield from (((verb, name), 0, digest)
+                    for verb, digest in zip(("check", "entropy"), sums))
 
 
 # sha256 of stdout and the exit code, pinned across commits: a refactor must
@@ -535,12 +507,8 @@ def _pinned_data_runs():
 # bounds or the certificate's fields change.
 PINNED_RUNS = [
     *_pinned_data_runs(),
-    (("analytic", "grid", "--grid", "101", "--format", "json"), 0,
+    (("analytic", "grid", "--grid", "101"), 0,
      "88f55111cc1b1ed78a5cd6e4e47ca0dcc5fc69f672d4377b1d6627f0c33dba2c"),
-    (("analytic", "grid", "--grid", "101", "--format", "csv"), 0,
-     "271df4c2788f1e56ab2389e1e31dc126c38da15189dac40e6b3cccff581e0c64"),
-    (("analytic", "grid", "--grid", "101", "--format", "human"), 0,
-     "9c4a8a089f8e5c385134f01f769c773fd30d8040e1d1ae8988644860264bbe6a"),
     (("analytic", "minimize"), 0,
      "d30f3421943d7cd16dfe72c4bfb3835247e1d41cbb93db8e8eb68073454621d1"),
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
@@ -568,8 +536,7 @@ def test_stdout_pinned_across_commits(argv, code, digest, capsys):
     argv = [str(DATA_DIR / a) if a.endswith(".uc") else a for a in argv]
     got_code, out, _ = run(capsys, *argv)
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
-    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
-        strict_json(out)
+    strict_json(out)
 
 
 def _key_paths(obj, prefix=""):
@@ -638,16 +605,15 @@ def test_report_schema_pinned(verb, capsys):
 
 @pytest.mark.parametrize("verb", REPORT_SCHEMAS)
 def test_format_and_out_mean_the_same_on_every_verb(verb, tmp_path, capsys):
-    # --format csv prints the report's key,value rows, and --out gets exactly
-    # the bytes stdout would, whatever the path's suffix
+    # JSON is the one report form: --out gets exactly the bytes stdout
+    # would, whatever the path's suffix
     argv, _ = REPORT_SCHEMAS[verb]
     dest = tmp_path / "r.csv"
-    for fmt in ("json", "human", "csv"):
-        code, out, _ = run(capsys, *argv, "--format", fmt)
-        assert code == 0
-        assert out.startswith("key,value\n") == (fmt == "csv")
-        assert run(capsys, *argv, "--format", fmt, "--out", str(dest)) == (0, "", "")
-        assert dest.read_bytes() == out.encode("utf-8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    strict_json(out)
+    assert run(capsys, *argv, "--out", str(dest)) == (0, "", "")
+    assert dest.read_bytes() == out.encode("utf-8")
 
 
 def test_non_finite_report_value_is_a_usage_error(tmp_path, monkeypatch, capsys):
@@ -668,7 +634,8 @@ def test_non_finite_report_value_is_a_usage_error(tmp_path, monkeypatch, capsys)
 def test_usage_errors(capsys):
     assert run(capsys, "check")[0] == 2                       # missing operand
     assert run(capsys, "frobnicate", POWERSET3)[0] == 2       # unknown verb
-    assert run(capsys, "check", POWERSET3, "--format", "xml")[0] == 2
+    code, out, err = run(capsys, "check", POWERSET3, "--format", "json")
+    assert code == 2 and out == "" and "unrecognized arguments: --format" in err
     assert run(capsys, "check", POWERSET3, "--threads", "0")[0] == 2  # unknown option
     assert run(capsys, "entropy", POWERSET3, "--pair-cap", "7")[0] == 2
     assert run(capsys, "analytic")[0] == 2                    # missing action

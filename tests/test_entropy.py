@@ -164,7 +164,7 @@ def test_constant_enclosures_contain_psi_and_half_inv_phi():
         for enc, exact in ((ucc.entropy._PSI_ENCLOSURE, (3 - sqrt5) / 2),
                            (ucc.entropy._HALF_INV_PHI_ENCLOSURE, (1 + sqrt5) / 4)):
             assert enc.lo < exact < enc.hi
-            assert enc.width < 1e-15
+            assert enc.hi - enc.lo < 1e-15
 
 
 def _fibonacci(count):

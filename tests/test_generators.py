@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ucc
+import ucc.entropy
 from tests.pair_oracles import union_closed_by_encoding
 from ucc.generators import (
     DegenerateSpecError,
@@ -192,13 +193,22 @@ def test_enumerate_bounds_universe():
 @pytest.mark.slow
 def test_enumerate_n5_counts_moore_families():
     # 2 M(5) - 1 with M(5) = 1,385,552 Moore families (OEIS A102896);
-    # strictly increasing encodings also rule out a repeated family
-    count, prev = 0, -1
+    # strictly increasing encodings also rule out a repeated family.  Every
+    # family of size >= 2 is also decided: each is union-closed, so eps = 0
+    # and the verdict is the integer test max_freq >= psi that
+    # check_theorem applies at eps = 0
+    count, prev, checked, violations, least = 0, -1, 0, 0, Fraction(1)
     for fam in ucc.enumerate_union_closed(5):
         encoding = sum(1 << m for m in fam.sets)
         assert encoding > prev
         count, prev = count + 1, encoding
+        if fam.size >= 2:
+            max_freq = fam.frequency_profile.max_freq
+            checked += 1
+            violations += not ucc.entropy._at_least_psi(max_freq)
+            least = min(least, max_freq)
     assert count == 2_771_103
+    assert (checked, violations, least) == (count - 32, 0, Fraction(1, 2))
 
 
 def test_random_families_deterministic_and_sized():

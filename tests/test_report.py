@@ -37,4 +37,4 @@ def test_fraction_and_none():
     assert report.record_obj(Fraction(3, 8)) == {"num": 3, "den": 8}
     assert report.record_obj(Fraction(0)) == {"num": 0, "den": 1}
     assert report.record_obj(None) is None
-    assert report.render({"v": report.record_obj(None)}, "json") == '{"v":null}\n'
+    assert report.render({"v": report.record_obj(None)}) == '{"v":null}\n'
