@@ -58,7 +58,7 @@ vacuous = ucc.SetFamily.from_sets(3, [set(), {1}, {2}])
 rep = ucc.check_theorem(vacuous)
 print("vacuous case: applicable", rep.applicable,
       "satisfied", rep.satisfied)
-print("  bound psi - delta =", rep.psi_minus_delta,
+print("  bound psi - delta =", ucc.PSI - rep.delta,
       " max freq =", float(rep.max_freq))
 assert rep.satisfied
 

@@ -50,5 +50,5 @@ for n in (1000, 4000, 16000):
     st = ucc.slice_stats(ucc.ExampleSpec(n=n))
     print("%-6d %-16.3e %.12f  %-14.2e %.12f" % (
         n, float(st.closure_deficit), st.max_freq_exact, st.max_freq_exact - ucc.PSI,
-        st.psi_minus_delta))
+        ucc.PSI - st.delta))
 print("psi =", ucc.PSI)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _HOME, CapExceededError, report
@@ -129,34 +128,26 @@ def _emit(args, obj: dict, violation: SetFamily | None = None) -> int:
 
 def _family_report(path: str):
     """Load a family and build the report fields check and entropy share;
-    returns the family, its theorem verdict (true below size 2, where the
-    theorem does not apply) and the report object."""
+    returns the family, its theorem verdict (:func:`ucc.check_theorem`
+    decides every family size) and the report object."""
     family = _lib.load_family(path)
-    profile = _lib.element_frequencies(family)
-    if family.size >= 2:
-        rep = _lib.check_theorem(family)
-        eps, delta, bound = rep.epsilon, rep.delta, rep.psi_minus_delta
-        theorem = {"applicable": rep.applicable, "satisfied": rep.satisfied}
-    else:  # a one-set family is union-closed
-        eps, delta, bound = Fraction(0), 0.0, _lib.PSI
-        theorem = {"applicable": False, "satisfied": True, "note": "family size < 2"}
+    rep = _lib.check_theorem(family)
     obj = {
         "family_size": family.size,
         "universe": family.universe_size,
-        "union_closed": eps == 0,
-        "epsilon": report.frac_obj(eps),
-        "delta": delta,
-        "psi_minus_delta": bound,
-        "max_freq": report.frac_obj(profile.max_freq),
-        "max_freq_element": profile.argmax + 1,
-        "theorem": theorem,
+        "union_closed": rep.epsilon == 0,
+        "epsilon": report.record_obj(rep.epsilon),
+        "delta": rep.delta,
+        "max_freq": report.record_obj(rep.max_freq),
+        "max_freq_element": _lib.element_frequencies(family).argmax + 1,
+        "theorem": {"applicable": rep.applicable, "satisfied": rep.satisfied},
     }
-    return family, theorem["satisfied"], obj
+    return family, rep.satisfied, obj
 
 
 def _cmd_check(args) -> int:
     family, verdict, obj = _family_report(args.file)
-    obj["closure_fraction_unordered"] = report.frac_obj(
+    obj["closure_fraction_unordered"] = report.record_obj(
         _lib.closure_fraction_unordered(family))
     return _emit(args, obj, family if verdict is False else None)
 

@@ -40,7 +40,8 @@ repeated there; callers read it from the family:
     the member indicator.  Inapplicable (reported, not failed) once
     eps >= 1/2.
 *   ``check_theorem``: some element frequency reaches psi - delta with
-    delta = 2 eps (1 + log(1/eps) / log|F|); vacuous when psi - delta <= 0.
+    delta = 2 eps (1 + log(1/eps) / log|F|); vacuous when psi - delta <= 0
+    and on a one-set family, which is union closed.
 
 Entropies are floats in bits (compensated summation over exact integer
 counts), but no verdict compares those floats with a threshold.  On a
@@ -137,7 +138,6 @@ class TheoremReport(NamedTuple):
 
     epsilon: Fraction
     delta: float
-    psi_minus_delta: float
     max_freq: Fraction
     applicable: bool
     satisfied: bool | None
@@ -395,25 +395,24 @@ def check_theorem(family: SetFamily) -> TheoremReport:
 
     delta = 2 eps (1 + log(1/eps) / log |F|) with eps the ordered-pair
     closure deficit (delta = 0 when eps = 0, i.e. union-closed input).
-    Needs |F| >= 2.  Inapplicable when psi - delta <= 0 (vacuously true;
-    satisfied is reported as true), which includes every eps >= 1/2: then
-    delta >= 2 eps >= 1 > psi, and the float delta keeps that order, as
-    float(eps) >= 1/2 and log2(1/eps) >= 0.  The test reads the float
-    bound; where that float is within rounding of 0 the verdict cannot
-    turn on it, as max_freq >= 1/|F| >= 2^-24.
+    Inapplicable (satisfied is reported as true) on a one-set family,
+    which is union closed (eps = 0, delta = 0) yet may have max_freq 0,
+    as {empty set} has.  Inapplicable too when psi - delta <= 0 (vacuously
+    true), which includes every eps >= 1/2: then delta >= 2 eps >= 1 > psi,
+    and the float delta keeps that order, as float(eps) >= 1/2 and
+    log2(1/eps) >= 0.  The test reads the float bound; where that float is
+    within rounding of 0 the verdict cannot turn on it, as max_freq >=
+    1/|F| >= 2^-24 once |F| >= 2.
 
     At eps = 0 the verdict is exact (:func:`_at_least_psi`).  Otherwise
     max_freq and psi - delta are enclosed, delta from eps = a/b as
     2 eps (1 + (log2 b - log2 a) / log2 |F|), and the verdict is None when
     the two enclosures overlap.
     """
-    if family.size < 2:
-        raise ValueError("check_theorem requires a family of size >= 2")
     eps = _closure_deficit(family)
     prof = element_frequencies(family)
     delta = theorem_delta(eps, family.size)
-    bound = PSI - delta
-    applicable = bound > 0.0
+    applicable = family.size >= 2 and PSI - delta > 0.0
     satisfied: bool | None = True
     if applicable and not eps:
         satisfied = _at_least_psi(prof.max_freq)
@@ -426,7 +425,6 @@ def check_theorem(family: SetFamily) -> TheoremReport:
     return TheoremReport(
         epsilon=eps,
         delta=delta,
-        psi_minus_delta=bound,
         max_freq=prof.max_freq,
         applicable=applicable,
         satisfied=satisfied,

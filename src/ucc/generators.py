@@ -110,8 +110,8 @@ class ExampleStats(NamedTuple):
 
     ``closure_deficit`` is the exact ordered-pair deficit eps =
     1 - closure_fraction; ``log2_inv_closure_deficit`` is log2(1/eps) from
-    its integer numerator and denominator, None when eps = 0.  ``delta``
-    and ``psi_minus_delta`` are the theorem's terms for this eps and |F|.
+    its integer numerator and denominator, None when eps = 0.  ``delta`` is
+    the theorem's term for this eps and |F|; its bound is ``PSI - delta``.
     """
 
     n: int
@@ -124,7 +124,6 @@ class ExampleStats(NamedTuple):
     closure_deficit: Fraction
     log2_inv_closure_deficit: float | None
     delta: float
-    psi_minus_delta: float
 
 
 def _tail_weights(n: int, m: int) -> list[int]:
@@ -204,7 +203,6 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
         c1 = c1 * (k - x) // (x + 1)
         c2 = c2 * (k - x) // (n - 2 * k + x + 1)
     eps = Fraction(size_f1 * missing, size * size)
-    delta = theorem_delta(eps, size)
     return ExampleStats(
         n=n, k=k, m=m,
         log2_f1=math.log2(size_f1),
@@ -214,8 +212,7 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
         closure_deficit=eps,
         log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)
                                   if eps else None),
-        delta=delta,
-        psi_minus_delta=PSI - delta,
+        delta=theorem_delta(eps, size),
     )
 
 

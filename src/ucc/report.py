@@ -17,18 +17,14 @@ import json
 from fractions import Fraction
 from typing import Any
 
-__all__ = ["frac_obj", "record_obj", "render"]
-
-
-def frac_obj(fr: Fraction) -> dict[str, int]:
-    return {"num": fr.numerator, "den": fr.denominator}
+__all__ = ["record_obj", "render"]
 
 
 def record_obj(rec: Any) -> Any:
     """JSON-ready form of a result record: its report keys are its fields.
 
     A NamedTuple becomes a dict of its fields in field order, tuples and
-    lists become lists, a Fraction becomes :func:`frac_obj`, and anything
+    lists become lists, a Fraction becomes {"num", "den"}, and anything
     else passes through unchanged; nested values are converted the same
     way.
     """
@@ -37,7 +33,7 @@ def record_obj(rec: Any) -> Any:
     if isinstance(rec, (tuple, list)):
         return [record_obj(value) for value in rec]
     if isinstance(rec, Fraction):
-        return frac_obj(rec)
+        return {"num": rec.numerator, "den": rec.denominator}
     return rec
 
 

@@ -254,8 +254,8 @@ class SetFamily:
 
 
 def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
-    # H = log2(T) - (1/T) sum c log2 c, exact integer counts throughout
-    acc = math.fsum(c * math.log2(c) for c in counts if c > 0)
+    # H = log2(T) - (1/T) sum c log2 c over the positive integer counts
+    acc = math.fsum(c * math.log2(c) for c in counts)
     return math.log2(total) - acc / total
 
 

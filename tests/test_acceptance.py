@@ -178,8 +178,8 @@ def test_acceptance_5_slice_example():
     if not gaps[0] > gaps[1] > gaps[2] > 0:
         failures.append(f"frequency sweep not decreasing toward psi: {gaps}")
     for n, s in zip((1000, 4000, 16000), sweep):
-        if not s.psi_minus_delta <= s.max_freq_exact:
-            failures.append(f"n={n}: psi - delta {s.psi_minus_delta!r} above max_freq")
+        if not ucc.PSI - s.delta <= s.max_freq_exact:
+            failures.append(f"n={n}: psi - delta {ucc.PSI - s.delta!r} above max_freq")
     _verdict("5/7 large slice example statistics and frequency sweep", failures)
 
 

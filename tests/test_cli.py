@@ -43,8 +43,8 @@ def test_check_union_closed_file(capsys):
     assert obj["max_freq"] == {"num": 1, "den": 2}
     assert obj["theorem"]["applicable"] is True
     assert obj["theorem"]["satisfied"] is True
-    # union-closed: delta is 0, so the bound is psi itself
-    assert (obj["delta"], obj["psi_minus_delta"]) == (0.0, ucc.PSI)
+    # union-closed: delta is 0, so the bound ucc.PSI - delta is psi itself
+    assert obj["delta"] == 0.0
 
 
 def test_check_vacuous_family(capsys):
@@ -55,6 +55,18 @@ def test_check_vacuous_family(capsys):
     assert obj["epsilon"] == {"num": 2, "den": 9}
     assert obj["theorem"]["applicable"] is False
     assert obj["theorem"]["satisfied"] is True
+
+
+@pytest.mark.parametrize("verb", ["check", "entropy"])
+def test_empty_set_family_is_inapplicable(verb, tmp_path, capsys):
+    # {empty set} is union closed with max frequency 0; check_theorem
+    # decides it, as it decides every family size
+    p = tmp_path / "empty_set.uc"
+    p.write_text("n=2\n00\n")
+    code, out, err = run(capsys, verb, str(p))
+    assert (code, err) == (0, "")
+    assert '"theorem":{"applicable":false,"satisfied":true}' in out
+    assert json.loads(out)["max_freq"] == {"num": 0, "den": 1}
 
 
 def test_check_missing_file(capsys):
@@ -109,21 +121,15 @@ def test_minimize_defaults(capsys):
     assert abs(obj["value"] - (1.0 + ucc.PHI)) <= 1e-9
 
 
-def test_grid_json_and_csv(tmp_path, capsys):
+def test_grid_report(capsys):
     code, out, _ = run(capsys, "analytic", "grid", "--grid", "101")
     assert code == 0
     obj = json.loads(out)
     assert obj["grid_points"] == 101
     assert obj["min_margin"] >= -1e-12
 
-    # a .csv path gets the JSON report too: the suffix chooses nothing
-    dest = tmp_path / "sweep.csv"
-    assert run(capsys, "analytic", "grid", "--grid", "101",
-               "--out", str(dest)) == (0, "", "")
-    assert dest.read_text() == out
 
-
-def test_grid_csv_sweeps_once(monkeypatch, tmp_path, capsys):
+def test_grid_sweeps_once(monkeypatch, tmp_path, capsys):
     from ucc.analytic import scalars
 
     sweeps: list[int] = []
@@ -133,19 +139,19 @@ def test_grid_csv_sweeps_once(monkeypatch, tmp_path, capsys):
         sweeps.append(1)
         return blocks(*args, **kwargs)
 
-    # one sweep per run, to stdout or to a .csv path, which gets JSON too
+    # one sweep per run, to stdout or to --out
     monkeypatch.setattr(scalars, "_margin_blocks", counting)
     code, out, _ = run(capsys, "analytic", "grid", "--grid", "101")
     assert code == 0 and len(sweeps) == 1
     assert out.count("\n") == 1 and strict_json(out)["grid_points"] == 101
-    dest = tmp_path / "sweep.csv"
+    dest = tmp_path / "sweep.json"
     assert run(capsys, "analytic", "grid", "--grid", "101",
                "--out", str(dest)) == (0, "", "")
     assert len(sweeps) == 2 and dest.read_text() == out
 
 
-def test_grid_csv_keeps_the_grid_floor(tmp_path, capsys):
-    dest = tmp_path / "coarse.csv"
+def test_grid_keeps_the_grid_floor(tmp_path, capsys):
+    dest = tmp_path / "coarse.json"
     for extra in (("--out", str(dest)), ()):
         code, out, err = run(capsys, "analytic", "grid", "--grid", "50", *extra)
         assert (code, out) == (2, "")
@@ -289,7 +295,7 @@ def test_example_n1000(capsys):
     assert obj["max_freq_exact"] == 0.4820000000002667
     assert obj["closure_deficit"] == 1.5150133934948656e-48
     assert obj["log2_inv_closure_deficit"] == pytest.approx(158.853, abs=1e-3)
-    assert obj["psi_minus_delta"] <= obj["max_freq_exact"]
+    assert ucc.PSI - obj["delta"] <= obj["max_freq_exact"]
     assert obj["size_ratio"] < 1e-6
 
 
@@ -450,15 +456,6 @@ def test_fuzz_unknown_kind_names_the_kinds(capsys):
                    "'noisy-uc') or 'all', got 'bogus'\n")
 
 
-def test_out_file_diverts_stdout(tmp_path, capsys):
-    dest = tmp_path / "report.json"
-    code, out, _ = run(capsys, "check", POWERSET3, "--out", str(dest))
-    assert code == 0
-    assert out == ""
-    obj = json.loads(dest.read_text())
-    assert obj["family_size"] == 8
-
-
 def test_stdout_byte_identical_across_runs(capsys):
     goldens = [
         ("check", POWERSET3),
@@ -476,23 +473,23 @@ def test_stdout_byte_identical_across_runs(capsys):
 def _pinned_data_runs():
     digests = {
         "chain4.uc": (
-            "c0eab1f865e8c3f948b67fe45237f33a487dce2ed555f3c4d02561457a1a94ed",
-            "6a31f2644a9d3dfe4263adfed91c0c0efd03bcfc196e463d399e36c5874271d3"),
+            "4835ce466dae11f145617996274fb947c1348afe3a7d93d24f9c80bf523ba6eb",
+            "3a30fd4d4f3be04049ba427f993e71d359578415b41768ea0bce93c0f25cc155"),
         "near_closed.uc": (
-            "a3f6b45848c5540c3d389d41d9670fba80d74073583ec911abc409caa2940bb4",
-            "397c31c74e9317c85d200406e3e1215250e005fa58ab0e2746317aa59ee4090f"),
+            "df82edcd24239eb5638776a449e5b2b604a1e1aa2487a0d688f6c9b080fb478c",
+            "2f87a621ccc71ac27321de451b137cb10ad2cbd1f79cae205a0290a4eac2b71c"),
         "powerset3.uc": (
-            "01c7ec1b41c378010240cbece3a6a021e620e8dff1782c768cc7bfb038240b2c",
-            "41172fff0b467ac9d579d769059cdfc6d982ab1a4e2d566b9dc43f6c9cce8d0d"),
+            "87a8a137604525d6623f83e53de13abc5e42af1e8e31388b3d4326324ddcc5c0",
+            "7e015c0b8c202a36935fc5e1948940ee76ee04dbe2d934f0fc70441aba0a2ff6"),
         "powerset3_noempty.uc": (
-            "7bbb3e8e9e78a07ffc88d21c200469bb87dbf0fc35347778efd28085f81bb8ca",
-            "0682138506dd9a03a8d545d992184fc51105bfe610196049c9e28629211a7aae"),
+            "04842a746f3e978a54dd5483c3ee328a4b5ea6799a91e53e6ae5610f327cbf93",
+            "f0dd3394ea93a4734279448e68570bb6ebc313d2daf6aa6e73d6ed2667ca05c0"),
         "singleton.uc": (
-            "b8a54ac3980c47148847fedfbaa8cebef12cee8a45601e0456a42842e1551143",
-            "1765dbfabfb624777c4922998f99965ca0b8be02514d1b079262723bfaac60d2"),
+            "1fb711c912ba41cbb20c296f2f882f5265534a551be67c8489084accc99a535e",
+            "f93bf188aaf0545577f2c8361f75652a3903f259483889d0550114926192ae4d"),
         "two_singletons.uc": (
-            "d99066ca2a4bd5db488160aa0c1909344ec0aaafb7e41f3d1b1e416d5d33748b",
-            "a492b786d95fd848dd4de6059e86cd87731670d879c0be93b7c226803df734e9"),
+            "f27a9f53a297193b112fa883244d19d696cb340466d77529e5bf17236e400820",
+            "ae41582bfdfde38d0aa2a87177366e5a4b54e5581aa9e81578cf79ca4b045962"),
     }
     assert sorted(digests) == sorted(p.name for p in DATA_DIR.glob("*.uc"))
     for name, sums in digests.items():
@@ -514,7 +511,7 @@ PINNED_RUNS = [
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
      "1e6eeaef99ecf3463dcb234b3bf4c66783d47628091424b227d26ba99d0f4754"),
     (("example", "--n", "1000"), 0,
-     "ff16c996a54be7fcb0c998522209543d6d9322bea6b9a2fdabd7b13d44413ef0"),
+     "152866d1ac19b13285f8a7c5339c466c6c112a3759daf6ceb8bb50c3f5ecc81a"),
     (("enumerate", "--n", "3"), 0,
      "b185b918329bd84b475fb61921013e1fb1dec72bcffe768e8f1bfd580fcd5d57"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
@@ -555,15 +552,14 @@ REPORT_SCHEMAS = {
     "check": (("check", NEAR_CLOSED), [
         "closure_fraction_unordered.den", "closure_fraction_unordered.num",
         "delta", "epsilon.den", "epsilon.num", "family_size", "max_freq.den",
-        "max_freq.num", "max_freq_element", "psi_minus_delta",
-        "theorem.applicable", "theorem.satisfied", "union_closed", "universe"]),
+        "max_freq.num", "max_freq_element", "theorem.applicable", "theorem.satisfied", "union_closed", "universe"]),
     "entropy": (("entropy", NEAR_CLOSED), [
         "chain_rule.applicable", "chain_rule.margin_bits", "chain_rule.rhs_bits",
         "chain_rule.satisfied", "delta", "entropy_union_bits", "epsilon.den",
         "epsilon.num", "family_size", "lower_bound.applicable",
         "lower_bound.margin_bits", "lower_bound.rhs_bits",
         "lower_bound.satisfied", "max_freq.den", "max_freq.num",
-        "max_freq_element", "psi_minus_delta", "theorem.applicable",
+        "max_freq_element", "theorem.applicable",
         "theorem.satisfied", "union_closed", "universe",
         "upper_bound.applicable", "upper_bound.margin_bits",
         "upper_bound.rhs_bits", "upper_bound.satisfied"]),
@@ -583,8 +579,7 @@ REPORT_SCHEMAS = {
         "example.closure_deficit", "example.delta", "example.k",
         "example.log2_f1", "example.log2_f2",
         "example.log2_inv_closure_deficit", "example.m",
-        "example.max_freq_exact", "example.n", "example.psi_minus_delta",
-        "example.size_ratio"]),
+        "example.max_freq_exact", "example.n", "example.size_ratio"]),
     "enumerate": (("enumerate", "--n", "2"), [
         "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
         "n", "skipped_small", "theorem_checked", "undecided"]),

@@ -97,7 +97,7 @@ def test_theorem_inapplicable_when_eps_at_half():
     fam = ucc.SetFamily.from_masks(2, [1, 2])  # eps = 1/2 exactly
     rep = ucc.check_theorem(fam)
     assert rep.epsilon == Fraction(1, 2)
-    assert rep.psi_minus_delta <= 0.0
+    assert ucc.PSI - rep.delta <= 0.0
     assert rep.applicable is False
     assert rep.satisfied is True
 
@@ -115,7 +115,6 @@ def test_theorem_on_union_closed(powerset3):
     assert rep.applicable and rep.satisfied
     assert rep.epsilon == 0
     assert rep.delta == 0.0
-    assert rep.psi_minus_delta == pytest.approx(ucc.PSI, abs=0)
     assert rep.max_freq == Fraction(1, 2)
 
 
@@ -133,13 +132,16 @@ def test_theorem_nontrivial_near_closed(near_closed):
     assert rep.epsilon == Fraction(3, 50)
     assert rep.applicable
     assert rep.satisfied
-    assert rep.psi_minus_delta == pytest.approx(0.11534416129614239, abs=1e-12)
+    assert ucc.PSI - rep.delta == pytest.approx(0.11534416129614239, abs=1e-12)
     assert rep.max_freq == Fraction(7, 10)
 
 
-def test_theorem_requires_two_sets():
-    with pytest.raises(ValueError):
-        ucc.check_theorem(ucc.SetFamily.from_sets(1, [{1}]))
+def test_theorem_inapplicable_on_one_set():
+    # a one-set family is union closed, and {empty set} has max_freq 0
+    for mask, max_freq in ((0, 0), (0b01, 1)):
+        rep = ucc.check_theorem(ucc.SetFamily(2, (mask,)))
+        assert (rep.epsilon, rep.delta, rep.max_freq) == (0, 0.0, max_freq)
+        assert (rep.applicable, rep.satisfied) == (False, True)
 
 
 def test_theorem_delta_zero_iff_union_closed(powerset3, near_closed):
@@ -322,7 +324,7 @@ def test_every_family_over_n_elements_is_decided(n):
             applicable[name, rep.applicable] += 1
         theorem = reps["theorem"]
         # strict comparisons: the first family in encoding order wins a tie
-        gap = float(theorem.max_freq) - theorem.psi_minus_delta
+        gap = float(theorem.max_freq) - (ucc.PSI - theorem.delta)
         if theorem.applicable and theorem.epsilon > 0 and gap < closest[0]:
             closest = (gap, fam, theorem.epsilon)
         p = 1 - theorem.max_freq

@@ -104,7 +104,7 @@ def test_example_stats_n1000_oracles():
     assert float(stats.closure_deficit) == CLOSURE_DEFICIT_1000
     assert stats.log2_inv_closure_deficit == pytest.approx(158.853, abs=1e-3)
     assert 0.0 < stats.delta < 1e-47  # psi - delta rounds back to psi
-    assert stats.psi_minus_delta == ucc.PSI < stats.max_freq_exact
+    assert ucc.PSI - stats.delta == ucc.PSI < stats.max_freq_exact
 
 
 @pytest.mark.parametrize("n,k,m", EXPLICIT_SPECS)
@@ -117,7 +117,7 @@ def test_closure_deficit_matches_explicit_family(n, k, m):
     assert stats.closure_deficit == eps  # exact Fraction equality
     assert stats.log2_inv_closure_deficit == pytest.approx(-math.log2(eps), abs=1e-12)
     theorem = ucc.check_theorem(fam)
-    assert (stats.delta, stats.psi_minus_delta) == (theorem.delta, theorem.psi_minus_delta)
+    assert stats.delta == theorem.delta
     assert stats.max_freq_exact == float(theorem.max_freq)
 
 
@@ -128,7 +128,7 @@ def test_closure_deficit_zero_on_union_closed_spec():
     stats = ucc.slice_stats(spec)
     assert stats.closure_deficit == 0
     assert stats.log2_inv_closure_deficit is None
-    assert (stats.delta, stats.psi_minus_delta) == (0.0, ucc.PSI)
+    assert stats.delta == 0.0
 
 
 def test_enumerate_counts_pinned():

@@ -45,13 +45,12 @@ RECORD_FIELDS = {
     ucc.FrequencyProfile: ("counts", "argmax", "max_freq"),
     ucc.UnionDistribution: ("support_size", "entropy_bits"),
     ucc.BoundReport: ("rhs_bits", "margin_bits", "satisfied", "applicable"),
-    ucc.TheoremReport: ("epsilon", "delta", "psi_minus_delta", "max_freq",
-                        "applicable", "satisfied"),
+    ucc.TheoremReport: ("epsilon", "delta", "max_freq", "applicable",
+                        "satisfied"),
     ucc.ExampleSpec: ("n", "k", "m"),
     ucc.ExampleStats: ("n", "k", "m", "log2_f1", "log2_f2", "size_ratio",
                        "max_freq_exact", "closure_deficit",
-                       "log2_inv_closure_deficit", "delta",
-                       "psi_minus_delta"),
+                       "log2_inv_closure_deficit", "delta"),
 }
 
 
