@@ -1,4 +1,4 @@
-"""Tour of the set-family container: building, measuring, closing.
+"""Tour of set families: building, measuring, closing.
 
 Run:  python3 demos/01_family_basics.py
 """
@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import ucc
 
-# A family is a sorted tuple of bitmasks over a universe of n elements.
-# Element i is bit i-1, so {1,3} on n=4 is the mask 0b0101.
-fam = ucc.SetFamily.from_sets(4, [{1}, {1, 2}, {1, 3}, {1, 2, 3}])
+# A family is a sorted tuple of bitmasks over a universe of n elements,
+# parsed here from the .uc text format: a header n=<universe size>, then
+# one row per set whose j-th character is 1 when element j is in it.
+# Element j is bit j-1, so the row 1010 is {1,3}, the mask 0b0101.
+fam = ucc.parse_family("n=4\n1000\n1100\n1010\n1110\n")
 print("family:")
 print(ucc.format_family(fam))
 
@@ -20,7 +22,7 @@ print("union closed?", ucc.is_union_closed(fam))
 print("ordered closure fraction:", ucc.closure_fraction(fam))
 
 # Drop a union and watch the fraction dip.
-broken = ucc.SetFamily.from_sets(4, [{1}, {2}, {1, 3}])
+broken = ucc.parse_family("n=4\n1000\n0100\n1010\n")  # {1}, {2}, {1,3}
 print("\nbroken family ordered fraction:", ucc.closure_fraction(broken))
 print("unordered variant:", ucc.closure_fraction_unordered(broken))
 

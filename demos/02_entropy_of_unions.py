@@ -46,7 +46,7 @@ print("  applicable", upper.applicable, " margin", upper.margin_bits)
 
 # The same machinery on a family that is far from union closed: the
 # upper bound steps aside instead of failing.
-loose = ucc.SetFamily.from_sets(2, [{1}, {2}])
+loose = ucc.parse_family("n=2\n10\n01\n")  # {1}, {2}
 print("\nclosure fraction of {{1}, {2}}:", ucc.closure_fraction(loose))
 upper = ucc.check_upper_bound(loose)
 print("upper bound applicable:", upper.applicable,
@@ -54,7 +54,7 @@ print("upper bound applicable:", upper.applicable,
 
 # A defect below 1/2 can still drive the certified threshold negative,
 # in which case the theorem holds vacuously.
-vacuous = ucc.SetFamily.from_sets(3, [set(), {1}, {2}])
+vacuous = ucc.parse_family("n=3\n000\n100\n010\n")  # {}, {1}, {2}
 rep = ucc.check_theorem(vacuous)
 print("vacuous case: applicable", rep.applicable,
       "satisfied", rep.satisfied)

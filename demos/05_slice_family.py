@@ -38,7 +38,8 @@ print("\nn=1000 defaults: k =", spec.k, " m =", spec.m)
 stats = ucc.slice_stats(spec)
 print("log2 |k-slice|    =", stats.log2_f1)
 print("log2 |upper part| =", stats.log2_f2)
-print("size ratio        =", stats.size_ratio)
+# |F2| / |F1| itself underflows a float by n = 80,000; its log does not
+print("log2 size ratio   =", stats.log2_f2 - stats.log2_f1)
 print("closure deficit   =", float(stats.closure_deficit), "(exact)")
 print("log2(1/deficit)   =", stats.log2_inv_closure_deficit)
 print("max frequency     =", stats.max_freq_exact, "(exact)")

@@ -38,9 +38,8 @@ _EXPORTS = {
     "rng": ("SplitMix64", "derive_seed"),
     "setfamily": (
         "FrequencyProfile", "SetFamily", "UCFormatError", "closure_fraction",
-        "closure_fraction_unordered", "dump_family", "element_frequencies",
-        "format_family", "is_union_closed", "load_family", "parse_family",
-        "union_closure"),
+        "closure_fraction_unordered", "element_frequencies", "format_family",
+        "is_union_closed", "load_family", "parse_family", "union_closure"),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 

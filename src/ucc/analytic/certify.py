@@ -324,7 +324,7 @@ def certify_lower_bound(
     refuted = stop is not None
     stack = [] if refuted else [(Box(eta, 1.0 - eta, eta, 1.0 - eta), 0)]
     trail = bytearray()  # one byte per enclosed box, in preorder
-    accepted = max_depth_used = 0
+    max_depth_used = 0
     while stack and len(trail) < box_budget:
         box, depth = stack.pop()
         max_depth_used = max(max_depth_used, depth)
@@ -332,7 +332,6 @@ def certify_lower_bound(
         enc_lo, enc_hi = (enc.lo, enc.hi) if enc is not None else (-math.inf, math.inf)
         if enc_lo >= theta:
             trail.append(0)  # accepted leaf
-            accepted += 1
             continue
         parts = _split(box) if depth < _MAX_DEPTH and enc_hi >= theta else None
         if parts is None:  # a violation or an undecided leaf: the walk ends here
@@ -361,7 +360,7 @@ def certify_lower_bound(
         max_depth_used=max_depth_used,
         verified=status == "verified",
         status=status,
-        accepted_boxes=accepted,
+        accepted_boxes=trail.count(0),
         violation_boxes=(stop,) if refuted else (),
         # f <= 1 everywhere, so an upper bound of 1 or more (+inf for a box
         # without an enclosure) certifies nothing

@@ -1,14 +1,15 @@
 """Family constructions: the near-extremal slice example and test corpora.
 
 The slice example over [n] is the union of two components: F1, all sets of
-one fixed size k (default round(psi n + n^(2/3)), ties up), and F2, all
-sets of size at least m (default ceil((1 - psi) n)).  Unions of two
-F1-members concentrate around size 2k - k^2/n, and with k/n near psi that
-is (2 psi - psi^2) n = (1 - psi) n, right at the F2 threshold: the family
-is approximately union closed while its densest element frequency stays
-near psi + n^(-1/3).  :func:`slice_example` materializes it at desk scale;
-:func:`slice_stats` gives its sizes, exact closure deficit and maximal
-frequency at any n from binomial arithmetic alone.
+one fixed size k, and F2, all sets of size at least m.  :class:`ExampleSpec`
+holds n, k and m, and sets the defaults k = round(psi n + n^(2/3)), ties
+up, and m = ceil((1 - psi) n).  Unions of two F1-members concentrate
+around size 2k - k^2/n, and with k/n near psi that is (2 psi - psi^2) n =
+(1 - psi) n, right at the F2 threshold: the family is approximately union
+closed while its densest element frequency stays near psi + n^(-1/3).
+:func:`slice_example` materializes it at desk scale; :func:`slice_stats`
+gives its sizes, exact closure deficit and maximal frequency at any n from
+binomial arithmetic alone.
 
 The corpus side is exhaustive union-closed enumeration at n <= 5 and three
 seeded random family kinds for fuzzing.
@@ -33,11 +34,8 @@ from .setfamily import (
 
 __all__ = [
     "RANDOM_KINDS",
-    "DegenerateSpecError",
     "ExampleSpec",
     "ExampleStats",
-    "default_slice_level",
-    "default_threshold",
     "slice_example",
     "slice_max_frequency",
     "slice_stats",
@@ -55,20 +53,6 @@ _NOISY_RHO = 0.25
 _MAX_SLICE_N = 1 << 17
 
 
-class DegenerateSpecError(ValueError):
-    """The slice example needs 0 < k < m <= n; small n cannot provide it."""
-
-
-def default_slice_level(n: int) -> int:
-    """Default k: psi n + n^(2/3), rounded to nearest with ties up."""
-    return math.floor(PSI * n + n ** (2.0 / 3.0) + 0.5)
-
-
-def default_threshold(n: int) -> int:
-    """Default m: ceil((1 - psi) n)."""
-    return math.ceil((1.0 - PSI) * n)
-
-
 class _ExampleSpecFields(NamedTuple):
     n: int
     k: int
@@ -77,12 +61,15 @@ class _ExampleSpecFields(NamedTuple):
 
 class ExampleSpec(_ExampleSpecFields):
     """Parameters of the slice example (all k-sets of [n] plus every set of
-    size at least m); k and m default from n.
+    size at least m).
 
-    Raises :class:`DegenerateSpecError` unless 0 < k < m <= n.  The
-    default k reaches the default m at every n up to 79 but 73, 75 and 78,
-    which is a statement about the construction being asymptotic, not a
-    bug, so the failure is loud instead of clamped.
+    An omitted k defaults to psi n + n^(2/3), rounded to nearest with ties
+    up, and an omitted m to ceil((1 - psi) n); ``ExampleSpec(n).k`` and
+    ``.m`` read them.  Raises ValueError, its message starting
+    "degenerate slice example", unless 0 < k < m <= n.  The default k
+    reaches the default m at every n up to 79 but 73, 75 and 78, which is
+    a statement about the construction being asymptotic, not a bug, so the
+    failure is loud instead of clamped.
     """
 
     __slots__ = ()
@@ -95,11 +82,11 @@ class ExampleSpec(_ExampleSpecFields):
         hint = (" (the default spec only separates for larger n)"
                 if k is None and m is None else "")
         if k is None:
-            k = default_slice_level(n)
+            k = math.floor(PSI * n + n ** (2.0 / 3.0) + 0.5)
         if m is None:
-            m = default_threshold(n)
+            m = math.ceil((1.0 - PSI) * n)
         if not 0 < k < m <= n:
-            raise DegenerateSpecError(
+            raise ValueError(
                 f"degenerate slice example: need 0 < k < m <= n, got "
                 f"k={k}, m={m}, n={n}{hint}")
         return super().__new__(cls, n, k, m)
@@ -108,10 +95,13 @@ class ExampleSpec(_ExampleSpecFields):
 class ExampleStats(NamedTuple):
     """Exact statistics of one slice example.
 
-    ``closure_deficit`` is the exact ordered-pair deficit eps =
-    1 - closure_fraction; ``log2_inv_closure_deficit`` is log2(1/eps) from
-    its integer numerator and denominator, None when eps = 0.  ``delta`` is
-    the theorem's term for this eps and |F|; its bound is ``PSI - delta``.
+    ``log2_f1`` and ``log2_f2`` are log2 |F1| and log2 |F2|; their
+    difference is the log2 of the size ratio |F2| / |F1|, which as a float
+    underflows to 0.0 by n = 80,000.  ``closure_deficit`` is the exact
+    ordered-pair deficit eps = 1 - closure_fraction;
+    ``log2_inv_closure_deficit`` is log2(1/eps) from its integer numerator
+    and denominator, None when eps = 0.  ``delta`` is the theorem's term for
+    this eps and |F|; its bound is ``PSI - delta``.
     """
 
     n: int
@@ -119,7 +109,6 @@ class ExampleStats(NamedTuple):
     m: int
     log2_f1: float
     log2_f2: float
-    size_ratio: float
     max_freq_exact: float
     closure_deficit: Fraction
     log2_inv_closure_deficit: float | None
@@ -207,7 +196,6 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
         n=n, k=k, m=m,
         log2_f1=math.log2(size_f1),
         log2_f2=math.log2(size_f2),
-        size_ratio=float(Fraction(size_f2, size_f1)),
         max_freq_exact=float(_max_frequency(spec, size)),
         closure_deficit=eps,
         log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)

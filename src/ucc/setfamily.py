@@ -1,7 +1,8 @@
 """Finite set families over a ground set {1, ..., n}, stored as bit masks.
 
 Element j of the ground set is bit j-1 of a Python int, so set union is
-``|`` and a membership test bisects the sorted masks.  The
+``|``.  A family is its sorted masks, ``sets``, and the statistics cached
+on it; it is built from masks or parsed from ``.uc`` text.  The
 universe is capped at 63 elements: families we materialize must fit in a
 machine word per set, and everything larger is handled symbolically by the
 generator module.
@@ -43,18 +44,18 @@ frequency that the theorem check and the lower bound share.
 
 The text format (``.uc``) is a header line ``n=<universe size>`` followed
 by one bit string per set, leftmost character = element 1.  ``#`` starts a
-comment, blank lines are skipped, CRLF is tolerated.
+comment, blank lines are skipped, CRLF is tolerated, and
+:func:`load_family` skips a leading UTF-8 byte order mark.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import CapExceededError
 
@@ -70,14 +71,12 @@ __all__ = [
     "parse_family",
     "format_family",
     "load_family",
-    "dump_family",
     "is_union_closed",
     "closure_fraction",
     "closure_fraction_unordered",
     "element_frequencies",
     "union_closure",
     "pair_union_counts",
-    "mask_from_elements",
 ]
 
 WORD_CAP = 63
@@ -106,16 +105,6 @@ class UCFormatError(ValueError):
         super().__init__(message)
 
 
-def mask_from_elements(elements: Iterable[int]) -> int:
-    """Bit mask for a set of 1-based ground elements."""
-    mask = 0
-    for e in elements:
-        if e < 1:
-            raise ValueError(f"ground elements are 1-based, got {e}")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 class SetFamily:
     """Canonical, deduplicated family of subsets of {1, ..., universe_size}.
 
@@ -129,7 +118,8 @@ class SetFamily:
     ``sets`` raises ValueError, so no statistic below needs to check for
     one.  A family is treated as immutable: equality and hashing read
     ``(universe_size, sets)``, and the statistics cached on it are
-    computed once.
+    computed once.  It is no container: its members are ``sets`` and
+    their number ``size``.
     """
 
     def __init__(self, universe_size: int, sets: Iterable[int]) -> None:
@@ -175,25 +165,9 @@ class SetFamily:
         """Build from arbitrary mask iterable; duplicates are collapsed."""
         return cls(universe_size, tuple(sorted(set(masks))))
 
-    @classmethod
-    def from_sets(cls, universe_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        """Build from element collections, e.g. ``from_sets(2, [(), (1,), (2,)])``."""
-        return cls.from_masks(universe_size, (mask_from_elements(s) for s in sets))
-
     @property
     def size(self) -> int:
         return len(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sets)
-
-    def __contains__(self, mask: int) -> bool:
-        sets = self.sets
-        i = bisect_left(sets, mask)
-        return i < len(sets) and sets[i] == mask
 
     @cached_property
     def union_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,13 +296,9 @@ def format_family(family: SetFamily) -> str:
 
 
 def load_family(path: str) -> SetFamily:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig skips the byte order mark some editors write at the start
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_family(fh.read())
-
-
-def dump_family(family: SetFamily, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_family(family))
 
 
 def pair_union_counts(universe_size: int,

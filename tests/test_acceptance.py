@@ -163,8 +163,9 @@ def test_acceptance_5_slice_example():
         failures.append(f"exact statistics took {elapsed:.1f}s, budget 30s")
     if not stats.closure_deficit < Fraction(5, 1000):
         failures.append(f"closure deficit {float(stats.closure_deficit)!r}")
-    if stats.size_ratio > 1e-6:
-        failures.append(f"size ratio {stats.size_ratio!r}")
+    # |F2| / |F1| at most 1e-6, compared in log space, where it cannot underflow
+    if stats.log2_f2 - stats.log2_f1 > math.log2(1e-6):
+        failures.append(f"log2 size ratio {stats.log2_f2 - stats.log2_f1!r}")
     if abs(stats.max_freq_exact - 0.482) > 0.01:
         failures.append(f"max frequency {stats.max_freq_exact!r}")
 

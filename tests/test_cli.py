@@ -69,6 +69,15 @@ def test_empty_set_family_is_inapplicable(verb, tmp_path, capsys):
     assert json.loads(out)["max_freq"] == {"num": 0, "den": 1}
 
 
+def test_check_skips_a_byte_order_mark(tmp_path, capsys):
+    # a .uc file saved with a UTF-8 BOM reads as the same family
+    p = tmp_path / "bom.uc"
+    p.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(POWERSET3).read_bytes())
+    want = run(capsys, "check", POWERSET3)
+    assert want[0] == 0
+    assert run(capsys, "check", str(p)) == want
+
+
 def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/nope.uc")
     assert code == 2
@@ -296,7 +305,8 @@ def test_example_n1000(capsys):
     assert obj["closure_deficit"] == 1.5150133934948656e-48
     assert obj["log2_inv_closure_deficit"] == pytest.approx(158.853, abs=1e-3)
     assert ucc.PSI - obj["delta"] <= obj["max_freq_exact"]
-    assert obj["size_ratio"] < 1e-6
+    # |F2| / |F1| below 1e-6, in log space where it cannot underflow
+    assert obj["log2_f2"] - obj["log2_f1"] < math.log2(1e-6)
 
 
 def test_every_verb_rejects_tol_and_example_sampling_options(capsys):
@@ -511,7 +521,7 @@ PINNED_RUNS = [
     (("analytic", "certify", "--theta", "0.7", "--eta", "0.01"), 0,
      "1e6eeaef99ecf3463dcb234b3bf4c66783d47628091424b227d26ba99d0f4754"),
     (("example", "--n", "1000"), 0,
-     "152866d1ac19b13285f8a7c5339c466c6c112a3759daf6ceb8bb50c3f5ecc81a"),
+     "65aabddf54f09252fb468cc4bf4f5e4acdab0a3de126c991fdce05c7e4d18afb"),
     (("enumerate", "--n", "3"), 0,
      "b185b918329bd84b475fb61921013e1fb1dec72bcffe768e8f1bfd580fcd5d57"),
     (("fuzz", "--n", "6", "--count", "300", "--seed", "3", "--entropy-checks"), 0,
@@ -579,7 +589,7 @@ REPORT_SCHEMAS = {
         "example.closure_deficit", "example.delta", "example.k",
         "example.log2_f1", "example.log2_f2",
         "example.log2_inv_closure_deficit", "example.m",
-        "example.max_freq_exact", "example.n", "example.size_ratio"]),
+        "example.max_freq_exact", "example.n"]),
     "enumerate": (("enumerate", "--n", "2"), [
         "all_satisfied", "families", "min_max_freq.den", "min_max_freq.num",
         "n", "skipped_small", "theorem_checked", "undecided"]),
@@ -599,7 +609,7 @@ def test_report_schema_pinned(verb, capsys):
 
 
 @pytest.mark.parametrize("verb", REPORT_SCHEMAS)
-def test_format_and_out_mean_the_same_on_every_verb(verb, tmp_path, capsys):
+def test_out_gets_the_stdout_bytes_on_every_verb(verb, tmp_path, capsys):
     # JSON is the one report form: --out gets exactly the bytes stdout
     # would, whatever the path's suffix
     argv, _ = REPORT_SCHEMAS[verb]

@@ -53,14 +53,14 @@ def test_chain_rule_on_power_set(powerset3):
 
 
 def test_chain_rule_strict_gain_when_coordinates_interact():
-    fam = ucc.SetFamily.from_sets(4, [{1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}])
+    fam = ucc.SetFamily.from_masks(4, [0b0001, 0b0011, 0b0111, 0b1111])
     rep = ucc.chain_rule_check(fam)
     assert rep.satisfied
     assert rep.margin_bits > 0.01  # nested sets couple the coordinates
 
 
 def test_lower_bound_pinned_singleton():
-    fam = ucc.SetFamily.from_sets(1, [{1}])
+    fam = ucc.SetFamily.from_masks(1, [0b1])
     rep = ucc.check_lower_bound(fam)
     assert rep.applicable and rep.satisfied
     assert fam.union_entropy == 0.0
@@ -119,7 +119,7 @@ def test_theorem_on_union_closed(powerset3):
 
 
 def test_theorem_vacuous_instance():
-    fam = ucc.SetFamily.from_sets(2, [set(), {1}, {2}])
+    fam = ucc.SetFamily.from_masks(2, [0b00, 0b01, 0b10])
     rep = ucc.check_theorem(fam)
     assert rep.epsilon == Fraction(2, 9)
     assert rep.delta == pytest.approx(DELTA_TWO_SINGLETONS, abs=1e-12)
@@ -338,4 +338,4 @@ def test_every_family_over_n_elements_is_decided(n):
     assert closest[1:] == (
         ucc.SetFamily.from_masks(n, set(range(1 << n)) - {lacking}), eps)
     assert least[0] == pytest.approx(H_QUARTER, abs=1e-12)
-    assert least[1] == ucc.SetFamily.from_sets(n, [(), (1,)])
+    assert least[1] == ucc.SetFamily.from_masks(n, [0b0, 0b1])

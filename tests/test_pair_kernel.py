@@ -372,7 +372,7 @@ def test_entropy_beyond_the_old_family_size_cap(tmp_path, capsys):
     n, size = 16, 5000
     fam = ucc.SetFamily.from_masks(n, random.Random(5000).sample(range(1 << n), size))
     path = tmp_path / "random5000.uc"
-    ucc.dump_family(fam, str(path))
+    path.write_text(ucc.format_family(fam), encoding="utf-8")
     assert ucc.cli.run_cli(["entropy", str(path)]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["family_size"] == size

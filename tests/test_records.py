@@ -48,7 +48,7 @@ RECORD_FIELDS = {
     ucc.TheoremReport: ("epsilon", "delta", "max_freq", "applicable",
                         "satisfied"),
     ucc.ExampleSpec: ("n", "k", "m"),
-    ucc.ExampleStats: ("n", "k", "m", "log2_f1", "log2_f2", "size_ratio",
+    ucc.ExampleStats: ("n", "k", "m", "log2_f1", "log2_f2",
                        "max_freq_exact", "closure_deficit",
                        "log2_inv_closure_deficit", "delta"),
 }

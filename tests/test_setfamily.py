@@ -25,11 +25,6 @@ def masks_families(max_n=6):
             st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=20)))
 
 
-def test_from_sets_is_one_based():
-    fam = ucc.SetFamily.from_sets(3, [{1}, {3}])
-    assert fam.sets == (0b001, 0b100)
-
-
 def test_from_masks_sorts_and_dedupes():
     fam = ucc.SetFamily.from_masks(2, [3, 1, 3, 0])
     assert fam.sets == (0, 1, 3)
@@ -68,17 +63,9 @@ def test_sets_are_stored_as_a_tuple():
         fam = ucc.SetFamily(3, sets)
         assert type(fam.sets) is tuple
         assert fam == want and hash(fam) == hash(want)
-        assert fam.size == 3 and list(fam) == [0, 1, 5]
+        assert fam.size == 3 and fam.sets == (0, 1, 5)
     with pytest.raises(ValueError, match="empty family"):
         ucc.SetFamily(3, (m for m in ()))
-
-
-def test_membership_lookup(powerset3):
-    assert 0b101 in powerset3
-    assert powerset3.size == 8
-    fam = ucc.SetFamily.from_masks(3, [0b001, 0b011, 0b110])
-    assert [m for m in range(-2, 10) if m in fam] == [0b001, 0b011, 0b110]
-    assert 0b010 not in fam and -1 not in fam and 1 << 3 not in fam
 
 
 # .uc round trips
@@ -139,7 +126,7 @@ def test_is_union_closed(powerset3):
 
 def test_closure_fraction_ordered_oracle():
     # {∅,{1},{2}}: 9 ordered pairs, the two mixed singleton pairs escape
-    fam = ucc.SetFamily.from_sets(2, [set(), {1}, {2}])
+    fam = ucc.SetFamily.from_masks(2, [0b00, 0b01, 0b10])
     assert ucc.closure_fraction(fam) == Fraction(7, 9)
     assert ucc.closure_fraction_unordered(fam) == Fraction(5, 6)
 
@@ -165,7 +152,7 @@ def test_closure_fraction_brute_force(nm):
 
 
 def test_element_frequencies_oracle():
-    fam = ucc.SetFamily.from_sets(2, [{1}, {1, 2}])
+    fam = ucc.SetFamily.from_masks(2, [0b01, 0b11])
     prof = ucc.element_frequencies(fam)
     assert prof.counts == (2, 1)
     assert all(type(c) is int for c in prof.counts)
@@ -205,7 +192,7 @@ def test_profile_builds_one_fraction(monkeypatch):
 
 
 def test_frequency_argmax_prefers_smallest_element():
-    fam = ucc.SetFamily.from_sets(3, [{1, 2}, {2, 3}, {1, 3}])
+    fam = ucc.SetFamily.from_masks(3, [0b011, 0b110, 0b101])
     prof = ucc.element_frequencies(fam)
     assert prof.max_freq == Fraction(2, 3)
     assert prof.argmax == 0
@@ -290,5 +277,5 @@ def test_union_closure_cap(monkeypatch):
 
 def test_load_dump(tmp_path, powerset3):
     path = tmp_path / "fam.uc"
-    ucc.dump_family(powerset3, path)
+    path.write_text(ucc.format_family(powerset3), encoding="utf-8")
     assert ucc.load_family(path) == powerset3
