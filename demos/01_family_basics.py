@@ -15,15 +15,16 @@ fam = ucc.parse_family("n=4\n1000\n1100\n1010\n1110\n")
 print("family:")
 print(ucc.format_family(fam))
 
-print("union closed?", ucc.is_union_closed(fam))
+# closure_deficit is eps, the share of ordered pairs (A, B) whose union
+# A | B leaves the family; 0 means union closed, anything more measures
+# the defect.
+print("closure deficit:", fam.closure_deficit)
+print("union closed?", fam.closure_deficit == 0)
 
-# closure_fraction counts ordered pairs (A, B) with A | B back in the
-# family; 1.0 means union closed, anything less measures the defect.
-print("ordered closure fraction:", ucc.closure_fraction(fam))
-
-# Drop a union and watch the fraction dip.
+# Drop a union and watch the deficit rise.
 broken = ucc.parse_family("n=4\n1000\n0100\n1010\n")  # {1}, {2}, {1,3}
-print("\nbroken family ordered fraction:", ucc.closure_fraction(broken))
+print("\nbroken family closure deficit:", broken.closure_deficit)
+print("ordered closure fraction 1 - eps:", 1 - broken.closure_deficit)
 print("unordered variant:", ucc.closure_fraction_unordered(broken))
 
 # union_closure completes any family to the smallest union-closed one

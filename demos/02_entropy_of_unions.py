@@ -47,10 +47,10 @@ print("  applicable", upper.applicable, " margin", upper.margin_bits)
 # The same machinery on a family that is far from union closed: the
 # upper bound steps aside instead of failing.
 loose = ucc.parse_family("n=2\n10\n01\n")  # {1}, {2}
-print("\nclosure fraction of {{1}, {2}}:", ucc.closure_fraction(loose))
+print("\nclosure fraction of {{1}, {2}}:", 1 - loose.closure_deficit)
 upper = ucc.check_upper_bound(loose)
 print("upper bound applicable:", upper.applicable,
-      "(defect", 1 - ucc.closure_fraction(loose), "reaches 1/2)")
+      "(defect", loose.closure_deficit, "reaches 1/2)")
 
 # A defect below 1/2 can still drive the certified threshold negative,
 # in which case the theorem holds vacuously.
@@ -59,7 +59,7 @@ rep = ucc.check_theorem(vacuous)
 print("vacuous case: applicable", rep.applicable,
       "satisfied", rep.satisfied)
 print("  bound psi - delta =", ucc.PSI - rep.delta,
-      " max freq =", float(rep.max_freq))
+      " max freq =", float(vacuous.frequency_profile.max_freq))
 assert rep.satisfied
 
 # Sanity: entropy is measured in bits, so the powerset union entropy

@@ -18,15 +18,15 @@ import ucc
 spec = ucc.ExampleSpec(n=12, k=4, m=8)
 fam = ucc.slice_example(spec)
 print("n=12 slice family:", fam.size, "sets")
-print("union closed?", ucc.is_union_closed(fam))
-print("ordered closure fraction:", float(ucc.closure_fraction(fam)))
+print("closure deficit:", float(fam.closure_deficit))
+print("ordered closure fraction:", float(1 - fam.closure_deficit))
 prof = ucc.element_frequencies(fam)
 print("max frequency", prof.max_freq, "=", float(prof.max_freq))
 
 # The same family through the theorem checker.
 rep = ucc.check_theorem(fam)
 print("theorem satisfied:", rep.satisfied,
-      " margin above psi:", float(rep.max_freq) - ucc.PSI)
+      " margin above psi:", float(prof.max_freq) - ucc.PSI)
 
 # At n = 1000 the family has ~10^299 members, so nothing is materialized:
 # sizes, frequencies and the closure deficit come from binomial
@@ -42,7 +42,8 @@ print("log2 |upper part| =", stats.log2_f2)
 print("log2 size ratio   =", stats.log2_f2 - stats.log2_f1)
 print("closure deficit   =", float(stats.closure_deficit), "(exact)")
 print("log2(1/deficit)   =", stats.log2_inv_closure_deficit)
-print("max frequency     =", stats.max_freq_exact, "(exact)")
+print("max frequency     =", float(stats.max_freq_exact))
+print("  exactly", stats.max_freq_exact)
 
 # The squeeze: the deficit and the gap above psi shrink together, while
 # the theorem's bound psi - delta stays below the frequency.
@@ -50,6 +51,6 @@ print("\nn      closure deficit  max freq        gap above psi  psi - delta")
 for n in (1000, 4000, 16000):
     st = ucc.slice_stats(ucc.ExampleSpec(n=n))
     print("%-6d %-16.3e %.12f  %-14.2e %.12f" % (
-        n, float(st.closure_deficit), st.max_freq_exact, st.max_freq_exact - ucc.PSI,
+        n, float(st.closure_deficit), st.max_freq_exact, float(st.max_freq_exact) - ucc.PSI,
         ucc.PSI - st.delta))
 print("psi =", ucc.PSI)

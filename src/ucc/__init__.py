@@ -1,7 +1,7 @@
 """Verification toolkit for a frequency lower bound on union-closed set systems.
 
 The package has three layers.  `setfamily` holds the exact combinatorial
-core (bitmask families, closure fractions, frequencies).  `entropy` checks
+core (bitmask families, closure deficit, frequencies).  `entropy` checks
 the information-theoretic inequalities behind the bound using exact
 rational arithmetic on counts.  `analytic` studies the scalar landscape
 those inequalities reduce to, up to an interval-arithmetic certificate of
@@ -34,12 +34,12 @@ _EXPORTS = {
     "generators": (
         "RANDOM_KINDS", "ExampleSpec", "ExampleStats",
         "enumerate_union_closed", "random_families", "slice_example",
-        "slice_max_frequency", "slice_stats"),
+        "slice_stats"),
     "rng": ("SplitMix64", "derive_seed"),
     "setfamily": (
-        "FrequencyProfile", "SetFamily", "UCFormatError", "closure_fraction",
+        "FrequencyProfile", "SetFamily", "UCFormatError",
         "closure_fraction_unordered", "element_frequencies", "format_family",
-        "is_union_closed", "load_family", "parse_family", "union_closure"),
+        "load_family", "parse_family", "union_closure"),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 

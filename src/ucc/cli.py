@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     verb = functools.partial(sub.add_parser, parents=[common])
 
-    p = verb("check", help="closure fraction, frequencies, theorem report")
+    p = verb("check", help="closure deficit, frequencies, theorem report")
     p.add_argument("file")
     p.set_defaults(run=_cmd_check)
 
@@ -132,14 +132,16 @@ def _family_report(path: str):
     decides every family size) and the report object."""
     family = _lib.load_family(path)
     rep = _lib.check_theorem(family)
+    eps = family.closure_deficit
+    prof = _lib.element_frequencies(family)
     obj = {
         "family_size": family.size,
         "universe": family.universe_size,
-        "union_closed": rep.epsilon == 0,
-        "epsilon": report.record_obj(rep.epsilon),
+        "union_closed": eps == 0,
+        "epsilon": report.record_obj(eps),
         "delta": rep.delta,
-        "max_freq": report.record_obj(rep.max_freq),
-        "max_freq_element": _lib.element_frequencies(family).argmax + 1,
+        "max_freq": report.record_obj(prof.max_freq),
+        "max_freq_element": prof.argmax + 1,
         "theorem": {"applicable": rep.applicable, "satisfied": rep.satisfied},
     }
     return family, rep.satisfied, obj
@@ -187,6 +189,7 @@ def _cmd_certify(args) -> int:
 def _cmd_example(args) -> int:
     stats = _lib.slice_stats(_lib.ExampleSpec(args.n))
     obj = report.record_obj(stats)
+    obj["max_freq_exact"] = float(stats.max_freq_exact)
     obj["closure_deficit"] = float(stats.closure_deficit)
     return _emit(args, {"example": obj})
 
@@ -212,9 +215,10 @@ def _check_families(families, entropy_checks: bool = False):
             continue
         checked += 1
         applicable += rep.applicable
-        max_eps = max(max_eps, float(rep.epsilon))
-        if min_max_freq is None or rep.max_freq < min_max_freq:
-            min_max_freq = rep.max_freq
+        max_eps = max(max_eps, float(fam.closure_deficit))
+        max_freq = fam.frequency_profile.max_freq
+        if min_max_freq is None or max_freq < min_max_freq:
+            min_max_freq = max_freq
         verdicts = [rep.satisfied]
         if rep.satisfied is not False and entropy_checks:
             verdicts += [_lib.check_lower_bound(fam).satisfied,

@@ -13,8 +13,8 @@ run.  H(A|B) itself is the family's cached
 :attr:`~ucc.setfamily.SetFamily.union_entropy`, evaluated once by the one
 pass that reads every cell: it reads the histogram one chunk of
 :data:`~ucc.setfamily._CHUNK_CELLS` cells at a time, so no check holds a
-per-cell buffer beyond one chunk (the closure count reads only the |F|
-members' cells); each entropy term is still a Python float from exact
+per-cell buffer beyond one chunk (the closure deficit reads only the
+|F| members' cells); each entropy term is still a Python float from exact
 integer counts, and each sum is rounded once, as ``math.fsum`` over all
 its terms would round it.  :func:`union_distribution` reports two numbers
 of that histogram, its support size and H(A|B); whoever needs the unions
@@ -36,12 +36,15 @@ repeated there; callers read it from the family:
 *   ``check_lower_bound``: H(A|B) >= p/(2 phi) (H(A) + H(B)) with
     p = min_i Pr[element i missing from a draw] = 1 - max frequency.
 *   ``check_upper_bound``: H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2|F|
-    where eps is the ordered-pair closure deficit, proved by splitting on
+    where eps is the family's ordered-pair closure deficit,
+    :attr:`~ucc.setfamily.SetFamily.closure_deficit`, proved by splitting on
     the member indicator.  Inapplicable (reported, not failed) once
     eps >= 1/2.
 *   ``check_theorem``: some element frequency reaches psi - delta with
     delta = 2 eps (1 + log(1/eps) / log|F|); vacuous when psi - delta <= 0
-    and on a one-set family, which is union closed.
+    and on a one-set family, which is union closed.  Its
+    :class:`TheoremReport` holds delta and the verdict, not eps or the
+    frequency, which the family caches.
 
 Entropies are floats in bits (compensated summation over exact integer
 counts), but no verdict compares those floats with a threshold.  On a
@@ -134,11 +137,17 @@ class BoundReport(NamedTuple):
 
 
 class TheoremReport(NamedTuple):
-    """Frequency bound max_freq >= psi - delta for one family."""
+    """The frequency bound max_freq >= psi - delta for one family.
 
-    epsilon: Fraction
+    It holds only what the verdict adds: ``delta``, the theorem's term
+    for the family's closure deficit eps, whether the bound applies, and
+    the verdict.  eps is the family's cached
+    :attr:`~ucc.setfamily.SetFamily.closure_deficit` and max_freq its
+    :attr:`~ucc.setfamily.SetFamily.frequency_profile`'s; callers read
+    them there.
+    """
+
     delta: float
-    max_freq: Fraction
     applicable: bool
     satisfied: bool | None
 
@@ -321,12 +330,6 @@ def check_lower_bound(family: SetFamily) -> BoundReport:
     )
 
 
-def _closure_deficit(family: SetFamily) -> Fraction:
-    """eps, the share of ordered pairs whose union is not a member."""
-    total = family.size ** 2
-    return Fraction(total - family.closure_hits, total)
-
-
 def check_upper_bound(family: SetFamily) -> BoundReport:
     """H(A|B) <= 2 eps log2(1/eps) + (1 + 2 eps) log2 |F| for eps < 1/2.
 
@@ -344,7 +347,7 @@ def check_upper_bound(family: SetFamily) -> BoundReport:
     inapplicable and never counts as a failure.
     """
     lhs = family.union_entropy
-    eps = _closure_deficit(family)
+    eps = family.closure_deficit
     eps_f = float(eps)
 
     log_size = math.log2(family.size)
@@ -393,8 +396,11 @@ def _at_least_psi(q: Fraction) -> bool:
 def check_theorem(family: SetFamily) -> TheoremReport:
     """Frequency bound: some element appears in a psi - delta share of F.
 
-    delta = 2 eps (1 + log(1/eps) / log |F|) with eps the ordered-pair
-    closure deficit (delta = 0 when eps = 0, i.e. union-closed input).
+    delta = 2 eps (1 + log(1/eps) / log |F|) with eps the family's
+    ordered-pair :attr:`~ucc.setfamily.SetFamily.closure_deficit` (delta = 0
+    when eps = 0, i.e. union-closed input), and max_freq the frequency of
+    its :attr:`~ucc.setfamily.SetFamily.frequency_profile`.  The report
+    holds delta, whether the bound applies and the verdict.
     Inapplicable (satisfied is reported as true) on a one-set family,
     which is union closed (eps = 0, delta = 0) yet may have max_freq 0,
     as {empty set} has.  Inapplicable too when psi - delta <= 0 (vacuously
@@ -409,7 +415,7 @@ def check_theorem(family: SetFamily) -> TheoremReport:
     2 eps (1 + (log2 b - log2 a) / log2 |F|), and the verdict is None when
     the two enclosures overlap.
     """
-    eps = _closure_deficit(family)
+    eps = family.closure_deficit
     prof = element_frequencies(family)
     delta = theorem_delta(eps, family.size)
     applicable = family.size >= 2 and PSI - delta > 0.0
@@ -422,10 +428,4 @@ def check_theorem(family: SetFamily) -> TheoremReport:
             _ONE + log2_inv_eps / _log2_enclosure(family.size))
         satisfied = _at_least(_fraction_enclosure(prof.max_freq),
                               _PSI_ENCLOSURE - delta_enc)
-    return TheoremReport(
-        epsilon=eps,
-        delta=delta,
-        max_freq=prof.max_freq,
-        applicable=applicable,
-        satisfied=satisfied,
-    )
+    return TheoremReport(delta=delta, applicable=applicable, satisfied=satisfied)

@@ -8,8 +8,8 @@ around size 2k - k^2/n, and with k/n near psi that is (2 psi - psi^2) n =
 (1 - psi) n, right at the F2 threshold: the family is approximately union
 closed while its densest element frequency stays near psi + n^(-1/3).
 :func:`slice_example` materializes it at desk scale; :func:`slice_stats`
-gives its sizes, exact closure deficit and maximal frequency at any n from
-binomial arithmetic alone.
+gives its sizes, and its closure deficit and maximal frequency as exact
+Fractions, at any n from binomial arithmetic alone.
 
 The corpus side is exhaustive union-closed enumeration at n <= 5 and three
 seeded random family kinds for fuzzing.
@@ -37,7 +37,6 @@ __all__ = [
     "ExampleSpec",
     "ExampleStats",
     "slice_example",
-    "slice_max_frequency",
     "slice_stats",
     "enumerate_union_closed",
     "random_families",
@@ -97,11 +96,15 @@ class ExampleStats(NamedTuple):
 
     ``log2_f1`` and ``log2_f2`` are log2 |F1| and log2 |F2|; their
     difference is the log2 of the size ratio |F2| / |F1|, which as a float
-    underflows to 0.0 by n = 80,000.  ``closure_deficit`` is the exact
-    ordered-pair deficit eps = 1 - closure_fraction;
-    ``log2_inv_closure_deficit`` is log2(1/eps) from its integer numerator
-    and denominator, None when eps = 0.  ``delta`` is the theorem's term for
-    this eps and |F|; its bound is ``PSI - delta``.
+    underflows to 0.0 by n = 80,000.  ``max_freq_exact`` is the exact
+    frequency that every element shares, by symmetry:
+    [C(n-1, k-1) + sum_{j >= m} C(n-1, j-1)] / |F|.  ``closure_deficit`` is
+    the exact ordered-pair deficit eps, the share of the |F|^2 ordered pairs
+    whose union leaves the family, as
+    :attr:`~ucc.setfamily.SetFamily.closure_deficit` gives it on the
+    materialized example; ``log2_inv_closure_deficit`` is log2(1/eps) from
+    its integer numerator and denominator, None when eps = 0.  ``delta`` is
+    the theorem's term for this eps and |F|; its bound is ``PSI - delta``.
     """
 
     n: int
@@ -109,7 +112,7 @@ class ExampleStats(NamedTuple):
     m: int
     log2_f1: float
     log2_f2: float
-    max_freq_exact: float
+    max_freq_exact: Fraction
     closure_deficit: Fraction
     log2_inv_closure_deficit: float | None
     delta: float
@@ -142,22 +145,6 @@ def slice_example(spec: ExampleSpec) -> SetFamily:
     for j in range(m, n + 1):
         masks.extend(sum(1 << p for p in combo) for combo in combinations(range(n), j))
     return SetFamily.from_masks(n, masks)
-
-
-def slice_max_frequency(spec: ExampleSpec) -> Fraction:
-    """Exact maximal element frequency of the slice example.
-
-    By symmetry every element has the same frequency:
-    [C(n-1, k-1) + sum_{j >= m} C(n-1, j-1)] / [C(n, k) + sum_{j >= m} C(n, j)].
-    """
-    size = math.comb(spec.n, spec.k) + sum(_tail_weights(spec.n, spec.m))
-    return _max_frequency(spec, size)
-
-
-def _max_frequency(spec: ExampleSpec, size: int) -> Fraction:
-    """The frequency of every element, given the family size |F|."""
-    n, k, m = spec.n, spec.k, spec.m
-    return Fraction(math.comb(n - 1, k - 1) + sum(_tail_weights(n - 1, m - 1)), size)
 
 
 def slice_stats(spec: ExampleSpec) -> ExampleStats:
@@ -196,7 +183,8 @@ def slice_stats(spec: ExampleSpec) -> ExampleStats:
         n=n, k=k, m=m,
         log2_f1=math.log2(size_f1),
         log2_f2=math.log2(size_f2),
-        max_freq_exact=float(_max_frequency(spec, size)),
+        max_freq_exact=Fraction(
+            math.comb(n - 1, k - 1) + sum(_tail_weights(n - 1, m - 1)), size),
         closure_deficit=eps,
         log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)
                                   if eps else None),

@@ -8,9 +8,11 @@ machine word per set, and everything larger is handled symbolically by the
 generator module.
 
 All closure and frequency statistics returned here are exact: integer
-counts or :class:`fractions.Fraction` values.  Downstream inequality
-checks convert to float at the last moment, so no rounding error is
-inherited from this layer.
+counts or :class:`fractions.Fraction` values.  The closure statistic is
+one number, the deficit eps: the share of the |F|^2 ordered pairs whose
+union is not a member, 0 exactly when the family is union closed.
+Downstream inequality checks convert to float at the last moment, so no
+rounding error is inherited from this layer.
 
 Every pair statistic, here and in :mod:`ucc.entropy`, derives from one
 histogram: the exact count of ordered pairs (A, B) in F x F, over all
@@ -30,11 +32,11 @@ block of ``_PAIR_BLOCK_CELLS`` cells and the temporaries of its
 build is slower.  The one pass that reads every cell of a built
 histogram, :attr:`SetFamily.union_entropy`, turns its counts into Python
 ints ``_CHUNK_CELLS`` cells at a time, so on top of the histogram it holds
-no per-cell buffer beyond one chunk; the closure count,
-:attr:`SetFamily.closure_hits`, reads only the cells of the |F| members,
-once per family, for the closure fractions, the theorem check and the
-upper bound.  :attr:`SetFamily.union_counts` computes the histogram at
-most once per family, so the closure count, the union distribution, both
+no per-cell buffer beyond one chunk; the closure deficit,
+:attr:`SetFamily.closure_deficit`, reads only the cells of the |F| members,
+once per family, for the unordered closure fraction, the theorem check and
+the upper bound.  :attr:`SetFamily.union_counts` computes the histogram at
+most once per family, so the closure deficit, the union distribution, both
 entropy bounds and the chain rule share one build.  Member lookups are
 binary searches in the sorted unions, never a table over 2^n masks.
 :attr:`SetFamily.union_entropy` caches the entropy of that histogram, read
@@ -71,8 +73,6 @@ __all__ = [
     "parse_family",
     "format_family",
     "load_family",
-    "is_union_closed",
-    "closure_fraction",
     "closure_fraction_unordered",
     "element_frequencies",
     "union_closure",
@@ -180,11 +180,13 @@ class SetFamily:
         return unions, counts
 
     @cached_property
-    def closure_hits(self) -> int:
-        """Ordered pairs (A, B), diagonal included, whose union is a member,
-        from :attr:`union_counts`; computed on first use and kept for the
-        life of the family, so the closure fractions, the theorem check and
-        the upper bound share one search.
+    def closure_deficit(self) -> Fraction:
+        """eps, the share of ordered pairs (A, B), diagonal included, whose
+        union is not a member, from :attr:`union_counts`; computed on first
+        use and kept for the life of the family, so the unordered closure
+        fraction, the theorem check and the upper bound share one search.
+        0 exactly when the family is union closed, and at most
+        1 - 1/|F|, as the |F| diagonal pairs give their own members back.
 
         Every member A is a union, of the diagonal pair (A, A), so a binary
         search in the sorted unions finds each one; nothing as wide as the
@@ -194,7 +196,8 @@ class SetFamily:
 
         unions, counts = self.union_counts
         members = np.searchsorted(unions, np.array(self.sets, dtype=np.int64))
-        return sum(counts[members].tolist())
+        total = self.size ** 2
+        return Fraction(total - sum(counts[members].tolist()), total)
 
     @cached_property
     def union_entropy(self) -> float:
@@ -358,30 +361,17 @@ def pair_union_counts(universe_size: int,
     return unions, counts
 
 
-def is_union_closed(family: SetFamily) -> bool:
-    """True iff A | B is a member for every pair of members (A = B included)."""
-    return family.closure_hits == family.size ** 2
-
-
-def closure_fraction(family: SetFamily) -> Fraction:
-    """Fraction of ordered pairs (A, B), drawn with replacement, whose union
-    is again a member.  Exact rational with denominator |F|^2.
-
-    Equals 1 iff the family is union closed; always at least 1/|F| because
-    the |F| diagonal pairs contribute their own unions.
-    """
-    return Fraction(family.closure_hits, family.size ** 2)
-
-
 def closure_fraction_unordered(family: SetFamily) -> Fraction:
-    """Same statistic over unordered pairs {A, B} with A = B allowed.
+    """Share of unordered pairs {A, B}, A = B allowed, whose union is a
+    member.
 
     Every off-diagonal unordered pair is two ordered ones and every
-    diagonal pair is a hit, so the hits are (ordered hits + |F|) / 2.
-    Secondary diagnostic only; the theorem checks use the ordered version.
+    diagonal pair is a hit, so from the ordered hits |F|^2 (1 - eps) the
+    share is (|F|^2 (1 - eps) + |F|) / (|F| (|F| + 1)).  Secondary
+    diagnostic only; the theorem checks read eps itself.
     """
     s = family.size
-    return Fraction((family.closure_hits + s) // 2, s * (s + 1) // 2)
+    return (s * s * (1 - family.closure_deficit) + s) / (s * (s + 1))
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:

@@ -166,21 +166,25 @@ def test_acceptance_5_slice_example():
     # |F2| / |F1| at most 1e-6, compared in log space, where it cannot underflow
     if stats.log2_f2 - stats.log2_f1 > math.log2(1e-6):
         failures.append(f"log2 size ratio {stats.log2_f2 - stats.log2_f1!r}")
-    if abs(stats.max_freq_exact - 0.482) > 0.01:
-        failures.append(f"max frequency {stats.max_freq_exact!r}")
+    if abs(stats.max_freq_exact - Fraction(482, 1000)) > Fraction(1, 100):
+        failures.append(f"max frequency {float(stats.max_freq_exact)!r}")
 
     # the squeeze: eps and max_freq - psi fall together, and the theorem's
-    # bound psi - delta stays at or below max_freq
+    # bound psi - delta stays at or below max_freq.  max_freq is exact, and
+    # a float compares with a Fraction exactly, so every comparison below
+    # is exact; float() is taken only for the messages
     sweep = [ucc.slice_stats(ucc.ExampleSpec(n=n)) for n in (1000, 4000, 16000)]
     deficits = [s.closure_deficit for s in sweep]
-    gaps = [s.max_freq_exact - ucc.PSI for s in sweep]
+    gaps = [s.max_freq_exact - Fraction(ucc.PSI) for s in sweep]
     if not deficits[0] > deficits[1] > deficits[2] > 0:
         failures.append(f"closure deficit not falling: {[float(d) for d in deficits]}")
     if not gaps[0] > gaps[1] > gaps[2] > 0:
-        failures.append(f"frequency sweep not decreasing toward psi: {gaps}")
+        failures.append(
+            f"frequency sweep not decreasing toward psi: {[float(g) for g in gaps]}")
     for n, s in zip((1000, 4000, 16000), sweep):
         if not ucc.PSI - s.delta <= s.max_freq_exact:
-            failures.append(f"n={n}: psi - delta {ucc.PSI - s.delta!r} above max_freq")
+            failures.append(f"n={n}: psi - delta {ucc.PSI - s.delta!r} above "
+                            f"max_freq {float(s.max_freq_exact)!r}")
     _verdict("5/7 large slice example statistics and frequency sweep", failures)
 
 

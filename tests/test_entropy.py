@@ -82,7 +82,7 @@ def test_upper_bound_union_closed_family(powerset3):
     assert rep.applicable and rep.satisfied
     # eps = 0: rhs collapses to log2 |F|
     assert rep.rhs_bits == pytest.approx(math.log2(8), abs=1e-12)
-    assert ucc.closure_fraction(powerset3) == 1
+    assert powerset3.closure_deficit == 0
 
 
 def test_upper_bound_inapplicable_when_eps_at_half():
@@ -96,7 +96,7 @@ def test_theorem_inapplicable_when_eps_at_half():
     # eps >= 1/2 makes delta >= 1 > psi, so psi - delta <= 0 decides it
     fam = ucc.SetFamily.from_masks(2, [1, 2])  # eps = 1/2 exactly
     rep = ucc.check_theorem(fam)
-    assert rep.epsilon == Fraction(1, 2)
+    assert fam.closure_deficit == Fraction(1, 2)
     assert ucc.PSI - rep.delta <= 0.0
     assert rep.applicable is False
     assert rep.satisfied is True
@@ -113,15 +113,15 @@ def test_upper_bound_decomposition_identity(near_closed):
 def test_theorem_on_union_closed(powerset3):
     rep = ucc.check_theorem(powerset3)
     assert rep.applicable and rep.satisfied
-    assert rep.epsilon == 0
+    assert powerset3.closure_deficit == 0
     assert rep.delta == 0.0
-    assert rep.max_freq == Fraction(1, 2)
+    assert powerset3.frequency_profile.max_freq == Fraction(1, 2)
 
 
 def test_theorem_vacuous_instance():
     fam = ucc.SetFamily.from_masks(2, [0b00, 0b01, 0b10])
     rep = ucc.check_theorem(fam)
-    assert rep.epsilon == Fraction(2, 9)
+    assert fam.closure_deficit == Fraction(2, 9)
     assert rep.delta == pytest.approx(DELTA_TWO_SINGLETONS, abs=1e-12)
     assert not rep.applicable  # psi - delta < 0: vacuous
     assert rep.satisfied
@@ -129,18 +129,20 @@ def test_theorem_vacuous_instance():
 
 def test_theorem_nontrivial_near_closed(near_closed):
     rep = ucc.check_theorem(near_closed)
-    assert rep.epsilon == Fraction(3, 50)
+    assert near_closed.closure_deficit == Fraction(3, 50)
     assert rep.applicable
     assert rep.satisfied
     assert ucc.PSI - rep.delta == pytest.approx(0.11534416129614239, abs=1e-12)
-    assert rep.max_freq == Fraction(7, 10)
+    assert near_closed.frequency_profile.max_freq == Fraction(7, 10)
 
 
 def test_theorem_inapplicable_on_one_set():
     # a one-set family is union closed, and {empty set} has max_freq 0
     for mask, max_freq in ((0, 0), (0b01, 1)):
-        rep = ucc.check_theorem(ucc.SetFamily(2, (mask,)))
-        assert (rep.epsilon, rep.delta, rep.max_freq) == (0, 0.0, max_freq)
+        fam = ucc.SetFamily(2, (mask,))
+        rep = ucc.check_theorem(fam)
+        assert (fam.closure_deficit, rep.delta, fam.frequency_profile.max_freq) == (
+            0, 0.0, max_freq)
         assert (rep.applicable, rep.satisfied) == (False, True)
 
 
@@ -323,11 +325,12 @@ def test_every_family_over_n_elements_is_decided(n):
             assert rep.satisfied or not rep.applicable, (name, fam)
             applicable[name, rep.applicable] += 1
         theorem = reps["theorem"]
+        eps, max_freq = fam.closure_deficit, fam.frequency_profile.max_freq
         # strict comparisons: the first family in encoding order wins a tie
-        gap = float(theorem.max_freq) - (ucc.PSI - theorem.delta)
-        if theorem.applicable and theorem.epsilon > 0 and gap < closest[0]:
-            closest = (gap, fam, theorem.epsilon)
-        p = 1 - theorem.max_freq
+        gap = float(max_freq) - (ucc.PSI - theorem.delta)
+        if theorem.applicable and eps > 0 and gap < closest[0]:
+            closest = (gap, fam, eps)
+        p = 1 - max_freq
         if p > 0:
             ratio = fam.union_entropy / (float(p) * 2 * math.log2(fam.size))
             if ratio < least[0]:

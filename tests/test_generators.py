@@ -74,7 +74,7 @@ def test_explicit_requires_materializable_spec():
 
 def test_slice_max_frequency_small_exact():
     # n=4, k=1, m=3: 4 singletons + 5 large sets, every element in 5 of 9
-    frac = ucc.slice_max_frequency(ucc.ExampleSpec(n=4, k=1, m=3))
+    frac = ucc.slice_stats(ucc.ExampleSpec(n=4, k=1, m=3)).max_freq_exact
     assert frac == Fraction(5, 9)
     fam = ucc.slice_example(ucc.ExampleSpec(n=4, k=1, m=3))
     prof = ucc.element_frequencies(fam)
@@ -82,8 +82,14 @@ def test_slice_max_frequency_small_exact():
 
 
 def test_slice_max_frequency_n1000():
-    assert float(ucc.slice_max_frequency(ucc.ExampleSpec(n=1000))) == pytest.approx(
-        MAX_FREQ_1000, abs=1e-15)
+    spec = ucc.ExampleSpec(n=1000)
+    n, k, m = spec
+    frac = ucc.slice_stats(spec).max_freq_exact
+    # every element is in C(n-1, k-1) k-sets and C(n-1, j-1) j-sets
+    assert frac == Fraction(
+        math.comb(n - 1, k - 1) + sum(math.comb(n - 1, j - 1) for j in range(m, n + 1)),
+        math.comb(n, k) + sum(math.comb(n, j) for j in range(m, n + 1)))
+    assert float(frac) == pytest.approx(MAX_FREQ_1000, abs=1e-15)
 
 
 def test_example_stats_n1000_oracles():
@@ -104,20 +110,20 @@ def test_example_stats_n1000_oracles():
 def test_closure_deficit_matches_explicit_family(n, k, m):
     spec = ucc.ExampleSpec(n=n, k=k, m=m)
     fam = ucc.slice_example(spec)
-    eps = 1 - ucc.closure_fraction(fam)
+    eps = fam.closure_deficit
     stats = ucc.slice_stats(spec)
     assert eps > 0
     assert stats.closure_deficit == eps  # exact Fraction equality
     assert stats.log2_inv_closure_deficit == pytest.approx(-math.log2(eps), abs=1e-12)
     theorem = ucc.check_theorem(fam)
     assert stats.delta == theorem.delta
-    assert stats.max_freq_exact == float(theorem.max_freq)
+    assert stats.max_freq_exact == fam.frequency_profile.max_freq  # exact too
 
 
 def test_closure_deficit_zero_on_union_closed_spec():
     # 2k - 1 >= m: two distinct 3-sets always reach size 4
     spec = ucc.ExampleSpec(n=10, k=3, m=4)
-    assert ucc.is_union_closed(ucc.slice_example(spec))
+    assert ucc.slice_example(spec).closure_deficit == 0
     stats = ucc.slice_stats(spec)
     assert stats.closure_deficit == 0
     assert stats.log2_inv_closure_deficit is None
@@ -149,7 +155,7 @@ def test_enumerate_yields_valid_families(enumerated):
         assert len(set(fams)) == len(fams)  # no duplicates
         for fam in fams:
             assert fam.universe_size == n
-            assert ucc.is_union_closed(fam)
+            assert fam.closure_deficit == 0
 
 
 def test_enumerate_matches_the_encoding_scan():
@@ -215,13 +221,13 @@ def test_random_families_deterministic_and_sized():
 
 def test_random_families_closure_kind_is_closed():
     fams = list(ucc.random_families(6, 8, 40, seed=5, kind="closure-of-random"))
-    assert all(ucc.is_union_closed(f) for f in fams)
+    assert all(f.closure_deficit == 0 for f in fams)
     assert all(f.size >= 8 for f in fams)
 
 
 def test_random_families_noisy_kind_perturbs():
     fams = list(ucc.random_families(6, 8, 40, seed=5, kind="noisy-uc"))
-    eps = [1 - ucc.closure_fraction(f) for f in fams]
+    eps = [f.closure_deficit for f in fams]
     assert any(e > 0 for e in eps)   # the noise does something
     assert all(e < Fraction(1, 2) for e in eps)  # but families stay coherent
 

@@ -54,12 +54,12 @@ def histogram(pair) -> dict[int, int]:
 
 def assert_matches_oracle(fam: ucc.SetFamily) -> None:
     assert histogram(fam.union_counts) == oracle.pair_union_counts(fam)
-    closure = oracle.closure_fraction(fam)
-    assert ucc.closure_fraction(fam) == closure
+    eps = 1 - oracle.closure_fraction(fam)
+    assert fam.closure_deficit == eps
     assert ucc.closure_fraction_unordered(fam) == oracle.closure_fraction_unordered(fam)
-    assert ucc.is_union_closed(fam) == oracle.is_union_closed(fam)
-    if fam.size >= 2:
-        assert ucc.check_theorem(fam).epsilon == 1 - closure
+    assert (fam.closure_deficit == 0) == oracle.is_union_closed(fam)
+    if fam.size >= 2:  # the theorem's delta is taken at the oracle's eps
+        assert ucc.check_theorem(fam).delta == ucc.entropy.theorem_delta(eps, fam.size)
     assert fam.union_entropy == pytest.approx(oracle.union_entropy(fam), abs=ENTROPY_TOL)
     lower, upper = ucc.check_lower_bound(fam), ucc.check_upper_bound(fam)
     chain = ucc.chain_rule_check(fam)
@@ -107,7 +107,7 @@ def _is_dense(fam: ucc.SetFamily) -> bool:
 
 def assert_same_statistics(a: ucc.SetFamily, b: ucc.SetFamily) -> None:
     assert histogram(a.union_counts) == histogram(b.union_counts)
-    assert ucc.closure_fraction(a) == ucc.closure_fraction(b)
+    assert a.closure_deficit == b.closure_deficit
     assert ucc.closure_fraction_unordered(a) == ucc.closure_fraction_unordered(b)
     assert a.union_entropy == pytest.approx(b.union_entropy, abs=ENTROPY_TOL)
     for check in (ucc.check_lower_bound, ucc.check_upper_bound, ucc.chain_rule_check):
@@ -141,7 +141,7 @@ def test_dense_regime_power_set_of_eleven():
     assert _is_dense(fam)
     # A | B = U: each element of U lies in A only, in B only, or in both
     assert histogram(fam.union_counts) == {u: 3 ** bin(u).count("1") for u in range(1 << n)}
-    assert ucc.closure_fraction(fam) == 1
+    assert fam.closure_deficit == 0
     assert ucc.closure_fraction_unordered(fam) == 1
     chain = ucc.chain_rule_check(fam)
     assert chain.satisfied
