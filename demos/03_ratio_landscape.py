@@ -15,8 +15,8 @@ print("phi          =", ucc.PHI)
 print("1/(2 phi)    =", ucc.HALF_INV_PHI)
 print("f(phi, phi)  =", ucc.f_ratio(ucc.PHI, ucc.PHI))
 
-# One-dimensional slice first: along the diagonal the reciprocal ratio
-# r(x) = 1/f(x, x) is smooth with a single interior minimum.
+# One-dimensional slice first: along the diagonal the ratio
+# r(x) = 2 f(x, x) = g(x^2)/g(x) is smooth with a single interior minimum.
 dm = ucc.minimize_diagonal()
 print("\ndiagonal minimum:")
 print("  x*    =", dm.x_star, " (phi + %.2e)" % (dm.x_star - ucc.PHI))
@@ -25,7 +25,7 @@ print("  r(x*) =", dm.value, " (1 + phi = golden ratio)")
 # Both endpoints of the diagonal sit strictly above 1.9, which is the
 # slack the downstream argument needs.
 for x in (1e-4, 1 - 1e-6):
-    print("  r(%g) = %.6f" % (x, ucc.diagonal_ratio(x)))
+    print("  r(%g) = %.6f" % (x, 2 * ucc.f_ratio(x, x)))
 
 # Now the full square on a coarse grid, rendered as a terrain map of
 # the margin h(xy) - (x h(y) + y h(x))/(2 phi), one point at a time.

@@ -24,7 +24,7 @@ _EXPORTS = {
     "analytic.scalars": (
         "HALF_INV_PHI", "PHI", "PSI", "DiagonalMinimum", "GridCheck",
         "binary_entropy", "corollary_grid_check", "corollary_margin",
-        "diagonal_ratio", "f_ratio", "g_of", "minimize_diagonal"),
+        "f_ratio", "g_of", "minimize_diagonal"),
     "analytic.intervals": ("Interval",),
     "analytic.certify": ("Certificate", "certify_lower_bound"),
     "entropy": (

@@ -34,7 +34,6 @@ __all__ = [
     "g_of",
     "big_g_of",
     "f_ratio",
-    "diagonal_ratio",
     "DiagonalMinimum",
     "minimize_diagonal",
     "corollary_margin",
@@ -87,30 +86,23 @@ def f_ratio(x: float, y: float) -> float:
     """f(x, y) = h(xy) / (h(x) y + h(y) x) on [0, 1]^2.
 
     Boundary points take the limiting value 1.  The open square is
-    evaluated in the g form ``g(xy) / (g(x) + g(y))``, as
-    :func:`diagonal_ratio` and the certifier's enclosures are; it has no
-    0/0 near the origin, and its operations are symmetric, so
-    f(x, y) == f(y, x) exactly.
+    evaluated in the g form ``g(xy) / (g(x) + g(y))``, as the certifier's
+    enclosures are; it has no 0/0 near the origin, and its operations are
+    symmetric, so f(x, y) == f(y, x) exactly.  Where xy underflows to 0,
+    g(xy) = log2(1/x) + log2(1/y) + log2 e (1 - xy/2 - ...) is
+    log2(1/x) + log2(1/y) + log2 e to double precision.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"f_ratio needs (x, y) in [0, 1]^2, got ({x}, {y})")
     if x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
         return 1.0
+    if x * y == 0.0:
+        return (-math.log2(x) - math.log2(y) + 1.0 / _LN2) / (g_of(x) + g_of(y))
     return g_of(x * y) / (g_of(x) + g_of(y))
 
 
-def diagonal_ratio(x: float) -> float:
-    """f restricted to the diagonal, as the stable quotient g(x^2)/g(x).
-
-    Equals h(x^2) / (x h(x)) on (0, 1); tends to 2 at both endpoints.
-    """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"diagonal_ratio needs x in (0, 1), got {x}")
-    return g_of(x * x) / g_of(x)
-
-
 class DiagonalMinimum(NamedTuple):
-    """Located minimizer of the diagonal ratio."""
+    """Located minimizer of the diagonal ratio 2 f(x, x) = g(x^2) / g(x)."""
 
     x_star: float
     value: float
@@ -132,26 +124,26 @@ def minimize_diagonal() -> DiagonalMinimum:
     """
     step = 1.0 / (_SCAN_POINTS + 1)
     best_i = min(range(1, _SCAN_POINTS + 1),
-                 key=lambda i: diagonal_ratio(i * step))
+                 key=lambda i: f_ratio(i * step, i * step))
     a = max(best_i - 1, 1) * step
     b = min(best_i + 1, _SCAN_POINTS) * step
 
     inv = PHI  # interval shrink factor of golden-section search
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc = diagonal_ratio(c)
-    fd = diagonal_ratio(d)
+    fc = f_ratio(c, c)
+    fd = f_ratio(d, d)
     while b - a > _REFINE_TOL:
         if fc <= fd:  # tie keeps the left bracket
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
-            fc = diagonal_ratio(c)
+            fc = f_ratio(c, c)
         else:
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
-            fd = diagonal_ratio(d)
+            fd = f_ratio(d, d)
     x = 0.5 * (a + b)
-    return DiagonalMinimum(x_star=x, value=diagonal_ratio(x))
+    return DiagonalMinimum(x_star=x, value=2.0 * f_ratio(x, x))
 
 
 def corollary_margin(x: float, y: float) -> float:

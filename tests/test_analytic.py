@@ -119,6 +119,22 @@ def test_f_identity_with_g(x, y):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_f_where_the_product_underflows():
+    # xy underflows to 0.0, yet (x, y) is inside the open square
+    mpmath = pytest.importorskip("mpmath")
+
+    def g(t):
+        return -mpmath.log(t, 2) - (1 - t) * mpmath.log1p(-t) / mpmath.log(2) / t
+
+    with mpmath.workdps(50):
+        for x, y in ((1e-200, 1e-200), (1e-300, 1e-30)):
+            assert x * y == 0.0
+            mx, my = mpmath.mpf(x), mpmath.mpf(y)
+            ref = g(mx * my) / (g(mx) + g(my))
+            assert ucc.f_ratio(x, y) == pytest.approx(float(ref), rel=1e-15)
+            assert ucc.f_ratio(x, y) == ucc.f_ratio(y, x)
+
+
 def test_f_below_one_in_interior():
     xs = np.linspace(0.01, 0.99, 99)
     assert all(ucc.f_ratio(float(x), float(y)) < 1.0 for x in xs for y in xs)
@@ -131,18 +147,13 @@ def test_f_above_half_inv_phi_on_grid():
 
 
 def test_diagonal_ratio_pinned_endpoints():
-    assert ucc.diagonal_ratio(1e-4) == pytest.approx(R_LEFT, abs=1e-12)
-    assert ucc.diagonal_ratio(1 - 1e-4) == pytest.approx(R_RIGHT, abs=1e-12)
-    assert ucc.diagonal_ratio(1 - 1e-6) == pytest.approx(R_NEAR_ONE, abs=1e-12)
-    assert ucc.diagonal_ratio(0.5) == pytest.approx(R_HALF, abs=1e-12)
-    assert ucc.diagonal_ratio(1e-4) > 1.9
-    assert ucc.diagonal_ratio(1 - 1e-6) > 1.9
-
-
-def test_diagonal_ratio_equals_f_rescaled():
-    # f(x,x) = g(x^2) / (2 g(x)), so the diagonal ratio is 2 f(x,x)
-    for x in (0.2, 0.5, ucc.PHI, 0.9):
-        assert ucc.diagonal_ratio(x) == pytest.approx(2.0 * ucc.f_ratio(x, x), rel=1e-12)
+    # the diagonal ratio g(x^2) / g(x) is 2 f(x, x)
+    assert 2 * ucc.f_ratio(1e-4, 1e-4) == pytest.approx(R_LEFT, abs=1e-12)
+    assert 2 * ucc.f_ratio(1 - 1e-4, 1 - 1e-4) == pytest.approx(R_RIGHT, abs=1e-12)
+    assert 2 * ucc.f_ratio(1 - 1e-6, 1 - 1e-6) == pytest.approx(R_NEAR_ONE, abs=1e-12)
+    assert 2 * ucc.f_ratio(0.5, 0.5) == pytest.approx(R_HALF, abs=1e-12)
+    assert 2 * ucc.f_ratio(1e-4, 1e-4) > 1.9
+    assert 2 * ucc.f_ratio(1 - 1e-6, 1 - 1e-6) > 1.9
 
 
 def test_minimize_diagonal():

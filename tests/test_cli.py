@@ -184,8 +184,8 @@ def test_grid_points_capped_before_the_sweep(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", [131_073, 10_000_000])
 def test_example_n_capped_before_any_binomial(monkeypatch, capsys, n):
-    # slice_stats at 2^17 already takes about half a minute; one element
-    # more is refused before the first binomial
+    # slice_stats at 2^17 already takes about 4 s; one element more is
+    # refused before the first binomial
     from ucc import generators
 
     def no_binomial(*args):

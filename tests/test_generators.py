@@ -81,15 +81,43 @@ def test_slice_max_frequency_small_exact():
     assert prof.max_freq == frac
 
 
+def _slice_stats_oracle(spec):
+    # every field from math.comb closed forms, no recurrence shared with
+    # slice_stats: |F2| as a sum of C(n, j), the missing pairs as
+    # C(n, k) sum_x C(k, x) C(n-k, k-x), and each element's count as
+    # C(n-1, k-1) k-sets plus C(n-1, j-1) j-sets
+    n, k, m = spec
+    size_f1 = math.comb(n, k)
+    size_f2 = sum(math.comb(n, j) for j in range(m, n + 1))
+    size = size_f1 + size_f2
+    missing = size_f1 * sum(math.comb(k, x) * math.comb(n - k, k - x)
+                            for x in range(k) if k < 2 * k - x < m)
+    eps = Fraction(missing, size * size)
+    freq = math.comb(n - 1, k - 1) + sum(math.comb(n - 1, j - 1) for j in range(m, n + 1))
+    return ucc.ExampleStats(
+        n=n, k=k, m=m,
+        log2_f1=math.log2(size_f1),
+        log2_f2=math.log2(size_f2),
+        max_freq_exact=Fraction(freq, size),
+        closure_deficit=eps,
+        log2_inv_closure_deficit=(math.log2(eps.denominator) - math.log2(eps.numerator)
+                                  if eps else None),
+        delta=ucc.entropy.theorem_delta(eps, size),
+    )
+
+
 def test_slice_max_frequency_n1000():
     spec = ucc.ExampleSpec(n=1000)
-    n, k, m = spec
-    frac = ucc.slice_stats(spec).max_freq_exact
-    # every element is in C(n-1, k-1) k-sets and C(n-1, j-1) j-sets
-    assert frac == Fraction(
-        math.comb(n - 1, k - 1) + sum(math.comb(n - 1, j - 1) for j in range(m, n + 1)),
-        math.comb(n, k) + sum(math.comb(n, j) for j in range(m, n + 1)))
-    assert float(frac) == pytest.approx(MAX_FREQ_1000, abs=1e-15)
+    stats = ucc.slice_stats(spec)
+    assert stats == _slice_stats_oracle(spec)  # the Fractions exactly
+    assert float(stats.max_freq_exact) == pytest.approx(MAX_FREQ_1000, abs=1e-15)
+    # every valid spec over a small universe, and the default spec up to
+    # n = 3,000
+    specs = [ucc.ExampleSpec(n, k, m) for n in range(2, 41)
+             for k in range(1, n) for m in range(k + 1, n + 1)]
+    specs += [ucc.ExampleSpec(n) for n in range(80, 3001, 290)]
+    for spec in specs:
+        assert ucc.slice_stats(spec) == _slice_stats_oracle(spec), spec
 
 
 def test_example_stats_n1000_oracles():

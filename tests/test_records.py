@@ -137,8 +137,8 @@ PUBLIC_NAMES = [
     "chain_rule_check", "check_lower_bound", "check_theorem",
     "check_upper_bound", "closure_fraction_unordered",
     "corollary_grid_check", "corollary_margin", "derive_seed",
-    "diagonal_ratio", "element_frequencies", "enumerate_union_closed",
-    "f_ratio", "format_family", "g_of", "load_family", "minimize_diagonal",
+    "element_frequencies", "enumerate_union_closed", "f_ratio",
+    "format_family", "g_of", "load_family", "minimize_diagonal",
     "parse_family", "random_families", "slice_example", "slice_stats",
     "union_closure", "union_distribution",
 ]
